@@ -14,14 +14,17 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .ctgen import Configuration
+from .ctgen import Configuration, CtError
+from .logic import LogicError
 from .sim import (
-    InstantiationError, Scenario, ScenarioSample, box_dimension, instantiate,
-    run_policy,
+    InstantiationError, Scenario, ScenarioSample, SimError, box_dimension,
+    instantiate, run_policy,
 )
-from .stl import PredicateMap, SpecSynthesisResult, Trace, robustness, synthesize
+from .stl import (
+    PredicateMap, SpecSynthesisResult, StlError, Trace, robustness, synthesize,
+)
 from .tasks import format_task
-from .theory import ActionTheory
+from .theory import ActionTheory, TheoryError
 
 
 class FalsificationError(Exception):
@@ -152,6 +155,11 @@ def _result(rho, sample, trace, evaluations, infeasible) -> FalsificationResult:
     return FalsificationResult(status, rho, sample, trace, evaluations, infeasible)
 
 
+# Failures a campaign records per configuration instead of stopping.
+_DOMAIN_ERRORS = (StlError, SimError, FalsificationError, TheoryError, CtError,
+                  LogicError)
+
+
 @dataclass(frozen=True)
 class CampaignEntry:
     index: int
@@ -165,8 +173,10 @@ class CampaignEntry:
 def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
              pmap: PredicateMap, budget: int, seed: int,
              sim_dt: float = 0.25) -> list[tuple[CampaignEntry, Optional[FalsificationResult]]]:
-    """Falsify each configuration; individual failures are recorded and the
-    campaign continues.  Per-config seeds are derived from the base seed."""
+    """Falsify each configuration; a configuration that fails with a domain
+    error is recorded as an "error" entry, with the error's type name, and
+    the campaign continues.  Any other exception is a programming error and
+    propagates.  Per-config seeds are derived from the base seed."""
     out = []
     for i, config in enumerate(configs):
         task_text = format_task(config.task)
@@ -177,8 +187,9 @@ def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
             res = falsify(problem)
             out.append((CampaignEntry(i, task_text, res.status,
                                       res.best_robustness, res.evaluations), res))
-        except Exception as e:  # campaign must survive per-config failures
-            out.append((CampaignEntry(i, task_text, "error", None, 0, str(e)), None))
+        except _DOMAIN_ERRORS as e:
+            out.append((CampaignEntry(i, task_text, "error", None, 0,
+                                      "%s: %s" % (type(e).__name__, e)), None))
     return out
 
 

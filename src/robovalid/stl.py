@@ -2,14 +2,16 @@
 specification synthesis from world-task configurations.
 
 Signals are piecewise-constant between strictly increasing sample times.
-Window extrema are taken over the samples inside the window plus the
-window endpoints, so monitoring is reproducible bit for bit.
+Window extrema are taken over the window start plus every sample time in
+(start, end]; the end counts only when it is a sample time.  Monitoring is
+therefore reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -135,23 +137,6 @@ def format_stl(phi: StlFormula) -> str:
     raise TypeError("unknown formula node %r" % (phi,))
 
 
-def stl_signals(phi: StlFormula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset((phi.signal,))
-    if isinstance(phi, SNot):
-        return stl_signals(phi.body)
-    if isinstance(phi, (SAnd, SOr)):
-        out: frozenset[str] = frozenset()
-        for p in phi.parts:
-            out |= stl_signals(p)
-        return out
-    if isinstance(phi, (Eventually, Always)):
-        return stl_signals(phi.body)
-    if isinstance(phi, Until):
-        return stl_signals(phi.left) | stl_signals(phi.right)
-    return frozenset()
-
-
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
@@ -243,48 +228,184 @@ class RobustnessResult:
 
 def robustness(phi: StlFormula, trace: Trace, t: float = 0.0) -> RobustnessResult:
     """Quantitative semantics; `truncated` is set when any window had to be
-    clipped at the end of the trace."""
+    clipped at the end of the trace.
+
+    Each distinct subformula is evaluated once per time point at which an
+    enclosing operator asks for it, from the leaves up.  For windows of
+    bounded size the cost is linear in the formula and in the trace,
+    instead of growing with the product of the nested window sizes.
+    """
     if t > trace.end:
         raise TruncationError("evaluation time %g past trace end %g" % (t, trace.end))
-    return _rho(phi, trace, t)
+    nodes = _compile(phi)
+    try:
+        demand, truncated = _demand(nodes, trace, t)
+        values = _evaluate(nodes, demand, trace)
+    except StlError:
+        _raise_first_error(nodes, trace, t)
+        raise
+    return RobustnessResult(values[-1][t], truncated)
 
 
-def _rho(phi: StlFormula, trace: Trace, t: float) -> RobustnessResult:
-    if isinstance(phi, STrue):
-        return RobustnessResult(float("inf"), False)
-    if isinstance(phi, Atom):
-        return RobustnessResult(phi.margin(trace.value(phi.signal, t)), False)
-    if isinstance(phi, SNot):
-        r = _rho(phi.body, trace, t)
-        return RobustnessResult(-r.value, r.truncated)
-    if isinstance(phi, (SAnd, SOr)):
-        if not phi.parts:
-            v = float("inf") if isinstance(phi, SAnd) else float("-inf")
-            return RobustnessResult(v, False)
-        rs = [_rho(p, trace, t) for p in phi.parts]
-        agg = min if isinstance(phi, SAnd) else max
-        return RobustnessResult(agg(r.value for r in rs), any(r.truncated for r in rs))
-    if isinstance(phi, (Eventually, Always)):
-        lo, hi = t + phi.lo, t + phi.hi
-        pts = trace.window_times(lo, hi)
-        truncated = hi > trace.end
-        rs = [_rho(phi.body, trace, u) for u in pts]
-        agg = max if isinstance(phi, Eventually) else min
-        return RobustnessResult(agg(r.value for r in rs),
-                                truncated or any(r.truncated for r in rs))
-    if isinstance(phi, Until):
-        lo, hi = t + phi.lo, t + phi.hi
-        pts = trace.window_times(lo, hi)
-        truncated = hi > trace.end
-        best = float("-inf")
-        for u in pts:
-            right = _rho(phi.right, trace, u)
-            lefts = [_rho(phi.left, trace, v) for v in trace.window_times(t, u)]
-            inner = min([right.value] + [r.value for r in lefts])
-            truncated = truncated or right.truncated or any(r.truncated for r in lefts)
-            best = max(best, inner)
-        return RobustnessResult(best, truncated)
-    raise TypeError("unknown formula node %r" % (phi,))
+# Node kinds of the compiled formula.  A node is a tuple whose first entry
+# is its kind; its children are indices of earlier nodes.
+_TRUE, _ATOM, _NOT, _AND, _OR, _EV, _ALW, _UNTIL = range(8)
+
+
+def _compile(phi: StlFormula) -> list[tuple]:
+    """Post-order DAG of `phi`, root last.  Structurally equal subformulas
+    share one node; nodes are keyed by their fields and child indices, so
+    no formula dataclass is hashed."""
+    nodes: list[tuple] = []
+    index: dict[tuple, int] = {}
+
+    def add(node: tuple) -> int:
+        i = index.get(node)
+        if i is None:
+            i = index[node] = len(nodes)
+            nodes.append(node)
+        return i
+
+    def visit(f) -> int:
+        if isinstance(f, Atom):
+            # 0.0 and -0.0 thresholds compare equal but give different margins
+            return add((_ATOM, f.signal, f.comparator, f.threshold,
+                        math.copysign(1.0, f.threshold)))
+        if isinstance(f, SNot):
+            return add((_NOT, (visit(f.body),)))
+        if isinstance(f, SAnd):
+            return add((_AND, tuple(visit(p) for p in f.parts)))
+        if isinstance(f, SOr):
+            return add((_OR, tuple(visit(p) for p in f.parts)))
+        if isinstance(f, Eventually):
+            return add((_EV, f.lo, f.hi, visit(f.body)))
+        if isinstance(f, Always):
+            return add((_ALW, f.lo, f.hi, visit(f.body)))
+        if isinstance(f, Until):
+            return add((_UNTIL, f.lo, f.hi, visit(f.left), visit(f.right)))
+        if isinstance(f, STrue):
+            return add((_TRUE,))
+        raise TypeError("unknown formula node %r" % (f,))
+
+    visit(phi)
+    return nodes
+
+
+def _demand(nodes: list[tuple], trace: Trace,
+            root_time: float) -> tuple[list[dict], bool]:
+    """Top-down pass: the times at which each node is needed, as the keys
+    of one dict per node.  A window operator maps each of its times to
+    the points `Trace.window_times` gives it; `Until` maps each time to
+    (point, points for the left operand) pairs.  The result is truncated
+    exactly when some window ends past the trace."""
+    demand: list[dict] = [{} for _ in nodes]
+    demand[-1][root_time] = None
+    end = trace.end
+    truncated = False
+    for node, asked in zip(reversed(nodes), reversed(demand)):
+        kind = node[0]
+        if kind == _NOT or kind == _AND or kind == _OR:
+            for c in node[1]:
+                demand[c].update(asked)
+        elif kind == _EV or kind == _ALW:
+            _, lo, hi, body = node
+            inner = demand[body]
+            for t in asked:
+                pts = asked[t] = trace.window_times(t + lo, t + hi)
+                truncated = truncated or t + hi > end
+                inner.update(dict.fromkeys(pts))
+        elif kind == _UNTIL:
+            _, lo, hi, left, right = node
+            lefts, rights = demand[left], demand[right]
+            for t in asked:
+                pts = trace.window_times(t + lo, t + hi)
+                truncated = truncated or t + hi > end
+                steps = asked[t] = [(u, trace.window_times(t, u)) for u in pts]
+                for u, before in steps:
+                    rights[u] = None
+                    lefts.update(dict.fromkeys(before))
+    return demand, truncated
+
+
+def _evaluate(nodes: list[tuple], demand: list[dict], trace: Trace) -> list[dict]:
+    """Bottom-up pass: every node's robustness at each of its demanded
+    times.  `min` and `max` keep the earlier of equal operands, as the
+    recursive semantics does, so signed zeros come out the same."""
+    inf = float("inf")
+    times = trace.times
+    rows_at: dict[tuple, list[int]] = {}  # sample rows per demanded time list
+    values: list[dict] = []
+    for node, asked in zip(nodes, demand):
+        kind = node[0]
+        if kind == _ATOM:
+            _, signal, comparator, threshold, _ = node
+            samples = trace.signals.get(signal)
+            key = tuple(asked)
+            rows = rows_at.get(key)
+            if rows is None:
+                rows = rows_at[key] = [bisect.bisect_right(times, t) - 1 for t in key]
+            if samples is None or min(rows) < 0:
+                raise StlError("atom on %r cannot be sampled" % signal)
+            if comparator in (">", ">="):  # Atom.margin, for all rows at once
+                margins = [samples[i] - threshold for i in rows]
+            else:
+                margins = [threshold - samples[i] for i in rows]
+            vals = dict(zip(asked, margins))
+        elif kind == _NOT:
+            body = values[node[1][0]]
+            vals = {t: -body[t] for t in asked}
+        elif kind == _AND or kind == _OR:
+            parts = [values[c] for c in node[1]]
+            if not parts:
+                vals = dict.fromkeys(asked, inf if kind == _AND else -inf)
+            else:
+                agg = min if kind == _AND else max
+                vals = {t: agg([p[t] for p in parts]) for t in asked}
+        elif kind == _EV or kind == _ALW:
+            body = values[node[3]]
+            agg = max if kind == _EV else min
+            vals = {t: agg([body[u] for u in pts]) for t, pts in asked.items()}
+        elif kind == _UNTIL:
+            left, right = values[node[3]], values[node[4]]
+            vals = {}
+            for t, steps in asked.items():
+                best = -inf
+                for u, before in steps:
+                    best = max(best, min([right[u]] + [left[v] for v in before]))
+                vals[t] = best
+        else:  # _TRUE
+            vals = dict.fromkeys(asked, inf)
+        values.append(vals)
+    return values
+
+
+def _raise_first_error(nodes: list[tuple], trace: Trace, t: float) -> None:
+    """Raise the error that evaluating the formula recursively, operands in
+    order and windows from their start, meets first.  The walk skips
+    (node, time) pairs it has already cleared, so it stays linear."""
+    cleared: set[tuple[int, float]] = set()
+
+    def visit(i: int, t: float) -> None:
+        if (i, t) in cleared:
+            return
+        node = nodes[i]
+        kind = node[0]
+        if kind == _ATOM:
+            trace.value(node[1], t)
+        elif kind == _NOT or kind == _AND or kind == _OR:
+            for c in node[1]:
+                visit(c, t)
+        elif kind == _EV or kind == _ALW:
+            for u in trace.window_times(t + node[1], t + node[2]):
+                visit(node[3], u)
+        elif kind == _UNTIL:
+            for u in trace.window_times(t + node[1], t + node[2]):
+                visit(node[4], u)
+                for v in trace.window_times(t, u):
+                    visit(node[3], v)
+        cleared.add((i, t))
+
+    visit(len(nodes) - 1, t)
 
 
 def bool_sat(phi: StlFormula, trace: Trace, t: float = 0.0) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from robovalid import ctgen
+from robovalid import ctgen, falsify as falsify_module
 from robovalid.falsify import (
     FalsificationError, FalsificationProblem, FalsificationResult, campaign,
     falsify, summarize,
@@ -98,3 +98,26 @@ def test_campaign_survives_and_summarizes(kitchen_configs, kitchen,
     assert s["configurations"] == 6
     assert s["falsified"] + s["passed"] + s["errors"] == 6
     assert s["errors"] == 0
+
+
+def _open_config(configs):
+    return next(c for c in configs if format_task(c.task).startswith("open"))
+
+
+def test_campaign_records_domain_errors_by_type(kitchen_configs, kitchen, scenario):
+    unmapped = PredicateMap({}, 1.0)
+    [(entry, res)] = campaign([_open_config(kitchen_configs)], kitchen, scenario,
+                              unmapped, budget=1, seed=0)
+    assert entry.status == "error" and res is None
+    assert entry.error.startswith("SynthesisError: no concrete-signal mapping")
+
+
+def test_campaign_propagates_programming_errors(kitchen_configs, kitchen, scenario,
+                                                pmap, monkeypatch):
+    def broken(phi, trace, t=0.0):
+        raise KeyError(t)
+
+    monkeypatch.setattr(falsify_module, "robustness", broken)
+    with pytest.raises(KeyError):
+        campaign([_open_config(kitchen_configs)], kitchen, scenario, pmap,
+                 budget=1, seed=0)

@@ -1,9 +1,11 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stl_oracle
 from robovalid import stl
 from robovalid.stl import (
     Always, Atom, Eventually, RobustnessResult, SAnd, SNot, SOr, STrue,
@@ -123,7 +125,125 @@ def test_atom_monotone_in_margin():
     base = mono_trace(1, -2, 0.5)
     shifted = mono_trace(2, -1, 1.5)
     phi = Eventually(0.0, 2.0, Atom("x", ">", 0.0))
-    assert robustness(phi, shifted).value >= robustness(phi, base).value
+    assert robustness(phi, shifted).value == robustness(phi, base).value + 1.0
+
+
+@st.composite
+def timed_traces(draw):
+    """Two signals over 1-7 samples with uneven steps.  Both zeros are
+    common values, so zero margins of either sign tie inside windows."""
+    steps = draw(st.lists(st.sampled_from((0.25, 0.5, 1.0)), min_size=0, max_size=6))
+    times = [0.0]
+    for step in steps:
+        times.append(times[-1] + step)
+    values = st.one_of(st.sampled_from((0.0, -0.0, 1.0)),
+                       st.floats(-4, 4, allow_nan=False, width=16))
+    return Trace(tuple(times), {
+        name: tuple(draw(st.lists(values, min_size=len(times), max_size=len(times))))
+        for name in ("x", "y")})
+
+
+@st.composite
+def rich_formulas(draw, trace, depth=3):
+    """Every formula node kind, windows with non-zero starts, empty
+    conjunctions and disjunctions, and thresholds equal to trace samples.
+    Rarely, an atom names a signal the trace does not have."""
+    leaf = st.integers(0, 9) if depth == 0 else st.integers(0, 16)
+    kind = draw(leaf)
+    if kind == 0:
+        return STrue()
+    if kind <= 9:
+        signal = draw(st.sampled_from(("x", "y", "x", "y", "x", "y", "z")))
+        samples = trace.signals.get(signal, (0.0,))
+        threshold = draw(st.one_of(st.sampled_from(samples),
+                                   st.sampled_from((0.0, -0.0)),
+                                   st.floats(-3, 3, allow_nan=False, width=16)))
+        return Atom(signal, draw(st.sampled_from((">", ">=", "<", "<="))), threshold)
+    sub = rich_formulas(trace, depth - 1)
+    if kind == 10:
+        return SNot(draw(sub))
+    if kind in (11, 12):
+        parts = tuple(draw(st.lists(sub, min_size=0, max_size=3)))
+        return SAnd(parts) if kind == 11 else SOr(parts)
+    lo = draw(st.sampled_from((0.0, 0.0, 0.25, 0.5, 0.7, 1.0)))
+    hi = lo + draw(st.sampled_from((0.0, 0.3, 0.5, 1.0, 1.5, 2.5)))
+    if kind == 13:
+        return Eventually(lo, hi, draw(sub))
+    if kind == 14:
+        return Always(lo, hi, draw(sub))
+    return Until(lo, hi, draw(sub), draw(sub))
+
+
+def _outcome(evaluate, phi, trace, t):
+    """Value bytes and truncation flag, or the raised error's type and text."""
+    try:
+        r = evaluate(phi, trace, t)
+    except StlError as e:
+        return type(e), str(e)
+    return struct.pack("<d", r.value), r.truncated
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.data())
+def test_robustness_matches_recursive_oracle(data):
+    tr = data.draw(timed_traces())
+    phi = data.draw(rich_formulas(tr))
+    t = data.draw(st.one_of(st.sampled_from(tr.times),
+                            st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
+    got = _outcome(robustness, phi, tr, t)
+    assert got == _outcome(stl_oracle.robustness, phi, tr, t)
+    if isinstance(got[0], bytes):
+        value = robustness(phi, tr, t).value
+        if value != 0:  # zero robustness is the boundary, either answer is fine
+            assert (value > 0) == bool_sat(phi, tr, t)
+
+
+ZERO_TIE_TRACES = [
+    Trace((0.0, 1.0, 2.0), {"x": (0.0, -0.0, 0.0), "y": (5.0, 5.0, 5.0)}),
+    Trace((0.0, 1.0, 2.0), {"x": (-0.0, 0.0, -0.0), "y": (5.0, 5.0, 5.0)}),
+]
+ZERO_TIE_FORMULAS = [
+    Eventually(0.0, 1.0, SNot(Atom("x", ">", 0.0))),
+    Always(0.0, 1.0, Atom("x", "<", 0.0)),
+    SAnd((Atom("x", ">", 0.0), SNot(Atom("x", ">", 0.0)))),
+    SOr((SNot(Atom("x", ">=", 0.0)), Atom("x", "<=", -0.0))),
+    # the two atoms differ only in the sign of their zero threshold
+    SOr((SAnd((Atom("x", ">", -0.0), Atom("y", ">", 100.0))), Atom("x", ">", 0.0))),
+    Until(0.0, 2.0, SNot(Atom("x", "<=", 0.0)), Atom("x", ">=", -0.0)),
+]
+
+
+@pytest.mark.parametrize("phi", ZERO_TIE_FORMULAS, ids=format_stl)
+@pytest.mark.parametrize("tr", ZERO_TIE_TRACES, ids=("pos-first", "neg-first"))
+def test_signed_zero_ties_match_oracle(phi, tr):
+    # min and max keep the earlier of 0.0 and -0.0, which compare equal
+    for t in (0.0, 1.0):
+        assert _outcome(robustness, phi, tr, t) == \
+            _outcome(stl_oracle.robustness, phi, tr, t)
+
+
+def test_nested_eventually_is_not_exponential():
+    # Six nested checkpoints of 21 literals each, as `synthesize` builds them,
+    # over a 121-sample ramp.  Re-walking every window would visit the
+    # innermost checkpoint about 21**6 = 8.6e7 times.
+    times = tuple(i * 0.25 for i in range(121))
+    signals = {"x": times}
+    signals.update({"s%d" % j: (float(j),) * len(times) for j in range(10)})
+    trace = Trace(times, signals)
+    slack = [1.0 + k / 4 for k in range(1, 7)]  # margin of checkpoint k at 5k
+    phi = None
+    for k in range(6, 0, -1):
+        literals = [Atom("x", ">=", 5.0 * k - slack[k - 1])]
+        for j in range(10):
+            literals.append(Atom("s%d" % j, ">", j - 2.0))
+            literals.append(SNot(Atom("s%d" % j, ">", j + 3.0)))
+        chi_k = SAnd(tuple(literals))
+        phi = Eventually(0.0, 5.0, chi_k if phi is None else SAnd((chi_k, phi)))
+    # x only grows, so every window is best at its end: checkpoint k at 5k;
+    # the constant literals keep margins 2 and 3
+    r = robustness(phi, trace)
+    assert r == RobustnessResult(min(min(slack), 2.0), False)
+    assert bool_sat(phi, trace)
 
 
 def test_chi_literal_count(kitchen, kitchen_worlds, pmap):
