@@ -11,13 +11,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ctgen, falsify as fz, sim, stl
 from .logic import format_formula, TRUE
-from .tasks import Grammar, enumerate_derivations, format_task, parse_task
+from .tasks import Grammar, format_task, parse_task
 from .theory import WorldState, enumerate_initial_worlds, load_model
-from .wp import holds_at, wp
+from .wp import wp
 
 MODEL_FORMAT_VERSION = "1"
 OUT_ENV_VAR = "ROBOVALID_OUT"
@@ -71,17 +70,12 @@ def _apply_knob_overrides(scn: sim.Scenario, specs: list[str]) -> sim.Scenario:
     return sim.Scenario(scn.objects, scn.workspace, ranges)
 
 
-def _counts_for_depth(theory, grammar, depth: int,
-                      worlds=None) -> tuple[int, int]:
-    if worlds is None:
-        worlds = list(enumerate_initial_worlds(theory))
+def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
     syntax_valid = 0
     accomplishable = 0
-    for _, task in enumerate_derivations(grammar, depth, theory):
+    for _, _, wpf in ctgen.derivation_wps(theory, grammar, depth, worlds):
         syntax_valid += 1
-        phi = wp(TRUE, task, theory).formula
-        if any(holds_at(phi, theory, w) for w in worlds):
-            accomplishable += 1
+        accomplishable += wpf is not None
     return syntax_valid, accomplishable
 
 
@@ -115,31 +109,23 @@ def _generate(theory, depth: int, strength):
 def cmd_generate(args) -> int:
     theory = load_model(args.model)
     strength = args.strength if args.strength == "full" else int(args.strength)
-    _, valid, rows, configs = _generate(theory, args.depth, strength)
+    model, _, rows, configs = _generate(theory, args.depth, strength)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "configs.jsonl")
     with open(path, "w") as f:
         for cfg in configs:
             f.write(_json_line(_config_record(cfg)))
-    grammar = Grammar(theory.grammar)
-    sv, acc = _counts_for_depth(theory, grammar, args.depth)
     print("depth  syntax-valid  accomplishable  configurations  strength")
-    print("%5d  %12d  %14d  %14d  %8s" % (args.depth, sv, acc, len(rows), strength))
+    print("%5d  %12d  %14d  %14d  %8s" % (args.depth, len(model.derivations),
+                                          len(model.wps), len(rows), strength))
     print("wrote %s" % path)
     return 0
 
 
-def _run_campaign(theory, configs, scn, pmap, budget, seed, sim_dt, jobs):
-    def one(i_cfg):
-        i, cfg = i_cfg
-        return fz.campaign([cfg], theory, scn, pmap, budget, seed + i, sim_dt)[0]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, enumerate(configs)))
-    else:
-        results = [one(x) for x in enumerate(configs)]
+def _run_campaign(theory, configs, scn, pmap, budget, seed, sim_dt):
+    results = [fz.campaign([cfg], theory, scn, pmap, budget, seed + i, sim_dt)[0]
+               for i, cfg in enumerate(configs)]
     entries = [fz.CampaignEntry(i, e.task_text, e.status, e.robustness,
                                 e.evaluations, e.error)
                for i, (e, _) in enumerate(results)]
@@ -174,14 +160,14 @@ def cmd_falsify(args) -> int:
     scn = _apply_knob_overrides(sim.load_scenario(args.scenario), args.knob)
     configs = _load_configs(args.configs, theory)
     entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
-                                     args.seed, args.sim_dt, args.jobs)
+                                     args.seed, args.sim_dt)
     summary = fz.summarize(entries)
     path = _write_report(args.out, entries, results, summary)
     print("falsified %d / passed %d / errors %d of %d configurations"
           % (summary["falsified"], summary["passed"], summary["errors"],
              summary["configurations"]))
     print("wrote %s" % path)
-    return 0
+    return 1 if summary["errors"] else 0
 
 
 def cmd_validate(args) -> int:
@@ -196,7 +182,7 @@ def cmd_validate(args) -> int:
         for cfg in configs:
             f.write(_json_line(_config_record(cfg)))
     entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
-                                     args.seed, args.sim_dt, args.jobs)
+                                     args.seed, args.sim_dt)
     summary = fz.summarize(entries)
     summary["valid_assignments"] = len(valid)
     summary["strength"] = str(strength)
@@ -205,7 +191,7 @@ def cmd_validate(args) -> int:
     print("Only %d configurations passed the validation (%d falsified, %d errors)"
           % (passed, summary["falsified"], summary["errors"]))
     print("wrote %s and %s" % (cpath, path))
-    return 0
+    return 1 if summary["errors"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=25)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--sim-dt", type=float, default=0.25)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--knob", action="append", default=[],
                         metavar="NAME=LO[:HI]",
                         help="override a policy knob range, e.g. "

@@ -16,24 +16,21 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .logic import (
-    And, Eq, FALSE, Fluent, Formula, Forall, Exists, Iff, Implies, Not, Obj,
-    Or, Rigid, TRUE, TrueF, FalseF, substitute,
+    And, Eq, Fluent, Formula, Forall, Exists, Iff, Implies, Not, Obj, Or,
+    Rigid, TRUE, TrueF, FalseF, anchor, substitute,
 )
 from .tasks import (
-    Derivation, EPSILON, Grammar, Task, enumerate_derivations, format_task,
+    Derivation, EPSILON, Grammar, Task, enumerate_derivations,
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
     satisfies_init,
 )
-from .wp import holds_at, unfold_derived, wp as compute_wp, _anchor_to, SIT
+from .wp import holds_at, unfold_derived, wp as compute_wp, SIT
 
 
 class CtError(Exception):
     """Inconsistent combinatorial model or assignment."""
-
-
-EPS = "eps"
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +143,8 @@ class CtModel:
     grammar: Grammar = None
     depth: int = 0
     derivations: dict[tuple[str, ...], Task] = field(default_factory=dict)
+    # WP of each accomplishable derivation only, keyed like `derivations`
+    wps: dict[tuple[str, ...], Formula] = field(default_factory=dict)
     unary_params: dict[str, GroundAtom] = field(default_factory=dict)
     tuple_params: dict[str, list[list[str]]] = field(default_factory=dict)  # family -> [instance][component]
 
@@ -235,10 +234,10 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
 
     # (c) derivation-step parameters
     for k in range(1, depth + 1):
-        model.parameters.append(CtParameter("d%d" % k, tuple(rule_ids) + (EPS,)))
+        model.parameters.append(CtParameter("d%d" % k, tuple(rule_ids) + (EPSILON,)))
 
     # (b) n-ary fluent-family tuple parameters with symmetry breaking
-    obj_domain = tuple(sorted(theory.objects)) + (EPS,)
+    obj_domain = tuple(sorted(theory.objects)) + (EPSILON,)
     for fam in theory.primitive_fluents():
         arity = theory.predicates[fam].arity
         if arity < 2:
@@ -282,19 +281,19 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
 
     # (d) initial-axiom constraints
     for i, ax in enumerate(theory.init_axioms):
-        grounded = _anchor_to(unfold_derived(ax, theory), SIT)
+        grounded = anchor(unfold_derived(ax, theory), SIT)
         model.constraints.append(CtConstraint(
             "initial axiom %d" % (i + 1), tr.translate(grounded)))
 
     # grammar validity and (e) weakest-precondition constraints
     valid_ants = []
-    for deriv, task in enumerate_derivations(grammar, depth, theory):
+    for deriv, task, wpf in derivation_wps(theory, grammar, depth, worlds):
         steps = _pad(deriv.steps, depth)
         model.derivations[steps] = task
         ant = PAnd(tuple(PEq("d%d" % (k + 1), steps[k]) for k in range(depth)))
         valid_ants.append(ant)
-        wpf = compute_wp(TRUE, task, theory).formula
-        if any(holds_at(wpf, theory, w) for w in worlds):
+        if wpf is not None:
+            model.wps[steps] = wpf
             model.constraints.append(CtConstraint(
                 "WP of derivation %s" % ",".join(deriv.steps),
                 POr((PNot(ant), tr.translate(wpf)))))
@@ -305,6 +304,18 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
     model.constraints.append(CtConstraint(
         "grammar validity", POr(tuple(valid_ants)) if valid_ants else PFalse()))
     return model
+
+
+def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
+                   worlds: list[WorldState]
+                   ) -> Iterator[tuple[Derivation, Task, Optional[Formula]]]:
+    """Every derivation of at most `depth` steps with its task and its WP,
+    or None for the WP when no world of `worlds` satisfies it."""
+    for deriv, task in enumerate_derivations(grammar, depth, theory):
+        wpf = compute_wp(TRUE, task, theory).formula
+        if not any(holds_at(wpf, theory, w) for w in worlds):
+            wpf = None
+        yield deriv, task, wpf
 
 
 def _pad(steps: tuple[str, ...], depth: int) -> tuple[str, ...]:
@@ -322,8 +333,8 @@ def _instance_bound(theory: ActionTheory, fam: str, worlds: list[WorldState]) ->
 
 
 def _all_or_none_eps(comps: list[str]) -> PFormula:
-    all_eps = PAnd(tuple(PEq(c, EPS) for c in comps))
-    none_eps = PAnd(tuple(PNot(PEq(c, EPS)) for c in comps))
+    all_eps = PAnd(tuple(PEq(c, EPSILON) for c in comps))
+    none_eps = PAnd(tuple(PNot(PEq(c, EPSILON)) for c in comps))
     return POr((all_eps, none_eps))
 
 
@@ -332,7 +343,7 @@ def _lex_less_or_both_eps(a: list[str], b: list[str], objects: list[str]) -> PFo
 
     Component order is object-name order with epsilon as the maximum.
     """
-    order = list(objects) + [EPS]
+    order = list(objects) + [EPSILON]
     rank = {v: i for i, v in enumerate(order)}
     cases = []
     for j in range(len(a)):
@@ -341,7 +352,7 @@ def _lex_less_or_both_eps(a: list[str], b: list[str], objects: list[str]) -> PFo
         less = POr(tuple(PAnd((PEq(a[j], v), PEq(b[j], w)))
                          for v in order for w in order if rank[v] < rank[w]))
         cases.append(PAnd(prefix + (less,)))
-    both_eps = PAnd(tuple(PEq(c, EPS) for c in a) + tuple(PEq(c, EPS) for c in b))
+    both_eps = PAnd(tuple(PEq(c, EPSILON) for c in a) + tuple(PEq(c, EPSILON) for c in b))
     return POr(tuple(cases) + (both_eps,))
 
 
@@ -506,9 +517,9 @@ def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration
     for fam, insts in model.tuple_params.items():
         for inst in insts:
             vals = tuple(assignment[c] for c in inst)
-            if all(v == EPS for v in vals):
+            if all(v == EPSILON for v in vals):
                 continue
-            if any(v == EPS for v in vals):
+            if any(v == EPSILON for v in vals):
                 raise CtError("mixed-epsilon tuple for %s: %r" % (fam, vals))
             true_atoms.add((fam, vals))
     w0 = WorldState(frozenset(true_atoms))
@@ -520,7 +531,7 @@ def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration
 
     if not satisfies_init(theory, w0):
         raise CtError("decoded world violates the initial axioms (encoding bug)")
-    wpf = compute_wp(TRUE, task, theory).formula
-    if not holds_at(wpf, theory, w0):
+    wpf = model.wps.get(steps)
+    if wpf is None or not holds_at(wpf, theory, w0):
         raise CtError("decoded configuration is not accomplishable (encoding bug)")
     return Configuration(w0, task, row)

@@ -8,7 +8,7 @@ quantifiers over the finite object domain supplied by the world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class LogicError(Exception):
@@ -220,62 +220,46 @@ def disj(parts) -> Formula:
     return out
 
 
-def free_object_vars(phi: Formula) -> set[str]:
-    """Names of free object variables in phi."""
-    out: set[str] = set()
+def situation_terms(phi: Formula) -> set[SitTerm]:
+    """All situation terms attached to fluent atoms in phi."""
+    return {a.sit for a in atoms(phi) if isinstance(a, Fluent)}
 
-    def term_vars(ts) -> set[str]:
-        return {t.name for t in ts if isinstance(t, Var)}
 
-    def walk(f: Formula, bound: frozenset[str]) -> None:
-        if isinstance(f, (TrueF, FalseF)):
-            return
-        if isinstance(f, Rigid):
-            out.update(term_vars(f.args) - bound)
-        elif isinstance(f, Fluent):
-            out.update(term_vars(f.args) - bound)
-            out.update(_sit_object_vars(f.sit) - bound)
-        elif isinstance(f, Eq):
-            out.update(term_vars((f.left, f.right)) - bound)
-        elif isinstance(f, OpEq):
-            out.update(term_vars(f.args) - bound)
-        elif isinstance(f, Not):
-            walk(f.body, bound)
+_ATOMS = (TrueF, FalseF, Rigid, Fluent, Eq, OpEq)
+
+
+def atoms(phi: Formula) -> Iterator[Formula]:
+    """The atom nodes of phi, left to right."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Not):
+            stack.append(f.body)
         elif isinstance(f, _BINARY):
-            walk(f.left, bound)
-            walk(f.right, bound)
+            stack += (f.right, f.left)
         elif isinstance(f, _QUANT):
-            walk(f.body, bound | {f.var})
+            stack.append(f.body)
+        elif isinstance(f, _ATOMS):
+            yield f
         else:
             raise ModelError("unknown formula node: %r" % (f,))
 
-    walk(phi, frozenset())
-    return out
 
+def map_atoms(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """phi rebuilt with every atom node replaced by fn(atom).
 
-def _sit_object_vars(s: SitTerm) -> set[str]:
-    if isinstance(s, Do):
-        return {t.name for t in s.op.args if isinstance(t, Var)} | _sit_object_vars(s.prev)
-    return set()
-
-
-def situation_terms(phi: Formula) -> set[SitTerm]:
-    """All situation terms attached to fluent atoms in phi."""
-    out: set[SitTerm] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Fluent):
-            out.add(f.sit)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, _BINARY):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, _QUANT):
-            walk(f.body)
-
-    walk(phi)
-    return out
+    Quantifiers keep their variable, so fn must not introduce free
+    variables that a quantifier of phi binds.
+    """
+    if isinstance(phi, Not):
+        return Not(map_atoms(phi.body, fn))
+    if isinstance(phi, _BINARY):
+        return type(phi)(map_atoms(phi.left, fn), map_atoms(phi.right, fn))
+    if isinstance(phi, _QUANT):
+        return type(phi)(phi.var, map_atoms(phi.body, fn))
+    if isinstance(phi, _ATOMS):
+        return fn(phi)
+    raise ModelError("unknown formula node: %r" % (phi,))
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +420,9 @@ def evaluate3(world, phi: Formula, partial: bool = True) -> Optional[bool]:
     if isinstance(phi, Rigid):
         return world.rigid_value(phi.name, _ground_names(phi.args))
     if isinstance(phi, Fluent):
-        if partial:
-            v = world.fluent_value(phi.name, _ground_names(phi.args), phi.sit)
-        else:
-            v = world.fluent_value(phi.name, _ground_names(phi.args), phi.sit)
-            if v is None:
-                raise TotalityError("fluent atom %s undetermined" % (phi,))
+        v = world.fluent_value(phi.name, _ground_names(phi.args), phi.sit)
+        if v is None and not partial:
+            raise TotalityError("fluent atom %s undetermined" % (phi,))
         return v
     if isinstance(phi, Eq):
         l, r = phi.left, phi.right
@@ -510,12 +491,16 @@ def check_axioms(world, axioms, sit: SitTerm) -> bool:
     by `sit` before evaluation.
     """
     for psi in axioms:
-        anchored = psi
-        for sv in _free_sit_vars(psi):
-            anchored = substitute(anchored, sv, sit)
-        if not evaluate(world, anchored):
+        if not evaluate(world, anchor(psi, sit)):
             return False
     return True
+
+
+def anchor(phi: Formula, sit: SitTerm) -> Formula:
+    """Replace every free situation variable in phi by `sit`."""
+    for sv in _free_sit_vars(phi):
+        phi = substitute(phi, sv, sit)
+    return phi
 
 
 def _free_sit_vars(phi: Formula) -> set[str]:

@@ -7,17 +7,16 @@ grammar itself, which produces core task text.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .logic import (
-    Formula, FormulaParser, ParseError, S0, _TokenStream, evaluate,
-    format_formula, substitute, tokenize,
+    Formula, FormulaParser, ParseError, S0, _TokenStream, anchor, evaluate,
+    format_formula, tokenize,
 )
 from .theory import (
-    ActionTheory, GrammarRule, GroundOp, StateView, WorldState, _anchor,
-    possible, progress,
+    ActionTheory, GrammarRule, GroundOp, StateView, WorldState, possible,
+    progress,
 )
 
 
@@ -147,7 +146,7 @@ def step(theory: ActionTheory, es: ExecutionState) -> list[ExecutionState]:
             return [ExecutionState(progress(theory, es.state, tau.op), NIL, es.depth + 1)]
         return []
     if isinstance(tau, Test):
-        phi = _anchor(tau.formula, S0)
+        phi = anchor(tau.formula, S0)
         if evaluate(StateView(theory, es.state), phi):
             return [ExecutionState(es.state, NIL, es.depth)]
         return []
@@ -197,7 +196,7 @@ def traces(theory: ActionTheory, w0: WorldState, tau: Task) -> set[tuple[GroundO
                 rec2(progress(theory, state, tau.op), NIL, ops + (tau.op,))
             return
         if isinstance(tau, Test):
-            if evaluate(StateView(theory, state), _anchor(tau.formula, S0)):
+            if evaluate(StateView(theory, state), anchor(tau.formula, S0)):
                 rec2(state, NIL, ops)
             return
         if isinstance(tau, Seq):
@@ -213,7 +212,7 @@ def traces(theory: ActionTheory, w0: WorldState, tau: Task) -> set[tuple[GroundO
                 if possible(theory, state, head.op):
                     rec2(progress(theory, state, head.op), rest, ops + (head.op,))
             elif isinstance(head, Test):
-                if evaluate(StateView(theory, state), _anchor(head.formula, S0)):
+                if evaluate(StateView(theory, state), anchor(head.formula, S0)):
                     rec2(state, rest, ops)
             return
         if isinstance(tau, Choice):

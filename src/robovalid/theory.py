@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .logic import (
-    FALSE, TRUE, And, Do, Eq, Fluent, Formula, ModelError, Not, Obj, OpEq,
-    OpTerm, Or, ParseError, S0, SitTerm, SitVar, Var,
-    FormulaParser, check_axioms, conj, evaluate, evaluate3, fold,
-    free_object_vars, substitute,
+    FALSE, Eq, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, ParseError,
+    S0, SitTerm, FormulaParser, anchor, atoms, check_axioms, conj, evaluate,
+    evaluate3, map_atoms, substitute,
 )
 
 
@@ -110,10 +109,10 @@ class ActionTheory:
                         "%s is a closure of undeclared or non-primitive %s"
                         % (name, d.closure_of))
             elif d.definition is not None:
-                for other in self.derived:
-                    if _mentions_fluent(d.definition, other):
+                for a in atoms(d.definition):
+                    if isinstance(a, Fluent) and a.name in self.derived:
                         raise TheoryError(
-                            "derived fluent %s depends on derived fluent %s" % (name, other))
+                            "derived fluent %s depends on derived fluent %s" % (name, a.name))
             else:
                 raise TheoryError("derived fluent %s has no definition" % name)
         for f in self.primitive_fluents():
@@ -150,18 +149,6 @@ class ActionTheory:
 
     def rigid_value(self, name: str, args: tuple[str, ...]) -> bool:
         return (name, args) in self.rigid_truths
-
-
-def _mentions_fluent(phi: Formula, name: str) -> bool:
-    if isinstance(phi, Fluent):
-        return phi.name == name
-    if isinstance(phi, Not):
-        return _mentions_fluent(phi.body, name)
-    if isinstance(phi, (And, Or)) or hasattr(phi, "left"):
-        return _mentions_fluent(phi.left, name) or _mentions_fluent(phi.right, name)
-    if hasattr(phi, "body"):
-        return _mentions_fluent(phi.body, name)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +260,10 @@ def compute_derived(theory: ActionTheory, state: WorldState) -> frozenset[Ground
                 phi = d.definition
                 for p, a in zip(d.params, args):
                     phi = substitute(phi, p, Obj(a))
-                phi = _anchor(phi, S0)
+                phi = anchor(phi, S0)
                 if evaluate(view, phi):
                     out.add((name, args))
     return frozenset(out)
-
-
-def _anchor(phi: Formula, sit: SitTerm) -> Formula:
-    """Replace every free situation variable in phi by `sit`."""
-    from .logic import _free_sit_vars
-    for sv in _free_sit_vars(phi):
-        phi = substitute(phi, sv, sit)
-    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +276,16 @@ def instantiate_op_equalities(phi: Formula, op: GroundOp) -> Formula:
     alpha = f(t...) becomes the conjunction of argument equalities when f
     matches op's name, else false.
     """
-    if isinstance(phi, OpEq):
-        if phi.name != op.name:
+    def fold_op_eq(a: Formula) -> Formula:
+        if not isinstance(a, OpEq):
+            return a
+        if a.name != op.name:
             return FALSE
-        if len(phi.args) != len(op.args):
-            raise TheoryError("arity mismatch in operation equality %s" % (phi,))
-        return conj([Eq(t, Obj(a)) for t, a in zip(phi.args, op.args)])
-    if isinstance(phi, Not):
-        return Not(instantiate_op_equalities(phi.body, op))
-    if isinstance(phi, (And, Or)) or type(phi).__name__ in ("Implies", "Iff"):
-        return type(phi)(instantiate_op_equalities(phi.left, op),
-                         instantiate_op_equalities(phi.right, op))
-    if hasattr(phi, "body") and hasattr(phi, "var"):
-        return type(phi)(phi.var, instantiate_op_equalities(phi.body, op))
-    return phi
+        if len(a.args) != len(op.args):
+            raise TheoryError("arity mismatch in operation equality %s" % (a,))
+        return conj([Eq(t, Obj(x)) for t, x in zip(a.args, op.args)])
+
+    return map_atoms(phi, fold_op_eq)
 
 
 def instantiate_gamma(gamma: Formula, params: tuple[str, ...],
@@ -336,7 +311,7 @@ def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
     phi = decl.precondition
     for p, a in zip(decl.params, op.args):
         phi = substitute(phi, p, Obj(a))
-    phi = _anchor(phi, S0)
+    phi = anchor(phi, S0)
     return evaluate(StateView(theory, state), phi)
 
 
@@ -349,8 +324,8 @@ def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldStat
     for atom in theory.all_primitive_atoms():
         fname, args = atom
         sa = theory.successor[fname]
-        gplus = _anchor(instantiate_gamma(sa.gamma_plus, sa.params, args, op), S0)
-        gminus = _anchor(instantiate_gamma(sa.gamma_minus, sa.params, args, op), S0)
+        gplus = anchor(instantiate_gamma(sa.gamma_plus, sa.params, args, op), S0)
+        gminus = anchor(instantiate_gamma(sa.gamma_minus, sa.params, args, op), S0)
         if evaluate(view, gplus) or (state.holds(atom) and not evaluate(view, gminus)):
             new_true.add(atom)
     return WorldState(frozenset(new_true))
@@ -368,7 +343,7 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     abandoned, which avoids the 2^N generate-then-filter blowup.
     """
     atoms = theory.all_primitive_atoms()
-    axioms = [_anchor(a, S0) for a in theory.init_axioms]
+    axioms = [anchor(a, S0) for a in theory.init_axioms]
     assigned: dict[GroundAtom, bool] = {}
     view = _PartialStateView(theory, assigned)
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .logic import (
-    And, Do, Fluent, Formula, Not, Obj, Or, S0, SitVar, TRUE,
-    LogicError, conj, disj, evaluate, fold, substitute,
+    And, Do, Exists, Fluent, Forall, Formula, Iff, Implies, Not, Obj, Or, S0,
+    SitVar, Var, LogicError, anchor, conj, disj, evaluate, fold, map_atoms,
+    substitute,
 )
 from .theory import (
-    ActionTheory, GroundOp, StateView, WorldState, _anchor,
-    enumerate_initial_worlds, instantiate_gamma,
+    ActionTheory, GroundOp, StateView, WorldState, enumerate_initial_worlds,
+    instantiate_op_equalities,
 )
 from .tasks import Choice, Nil, Op, Seq, Task, Test
 
@@ -33,107 +34,86 @@ def unfold_derived(phi: Formula, theory: ActionTheory) -> Formula:
     A transitive closure is expanded exactly by bounding chains at
     |objects| - 1 compositions; explicit definitions are inlined.
     """
-    if isinstance(phi, Fluent) and phi.name in theory.derived:
-        d = theory.derived[phi.name]
+    def unfold(a: Formula) -> Formula:
+        if not (isinstance(a, Fluent) and a.name in theory.derived):
+            return a
+        d = theory.derived[a.name]
         if d.closure_of is not None:
-            src, dst = phi.args
+            src, dst = a.args
             base = d.closure_of
             hops = max(1, len(theory.objects) - 1)
-            terms = [Fluent(base, (src, dst), phi.sit)]
+            terms = [Fluent(base, (src, dst), a.sit)]
             for length in range(2, hops + 1):
                 mids = ["_c%d" % i for i in range(1, length)]
-                chain = [Fluent(base, (src, __t(mids[0])), phi.sit)]
-                for a, b in zip(mids, mids[1:]):
-                    chain.append(Fluent(base, (__t(a), __t(b)), phi.sit))
-                chain.append(Fluent(base, (__t(mids[-1]), dst), phi.sit))
+                chain = [Fluent(base, (src, Var(mids[0])), a.sit)]
+                for x, y in zip(mids, mids[1:]):
+                    chain.append(Fluent(base, (Var(x), Var(y)), a.sit))
+                chain.append(Fluent(base, (Var(mids[-1]), dst), a.sit))
                 body = conj(chain)
                 for m in reversed(mids):
-                    from .logic import Exists
                     body = Exists(m, body)
                 terms.append(body)
             return disj(terms)
         body = d.definition
-        for p, a in zip(d.params, phi.args):
-            body = substitute(body, p, a if isinstance(a, Obj) else a)
+        for p, x in zip(d.params, a.args):
+            body = substitute(body, p, x)
         # re-anchor the definition's situation variable to the atom's
-        from .logic import _free_sit_vars
-        for sv in _free_sit_vars(body):
-            body = substitute(body, sv, phi.sit)
-        return body
-    if hasattr(phi, "left") and hasattr(phi, "right"):
-        return type(phi)(unfold_derived(phi.left, theory), unfold_derived(phi.right, theory))
-    if isinstance(phi, Not):
-        return Not(unfold_derived(phi.body, theory))
-    if hasattr(phi, "var") and hasattr(phi, "body"):
-        return type(phi)(phi.var, unfold_derived(phi.body, theory))
-    return phi
+        return anchor(body, a.sit)
 
-
-def __t(name: str):
-    from .logic import Var
-    return Var(name)
+    return map_atoms(phi, unfold)
 
 
 def regress(phi: Formula, theory: ActionTheory) -> Formula:
     """One regression step: every fluent at do(a, s) for a single known
     ground operation is rewritten to gamma+ or (F and not gamma-) at s.
     """
-    if isinstance(phi, Fluent):
-        if phi.name in theory.derived:
+    def regress_fluent(a: Formula) -> Formula:
+        if not isinstance(a, Fluent):
+            return a
+        if a.name in theory.derived:
             raise RegressionError("derived fluent %s must be unfolded before "
-                                  "regression" % phi.name)
-        sit = phi.sit
+                                  "regression" % a.name)
+        sit = a.sit
         if not isinstance(sit, Do):
-            raise RegressionError("fluent %s is not at a successor situation" % (phi,))
+            raise RegressionError("fluent %s is not at a successor situation" % (a,))
         if isinstance(sit.prev, Do):
             raise RegressionError("regression must be applied innermost-out; "
-                                  "%s nests two do terms" % (phi,))
-        if any(not isinstance(a, Obj) for a in sit.op.args):
+                                  "%s nests two do terms" % (a,))
+        if any(not isinstance(x, Obj) for x in sit.op.args):
             raise RegressionError("operation term %s is not ground" % (sit.op,))
-        op = GroundOp(sit.op.name, tuple(a.name for a in sit.op.args))
-        sa = theory.successor[phi.name]
-        args = phi.args
-        gplus = _inst(sa.gamma_plus, sa.params, args, op, sit.prev)
-        gminus = _inst(sa.gamma_minus, sa.params, args, op, sit.prev)
-        return fold(Or(gplus, And(Fluent(phi.name, args, sit.prev), Not(gminus))))
-    if hasattr(phi, "left") and hasattr(phi, "right"):
-        return type(phi)(regress(phi.left, theory), regress(phi.right, theory))
-    if isinstance(phi, Not):
-        return Not(regress(phi.body, theory))
-    if hasattr(phi, "var") and hasattr(phi, "body"):
-        return type(phi)(phi.var, regress(phi.body, theory))
-    return phi
+        op = GroundOp(sit.op.name, tuple(x.name for x in sit.op.args))
+        sa = theory.successor[a.name]
+        gplus = _inst(sa.gamma_plus, sa.params, a.args, op, sit.prev)
+        gminus = _inst(sa.gamma_minus, sa.params, a.args, op, sit.prev)
+        return fold(Or(gplus, And(Fluent(a.name, a.args, sit.prev), Not(gminus))))
+
+    return map_atoms(phi, regress_fluent)
 
 
 def _inst(gamma, params, args, op, sit):
-    from .theory import instantiate_op_equalities
-    # fresh bound-variable names so variable fluent arguments cannot be
-    # captured by the template's own quantifiers
-    phi = _rename_bound(gamma)
+    # the template's own quantified variables get names that no parameter
+    # and no variable fluent argument has, so substituting the arguments
+    # cannot capture them
+    taken = set(params) | {a.name for a in args if isinstance(a, Var)}
+    phi = _rename_bound(gamma, taken)
     for p, a in zip(params, args):
         phi = substitute(phi, p, a)
-    phi = instantiate_op_equalities(phi, op)
-    from .logic import _free_sit_vars
-    for sv in _free_sit_vars(phi):
-        phi = substitute(phi, sv, sit)
-    return phi
+    return anchor(instantiate_op_equalities(phi, op), sit)
 
 
-_fresh_counter = 0
-
-
-def _rename_bound(phi: Formula) -> Formula:
-    global _fresh_counter
-    if hasattr(phi, "var") and hasattr(phi, "body"):
-        _fresh_counter += 1
-        fresh = "_g%d" % _fresh_counter
-        from .logic import Var
+def _rename_bound(phi: Formula, taken: set[str], depth: int = 1) -> Formula:
+    """phi with each quantified variable renamed by its nesting depth d
+    to the d-th of _g1, _g2, ... that is not in `taken`."""
+    if isinstance(phi, (Exists, Forall)):
+        names = ("_g%d" % i for i in range(1, depth + len(taken) + 1))
+        fresh = [n for n in names if n not in taken][depth - 1]
         body = substitute(phi.body, phi.var, Var(fresh))
-        return type(phi)(fresh, _rename_bound(body))
-    if hasattr(phi, "left") and hasattr(phi, "right"):
-        return type(phi)(_rename_bound(phi.left), _rename_bound(phi.right))
+        return type(phi)(fresh, _rename_bound(body, taken, depth + 1))
+    if isinstance(phi, (And, Or, Implies, Iff)):
+        return type(phi)(_rename_bound(phi.left, taken, depth),
+                         _rename_bound(phi.right, taken, depth))
     if isinstance(phi, Not):
-        return Not(_rename_bound(phi.body))
+        return Not(_rename_bound(phi.body, taken, depth))
     return phi
 
 
@@ -144,21 +124,12 @@ def poss_formula(theory: ActionTheory, op: GroundOp) -> Formula:
     phi = decl.precondition
     for p, a in zip(decl.params, op.args):
         phi = substitute(phi, p, Obj(a))
-    phi = _anchor_to(phi, SIT)
-    return unfold_derived(phi, theory)
-
-
-def _anchor_to(phi: Formula, sit) -> Formula:
-    from .logic import _free_sit_vars
-    for sv in _free_sit_vars(phi):
-        phi = substitute(phi, sv, sit)
-    return phi
+    return unfold_derived(anchor(phi, SIT), theory)
 
 
 @dataclass(frozen=True)
 class WpResult:
     formula: Formula
-    source_task: Task
 
 
 def wp(phi: Formula, tau: Task, theory: ActionTheory) -> WpResult:
@@ -167,14 +138,14 @@ def wp(phi: Formula, tau: Task, theory: ActionTheory) -> WpResult:
     The result references only primitive fluents at the situation variable
     s plus rigid atoms; do terms and executability atoms are all expanded.
     """
-    return WpResult(fold(_wp(unfold_derived(_anchor_to(phi, SIT), theory), tau, theory)), tau)
+    return WpResult(fold(_wp(unfold_derived(anchor(phi, SIT), theory), tau, theory)))
 
 
 def _wp(phi: Formula, tau: Task, theory: ActionTheory) -> Formula:
     if isinstance(tau, Nil):
         return phi
     if isinstance(tau, Test):
-        psi = unfold_derived(_anchor_to(tau.formula, SIT), theory)
+        psi = unfold_derived(anchor(tau.formula, SIT), theory)
         return And(phi, psi)
     if isinstance(tau, Op):
         op = tau.op
@@ -191,15 +162,8 @@ def _wp(phi: Formula, tau: Task, theory: ActionTheory) -> Formula:
     raise TypeError("unknown task node %r" % (tau,))
 
 
-def accomplishable(tau: Task, theory: ActionTheory) -> list[WorldState]:
-    """Initial worlds from which `tau` can complete, per its weakest
-    precondition over the enumerated initial-world space."""
-    result = wp(TRUE, tau, theory)
-    return satisfying_worlds(result.formula, theory)
-
-
 def satisfying_worlds(phi: Formula, theory: ActionTheory) -> list[WorldState]:
-    anchored = _anchor_to(phi, S0)
+    anchored = anchor(phi, S0)
     out = []
     for w in enumerate_initial_worlds(theory):
         if evaluate(StateView(theory, w), anchored):
@@ -209,4 +173,4 @@ def satisfying_worlds(phi: Formula, theory: ActionTheory) -> list[WorldState]:
 
 def holds_at(phi: Formula, theory: ActionTheory, state: WorldState) -> bool:
     """Evaluate a one-situation formula (typically a WP) at a world state."""
-    return evaluate(StateView(theory, state), _anchor_to(phi, S0))
+    return evaluate(StateView(theory, state), anchor(phi, S0))

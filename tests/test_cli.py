@@ -68,7 +68,11 @@ def test_falsify_consumes_generated_configs(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["generate", "--model", KITCHEN, "--depth", "4",
                  "--strength", "1", "--out", str(out)]) == 0
-    capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["depth", "syntax-valid", "accomplishable",
+                                "configurations", "strength"]
+    # the depth-4 counts of tests/golden/kitchen4_depth_counts.json
+    assert lines[1].split()[:3] == ["4", "28", "8"]
     assert main(["falsify", "--model", KITCHEN,
                  "--configs", str(out / "configs.jsonl"),
                  "--pmap", PMAP, "--scenario", SCENARIO,
@@ -107,11 +111,17 @@ def test_validate_fault_run_is_deterministic(tmp_path, capsys):
         assert (tmp_path / "a" / ("trace_%03d.csv" % i)).exists()
 
 
-def test_jobs_flag_matches_serial(tmp_path):
-    def run(d, jobs):
-        main(["validate", "--model", KITCHEN, "--depth", "4",
-              "--strength", "1", "--pmap", PMAP, "--scenario", SCENARIO,
-              "--budget", "10", "--seed", "2", "--jobs", jobs, "--out", str(d)])
-        return (d / "report.json").read_bytes()
-
-    assert run(tmp_path / "s", "1") == run(tmp_path / "p", "4")
+def test_error_rows_give_nonzero_exit(tmp_path, capsys):
+    """A pmap without the Running mapping fails every spec synthesis: the
+    rows are recorded as errors and both campaign commands exit 1."""
+    pmap = tmp_path / "no_running.pmap"
+    lines = (MODELS / "kitchen4.pmap").read_text().splitlines(keepends=True)
+    pmap.write_text("".join(ln for ln in lines if not ln.startswith("pmap: Running")))
+    out = tmp_path / "run"
+    flags = ["--model", KITCHEN, "--pmap", str(pmap), "--scenario", SCENARIO,
+             "--budget", "5", "--out", str(out)]
+    assert main(["validate", "--depth", "4", "--strength", "1"] + flags) == 1
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["errors"] == summary["configurations"] == 6
+    assert main(["falsify", "--configs", str(out / "configs.jsonl")] + flags) == 1
+    assert "errors 6 of 6" in capsys.readouterr().out

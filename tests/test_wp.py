@@ -1,5 +1,6 @@
 import random
 
+from robovalid.cli import main
 from robovalid.logic import (
     Do, Fluent, Not, Obj, S0, TRUE, evaluate, format_formula, parse_formula,
     substitute,
@@ -9,6 +10,8 @@ from robovalid.theory import GroundOp, StateView, possible, progress
 from robovalid.wp import (
     SIT, holds_at, poss_formula, regress, satisfying_worlds, unfold_derived, wp,
 )
+
+from conftest import MODELS
 
 
 def test_wp_nil_is_postcondition(kitchen):
@@ -94,6 +97,35 @@ def test_regression_progression_duality(kitchen, kitchen_worlds):
                          substitute(phi, "s", S0))
         assert before == after
         checked += 1
+
+
+def test_wp_text_does_not_depend_on_earlier_calls(capsys):
+    argv = ["wp", "--model", str(MODELS / "kitchen4.sc"),
+            "--task", "[put(o_b,o_m) ; put(o_b,o_p)]"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "exists _g1 ." in first
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_regression_avoids_capturing_fresh_names(kitchen, kitchen_worlds):
+    """A variable fluent argument named like the successor axiom's first
+    fresh bound name must not be captured by that quantifier."""
+    op = GroundOp("put", ("o_b", "o_p"))
+    checked = 0
+    for text in ["exists _g1 . Loc(_g1,o_m)@s", "forall _g1 . !Loc(_g1,o_p)@s",
+                 "exists _g1 . exists _g2 . Loc(_g1,_g2)@s & !Loc(_g2,_g1)@s"]:
+        phi = parse_formula(text, kitchen.objects)
+        regr = regress(substitute(phi, "s", Do(op.term(), S0)), kitchen)
+        for w in kitchen_worlds:
+            if not possible(kitchen, w, op):
+                continue
+            after = evaluate(StateView(kitchen, progress(kitchen, w, op), S0),
+                             substitute(phi, "s", S0))
+            assert evaluate(StateView(kitchen, w, S0), regr) == after, (text, w)
+            checked += 1
+    assert checked > 0
 
 
 def test_wp_equals_execution_depth4(kitchen, kitchen_grammar, kitchen_worlds):
