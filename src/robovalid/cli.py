@@ -83,10 +83,17 @@ def cmd_enumerate(args) -> int:
     theory = load_model(args.model)
     grammar = Grammar(theory.grammar)
     worlds = list(enumerate_initial_worlds(theory))
+    # a derivation of n steps is one of every depth k >= n, so one pass at
+    # the largest depth gives every row as a cumulative count by length
+    syntax_valid = [0] * (args.depth + 1)
+    accomplishable = [0] * (args.depth + 1)
+    for deriv, _, wpf in ctgen.derivation_wps(theory, grammar, args.depth, worlds):
+        syntax_valid[len(deriv.steps)] += 1
+        accomplishable[len(deriv.steps)] += wpf is not None
     print("depth  syntax-valid  accomplishable")
     for k in range(1, args.depth + 1):
-        sv, acc = _counts_for_depth(theory, grammar, k, worlds)
-        print("%5d  %12d  %14d" % (k, sv, acc))
+        print("%5d  %12d  %14d" % (k, sum(syntax_valid[:k + 1]),
+                                   sum(accomplishable[:k + 1])))
     return 0
 
 

@@ -16,105 +16,21 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .logic import (
-    And, Eq, Fluent, Formula, Forall, Exists, Iff, Implies, Not, Obj, Or,
-    Rigid, TRUE, TrueF, FalseF, anchor, substitute,
+    Formula, P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, Rigid, TRUE,
+    anchor, ground, peval, pparams,
 )
 from .tasks import (
     Derivation, EPSILON, Grammar, Task, enumerate_derivations,
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
-    satisfies_init,
+    ground_primitive, satisfies_init,
 )
 from .wp import holds_at, unfold_derived, wp as compute_wp, SIT
 
 
 class CtError(Exception):
     """Inconsistent combinatorial model or assignment."""
-
-
-# ---------------------------------------------------------------------------
-# Parameter-constraint formulas
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PTrue:
-    pass
-
-
-@dataclass(frozen=True)
-class PFalse:
-    pass
-
-
-@dataclass(frozen=True)
-class PEq:
-    param: str
-    value: str
-
-
-@dataclass(frozen=True)
-class PNot:
-    body: "PFormula"
-
-
-@dataclass(frozen=True)
-class PAnd:
-    parts: tuple["PFormula", ...]
-
-
-@dataclass(frozen=True)
-class POr:
-    parts: tuple["PFormula", ...]
-
-
-PFormula = Union[PTrue, PFalse, PEq, PNot, PAnd, POr]
-
-
-def peval(phi: PFormula, assignment: dict[str, str]) -> Optional[bool]:
-    """Kleene evaluation over a partial assignment; None = undetermined."""
-    if isinstance(phi, PTrue):
-        return True
-    if isinstance(phi, PFalse):
-        return False
-    if isinstance(phi, PEq):
-        v = assignment.get(phi.param)
-        return None if v is None else (v == phi.value)
-    if isinstance(phi, PNot):
-        v = peval(phi.body, assignment)
-        return None if v is None else (not v)
-    if isinstance(phi, PAnd):
-        saw_none = False
-        for p in phi.parts:
-            v = peval(p, assignment)
-            if v is False:
-                return False
-            if v is None:
-                saw_none = True
-        return None if saw_none else True
-    if isinstance(phi, POr):
-        saw_none = False
-        for p in phi.parts:
-            v = peval(p, assignment)
-            if v is True:
-                return True
-            if v is None:
-                saw_none = True
-        return None if saw_none else False
-    raise TypeError("unknown constraint node %r" % (phi,))
-
-
-def pparams(phi: PFormula) -> frozenset[str]:
-    if isinstance(phi, PEq):
-        return frozenset((phi.param,))
-    if isinstance(phi, PNot):
-        return pparams(phi.body)
-    if isinstance(phi, (PAnd, POr)):
-        out: frozenset[str] = frozenset()
-        for p in phi.parts:
-            out |= pparams(p)
-        return out
-    return frozenset()
 
 
 @dataclass(frozen=True)
@@ -158,63 +74,6 @@ class Configuration:
     initial_world: WorldState
     task: Task
     source_assignment: tuple[str, ...]  # values in parameter order
-
-
-# ---------------------------------------------------------------------------
-# Formula -> parameter-constraint translation
-# ---------------------------------------------------------------------------
-
-class _Translator:
-    def __init__(self, model: CtModel):
-        self.model = model
-        self.theory = model.theory
-        self.atom_to_p: dict[GroundAtom, PFormula] = {}
-        for pname, atom in model.unary_params.items():
-            self.atom_to_p[atom] = PEq(pname, "true")
-
-    def atom(self, name: str, args: tuple[str, ...]) -> PFormula:
-        key = (name, args)
-        if key in self.atom_to_p:
-            return self.atom_to_p[key]
-        comps = self.model.tuple_params.get(name)
-        if comps is None:
-            raise CtError("fluent %s has no parameter encoding" % name)
-        return POr(tuple(
-            PAnd(tuple(PEq(inst[j], args[j]) for j in range(len(args))))
-            for inst in comps))
-
-    def translate(self, phi: Formula) -> PFormula:
-        """Ground formula (one situation, primitives + rigids) to P-form."""
-        if isinstance(phi, TrueF):
-            return PTrue()
-        if isinstance(phi, FalseF):
-            return PFalse()
-        if isinstance(phi, Rigid):
-            names = tuple(a.name for a in phi.args)
-            return PTrue() if self.theory.rigid_value(phi.name, names) else PFalse()
-        if isinstance(phi, Fluent):
-            names = tuple(a.name for a in phi.args)
-            return self.atom(phi.name, names)
-        if isinstance(phi, Eq):
-            return PTrue() if phi.left.name == phi.right.name else PFalse()
-        if isinstance(phi, Not):
-            return PNot(self.translate(phi.body))
-        if isinstance(phi, And):
-            return PAnd((self.translate(phi.left), self.translate(phi.right)))
-        if isinstance(phi, Or):
-            return POr((self.translate(phi.left), self.translate(phi.right)))
-        if isinstance(phi, Implies):
-            return POr((PNot(self.translate(phi.left)), self.translate(phi.right)))
-        if isinstance(phi, Iff):
-            l, r = self.translate(phi.left), self.translate(phi.right)
-            return POr((PAnd((l, r)), PAnd((PNot(l), PNot(r)))))
-        if isinstance(phi, Exists):
-            return POr(tuple(self.translate(substitute(phi.body, phi.var, Obj(o)))
-                             for o in self.theory.objects))
-        if isinstance(phi, Forall):
-            return PAnd(tuple(self.translate(substitute(phi.body, phi.var, Obj(o)))
-                              for o in self.theory.objects))
-        raise CtError("cannot translate formula node %r" % (phi,))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +136,27 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
             model.parameters.append(CtParameter(name, ("false", "true")))
             model.unary_params[name] = (fam, ())
 
-    tr = _Translator(model)
+    unary_atoms = {atom: PEq(pname, "true")
+                   for pname, atom in model.unary_params.items()}
+
+    def param_atom(node: Formula, args: tuple[str, ...]) -> PFormula:
+        """A ground atom as a constraint over the parameters encoding it."""
+        if isinstance(node, Rigid):
+            return P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
+        p = unary_atoms.get((node.name, args))
+        if p is not None:
+            return p
+        comps = model.tuple_params.get(node.name)
+        if comps is None:
+            raise CtError("fluent %s has no parameter encoding" % node.name)
+        return POr(tuple(PAnd(tuple(PEq(c, a) for c, a in zip(inst, args)))
+                         for inst in comps))
 
     # (d) initial-axiom constraints
     for i, ax in enumerate(theory.init_axioms):
-        grounded = anchor(unfold_derived(ax, theory), SIT)
+        anchored = anchor(unfold_derived(ax, theory), SIT)
         model.constraints.append(CtConstraint(
-            "initial axiom %d" % (i + 1), tr.translate(grounded)))
+            "initial axiom %d" % (i + 1), ground(anchored, theory.objects, param_atom)))
 
     # grammar validity and (e) weakest-precondition constraints
     valid_ants = []
@@ -296,13 +169,13 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
             model.wps[steps] = wpf
             model.constraints.append(CtConstraint(
                 "WP of derivation %s" % ",".join(deriv.steps),
-                POr((PNot(ant), tr.translate(wpf)))))
+                POr((PNot(ant), ground(wpf, theory.objects, param_atom)))))
         else:
             model.constraints.append(CtConstraint(
                 "block unaccomplishable derivation %s" % ",".join(deriv.steps),
                 PNot(ant)))
     model.constraints.append(CtConstraint(
-        "grammar validity", POr(tuple(valid_ants)) if valid_ants else PFalse()))
+        "grammar validity", POr(tuple(valid_ants)) if valid_ants else P_FALSE))
     return model
 
 
@@ -310,10 +183,15 @@ def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
                    worlds: list[WorldState]
                    ) -> Iterator[tuple[Derivation, Task, Optional[Formula]]]:
     """Every derivation of at most `depth` steps with its task and its WP,
-    or None for the WP when no world of `worlds` satisfies it."""
+    or None for the WP when no world of `worlds` satisfies it.
+
+    Each WP is grounded once and then evaluated against every world."""
+    atoms = theory.all_primitive_atoms()
+    assignments = [{a: w.holds(a) for a in atoms} for w in worlds]
     for deriv, task in enumerate_derivations(grammar, depth, theory):
         wpf = compute_wp(TRUE, task, theory).formula
-        if not any(holds_at(wpf, theory, w) for w in worlds):
+        grounded = ground_primitive(theory, wpf, SIT)
+        if not any(peval(grounded, a) for a in assignments):
             wpf = None
         yield deriv, task, wpf
 

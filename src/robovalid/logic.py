@@ -1,14 +1,18 @@
 """Finite-domain sorted first-order logic over rigid and fluent atoms.
 
 Formulas are immutable trees with structural equality, so they can be
-hashed, deduplicated and compared syntactically.  Evaluation expands
-quantifiers over the finite object domain supplied by the world.
+hashed, deduplicated and compared syntactically.  `ground` unrolls a
+formula's quantifiers over a finite object domain into a propositional
+form whose atoms a callback chooses: truth values of a world, ground-atom
+variables of a partial assignment, or combinatorial-model parameters.
+`peval`, the one formula evaluator, decides that form in Kleene
+three-valued logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterator, Optional, Union
 
 
 class LogicError(Exception):
@@ -349,8 +353,153 @@ def _subst_sit(phi: Formula, var: str, value: SitTerm) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Propositional form
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PTrue:
+    pass
+
+
+@dataclass(frozen=True)
+class PFalse:
+    pass
+
+
+@dataclass(frozen=True)
+class PEq:
+    """`param` has the value `value`: a combinatorial-model parameter and
+    one of its values, or a ground atom and its truth value."""
+    param: Hashable
+    value: Hashable
+
+
+@dataclass(frozen=True)
+class PNot:
+    body: "PFormula"
+
+
+@dataclass(frozen=True)
+class PAnd:
+    parts: tuple["PFormula", ...]
+
+
+@dataclass(frozen=True)
+class POr:
+    parts: tuple["PFormula", ...]
+
+
+PFormula = Union[PTrue, PFalse, PEq, PNot, PAnd, POr]
+
+P_TRUE = PTrue()
+P_FALSE = PFalse()
+
+
+def peval(phi: PFormula, assignment: dict) -> Optional[bool]:
+    """Kleene evaluation over a partial assignment; None = undetermined."""
+    if isinstance(phi, PTrue):
+        return True
+    if isinstance(phi, PFalse):
+        return False
+    if isinstance(phi, PEq):
+        v = assignment.get(phi.param)
+        return None if v is None else (v == phi.value)
+    if isinstance(phi, PNot):
+        v = peval(phi.body, assignment)
+        return None if v is None else (not v)
+    if isinstance(phi, PAnd):
+        saw_none = False
+        for p in phi.parts:
+            v = peval(p, assignment)
+            if v is False:
+                return False
+            if v is None:
+                saw_none = True
+        return None if saw_none else True
+    if isinstance(phi, POr):
+        saw_none = False
+        for p in phi.parts:
+            v = peval(p, assignment)
+            if v is True:
+                return True
+            if v is None:
+                saw_none = True
+        return None if saw_none else False
+    raise TypeError("unknown constraint node %r" % (phi,))
+
+
+def pparams(phi: PFormula) -> frozenset:
+    """The parameters phi mentions."""
+    if isinstance(phi, PEq):
+        return frozenset((phi.param,))
+    if isinstance(phi, PNot):
+        return pparams(phi.body)
+    if isinstance(phi, (PAnd, POr)):
+        out: frozenset = frozenset()
+        for p in phi.parts:
+            out |= pparams(p)
+        return out
+    return frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Grounding and evaluation
+# ---------------------------------------------------------------------------
+
+def ground(phi: Formula, objects,
+           atom: Callable[[Formula, tuple[str, ...]], PFormula]) -> PFormula:
+    """The propositional form of phi over the finite domain `objects`.
+
+    Quantifiers unroll into POr / PAnd over `objects` in their order,
+    binding the variable in an environment; Implies and Iff become their
+    PNot / PAnd / POr definitions; equalities and true / false become
+    constants; and each rigid or fluent atom becomes atom(node, argument
+    names).  Every atom is visited, so an atom that `atom` rejects raises
+    even where the connectives would not need its value.  Situation terms
+    reach `atom` as written.
+    """
+    def names(args: tuple[Term, ...], env: dict[str, str]) -> tuple[str, ...]:
+        out = []
+        for a in args:
+            if isinstance(a, Obj):
+                out.append(a.name)
+            elif a.name in env:
+                out.append(env[a.name])
+            else:
+                raise ModelError("formula is not variable-free: free variable %s" % a)
+        return tuple(out)
+
+    def g(f: Formula, env: dict[str, str]) -> PFormula:
+        if isinstance(f, (Rigid, Fluent)):
+            return atom(f, names(f.args, env))
+        if isinstance(f, Not):
+            return PNot(g(f.body, env))
+        if isinstance(f, And):
+            return PAnd((g(f.left, env), g(f.right, env)))
+        if isinstance(f, Or):
+            return POr((g(f.left, env), g(f.right, env)))
+        if isinstance(f, Implies):
+            return POr((PNot(g(f.left, env)), g(f.right, env)))
+        if isinstance(f, Iff):
+            l, r = g(f.left, env), g(f.right, env)
+            return POr((PAnd((l, r)), PAnd((PNot(l), PNot(r)))))
+        if isinstance(f, _QUANT):
+            parts = tuple(g(f.body, {**env, f.var: o}) for o in objects)
+            return POr(parts) if isinstance(f, Exists) else PAnd(parts)
+        if isinstance(f, Eq):
+            l, r = names((f.left, f.right), env)
+            return P_TRUE if l == r else P_FALSE
+        if isinstance(f, TrueF):
+            return P_TRUE
+        if isinstance(f, FalseF):
+            return P_FALSE
+        if isinstance(f, OpEq):
+            raise ModelError("operation-equality atom reached the evaluator "
+                             "(missing gamma instantiation)")
+        raise ModelError("unknown formula node: %r" % (f,))
+
+    return g(phi, {})
+
 
 class World:
     """Truth assignment over all ground predicate instances.
@@ -376,112 +525,36 @@ class World:
         if fluent == (kind == "rigid"):
             raise ModelError("%s used with wrong predicate kind" % name)
 
-    def rigid_value(self, name: str, args: tuple[str, ...]) -> Optional[bool]:
+    def rigid_value(self, name: str, args: tuple[str, ...]) -> bool:
         self.check_atom(name, len(args), fluent=False)
-        key = (name, args)
-        if key not in self.rigid_truth:
+        v = self.rigid_truth.get((name, args))
+        if v is None:
             raise TotalityError("rigid atom %s%r unassigned" % (name, args))
-        return self.rigid_truth[key]
+        return v
 
-    def fluent_value(self, name: str, args: tuple[str, ...], sit: SitTerm) -> Optional[bool]:
+    def fluent_value(self, name: str, args: tuple[str, ...], sit: SitTerm) -> bool:
         self.check_atom(name, len(args), fluent=True)
-        key = (name, args, str(sit))
-        if key not in self.fluent_truth:
+        v = self.fluent_truth.get((name, args, str(sit)))
+        if v is None:
             raise TotalityError("fluent atom %s%r at %s unassigned" % (name, args, sit))
-        return self.fluent_truth[key]
-
-
-def _ground_names(args: tuple[Term, ...]) -> tuple[str, ...]:
-    names = []
-    for a in args:
-        if not isinstance(a, Obj):
-            raise ModelError("formula is not variable-free: free variable %s" % a)
-        names.append(a.name)
-    return tuple(names)
+        return v
 
 
 def evaluate(world, phi: Formula) -> bool:
-    """Truth of a variable-free formula in `world` (w |= phi)."""
-    v = evaluate3(world, phi, partial=False)
-    assert v is not None
-    return v
+    """Truth of a variable-free formula in `world` (w |= phi).
 
-
-def evaluate3(world, phi: Formula, partial: bool = True) -> Optional[bool]:
-    """Kleene three-valued evaluation; None means undetermined.
-
-    With partial=False an unassigned atom raises TotalityError instead of
-    yielding None, which gives classical two-valued evaluation.
+    `world` answers rigid_value(name, args) and fluent_value(name, args,
+    sit) and has the object domain `objects`.  phi is grounded first, so
+    every atom is checked against the world.
     """
-    if isinstance(phi, TrueF):
-        return True
-    if isinstance(phi, FalseF):
-        return False
-    if isinstance(phi, Rigid):
-        return world.rigid_value(phi.name, _ground_names(phi.args))
-    if isinstance(phi, Fluent):
-        v = world.fluent_value(phi.name, _ground_names(phi.args), phi.sit)
-        if v is None and not partial:
-            raise TotalityError("fluent atom %s undetermined" % (phi,))
-        return v
-    if isinstance(phi, Eq):
-        l, r = phi.left, phi.right
-        if not isinstance(l, Obj) or not isinstance(r, Obj):
-            raise ModelError("equality over non-ground terms: %s = %s" % (l, r))
-        return l.name == r.name
-    if isinstance(phi, OpEq):
-        raise ModelError("operation-equality atom reached the evaluator "
-                         "(missing gamma instantiation)")
-    if isinstance(phi, Not):
-        v = evaluate3(world, phi.body, partial)
-        return None if v is None else (not v)
-    if isinstance(phi, And):
-        l = evaluate3(world, phi.left, partial)
-        if l is False:
-            return False
-        r = evaluate3(world, phi.right, partial)
-        if r is False:
-            return False
-        if l is None or r is None:
-            return None
-        return True
-    if isinstance(phi, Or):
-        l = evaluate3(world, phi.left, partial)
-        if l is True:
-            return True
-        r = evaluate3(world, phi.right, partial)
-        if r is True:
-            return True
-        if l is None or r is None:
-            return None
-        return False
-    if isinstance(phi, Implies):
-        return evaluate3(world, Or(Not(phi.left), phi.right), partial)
-    if isinstance(phi, Iff):
-        l = evaluate3(world, phi.left, partial)
-        r = evaluate3(world, phi.right, partial)
-        if l is None or r is None:
-            return None
-        return l == r
-    if isinstance(phi, Exists):
-        saw_none = False
-        for o in world.objects:
-            v = evaluate3(world, substitute(phi.body, phi.var, Obj(o)), partial)
-            if v is True:
-                return True
-            if v is None:
-                saw_none = True
-        return None if saw_none else False
-    if isinstance(phi, Forall):
-        saw_none = False
-        for o in world.objects:
-            v = evaluate3(world, substitute(phi.body, phi.var, Obj(o)), partial)
-            if v is False:
-                return False
-            if v is None:
-                saw_none = True
-        return None if saw_none else True
-    raise ModelError("unknown formula node: %r" % (phi,))
+    def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
+        if isinstance(node, Rigid):
+            v = world.rigid_value(node.name, args)
+        else:
+            v = world.fluent_value(node.name, args, node.sit)
+        return P_TRUE if v else P_FALSE
+
+    return peval(ground(phi, world.objects, atom), {})
 
 
 def check_axioms(world, axioms, sit: SitTerm) -> bool:
@@ -595,7 +668,9 @@ def format_formula(phi: Formula) -> str:
     return _fmt(phi, 0)
 
 
-# precedence: iff 1 < implies 2 < or 3 < and 4 < unary 5
+# precedence: iff 1 < implies 2 < or 3 < and 4 < unary 5.  The parser
+# groups -> to the right but &, | and <-> to the left, so an operand of
+# &, | or <-> with the same connective is bracketed on either side.
 def _fmt(phi: Formula, prec: int) -> str:
     if isinstance(phi, TrueF):
         return "true"
@@ -612,16 +687,16 @@ def _fmt(phi: Formula, prec: int) -> str:
     if isinstance(phi, Not):
         return "!" + _fmt(phi.body, 5)
     if isinstance(phi, And):
-        s = "%s & %s" % (_fmt(phi.left, 4), _fmt(phi.right, 3))
+        s = "%s & %s" % (_fmt(phi.left, 4), _fmt(phi.right, 4))
         return s if prec <= 3 else "(%s)" % s
     if isinstance(phi, Or):
-        s = "%s | %s" % (_fmt(phi.left, 3), _fmt(phi.right, 2))
+        s = "%s | %s" % (_fmt(phi.left, 3), _fmt(phi.right, 3))
         return s if prec <= 2 else "(%s)" % s
     if isinstance(phi, Implies):
         s = "%s -> %s" % (_fmt(phi.left, 2), _fmt(phi.right, 1))
         return s if prec <= 1 else "(%s)" % s
     if isinstance(phi, Iff):
-        s = "%s <-> %s" % (_fmt(phi.left, 1), _fmt(phi.right, 0))
+        s = "%s <-> %s" % (_fmt(phi.left, 1), _fmt(phi.right, 1))
         return s if prec <= 0 else "(%s)" % s
     if isinstance(phi, Exists):
         s = "exists %s . %s" % (phi.var, _fmt(phi.body, 0))

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .logic import (
-    FALSE, Eq, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, ParseError,
-    S0, SitTerm, FormulaParser, anchor, atoms, check_axioms, conj, evaluate,
-    evaluate3, map_atoms, substitute,
+    FALSE, Eq, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE,
+    P_TRUE, PEq, PFormula, ParseError, Rigid, S0, SitTerm, FormulaParser,
+    anchor, atoms, check_axioms, conj, evaluate, ground, map_atoms, peval,
+    substitute,
 )
 
 
@@ -148,6 +149,9 @@ class ActionTheory:
         return out
 
     def rigid_value(self, name: str, args: tuple[str, ...]) -> bool:
+        decl = self.predicates.get(name)
+        if decl is None or decl.kind != "rigid" or decl.arity != len(args):
+            raise ModelError("bad rigid atom %s%r" % (name, args))
         return (name, args) in self.rigid_truths
 
 
@@ -188,9 +192,6 @@ class StateView:
         self.objects = theory.objects
 
     def rigid_value(self, name: str, args: tuple[str, ...]) -> bool:
-        decl = self.theory.predicates.get(name)
-        if decl is None or decl.kind != "rigid" or decl.arity != len(args):
-            raise ModelError("bad rigid atom %s%r" % (name, args))
         return self.theory.rigid_value(name, args)
 
     def fluent_value(self, name: str, args: tuple[str, ...], sit: SitTerm) -> bool:
@@ -203,26 +204,6 @@ class StateView:
         if decl.kind == "derived":
             return (name, args) in self.derived
         return self.state.holds((name, args))
-
-
-class _PartialStateView(StateView):
-    """StateView over a partially assigned state; unknown atoms yield None."""
-
-    def __init__(self, theory: ActionTheory, assigned: dict[GroundAtom, bool],
-                 sit: SitTerm = S0):
-        self.theory = theory
-        self.assigned = assigned
-        self.sit_key = str(sit)
-        self.objects = theory.objects
-
-    def fluent_value(self, name, args, sit):
-        decl = self.theory.predicates.get(name)
-        if decl is None or decl.kind != "primitive":
-            raise ModelError("partial view supports only primitive fluents, got %s" % name)
-        if str(sit) != self.sit_key:
-            raise ModelError("fluent %s queried at %s, view anchored at %s"
-                             % (name, sit, self.sit_key))
-        return self.assigned.get((name, args))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +316,27 @@ def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldStat
 # Initial world enumeration
 # ---------------------------------------------------------------------------
 
+def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm) -> PFormula:
+    """phi, over rigid atoms and primitive fluents at `sit`, grounded over
+    the theory's objects.
+
+    Each fluent atom F(args)@sit becomes PEq((F, args), True) and each
+    rigid atom its truth value, so `peval` decides the result over a dict
+    from ground atoms to truth values, partial or total.
+    """
+    def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
+        if isinstance(node, Rigid):
+            return P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
+        decl = theory.predicates.get(node.name)
+        if decl is None or decl.kind != "primitive" or decl.arity != len(args):
+            raise ModelError("bad primitive fluent atom %s%r" % (node.name, args))
+        if node.sit != sit:
+            raise ModelError("fluent %s at %s, expected %s" % (node.name, node.sit, sit))
+        return PEq((node.name, args), True)
+
+    return ground(phi, theory.objects, atom)
+
+
 def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     """All WorldStates satisfying the initial axioms, in deterministic order.
 
@@ -343,12 +345,11 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     abandoned, which avoids the 2^N generate-then-filter blowup.
     """
     atoms = theory.all_primitive_atoms()
-    axioms = [anchor(a, S0) for a in theory.init_axioms]
+    axioms = [ground_primitive(theory, anchor(a, S0), S0) for a in theory.init_axioms]
     assigned: dict[GroundAtom, bool] = {}
-    view = _PartialStateView(theory, assigned)
 
     def consistent() -> bool:
-        return all(evaluate3(view, ax) is not False for ax in axioms)
+        return all(peval(ax, assigned) is not False for ax in axioms)
 
     def rec(i: int) -> Iterator[WorldState]:
         if i == len(atoms):

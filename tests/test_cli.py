@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from robovalid import ctgen
 from robovalid.cli import main
 
 from conftest import MODELS
@@ -25,8 +26,15 @@ def test_missing_subcommand_is_usage_error():
     assert e.value.code == 2
 
 
-def test_enumerate_counts(capsys):
+def test_enumerate_counts(capsys, monkeypatch):
+    """The table comes from one pass at the largest depth, which computes
+    the WP of each of its 28 derivations once."""
+    wp_calls = []
+    compute_wp = ctgen.compute_wp
+    monkeypatch.setattr(ctgen, "compute_wp",
+                        lambda *a: wp_calls.append(a) or compute_wp(*a))
     assert main(["enumerate", "--model", KITCHEN, "--depth", "4"]) == 0
+    assert len(wp_calls) == 28
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["depth", "syntax-valid", "accomplishable"]
     table = {int(a): (int(b), int(c))

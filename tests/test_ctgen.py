@@ -2,11 +2,10 @@ import pytest
 
 from robovalid import ctgen
 from robovalid.ctgen import (
-    CtError, PAnd, PEq, PNot, POr, build_model, check_assignment,
-    coverable_tuples, enumerate_valid, generate_covering_array, peval,
-    realize_configuration, verify_covering_array,
+    CtError, build_model, check_assignment, coverable_tuples, enumerate_valid,
+    generate_covering_array, realize_configuration, verify_covering_array,
 )
-from robovalid.logic import TRUE
+from robovalid.logic import TRUE, PAnd, PEq, PNot, POr, peval
 from robovalid.tasks import enumerate_derivations
 from robovalid.theory import enumerate_initial_worlds
 from robovalid.wp import holds_at, wp

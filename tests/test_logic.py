@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import logic_oracle
 from robovalid.logic import (
-    And, FALSE, Fluent, Implies, Not, Obj, Or, S0, SubstitutionError,
-    TotalityError, TRUE, World, evaluate, evaluate3, fold, format_formula,
-    parse_formula, substitute,
+    And, Do, Eq, Exists, FALSE, Fluent, Forall, Iff, Implies, Not, Obj,
+    OpTerm, Or, P_FALSE, P_TRUE, PEq, Rigid, S0, SitVar,
+    SubstitutionError, TotalityError, TRUE, Var, World, evaluate, fold,
+    format_formula, ground, parse_formula, peval, substitute,
 )
 
 OBJECTS = ("o_b", "o_p", "o_m", "o_t")
@@ -81,29 +84,43 @@ def test_unassigned_atom_is_an_error():
         evaluate(w, parse_formula("IsOpen(o_m)@s0", OBJECTS))
 
 
-class _PartialView:
-    """Minimal view with one unknown atom, for three-valued checks."""
+FLUENT_ATOMS = [(name, args) for name, arity in (("IsOpen", 1), ("Running", 1),
+                                                 ("Loc", 2))
+                for args in itertools.product(OBJECTS, repeat=arity)]
 
-    objects = OBJECTS
 
-    def rigid_value(self, name, args):
-        return False
+def grounded(phi, rigid=lambda name, args: False):
+    """phi grounded over OBJECTS: rigid atoms by `rigid`, each fluent atom
+    F(args) to the variable (F, args) of an assignment."""
+    def atom(node, args):
+        if isinstance(node, Rigid):
+            return P_TRUE if rigid(node.name, args) else P_FALSE
+        return PEq((node.name, args), True)
+    return ground(phi, OBJECTS, atom)
 
-    def fluent_value(self, name, args, sit):
-        return None if (name, args) == ("IsOpen", ("o_m",)) else False
+
+def assignment_of(w):
+    """A World's fluent truth at s0 as an assignment for `grounded`."""
+    return {(name, args): v for (name, args, sit), v in w.fluent_truth.items()}
+
+
+# every fluent atom is false except IsOpen(o_m), which is unknown
+PARTIAL = {a: False for a in FLUENT_ATOMS if a != ("IsOpen", ("o_m",))}
 
 
 def test_three_valued_kleene():
-    v = _PartialView()
+    def v(phi):
+        return peval(grounded(phi), PARTIAL)
+
     unknown = parse_formula("IsOpen(o_m)@s0", OBJECTS)
     known = parse_formula("IsOpen(o_b)@s0", OBJECTS)
-    assert evaluate3(v, unknown) is None
-    assert evaluate3(v, And(unknown, FALSE)) is False
-    assert evaluate3(v, Or(unknown, Not(known))) is True
+    assert v(unknown) is None
+    assert v(And(unknown, FALSE)) is False
+    assert v(Or(unknown, Not(known))) is True
     # Kleene, not supervaluation: the excluded middle stays unknown
-    assert evaluate3(v, Or(unknown, Not(unknown))) is None
-    assert evaluate3(v, parse_formula("exists x . IsOpen(x)@s0", OBJECTS)) is None
-    assert evaluate3(v, parse_formula("forall x . !Running(x)@s0", OBJECTS)) is True
+    assert v(Or(unknown, Not(unknown))) is None
+    assert v(parse_formula("exists x . IsOpen(x)@s0", OBJECTS)) is None
+    assert v(parse_formula("forall x . !Running(x)@s0", OBJECTS)) is True
 
 
 def test_three_valued_agrees_with_classical_on_total_worlds():
@@ -113,4 +130,93 @@ def test_three_valued_agrees_with_classical_on_total_worlds():
                  "IsOpen(o_m)@s0 | !IsOpen(o_m)@s0",
                  "(IsOpen(o_m)@s0 <-> Running(o_m)@s0) -> o_b != o_b"]:
         phi = parse_formula(text, OBJECTS)
-        assert evaluate3(w, phi) is evaluate(w, phi)
+        assert peval(grounded(phi, w.rigid_value), assignment_of(w)) is evaluate(w, phi)
+
+
+# ---------------------------------------------------------------------------
+# Random formulas over the kitchen objects
+# ---------------------------------------------------------------------------
+
+# few names, so nested quantifiers rebind (shadow) an enclosing variable
+VARIABLES = ("x", "y")
+
+
+@st.composite
+def formulas(draw, sits=(S0,), scope=(), depth=4):
+    """Closed formulas: every variable is bound by an enclosing quantifier."""
+    term = st.sampled_from([Obj(o) for o in OBJECTS] + [Var(v) for v in scope])
+    sit = st.sampled_from(sits)
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(["true", "false", "rigid", "isopen", "running",
+                                     "loc", "eq", "neq"]))
+        if kind == "true":
+            return TRUE
+        if kind == "false":
+            return FALSE
+        if kind == "rigid":
+            return Rigid("Placeable", (draw(term), draw(term)))
+        if kind == "isopen":
+            return Fluent("IsOpen", (draw(term),), draw(sit))
+        if kind == "running":
+            return Fluent("Running", (draw(term),), draw(sit))
+        if kind == "loc":
+            return Fluent("Loc", (draw(term), draw(term)), draw(sit))
+        eq = Eq(draw(term), draw(term))
+        return eq if kind == "eq" else Not(eq)
+    kind = draw(st.sampled_from(["not", "and", "or", "implies", "iff",
+                                 "exists", "forall"]))
+    if kind == "not":
+        return Not(draw(formulas(sits, scope, depth - 1)))
+    if kind in ("exists", "forall"):
+        var = draw(st.sampled_from(VARIABLES))
+        body = draw(formulas(sits, tuple(sorted(set(scope) | {var})), depth - 1))
+        return (Exists if kind == "exists" else Forall)(var, body)
+    node = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
+    return node(draw(formulas(sits, scope, depth - 1)),
+                draw(formulas(sits, scope, depth - 1)))
+
+
+class _DictView:
+    """A world that answers None for the fluent atoms it does not assign."""
+
+    objects = OBJECTS
+
+    def __init__(self, rigid, fluents):
+        self.rigid, self.fluents = rigid, fluents
+
+    def rigid_value(self, name, args):
+        return self.rigid(name, args)
+
+    def fluent_value(self, name, args, sit):
+        return self.fluents.get((name, args))
+
+
+assignments = st.fixed_dictionaries(
+    {a: st.sampled_from([True, False, None]) for a in FLUENT_ATOMS}).map(
+        lambda d: {a: v for a, v in d.items() if v is not None})
+
+
+@settings(max_examples=500, deadline=None)
+@given(formulas(), assignments, st.booleans())
+def test_ground_peval_matches_recursive_oracle(phi, assigned, total):
+    w = world()
+    if total:
+        # unassigned atoms read as false
+        assigned = {a: assigned.get(a, False) for a in FLUENT_ATOMS}
+    got = peval(grounded(phi, w.rigid_value), assigned)
+    assert got is logic_oracle.evaluate3(_DictView(w.rigid_value, assigned), phi)
+    if total:
+        for (name, args), v in assigned.items():
+            w.fluent_truth[(name, args, "s0")] = v
+        assert got is evaluate(w, phi)
+
+
+KEYWORDS = {"forall", "exists", "true", "false", "alpha", "do", "s0"}
+
+
+@settings(max_examples=500, deadline=None)
+@given(formulas(sits=(S0, SitVar("s"),
+                      Do(OpTerm("put", (Obj("o_b"), Obj("o_p"))), SitVar("s")))))
+def test_format_parse_roundtrip(phi):
+    assert not (set(VARIABLES) & (set(OBJECTS) | KEYWORDS))
+    assert parse_formula(format_formula(phi), OBJECTS) == phi

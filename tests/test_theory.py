@@ -3,8 +3,8 @@ import pytest
 from robovalid.logic import Do, S0, evaluate, parse_formula
 from robovalid.theory import (
     GroundOp, ModelError, PreconditionViolation, StateView, WorldState,
-    compute_derived, enumerate_initial_worlds, possible, progress,
-    satisfies_init,
+    compute_derived, enumerate_initial_worlds, ground_primitive, possible,
+    progress, satisfies_init,
 )
 
 
@@ -87,6 +87,34 @@ def test_state_view_situation_anchor(kitchen, kitchen_worlds):
     wrong = parse_formula("IsOpen(o_b)@s1", kitchen.objects)
     with pytest.raises(ModelError):
         evaluate(view, wrong)
+
+
+def test_every_atom_is_checked_against_the_theory(kitchen, kitchen_worlds):
+    """Grounding checks each atom, including one the connectives would
+    never read; the recursive evaluator this replaced returned False."""
+    view = StateView(kitchen, kitchen_worlds[0], S0)
+    for text in ["false & Nope(o_b)@s0", "true | Loc(o_b)@s0"]:
+        with pytest.raises(ModelError):
+            evaluate(view, parse_formula(text, kitchen.objects))
+
+
+def test_ground_primitive_rejects_other_atoms(kitchen):
+    """Only primitive fluents at the given situation have a variable."""
+    for text in ["IsOpen(o_b)@s1", "In(o_b,o_p)@s0", "Loc(o_b)@s0", "Nope(o_b)"]:
+        with pytest.raises(ModelError):
+            ground_primitive(kitchen, parse_formula(text, kitchen.objects), S0)
+
+
+def test_enumeration_matches_satisfies_init_on_one_atom_flips(kitchen, kitchen_worlds):
+    """Every state one primitive atom away from an initial world is
+    enumerated if and only if the independent check accepts it."""
+    enumerated = {w.true_atoms for w in kitchen_worlds}
+    atoms = kitchen.all_primitive_atoms()
+    flips = {w.true_atoms ^ {a} for w in kitchen_worlds for a in atoms}
+    assert len(kitchen_worlds) * len(atoms) == 288
+    assert any(f in enumerated for f in flips)
+    for f in flips:
+        assert (f in enumerated) == satisfies_init(kitchen, WorldState(f)), sorted(f)
 
 
 def test_model_errors():
