@@ -15,7 +15,9 @@ import sys
 from . import ctgen, falsify as fz, sim, stl
 from .logic import format_formula, TRUE
 from .tasks import Grammar, format_task, parse_task
-from .theory import WorldState, enumerate_initial_worlds, load_model
+from .theory import (
+    WorldState, enumerate_initial_worlds, load_model, parse_ground_atom,
+)
 from .wp import wp
 
 MODEL_FORMAT_VERSION = "1"
@@ -24,12 +26,6 @@ OUT_ENV_VAR = "ROBOVALID_OUT"
 
 def _atom_str(atom) -> str:
     return "%s(%s)" % (atom[0], ",".join(atom[1]))
-
-
-def _parse_atom(text: str):
-    name, rest = text.split("(", 1)
-    args = tuple(a for a in rest.rstrip(")").split(",") if a)
-    return (name, args)
 
 
 def _config_record(cfg: ctgen.Configuration) -> dict:
@@ -44,6 +40,15 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _write_configs(out_dir, configs) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "configs.jsonl")
+    with open(path, "w") as f:
+        for cfg in configs:
+            f.write(_json_line(_config_record(cfg)))
+    return path
+
+
 def _load_configs(path, theory) -> list[ctgen.Configuration]:
     out = []
     with open(path) as f:
@@ -51,7 +56,7 @@ def _load_configs(path, theory) -> list[ctgen.Configuration]:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            w0 = WorldState(frozenset(_parse_atom(a) for a in rec["fluents"]))
+            w0 = WorldState(frozenset(parse_ground_atom(a) for a in rec["fluents"]))
             task = parse_task(rec["task"], theory)
             out.append(ctgen.Configuration(w0, task, tuple(rec["assignment"])))
     return out
@@ -73,9 +78,9 @@ def _apply_knob_overrides(scn: sim.Scenario, specs: list[str]) -> sim.Scenario:
 def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
     syntax_valid = 0
     accomplishable = 0
-    for _, _, wpf in ctgen.derivation_wps(theory, grammar, depth, worlds):
+    for _, _, _, sat in ctgen.derivation_wps(theory, grammar, depth, worlds):
         syntax_valid += 1
-        accomplishable += wpf is not None
+        accomplishable += bool(sat)
     return syntax_valid, accomplishable
 
 
@@ -87,9 +92,9 @@ def cmd_enumerate(args) -> int:
     # the largest depth gives every row as a cumulative count by length
     syntax_valid = [0] * (args.depth + 1)
     accomplishable = [0] * (args.depth + 1)
-    for deriv, _, wpf in ctgen.derivation_wps(theory, grammar, args.depth, worlds):
+    for deriv, _, _, sat in ctgen.derivation_wps(theory, grammar, args.depth, worlds):
         syntax_valid[len(deriv.steps)] += 1
-        accomplishable[len(deriv.steps)] += wpf is not None
+        accomplishable[len(deriv.steps)] += bool(sat)
     print("depth  syntax-valid  accomplishable")
     for k in range(1, args.depth + 1):
         print("%5d  %12d  %14d" % (k, sum(syntax_valid[:k + 1]),
@@ -117,12 +122,7 @@ def cmd_generate(args) -> int:
     theory = load_model(args.model)
     strength = args.strength if args.strength == "full" else int(args.strength)
     model, _, rows, configs = _generate(theory, args.depth, strength)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "configs.jsonl")
-    with open(path, "w") as f:
-        for cfg in configs:
-            f.write(_json_line(_config_record(cfg)))
+    path = _write_configs(args.out, configs)
     print("depth  syntax-valid  accomplishable  configurations  strength")
     print("%5d  %12d  %14d  %14d  %8s" % (args.depth, len(model.derivations),
                                           len(model.wps), len(rows), strength))
@@ -183,11 +183,7 @@ def cmd_validate(args) -> int:
     pmap = stl.load_pmap(args.pmap)
     scn = _apply_knob_overrides(sim.load_scenario(args.scenario), args.knob)
     _, valid, rows, configs = _generate(theory, args.depth, strength)
-    os.makedirs(args.out, exist_ok=True)
-    cpath = os.path.join(args.out, "configs.jsonl")
-    with open(cpath, "w") as f:
-        for cfg in configs:
-            f.write(_json_line(_config_record(cfg)))
+    cpath = _write_configs(args.out, configs)
     entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
                                      args.seed, args.sim_dt)
     summary = fz.summarize(entries)
@@ -211,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     default_out = os.environ.get(OUT_ENV_VAR, "out")
 
-    def common(sp, model=True):
-        if model:
-            sp.add_argument("--model", required=True)
+    def common(sp):
+        sp.add_argument("--model", required=True)
 
     sp = sub.add_parser("enumerate", help="task counts per derivation depth")
     common(sp)

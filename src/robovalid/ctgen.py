@@ -1,23 +1,25 @@
 """Constraint-aware combinatorial model and greedy t-way covering arrays.
 
 The model's parameters jointly encode an initial world state (boolean
-parameters for unary fluents, symmetry-broken tuple parameters for n-ary
-fluent families) and a bounded grammar derivation.  Constraints come from
-the initial axioms, grammar validity, and per-derivation weakest
-preconditions, so every valid assignment decodes to an accomplishable
-world-task configuration.
+parameters for unary and 0-ary fluents, symmetry-broken tuple parameters
+for n-ary fluent families) and a bounded grammar derivation.  The valid
+rows are built, not searched for: each is the padded steps of an
+accomplishable derivation followed by the encoding of one enumerated
+initial world that satisfies the derivation's weakest precondition.
+The constraints (initial axioms, symmetry breaking, grammar validity and
+per-derivation WPs) describe the same set independently;
+`check_assignment` and `verify_covering_array` check rows against them.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .logic import (
     Formula, P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, Rigid, TRUE,
-    anchor, ground, peval, pparams,
+    anchor, ground, peval,
 )
 from .tasks import (
     Derivation, EPSILON, Grammar, Task, enumerate_derivations,
@@ -61,6 +63,8 @@ class CtModel:
     derivations: dict[tuple[str, ...], Task] = field(default_factory=dict)
     # WP of each accomplishable derivation only, keyed like `derivations`
     wps: dict[tuple[str, ...], Formula] = field(default_factory=dict)
+    # the initial worlds satisfying each of those WPs, in enumeration order
+    wp_worlds: dict[tuple[str, ...], list[WorldState]] = field(default_factory=dict)
     unary_params: dict[str, GroundAtom] = field(default_factory=dict)
     tuple_params: dict[str, list[list[str]]] = field(default_factory=dict)  # family -> [instance][component]
 
@@ -101,7 +105,7 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
         arity = theory.predicates[fam].arity
         if arity < 2:
             continue
-        bound = _instance_bound(theory, fam, worlds)
+        bound = _instance_bound(fam, worlds)
         insts: list[list[str]] = []
         for i in range(1, bound + 1):
             comp_names = []
@@ -160,13 +164,14 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
 
     # grammar validity and (e) weakest-precondition constraints
     valid_ants = []
-    for deriv, task, wpf in derivation_wps(theory, grammar, depth, worlds):
+    for deriv, task, wpf, sat in derivation_wps(theory, grammar, depth, worlds):
         steps = _pad(deriv.steps, depth)
         model.derivations[steps] = task
         ant = PAnd(tuple(PEq("d%d" % (k + 1), steps[k]) for k in range(depth)))
         valid_ants.append(ant)
-        if wpf is not None:
+        if sat:
             model.wps[steps] = wpf
+            model.wp_worlds[steps] = sat
             model.constraints.append(CtConstraint(
                 "WP of derivation %s" % ",".join(deriv.steps),
                 POr((PNot(ant), ground(wpf, theory.objects, param_atom)))))
@@ -181,9 +186,10 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
 
 def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
                    worlds: list[WorldState]
-                   ) -> Iterator[tuple[Derivation, Task, Optional[Formula]]]:
-    """Every derivation of at most `depth` steps with its task and its WP,
-    or None for the WP when no world of `worlds` satisfies it.
+                   ) -> Iterator[tuple[Derivation, Task, Formula, list[WorldState]]]:
+    """Every derivation of at most `depth` steps with its task, its WP and
+    the worlds of `worlds` that satisfy the WP, in their order.  The
+    derivation is accomplishable when that list is not empty.
 
     Each WP is grounded once and then evaluated against every world."""
     atoms = theory.all_primitive_atoms()
@@ -191,23 +197,18 @@ def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
     for deriv, task in enumerate_derivations(grammar, depth, theory):
         wpf = compute_wp(TRUE, task, theory).formula
         grounded = ground_primitive(theory, wpf, SIT)
-        if not any(peval(grounded, a) for a in assignments):
-            wpf = None
-        yield deriv, task, wpf
+        yield deriv, task, wpf, [w for w, a in zip(worlds, assignments)
+                                 if peval(grounded, a)]
 
 
 def _pad(steps: tuple[str, ...], depth: int) -> tuple[str, ...]:
     return steps + (EPSILON,) * (depth - len(steps))
 
 
-def _instance_bound(theory: ActionTheory, fam: str, worlds: list[WorldState]) -> int:
-    counts = [sum(1 for (f, _) in w.true_atoms if f == fam) for w in worlds]
-    if counts and max(counts) > 0:
-        return max(counts)
-    arity = theory.predicates[fam].arity
-    warnings.warn("no instance bound derivable for %s from the initial axioms; "
-                  "falling back to |O|^%d" % (fam, arity))
-    return len(theory.objects) ** arity
+def _instance_bound(fam: str, worlds: list[WorldState]) -> int:
+    """The most true atoms of `fam` in any world; 0 when it is never true."""
+    return max((sum(1 for (f, _) in w.true_atoms if f == fam) for w in worlds),
+               default=0)
 
 
 def _all_or_none_eps(comps: list[str]) -> PFormula:
@@ -239,73 +240,20 @@ def _lex_less_or_both_eps(a: list[str], b: list[str], objects: list[str]) -> PFo
 # ---------------------------------------------------------------------------
 
 def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
-    """All assignments satisfying every constraint, in deterministic
-    (parameter-order lexicographic) order, by pruned backtracking.
+    """All valid assignments, in parameter-order lexicographic order
+    (each parameter's values in its domain order).
 
-    The derivation parameters come first in parameter order, so their
-    grammar-validity disjunction is checked as a prefix-set membership
-    test, and once they are fixed the constraints already decided true
-    (every other derivation's implication) are dropped for the subtree.
+    Each row is an accomplishable derivation's padded steps followed by
+    the encoding of one world satisfying its WP, as `build_model` stored
+    them.  The constraints are the independent check of these rows:
+    `check_assignment` accepts every one of them.
     """
-    params = model.parameters
-    index = model.param_index()
-    depth = model.depth
-    assert all(params[k].name == "d%d" % (k + 1) for k in range(depth))
-
-    prefixes: list[set[tuple[str, ...]]] = [set() for _ in range(depth + 1)]
-    for steps in model.derivations:
-        padded = steps
-        for k in range(depth + 1):
-            prefixes[k].add(padded[:k])
-
-    def build_watch(formulas: list[PFormula], start: int) -> list[list[PFormula]]:
-        w: list[list[PFormula]] = [[] for _ in params]
-        for f in formulas:
-            for p in pparams(f):
-                i = index[p]
-                if i >= start:
-                    w[i].append(f)
-        return w
-
-    # the prefix-set test subsumes the flat grammar-validity disjunction
-    all_formulas = [c.formula for c in model.constraints
-                    if c.label != "grammar validity"]
-    d_names = {"d%d" % (k + 1) for k in range(depth)}
-    d_only = [f for f in all_formulas if pparams(f) <= d_names]
-    d_watch = build_watch(d_only, 0)
-    assignment: dict[str, str] = {}
-
-    def rec(i: int, watch) -> Iterator[tuple[str, ...]]:
-        if i == len(params):
-            yield tuple(assignment[p.name] for p in params)
-            return
-        pname = params[i].name
-        for value in params[i].domain:
-            if i < depth:
-                pfx = tuple(assignment["d%d" % (k + 1)] for k in range(i)) + (value,)
-                if pfx not in prefixes[i + 1]:
-                    continue
-            assignment[pname] = value
-            if all(peval(f, assignment) is not False for f in watch[i]):
-                if i + 1 == depth:
-                    # derivation now fixed: drop the constraints it decides
-                    live, dead = [], False
-                    for f in all_formulas:
-                        v = peval(f, assignment)
-                        if v is False:
-                            dead = True
-                            break
-                        if v is None:
-                            live.append(f)
-                    if not dead:
-                        yield from rec(i + 1, build_watch(live, depth))
-                else:
-                    yield from rec(i + 1, watch)
-            del assignment[pname]
-
-    if not model.derivations:
-        return
-    yield from rec(0, d_watch)
+    rank = [{v: i for i, v in enumerate(p.domain)} for p in model.parameters]
+    worlds = set().union(*model.wp_worlds.values())
+    encoded = {w: encode_world(model, w) for w in worlds}
+    rows = [steps + encoded[w]
+            for steps, sat in model.wp_worlds.items() for w in sat]
+    yield from sorted(rows, key=lambda row: tuple(r[v] for r, v in zip(rank, row)))
 
 
 def check_assignment(model: CtModel, row: tuple[str, ...]) -> bool:
@@ -380,8 +328,29 @@ def verify_covering_array(model: CtModel, rows: list[tuple[str, ...]], t: int,
 
 
 # ---------------------------------------------------------------------------
-# Decoding
+# Encoding and decoding
 # ---------------------------------------------------------------------------
+
+def encode_world(model: CtModel, world: WorldState) -> tuple[str, ...]:
+    """The values of the world parameters (all but the derivation steps)
+    encoding `world`; `realize_configuration` decodes them.
+
+    A unary or 0-ary atom reads "true" or "false".  An n-ary family lists
+    its true tuples in object-name order, then epsilon tuples up to its
+    instance bound, as the symmetry-breaking constraints require.
+    """
+    values = {pname: "true" if world.holds(atom) else "false"
+              for pname, atom in model.unary_params.items()}
+    for fam, insts in model.tuple_params.items():
+        tuples = sorted(args for f, args in world.true_atoms if f == fam)
+        if len(tuples) > len(insts):
+            raise CtError("%s has %d true tuples, above its instance bound %d"
+                          % (fam, len(tuples), len(insts)))
+        eps = (EPSILON,) * model.theory.predicates[fam].arity
+        for inst, args in zip(insts, tuples + [eps] * (len(insts) - len(tuples))):
+            values.update(zip(inst, args))
+    return tuple(values[p.name] for p in model.parameters[model.depth:])
+
 
 def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration:
     """Decode a valid assignment into its accomplishable configuration."""

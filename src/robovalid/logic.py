@@ -428,20 +428,6 @@ def peval(phi: PFormula, assignment: dict) -> Optional[bool]:
     raise TypeError("unknown constraint node %r" % (phi,))
 
 
-def pparams(phi: PFormula) -> frozenset:
-    """The parameters phi mentions."""
-    if isinstance(phi, PEq):
-        return frozenset((phi.param,))
-    if isinstance(phi, PNot):
-        return pparams(phi.body)
-    if isinstance(phi, (PAnd, POr)):
-        out: frozenset = frozenset()
-        for p in phi.parts:
-            out |= pparams(p)
-        return out
-    return frozenset()
-
-
 # ---------------------------------------------------------------------------
 # Grounding and evaluation
 # ---------------------------------------------------------------------------
@@ -858,6 +844,9 @@ class FormulaParser:
         return SitVar(name)
 
     def term_list(self, ts: _TokenStream) -> tuple[Term, ...]:
+        """Comma-separated terms before a ')', none for a 0-ary atom."""
+        if ts.peek() == ")":
+            return ()
         args = [self.term(ts)]
         while ts.peek() == ",":
             ts.next()

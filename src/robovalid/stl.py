@@ -18,7 +18,10 @@ from typing import Union
 from .ctgen import Configuration
 from .logic import TRUE
 from .tasks import Op, Task, Test, branch_to_task, normalize
-from .theory import ActionTheory, WorldState, compute_derived, progress
+from .theory import (
+    ActionTheory, TheoryError, WorldState, compute_derived, parse_ground_atom,
+    progress,
+)
 from .wp import holds_at, wp
 
 
@@ -206,9 +209,12 @@ class Trace:
             parts = ln.split(",")
             if len(parts) != len(header):
                 raise StlError("ragged trace row: %r" % ln)
-            times.append(float(parts[0]))
-            for c, v in zip(cols, parts[1:]):
-                c.append(float(v))
+            try:
+                times.append(float(parts[0]))
+                for c, v in zip(cols, parts[1:]):
+                    c.append(float(v))
+            except ValueError:
+                raise StlError("non-numeric trace row: %r" % ln) from None
         return Trace(tuple(times), {n: tuple(c) for n, c in zip(names, cols)})
 
 
@@ -480,26 +486,29 @@ def load_pmap(path) -> PredicateMap:
             if not line:
                 continue
             try:
-                key, rest = line.split(":", 1)
-            except ValueError:
-                raise StlError("%s:%d: missing ':'" % (path, lineno))
-            key, rest = key.strip(), rest.strip()
-            if key == "deltat":
-                delta_t = float(rest)
-                if delta_t <= 0:
-                    raise StlError("%s:%d: deltat must be positive" % (path, lineno))
-            elif key == "pmap":
-                head, expr = rest.split(":=", 1)
-                name, paren = head.strip().split("(", 1)
-                params = tuple(p.strip() for p in paren.rstrip(") ").split(",") if p.strip())
-                toks = expr.split()
-                if len(toks) != 3 or toks[1] not in _COMPARATORS:
-                    raise StlError("%s:%d: expected '<signal> <cmp> <threshold>'"
-                                   % (path, lineno))
-                templates[name.strip()] = PredicateTemplate(
-                    name.strip(), params, toks[0], toks[1], float(toks[2]))
-            else:
-                raise StlError("%s:%d: unknown section %r" % (path, lineno, key))
+                key, sep, rest = line.partition(":")
+                if not sep:
+                    raise StlError("missing ':'")
+                key, rest = key.strip(), rest.strip()
+                if key == "deltat":
+                    delta_t = float(rest)
+                    if not 0 < delta_t < math.inf:
+                        raise StlError("deltat must be positive and finite")
+                elif key == "pmap":
+                    head, sep, expr = rest.partition(":=")
+                    if not sep:
+                        raise StlError("expected 'Fluent(a,b) := <signal> <cmp> "
+                                       "<threshold>'")
+                    name, params = parse_ground_atom(head.strip())
+                    toks = expr.split()
+                    if len(toks) != 3 or toks[1] not in _COMPARATORS:
+                        raise StlError("expected '<signal> <cmp> <threshold>'")
+                    templates[name] = PredicateTemplate(
+                        name, params, toks[0], toks[1], float(toks[2]))
+                else:
+                    raise StlError("unknown section %r" % key)
+            except (ValueError, StlError, TheoryError) as exc:
+                raise StlError("%s:%d: %s" % (path, lineno, exc)) from exc
     if delta_t is None:
         raise StlError("%s: no deltat line" % path)
     return PredicateMap(templates, delta_t)

@@ -397,34 +397,34 @@ def load_model(path) -> ActionTheory:
         if not line:
             continue
         try:
-            key, rest = line.split(":", 1)
-        except ValueError:
-            raise TheoryError("%s:%d: missing section keyword" % (path, lineno))
-        key, rest = key.strip(), rest.strip()
-        if key == "objects":
-            objects.extend(rest.split())
-        elif key == "rigid":
-            name, arity = rest.split("/")
-            predicates[name.strip()] = PredicateDecl(name.strip(), int(arity), "rigid")
-        elif key == "rigidtrue":
-            for atom in rest.split():
-                name, args = _parse_ground_atom(atom)
-                rigid_truths.add((name, args))
-        elif key == "fluent":
-            parts = rest.split()
-            name, arity = parts[0].split("/")
-            name = name.strip()
-            if len(parts) >= 2 and parts[1] == "primitive":
-                predicates[name] = PredicateDecl(name, int(arity), "primitive")
-            elif len(parts) >= 3 and parts[1] == "closure-of":
-                predicates[name] = PredicateDecl(name, int(arity), "derived")
-                derived[name] = DerivedFluentDef(name, int(arity), closure_of=parts[2])
+            key, sep, rest = line.partition(":")
+            if not sep:
+                raise TheoryError("missing section keyword")
+            key, rest = key.strip(), rest.strip()
+            if key == "objects":
+                objects.extend(rest.split())
+            elif key == "rigid":
+                name, arity = _parse_declaration(rest)
+                predicates[name] = PredicateDecl(name, arity, "rigid")
+            elif key == "rigidtrue":
+                for atom in rest.split():
+                    rigid_truths.add(parse_ground_atom(atom))
+            elif key == "fluent":
+                parts = rest.split() or [""]
+                name, arity = _parse_declaration(parts[0])
+                if len(parts) >= 2 and parts[1] == "primitive":
+                    predicates[name] = PredicateDecl(name, arity, "primitive")
+                elif len(parts) >= 3 and parts[1] == "closure-of":
+                    predicates[name] = PredicateDecl(name, arity, "derived")
+                    derived[name] = DerivedFluentDef(name, arity, closure_of=parts[2])
+                else:
+                    raise TheoryError("bad fluent declaration %r" % rest)
+            elif key in ("op", "successor", "init", "grammar"):
+                pending.append((lineno, key, rest))
             else:
-                raise TheoryError("%s:%d: bad fluent declaration %r" % (path, lineno, rest))
-        elif key in ("op", "successor", "init", "grammar"):
-            pending.append((lineno, key, rest))
-        else:
-            raise TheoryError("%s:%d: unknown section %r" % (path, lineno, key))
+                raise TheoryError("unknown section %r" % key)
+        except TheoryError as exc:
+            raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
 
     if not objects:
         raise TheoryError("%s: no objects declared" % path)
@@ -434,12 +434,12 @@ def load_model(path) -> ActionTheory:
         try:
             if key == "op":
                 head, pre = rest.split("pre:", 1)
-                name, params = _parse_signature(head.strip())
+                name, params = parse_ground_atom(head.strip())
                 operations[name] = OperationDecl(name, params, parser.parse(pre))
             elif key == "successor":
                 head, tail = rest.split("plus:", 1)
                 plus_text, minus_text = tail.split("minus:", 1)
-                name, params = _parse_signature(head.strip())
+                name, params = parse_ground_atom(head.strip())
                 successor[name] = SuccessorAxiom(
                     name, params, parser.parse(plus_text), parser.parse(minus_text))
             elif key == "init":
@@ -448,7 +448,7 @@ def load_model(path) -> ActionTheory:
                 rid, rule = rest.split(":", 1)
                 lhs, rhs = rule.split("::=", 1)
                 grammar.append(GrammarRule(rid.strip(), lhs.strip(), tuple(rhs.split())))
-        except (ValueError, ParseError) as exc:
+        except (ValueError, ParseError, TheoryError) as exc:
             raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
 
     return ActionTheory(
@@ -463,13 +463,23 @@ def load_model(path) -> ActionTheory:
     )
 
 
-def _parse_ground_atom(text: str) -> tuple[str, tuple[str, ...]]:
-    if "(" not in text or not text.endswith(")"):
+def _parse_declaration(text: str) -> tuple[str, int]:
+    """`Name/arity`, as in `rigid: Placeable/2`."""
+    name, _, arity = text.partition("/")
+    if not name.strip() or not arity.strip().isdecimal():
+        raise TheoryError("expected Name/arity, got %r" % text)
+    return name.strip(), int(arity)
+
+
+def parse_ground_atom(text: str) -> GroundAtom:
+    """`Name(a,b)` or `Name()` as (name, args): a rigid truth, an operation
+    or successor-axiom signature, a predicate-map head, or a fluent of a
+    configs.jsonl record."""
+    name, paren, argtext = text.partition("(")
+    if not paren or not name.strip() or not argtext.endswith(")"):
         raise TheoryError("bad ground atom %r" % text)
-    name, argtext = text[:-1].split("(", 1)
-    return name, tuple(a.strip() for a in argtext.split(","))
-
-
-def _parse_signature(text: str) -> tuple[str, tuple[str, ...]]:
-    name, args = _parse_ground_atom(text)
-    return name, args
+    argtext = argtext[:-1]
+    args = tuple(a.strip() for a in argtext.split(",")) if argtext.strip() else ()
+    if "" in args:
+        raise TheoryError("empty argument in ground atom %r" % text)
+    return name.strip(), args

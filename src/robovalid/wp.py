@@ -16,8 +16,7 @@ from .logic import (
     substitute,
 )
 from .theory import (
-    ActionTheory, GroundOp, StateView, WorldState, enumerate_initial_worlds,
-    instantiate_op_equalities,
+    ActionTheory, GroundOp, StateView, WorldState, instantiate_op_equalities,
 )
 from .tasks import Choice, Nil, Op, Seq, Task, Test
 
@@ -160,15 +159,6 @@ def _wp(phi: Formula, tau: Task, theory: ActionTheory) -> Formula:
     if isinstance(tau, Choice):
         return Or(_wp(phi, tau.left, theory), _wp(phi, tau.right, theory))
     raise TypeError("unknown task node %r" % (tau,))
-
-
-def satisfying_worlds(phi: Formula, theory: ActionTheory) -> list[WorldState]:
-    anchored = anchor(phi, S0)
-    out = []
-    for w in enumerate_initial_worlds(theory):
-        if evaluate(StateView(theory, w), anchored):
-            out.append(w)
-    return out
 
 
 def holds_at(phi: Formula, theory: ActionTheory, state: WorldState) -> bool:

@@ -9,6 +9,35 @@ from robovalid.theory import enumerate_initial_worlds, load_model
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
 
+# A two-object model with 0-ary predicates, a 2-ary primitive fluent (R)
+# that the initial axioms keep false in every initial world, and one
+# (Near) true of 0, 1 or 2 pairs.
+TINY_MODEL = """\
+objects: a b
+rigid: Ready/0
+rigid: Link/2
+rigidtrue: Ready() Link(a,b)
+fluent: R/2 primitive
+fluent: On/0 primitive
+fluent: Up/1 primitive
+fluent: Near/2 primitive
+op: link(x,y) pre: Ready() & Link(x,y) & On()@s & !R(x,y)@s
+op: raise(x) pre: !Up(x)@s
+successor: R(x,y) plus: alpha = link(x,y) minus: false
+successor: On() plus: false minus: false
+successor: Up(x) plus: alpha = raise(x) minus: false
+successor: Near(x,y) plus: false minus: false
+init: forall x . forall y . !R(x,y)@s0
+init: !Up(b)@s0
+init: forall x . !Near(x,x)@s0
+grammar: r_t1: T ::= A
+grammar: r_t2: T ::= [ A ; T ]
+grammar: r_l: A ::= link ( O , O )
+grammar: r_r: A ::= raise ( O )
+grammar: r_a: O ::= a
+grammar: r_b: O ::= b
+"""
+
 
 @pytest.fixture(scope="session")
 def kitchen():
@@ -33,6 +62,18 @@ def putfrag():
 @pytest.fixture(scope="session")
 def putfrag_grammar(putfrag):
     return Grammar(putfrag.grammar)
+
+
+@pytest.fixture(scope="session")
+def tiny(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.sc"
+    path.write_text(TINY_MODEL)
+    return load_model(path)
+
+
+@pytest.fixture(scope="session")
+def tiny_grammar(tiny):
+    return Grammar(tiny.grammar)
 
 
 @pytest.fixture(scope="session")

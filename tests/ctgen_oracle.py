@@ -1,0 +1,97 @@
+"""Reference valid-row enumerator for differential tests.
+
+This is the backtracking constraint solver that `robovalid.ctgen.
+enumerate_valid` replaced: it searches the parameter space of a
+`CtModel` in parameter order and prunes with `peval` on partial rows,
+using only the model's constraints and its derivation table.  It keeps
+its own copy of `pparams`, which the package no longer needs.
+"""
+
+from typing import Iterator
+
+from robovalid.ctgen import CtModel
+from robovalid.logic import PAnd, PEq, PFormula, PNot, POr, peval
+
+
+def pparams(phi: PFormula) -> frozenset:
+    """The parameters phi mentions."""
+    if isinstance(phi, PEq):
+        return frozenset((phi.param,))
+    if isinstance(phi, PNot):
+        return pparams(phi.body)
+    if isinstance(phi, (PAnd, POr)):
+        out: frozenset = frozenset()
+        for p in phi.parts:
+            out |= pparams(p)
+        return out
+    return frozenset()
+
+
+def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
+    """All assignments satisfying every constraint, in deterministic
+    (parameter-order lexicographic) order, by pruned backtracking.
+
+    The derivation parameters come first in parameter order, so their
+    grammar-validity disjunction is checked as a prefix-set membership
+    test, and once they are fixed the constraints already decided true
+    (every other derivation's implication) are dropped for the subtree.
+    """
+    params = model.parameters
+    index = model.param_index()
+    depth = model.depth
+    assert all(params[k].name == "d%d" % (k + 1) for k in range(depth))
+
+    prefixes: list[set[tuple[str, ...]]] = [set() for _ in range(depth + 1)]
+    for steps in model.derivations:
+        padded = steps
+        for k in range(depth + 1):
+            prefixes[k].add(padded[:k])
+
+    def build_watch(formulas: list[PFormula], start: int) -> list[list[PFormula]]:
+        w: list[list[PFormula]] = [[] for _ in params]
+        for f in formulas:
+            for p in pparams(f):
+                i = index[p]
+                if i >= start:
+                    w[i].append(f)
+        return w
+
+    # the prefix-set test subsumes the flat grammar-validity disjunction
+    all_formulas = [c.formula for c in model.constraints
+                    if c.label != "grammar validity"]
+    d_names = {"d%d" % (k + 1) for k in range(depth)}
+    d_only = [f for f in all_formulas if pparams(f) <= d_names]
+    d_watch = build_watch(d_only, 0)
+    assignment: dict[str, str] = {}
+
+    def rec(i: int, watch) -> Iterator[tuple[str, ...]]:
+        if i == len(params):
+            yield tuple(assignment[p.name] for p in params)
+            return
+        pname = params[i].name
+        for value in params[i].domain:
+            if i < depth:
+                pfx = tuple(assignment["d%d" % (k + 1)] for k in range(i)) + (value,)
+                if pfx not in prefixes[i + 1]:
+                    continue
+            assignment[pname] = value
+            if all(peval(f, assignment) is not False for f in watch[i]):
+                if i + 1 == depth:
+                    # derivation now fixed: drop the constraints it decides
+                    live, dead = [], False
+                    for f in all_formulas:
+                        v = peval(f, assignment)
+                        if v is False:
+                            dead = True
+                            break
+                        if v is None:
+                            live.append(f)
+                    if not dead:
+                        yield from rec(i + 1, build_watch(live, depth))
+                else:
+                    yield from rec(i + 1, watch)
+            del assignment[pname]
+
+    if not model.derivations:
+        return
+    yield from rec(0, d_watch)

@@ -1,5 +1,8 @@
+import warnings
+
 import pytest
 
+import ctgen_oracle
 from robovalid import ctgen
 from robovalid.ctgen import (
     CtError, build_model, check_assignment, coverable_tuples, enumerate_valid,
@@ -123,3 +126,33 @@ def test_bad_strength_rejected(put_model):
         generate_covering_array(put_model, 0)
     with pytest.raises(CtError):
         generate_covering_array(put_model, "partial")
+
+
+@pytest.mark.parametrize("name,depth", [("putfrag", d) for d in (1, 2, 3)]
+                         + [("kitchen", d) for d in range(1, 7)]
+                         + [("tiny", 6)])
+def test_enumerate_valid_matches_solver_oracle(request, name, depth):
+    """The rows built from worlds x WPs are the rows the constraint solver
+    finds, in the same order, and each one satisfies every constraint."""
+    theory = request.getfixturevalue(name)
+    model = build_model(theory, request.getfixturevalue(name + "_grammar"), depth, 2)
+    rows = list(enumerate_valid(model))
+    assert rows == list(ctgen_oracle.enumerate_valid(model))
+    assert all(check_assignment(model, row) for row in rows)
+
+
+def test_never_true_family_gets_no_tuple_parameters(tiny, tiny_grammar):
+    """R/2 is false in every initial world, so its instance bound is 0;
+    Near/2 holds of at most two pairs, so its bound is 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = build_model(tiny, tiny_grammar, 6, 2)
+    assert model.tuple_params["R"] == []
+    assert [p.name for p in model.parameters][6:] == [
+        "Near_1_1", "Near_1_2", "Near_2_1", "Near_2_2", "Up_a", "Up_b", "On"]
+    rows = list(enumerate_valid(model))
+    assert len(rows) == 12 * 4
+    assert rows == list(ctgen_oracle.enumerate_valid(model))
+    for row in rows:
+        cfg = realize_configuration(model, row)
+        assert ctgen.encode_world(model, cfg.initial_world) == row[6:]

@@ -12,14 +12,16 @@ from robovalid.logic import (
 )
 
 OBJECTS = ("o_b", "o_p", "o_m", "o_t")
-PREDICATES = {"Placeable": (2, "rigid"), "IsOpen": (1, "fluent"),
-              "Running": (1, "fluent"), "Loc": (2, "fluent")}
+PREDICATES = {"Placeable": (2, "rigid"), "Ready": (0, "rigid"),
+              "IsOpen": (1, "fluent"), "Running": (1, "fluent"),
+              "Loc": (2, "fluent"), "Door": (0, "fluent")}
 
 
 def world(loc=(), isopen=()):
     rigid = {("Placeable", pair): pair in {("o_b", "o_p"), ("o_b", "o_t")}
              for pair in itertools.product(OBJECTS, repeat=2)}
-    fluents = {}
+    rigid[("Ready", ())] = True
+    fluents = {("Door", (), "s0"): False}
     for a, b in itertools.product(OBJECTS, repeat=2):
         fluents[("Loc", (a, b), "s0")] = (a, b) in set(loc)
     for o in OBJECTS:
@@ -85,7 +87,7 @@ def test_unassigned_atom_is_an_error():
 
 
 FLUENT_ATOMS = [(name, args) for name, arity in (("IsOpen", 1), ("Running", 1),
-                                                 ("Loc", 2))
+                                                 ("Loc", 2), ("Door", 0))
                 for args in itertools.product(OBJECTS, repeat=arity)]
 
 
@@ -147,20 +149,24 @@ def formulas(draw, sits=(S0,), scope=(), depth=4):
     term = st.sampled_from([Obj(o) for o in OBJECTS] + [Var(v) for v in scope])
     sit = st.sampled_from(sits)
     if depth == 0 or draw(st.integers(0, 3)) == 0:
-        kind = draw(st.sampled_from(["true", "false", "rigid", "isopen", "running",
-                                     "loc", "eq", "neq"]))
+        kind = draw(st.sampled_from(["true", "false", "rigid", "ready", "isopen",
+                                     "running", "loc", "door", "eq", "neq"]))
         if kind == "true":
             return TRUE
         if kind == "false":
             return FALSE
         if kind == "rigid":
             return Rigid("Placeable", (draw(term), draw(term)))
+        if kind == "ready":
+            return Rigid("Ready", ())
         if kind == "isopen":
             return Fluent("IsOpen", (draw(term),), draw(sit))
         if kind == "running":
             return Fluent("Running", (draw(term),), draw(sit))
         if kind == "loc":
             return Fluent("Loc", (draw(term), draw(term)), draw(sit))
+        if kind == "door":
+            return Fluent("Door", (), draw(sit))
         eq = Eq(draw(term), draw(term))
         return eq if kind == "eq" else Not(eq)
     kind = draw(st.sampled_from(["not", "and", "or", "implies", "iff",

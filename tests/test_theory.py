@@ -3,8 +3,8 @@ import pytest
 from robovalid.logic import Do, S0, evaluate, parse_formula
 from robovalid.theory import (
     GroundOp, ModelError, PreconditionViolation, StateView, WorldState,
-    compute_derived, enumerate_initial_worlds, ground_primitive, possible,
-    progress, satisfies_init,
+    compute_derived, enumerate_initial_worlds, ground_primitive,
+    parse_ground_atom, possible, progress, satisfies_init,
 )
 
 
@@ -115,6 +115,23 @@ def test_enumeration_matches_satisfies_init_on_one_atom_flips(kitchen, kitchen_w
     assert any(f in enumerated for f in flips)
     for f in flips:
         assert (f in enumerated) == satisfies_init(kitchen, WorldState(f)), sorted(f)
+
+
+def test_zero_ary_atoms_load(tiny):
+    """`rigid: Ready/0` with `rigidtrue: Ready()` makes Ready() true, and
+    0-ary atoms parse in preconditions and successor-axiom heads."""
+    assert parse_ground_atom("P()") == ("P", ())
+    assert parse_ground_atom("Loc(o_b, o_p)") == ("Loc", ("o_b", "o_p"))
+    assert tiny.rigid_value("Ready", ())
+    assert tiny.successor["On"].params == ()
+    worlds = [sorted(a for a in w.true_atoms if a[0] != "Near")
+              for w in enumerate_initial_worlds(tiny)]
+    assert len(worlds) == 16
+    assert sorted(set(map(tuple, worlds))) == [
+        (), (("On", ()),), (("On", ()), ("Up", ("a",))), (("Up", ("a",)),)]
+    on = WorldState(frozenset({("On", ())}))
+    assert possible(tiny, on, GroundOp("link", ("a", "b")))
+    assert not possible(tiny, WorldState(frozenset()), GroundOp("link", ("a", "b")))
 
 
 def test_model_errors():
