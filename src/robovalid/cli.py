@@ -13,10 +13,11 @@ import os
 import sys
 
 from . import ctgen, falsify as fz, sim, stl
-from .logic import format_formula, TRUE
+from .logic import ParseError, format_formula, TRUE
 from .tasks import Grammar, format_task, parse_task
 from .theory import (
-    WorldState, enumerate_initial_worlds, load_model, parse_ground_atom,
+    TheoryError, WorldState, enumerate_initial_worlds, load_model,
+    parse_ground_atom,
 )
 from .wp import wp
 
@@ -50,15 +51,22 @@ def _write_configs(out_dir, configs) -> str:
 
 
 def _load_configs(path, theory) -> list[ctgen.Configuration]:
+    """The configurations of a configs.jsonl file; a malformed line is a
+    CtError naming its path and line."""
     out = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            w0 = WorldState(frozenset(parse_ground_atom(a) for a in rec["fluents"]))
-            task = parse_task(rec["task"], theory)
-            out.append(ctgen.Configuration(w0, task, tuple(rec["assignment"])))
+            try:
+                rec = json.loads(line)
+                w0 = WorldState(frozenset(parse_ground_atom(a) for a in rec["fluents"]))
+                task = parse_task(rec["task"], theory)
+                out.append(ctgen.Configuration(w0, task, tuple(rec["assignment"])))
+            except KeyError as exc:
+                raise ctgen.CtError("%s:%d: missing field %s" % (path, lineno, exc)) from exc
+            except (ValueError, TypeError, TheoryError, ParseError) as exc:
+                raise ctgen.CtError("%s:%d: %s" % (path, lineno, exc)) from exc
     return out
 
 
@@ -78,7 +86,7 @@ def _apply_knob_overrides(scn: sim.Scenario, specs: list[str]) -> sim.Scenario:
 def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
     syntax_valid = 0
     accomplishable = 0
-    for _, _, _, sat in ctgen.derivation_wps(theory, grammar, depth, worlds):
+    for _, _, sat in ctgen.accomplishing_worlds(theory, grammar, depth, worlds):
         syntax_valid += 1
         accomplishable += bool(sat)
     return syntax_valid, accomplishable
@@ -92,7 +100,8 @@ def cmd_enumerate(args) -> int:
     # the largest depth gives every row as a cumulative count by length
     syntax_valid = [0] * (args.depth + 1)
     accomplishable = [0] * (args.depth + 1)
-    for deriv, _, _, sat in ctgen.derivation_wps(theory, grammar, args.depth, worlds):
+    for deriv, _, sat in ctgen.accomplishing_worlds(theory, grammar, args.depth,
+                                                    worlds):
         syntax_valid[len(deriv.steps)] += 1
         accomplishable[len(deriv.steps)] += bool(sat)
     print("depth  syntax-valid  accomplishable")

@@ -5,10 +5,13 @@ parameters for unary and 0-ary fluents, symmetry-broken tuple parameters
 for n-ary fluent families) and a bounded grammar derivation.  The valid
 rows are built, not searched for: each is the padded steps of an
 accomplishable derivation followed by the encoding of one enumerated
-initial world that satisfies the derivation's weakest precondition.
-The constraints (initial axioms, symmetry breaking, grammar validity and
-per-derivation WPs) describe the same set independently;
-`check_assignment` and `verify_covering_array` check rows against them.
+initial world from which its task completes.  Forward execution
+(`tasks.run_branch`) decides that; weakest preconditions are computed
+only for the accomplishable derivations.  The constraints (initial
+axioms, symmetry breaking, grammar validity and per-derivation WPs)
+describe the same set independently; `check_assignment` and
+`verify_covering_array` check rows against them, and
+`realize_configuration` checks each decoded configuration against its WP.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from .logic import (
     anchor, ground, peval,
 )
 from .tasks import (
-    Derivation, EPSILON, Grammar, Task, enumerate_derivations,
+    Derivation, EPSILON, Grammar, Task, enumerate_derivations, normalize,
+    run_branch,
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
-    ground_primitive, satisfies_init,
+    satisfies_init,
 )
 from .wp import holds_at, unfold_derived, wp as compute_wp, SIT
 
@@ -63,7 +67,7 @@ class CtModel:
     derivations: dict[tuple[str, ...], Task] = field(default_factory=dict)
     # WP of each accomplishable derivation only, keyed like `derivations`
     wps: dict[tuple[str, ...], Formula] = field(default_factory=dict)
-    # the initial worlds satisfying each of those WPs, in enumeration order
+    # the initial worlds each of those tasks completes from, in enumeration order
     wp_worlds: dict[tuple[str, ...], list[WorldState]] = field(default_factory=dict)
     unary_params: dict[str, GroundAtom] = field(default_factory=dict)
     tuple_params: dict[str, list[list[str]]] = field(default_factory=dict)  # family -> [instance][component]
@@ -164,12 +168,13 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
 
     # grammar validity and (e) weakest-precondition constraints
     valid_ants = []
-    for deriv, task, wpf, sat in derivation_wps(theory, grammar, depth, worlds):
+    for deriv, task, sat in accomplishing_worlds(theory, grammar, depth, worlds):
         steps = _pad(deriv.steps, depth)
         model.derivations[steps] = task
         ant = PAnd(tuple(PEq("d%d" % (k + 1), steps[k]) for k in range(depth)))
         valid_ants.append(ant)
         if sat:
+            wpf = compute_wp(TRUE, task, theory).formula
             model.wps[steps] = wpf
             model.wp_worlds[steps] = sat
             model.constraints.append(CtConstraint(
@@ -184,21 +189,21 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
     return model
 
 
-def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
-                   worlds: list[WorldState]
-                   ) -> Iterator[tuple[Derivation, Task, Formula, list[WorldState]]]:
-    """Every derivation of at most `depth` steps with its task, its WP and
-    the worlds of `worlds` that satisfy the WP, in their order.  The
-    derivation is accomplishable when that list is not empty.
+def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
+                         worlds: list[WorldState]
+                         ) -> Iterator[tuple[Derivation, Task, list[WorldState]]]:
+    """Every derivation of at most `depth` steps with its task and the
+    worlds of `worlds` from which the task can complete, in their order.
+    The derivation is accomplishable when that list is not empty.
 
-    Each WP is grounded once and then evaluated against every world."""
-    atoms = theory.all_primitive_atoms()
-    assignments = [{a: w.holds(a) for a in atoms} for w in worlds]
+    The tasks are run forward; one memo serves the whole pass, since
+    derivations share their prefixes and reach the same states."""
+    memo: dict = {}
     for deriv, task in enumerate_derivations(grammar, depth, theory):
-        wpf = compute_wp(TRUE, task, theory).formula
-        grounded = ground_primitive(theory, wpf, SIT)
-        yield deriv, task, wpf, [w for w, a in zip(worlds, assignments)
-                                 if peval(grounded, a)]
+        branches = normalize(task)
+        yield deriv, task, [w for w in worlds
+                            if any(run_branch(theory, w, b, memo) is not None
+                                   for b in branches)]
 
 
 def _pad(steps: tuple[str, ...], depth: int) -> tuple[str, ...]:
@@ -244,8 +249,8 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
     (each parameter's values in its domain order).
 
     Each row is an accomplishable derivation's padded steps followed by
-    the encoding of one world satisfying its WP, as `build_model` stored
-    them.  The constraints are the independent check of these rows:
+    the encoding of one world its task completes from, as `build_model`
+    stored them.  The constraints are the independent check of these rows:
     `check_assignment` accepts every one of them.
     """
     rank = [{v: i for i, v in enumerate(p.domain)} for p in model.parameters]

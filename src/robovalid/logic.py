@@ -23,10 +23,6 @@ class ModelError(LogicError):
     """An atom references an undeclared predicate or has the wrong arity."""
 
 
-class TotalityError(LogicError):
-    """A ground atom was queried that the world does not assign."""
-
-
 class SubstitutionError(LogicError):
     """Sort mismatch during substitution (object vs. situation)."""
 
@@ -485,45 +481,6 @@ def ground(phi: Formula, objects,
         raise ModelError("unknown formula node: %r" % (f,))
 
     return g(phi, {})
-
-
-class World:
-    """Truth assignment over all ground predicate instances.
-
-    rigid_truth maps (name, arg-names) to bool; fluent_truth maps
-    (name, arg-names, sit-key) to bool where sit-key is str(sit).
-    Querying an unassigned atom is a TotalityError, never a default.
-    """
-
-    def __init__(self, objects, predicates, rigid_truth=None, fluent_truth=None):
-        self.objects = tuple(objects)
-        self.predicates = dict(predicates)  # name -> (arity, kind)
-        self.rigid_truth = dict(rigid_truth or {})
-        self.fluent_truth = dict(fluent_truth or {})
-
-    def check_atom(self, name: str, arity: int, fluent: bool) -> None:
-        decl = self.predicates.get(name)
-        if decl is None:
-            raise ModelError("undeclared predicate %s" % name)
-        want_arity, kind = decl
-        if arity != want_arity:
-            raise ModelError("%s expects %d arguments, got %d" % (name, want_arity, arity))
-        if fluent == (kind == "rigid"):
-            raise ModelError("%s used with wrong predicate kind" % name)
-
-    def rigid_value(self, name: str, args: tuple[str, ...]) -> bool:
-        self.check_atom(name, len(args), fluent=False)
-        v = self.rigid_truth.get((name, args))
-        if v is None:
-            raise TotalityError("rigid atom %s%r unassigned" % (name, args))
-        return v
-
-    def fluent_value(self, name: str, args: tuple[str, ...], sit: SitTerm) -> bool:
-        self.check_atom(name, len(args), fluent=True)
-        v = self.fluent_truth.get((name, args, str(sit)))
-        if v is None:
-            raise TotalityError("fluent atom %s%r at %s unassigned" % (name, args, sit))
-        return v
 
 
 def evaluate(world, phi: Formula) -> bool:

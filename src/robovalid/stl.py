@@ -5,6 +5,12 @@ Signals are piecewise-constant between strictly increasing sample times.
 Window extrema are taken over the window start plus every sample time in
 (start, end]; the end counts only when it is a sample time.  Monitoring is
 therefore reproducible bit for bit.
+
+Synthesis runs each branch of a configuration's task forward
+(`tasks.run_branch`): that decides which branches the initial world can
+follow and gives their checkpoint states.  Weakest preconditions play no
+part here; they feed the combinatorial model's constraints and the check
+in `ctgen.realize_configuration`.
 """
 
 from __future__ import annotations
@@ -12,17 +18,14 @@ from __future__ import annotations
 import bisect
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .ctgen import Configuration
-from .logic import TRUE
-from .tasks import Op, Task, Test, branch_to_task, normalize
+from .tasks import Op, normalize, run_branch
 from .theory import (
     ActionTheory, TheoryError, WorldState, compute_derived, parse_ground_atom,
-    progress,
 )
-from .wp import holds_at, wp
 
 
 class StlError(Exception):
@@ -550,28 +553,26 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
                delta_t: float = None) -> SpecSynthesisResult:
     """Nested-Eventually specification for an accomplishable configuration.
 
-    The task is normalized into choice-free branches, branches whose
-    weakest precondition fails at the initial world are pruned, tests are
-    stripped, and each surviving branch contributes one nested formula
-    over the checkpoint states reached by progressing its operations.
-    The result is the disjunction over surviving branches.
+    The task is normalized into choice-free branches and each is run
+    forward from the initial world (`tasks.run_branch`).  Branches that
+    get stuck are pruned; each surviving branch contributes one nested
+    formula over the checkpoint states its operations reach, with its
+    tests stripped.  The result is the disjunction over surviving
+    branches.
     """
     if delta_t is None:
         delta_t = pmap.delta_t
     if delta_t <= 0:
         raise StlError("delta_t must be positive")
-    w0 = config.initial_world
+    memo: dict = {}
     specs: list[BranchSpec] = []
     for branch in normalize(config.task):
-        branch_task = branch_to_task(branch)
-        if not holds_at(wp(TRUE, branch_task, theory).formula, theory, w0):
+        states = run_branch(theory, config.initial_world, branch, memo)
+        if states is None:
             continue
         ops = tuple(a.op for a in branch if isinstance(a, Op))
-        state = w0
-        checkpoints = []
-        for i, op in enumerate(ops, 1):
-            state = progress(theory, state, op)
-            checkpoints.append((i, chi(theory, state, pmap)))
+        checkpoints = [(i, chi(theory, state, pmap))
+                       for i, state in enumerate(states, 1)]
         formula: StlFormula = None
         for _, ck in reversed(checkpoints):
             inner = ck if formula is None else SAnd((ck, formula))

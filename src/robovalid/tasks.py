@@ -1,14 +1,21 @@
-"""Task programs: AST, transition semantics, grammar derivation, branch form.
+"""Task programs: AST, branch normal form, forward execution, grammar
+derivation.
 
 Tasks are the five-construct core (nil, operation, test, sequence,
 nondeterministic choice); grammar-level sugar is expanded away by the
 grammar itself, which produces core task text.
+
+Forward execution decides accomplishability: a task can complete from a
+world iff some choice-free branch of `normalize` runs there, test by
+test and operation by operation (`run_branch`).  Weakest preconditions
+(`wp`) describe the same worlds symbolically; they feed the constraints
+of the combinatorial model and the check in `ctgen.realize_configuration`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .logic import (
     Formula, FormulaParser, ParseError, S0, _TokenStream, anchor, evaluate,
@@ -117,114 +124,6 @@ def parse_task(text: str, theory: ActionTheory) -> Task:
 
 
 # ---------------------------------------------------------------------------
-# Transition semantics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExecutionState:
-    """A world state paired with the remaining task.
-
-    Final iff the task is nil; depth counts applied operations and stands
-    in for the situation term.
-    """
-    state: WorldState
-    remaining: Task
-    depth: int = 0
-
-    @property
-    def final(self) -> bool:
-        return isinstance(self.remaining, Nil)
-
-
-def step(theory: ActionTheory, es: ExecutionState) -> list[ExecutionState]:
-    """All single-step successors; empty for stuck (and final) states."""
-    if es.final:
-        return []
-    tau = es.remaining
-    if isinstance(tau, Op):
-        if possible(theory, es.state, tau.op):
-            return [ExecutionState(progress(theory, es.state, tau.op), NIL, es.depth + 1)]
-        return []
-    if isinstance(tau, Test):
-        phi = anchor(tau.formula, S0)
-        if evaluate(StateView(theory, es.state), phi):
-            return [ExecutionState(es.state, NIL, es.depth)]
-        return []
-    if isinstance(tau, Seq):
-        if isinstance(tau.first, Nil):
-            return [ExecutionState(es.state, tau.second, es.depth)]
-        out = []
-        for nxt in step(theory, ExecutionState(es.state, tau.first, es.depth)):
-            out.append(ExecutionState(nxt.state, Seq(nxt.remaining, tau.second), nxt.depth))
-        return out
-    if isinstance(tau, Choice):
-        left = step(theory, ExecutionState(es.state, tau.left, es.depth))
-        right = step(theory, ExecutionState(es.state, tau.right, es.depth))
-        return left + right
-    raise TypeError("unknown task node %r" % (tau,))
-
-
-def execute(theory: ActionTheory, w0: WorldState, tau: Task) -> bool:
-    """Exhaustive search of the transition relation; True iff some path
-    reaches a final state (task completes), False iff every path gets stuck.
-    """
-    seen = set()
-    frontier = [ExecutionState(w0, tau)]
-    while frontier:
-        es = frontier.pop()
-        key = (es.state.true_atoms, es.remaining)
-        if key in seen:
-            continue
-        seen.add(key)
-        if es.final:
-            return True
-        frontier.extend(step(theory, es))
-    return False
-
-
-def traces(theory: ActionTheory, w0: WorldState, tau: Task) -> set[tuple[GroundOp, ...]]:
-    """Operation sequences of all completing executions (for equivalence
-    checks between a task and its branch normal form)."""
-    out: set[tuple[GroundOp, ...]] = set()
-
-    def rec2(state: WorldState, tau: Task, ops: tuple[GroundOp, ...]) -> None:
-        if isinstance(tau, Nil):
-            out.add(ops)
-            return
-        if isinstance(tau, Op):
-            if possible(theory, state, tau.op):
-                rec2(progress(theory, state, tau.op), NIL, ops + (tau.op,))
-            return
-        if isinstance(tau, Test):
-            if evaluate(StateView(theory, state), anchor(tau.formula, S0)):
-                rec2(state, NIL, ops)
-            return
-        if isinstance(tau, Seq):
-            head, rest = tau.first, tau.second
-            if isinstance(head, Nil):
-                rec2(state, rest, ops)
-            elif isinstance(head, Seq):
-                rec2(state, Seq(head.first, Seq(head.second, rest)), ops)
-            elif isinstance(head, Choice):
-                rec2(state, Seq(head.left, rest), ops)
-                rec2(state, Seq(head.right, rest), ops)
-            elif isinstance(head, Op):
-                if possible(theory, state, head.op):
-                    rec2(progress(theory, state, head.op), rest, ops + (head.op,))
-            elif isinstance(head, Test):
-                if evaluate(StateView(theory, state), anchor(head.formula, S0)):
-                    rec2(state, rest, ops)
-            return
-        if isinstance(tau, Choice):
-            rec2(state, tau.left, ops)
-            rec2(state, tau.right, ops)
-            return
-
-    rec2(w0, tau, ())
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Branch normal form
 # ---------------------------------------------------------------------------
 
@@ -245,14 +144,52 @@ def normalize(tau: Task) -> list[list[Task]]:
     raise TypeError("unknown task node %r" % (tau,))
 
 
-def branch_to_task(branch: list[Task]) -> Task:
-    """Right-nested sequence for one branch ([] is nil)."""
-    if not branch:
-        return NIL
-    out = branch[-1]
-    for atom in reversed(branch[:-1]):
-        out = Seq(atom, out)
-    return out
+# ---------------------------------------------------------------------------
+# Forward execution
+# ---------------------------------------------------------------------------
+
+def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
+               memo: dict) -> Optional[list[WorldState]]:
+    """Run a choice-free branch of `normalize` forward from `state`.
+
+    Returns the state after each operation, or None when a test fails or
+    an operation is not possible on the way.  `memo` maps (state, atom)
+    to the state after the atom, or to None when it is stuck there; the
+    caller owns it and shares it across the branches and worlds of a run,
+    whose branches share most of their prefixes.
+    """
+    states = []
+    for atom in branch:
+        key = (state, atom)
+        if key in memo:
+            state = memo[key]
+        else:
+            state = memo[key] = _run_atom(theory, state, atom)
+        if state is None:
+            return None
+        if isinstance(atom, Op):
+            states.append(state)
+    return states
+
+
+def _run_atom(theory: ActionTheory, state: WorldState,
+              atom: Task) -> Optional[WorldState]:
+    if isinstance(atom, Op):
+        if possible(theory, state, atom.op):
+            return progress(theory, state, atom.op)
+        return None
+    if isinstance(atom, Test):
+        if evaluate(StateView(theory, state), anchor(atom.formula, S0)):
+            return state
+        return None
+    raise TypeError("branch atom %r is neither an operation nor a test" % (atom,))
+
+
+def execute(theory: ActionTheory, w0: WorldState, tau: Task) -> bool:
+    """Whether `tau` can complete from `w0`: some branch of its normal
+    form runs to the end."""
+    memo: dict = {}
+    return any(run_branch(theory, w0, b, memo) is not None for b in normalize(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +268,3 @@ def enumerate_derivations(grammar: Grammar, depth: int,
             yield from rec(new_form, steps + (rule.id,))
 
     yield from rec((grammar.start,), ())
-
-
-def replay_derivation(grammar: Grammar, steps: tuple[str, ...],
-                      theory: ActionTheory) -> Task:
-    """Apply rule ids to the start symbol (leftmost) and parse the result."""
-    by_id = {r.id: r for r in grammar.rules}
-    form: tuple[str, ...] = (grammar.start,)
-    for rid in steps:
-        if rid == EPSILON:
-            break
-        rule = by_id[rid]
-        idx = next((i for i, t in enumerate(form) if t in grammar.nonterminals), None)
-        if idx is None or form[idx] != rule.lhs:
-            raise ValueError("rule %s does not apply to leftmost nonterminal" % rid)
-        form = form[:idx] + rule.rhs + form[idx + 1:]
-    if any(t in grammar.nonterminals for t in form):
-        raise ValueError("derivation %r does not terminate" % (steps,))
-    return TaskParser(theory).parse(" ".join(form))

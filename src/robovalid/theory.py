@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .logic import (
-    FALSE, Eq, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE,
-    P_TRUE, PEq, PFormula, ParseError, Rigid, S0, SitTerm, FormulaParser,
-    anchor, atoms, check_axioms, conj, evaluate, ground, map_atoms, peval,
-    substitute,
+    FALSE, Eq, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE, P_TRUE, PEq,
+    PFormula, ParseError, Rigid, S0, SitTerm, FormulaParser, anchor,
+    check_axioms, conj, evaluate, ground, map_atoms, peval, substitute,
 )
 
 
@@ -74,9 +73,7 @@ class SuccessorAxiom:
 class DerivedFluentDef:
     fluent: str
     arity: int
-    closure_of: Optional[str] = None     # transitive closure of a primitive fluent
-    params: tuple[str, ...] = ()
-    definition: Optional[Formula] = None  # explicit definition over primitives/rigids
+    closure_of: str  # transitive closure of this primitive fluent
 
 
 @dataclass(frozen=True)
@@ -103,19 +100,11 @@ class ActionTheory:
             if decl is None or decl.kind != "primitive":
                 raise TheoryError("successor axiom for non-primitive fluent %s" % name)
         for name, d in self.derived.items():
-            if d.closure_of is not None:
-                base = self.predicates.get(d.closure_of)
-                if base is None or base.kind != "primitive":
-                    raise TheoryError(
-                        "%s is a closure of undeclared or non-primitive %s"
-                        % (name, d.closure_of))
-            elif d.definition is not None:
-                for a in atoms(d.definition):
-                    if isinstance(a, Fluent) and a.name in self.derived:
-                        raise TheoryError(
-                            "derived fluent %s depends on derived fluent %s" % (name, a.name))
-            else:
-                raise TheoryError("derived fluent %s has no definition" % name)
+            base = self.predicates.get(d.closure_of)
+            if base is None or base.kind != "primitive":
+                raise TheoryError(
+                    "%s is a closure of undeclared or non-primitive %s"
+                    % (name, d.closure_of))
         for f in self.primitive_fluents():
             if f not in self.successor:
                 raise TheoryError("primitive fluent %s has no successor axiom" % f)
@@ -176,19 +165,19 @@ class WorldState:
 
 
 class StateView:
-    """Adapter presenting a WorldState (plus derived atoms) as a World.
+    """Adapter presenting a WorldState (plus derived atoms) as the world
+    `logic.evaluate` reads.
 
     Fluent atoms are accepted at any situation term syntactically equal to
     the anchor; other situation terms are a ModelError, which keeps
     progression bugs from silently reading the wrong situation.
     """
 
-    def __init__(self, theory: ActionTheory, state: WorldState,
-                 sit: SitTerm = S0, derived: Optional[frozenset[GroundAtom]] = None):
+    def __init__(self, theory: ActionTheory, state: WorldState, sit: SitTerm = S0):
         self.theory = theory
         self.state = state
         self.sit_key = str(sit)
-        self.derived = compute_derived(theory, state) if derived is None else derived
+        self.derived = compute_derived(theory, state)
         self.objects = theory.objects
 
     def rigid_value(self, name: str, args: tuple[str, ...]) -> bool:
@@ -211,39 +200,26 @@ class StateView:
 # ---------------------------------------------------------------------------
 
 def compute_derived(theory: ActionTheory, state: WorldState) -> frozenset[GroundAtom]:
-    """All true derived-fluent atoms for `state`.
-
-    Transitive closures are computed to fixpoint by BFS; explicit
-    definitions are evaluated over the primitives.
-    """
+    """All true derived-fluent atoms for `state`: each transitive
+    closure, computed to fixpoint by a search from every object."""
     out: set[GroundAtom] = set()
     for name in theory.derived_fluents():
-        d = theory.derived[name]
-        if d.closure_of is not None:
-            edges: dict[str, set[str]] = {}
-            for (f, args) in state.true_atoms:
-                if f == d.closure_of:
-                    edges.setdefault(args[0], set()).add(args[1])
-            for src in theory.objects:
-                seen: set[str] = set()
-                frontier = list(edges.get(src, ()))
-                while frontier:
-                    nxt = frontier.pop()
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    frontier.extend(edges.get(nxt, ()))
-                for dst in seen:
-                    out.add((name, (src, dst)))
-        else:
-            view = StateView(theory, state, derived=frozenset())
-            for (_, args) in theory.ground_atoms(name):
-                phi = d.definition
-                for p, a in zip(d.params, args):
-                    phi = substitute(phi, p, Obj(a))
-                phi = anchor(phi, S0)
-                if evaluate(view, phi):
-                    out.add((name, args))
+        base = theory.derived[name].closure_of
+        edges: dict[str, set[str]] = {}
+        for (f, args) in state.true_atoms:
+            if f == base:
+                edges.setdefault(args[0], set()).add(args[1])
+        for src in theory.objects:
+            seen: set[str] = set()
+            frontier = list(edges.get(src, ()))
+            while frontier:
+                nxt = frontier.pop()
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                frontier.extend(edges.get(nxt, ()))
+            for dst in seen:
+                out.add((name, (src, dst)))
     return frozenset(out)
 
 

@@ -31,33 +31,26 @@ def unfold_derived(phi: Formula, theory: ActionTheory) -> Formula:
     """Replace derived-fluent atoms by formulas over primitive fluents.
 
     A transitive closure is expanded exactly by bounding chains at
-    |objects| - 1 compositions; explicit definitions are inlined.
+    |objects| - 1 compositions.
     """
     def unfold(a: Formula) -> Formula:
         if not (isinstance(a, Fluent) and a.name in theory.derived):
             return a
-        d = theory.derived[a.name]
-        if d.closure_of is not None:
-            src, dst = a.args
-            base = d.closure_of
-            hops = max(1, len(theory.objects) - 1)
-            terms = [Fluent(base, (src, dst), a.sit)]
-            for length in range(2, hops + 1):
-                mids = ["_c%d" % i for i in range(1, length)]
-                chain = [Fluent(base, (src, Var(mids[0])), a.sit)]
-                for x, y in zip(mids, mids[1:]):
-                    chain.append(Fluent(base, (Var(x), Var(y)), a.sit))
-                chain.append(Fluent(base, (Var(mids[-1]), dst), a.sit))
-                body = conj(chain)
-                for m in reversed(mids):
-                    body = Exists(m, body)
-                terms.append(body)
-            return disj(terms)
-        body = d.definition
-        for p, x in zip(d.params, a.args):
-            body = substitute(body, p, x)
-        # re-anchor the definition's situation variable to the atom's
-        return anchor(body, a.sit)
+        src, dst = a.args
+        base = theory.derived[a.name].closure_of
+        hops = max(1, len(theory.objects) - 1)
+        terms = [Fluent(base, (src, dst), a.sit)]
+        for length in range(2, hops + 1):
+            mids = ["_c%d" % i for i in range(1, length)]
+            chain = [Fluent(base, (src, Var(mids[0])), a.sit)]
+            for x, y in zip(mids, mids[1:]):
+                chain.append(Fluent(base, (Var(x), Var(y)), a.sit))
+            chain.append(Fluent(base, (Var(mids[-1]), dst), a.sit))
+            body = conj(chain)
+            for m in reversed(mids):
+                body = Exists(m, body)
+            terms.append(body)
+        return disj(terms)
 
     return map_atoms(phi, unfold)
 

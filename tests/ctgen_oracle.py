@@ -1,16 +1,41 @@
-"""Reference valid-row enumerator for differential tests.
+"""Reference implementations of `robovalid.ctgen` for differential tests.
 
-This is the backtracking constraint solver that `robovalid.ctgen.
-enumerate_valid` replaced: it searches the parameter space of a
+`enumerate_valid` is the backtracking constraint solver that `robovalid.
+ctgen.enumerate_valid` replaced: it searches the parameter space of a
 `CtModel` in parameter order and prunes with `peval` on partial rows,
 using only the model's constraints and its derivation table.  It keeps
 its own copy of `pparams`, which the package no longer needs.
+
+`derivation_wps` is the grounded-WP test of accomplishability that
+`robovalid.ctgen.accomplishing_worlds` replaced: it computes the weakest
+precondition of every derivation, grounds it once and evaluates it with
+`peval` on every world, where the package runs the task forward.
 """
 
 from typing import Iterator
 
 from robovalid.ctgen import CtModel
-from robovalid.logic import PAnd, PEq, PFormula, PNot, POr, peval
+from robovalid.logic import TRUE, Formula, PAnd, PEq, PFormula, PNot, POr, peval
+from robovalid.tasks import Derivation, Grammar, Task, enumerate_derivations
+from robovalid.theory import ActionTheory, WorldState, ground_primitive
+from robovalid.wp import SIT, wp
+
+
+def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
+                   worlds: list[WorldState]
+                   ) -> Iterator[tuple[Derivation, Task, Formula, list[WorldState]]]:
+    """Every derivation of at most `depth` steps with its task, its WP and
+    the worlds of `worlds` that satisfy the WP, in their order.  The
+    derivation is accomplishable when that list is not empty.
+
+    Each WP is grounded once and then evaluated against every world."""
+    atoms = theory.all_primitive_atoms()
+    assignments = [{a: w.holds(a) for a in atoms} for w in worlds]
+    for deriv, task in enumerate_derivations(grammar, depth, theory):
+        wpf = wp(TRUE, task, theory).formula
+        grounded = ground_primitive(theory, wpf, SIT)
+        yield deriv, task, wpf, [w for w, a in zip(worlds, assignments)
+                                 if peval(grounded, a)]
 
 
 def pparams(phi: PFormula) -> frozenset:

@@ -1,19 +1,65 @@
-"""Reference formula evaluator for differential tests.
+"""Reference formula evaluator and world for differential tests.
 
-This is the recursive Kleene evaluator that `robovalid.logic.ground` plus
-`robovalid.logic.peval` replaced: it rebuilds the body with `substitute`
-once per object at every quantifier and asks the world for each atom only
-when the connectives need it.  A world returns None for an atom it does
-not know; with partial=False that is a TotalityError, which gives
-classical two-valued evaluation.
+`evaluate3` is the recursive Kleene evaluator that `robovalid.logic.
+ground` plus `robovalid.logic.peval` replaced: it rebuilds the body with
+`substitute` once per object at every quantifier and asks the world for
+each atom only when the connectives need it.  A world returns None for an
+atom it does not know; with partial=False that is a TotalityError, which
+gives classical two-valued evaluation.
+
+`World` is an explicit truth table over ground atoms that both evaluators
+can read; the package reads world states through `theory.StateView`.
 """
 
 from typing import Optional
 
 from robovalid.logic import (
-    And, Eq, Exists, FalseF, Fluent, Forall, Formula, Iff, Implies, ModelError,
-    Not, Obj, OpEq, Or, Rigid, Term, TotalityError, TrueF, substitute,
+    And, Eq, Exists, FalseF, Fluent, Forall, Formula, Iff, Implies, LogicError,
+    ModelError, Not, Obj, OpEq, Or, Rigid, SitTerm, Term, TrueF, substitute,
 )
+
+
+class TotalityError(LogicError):
+    """A ground atom was queried that the world does not assign."""
+
+
+class World:
+    """Truth assignment over all ground predicate instances.
+
+    rigid_truth maps (name, arg-names) to bool; fluent_truth maps
+    (name, arg-names, sit-key) to bool where sit-key is str(sit).
+    Querying an unassigned atom is a TotalityError, never a default.
+    """
+
+    def __init__(self, objects, predicates, rigid_truth=None, fluent_truth=None):
+        self.objects = tuple(objects)
+        self.predicates = dict(predicates)  # name -> (arity, kind)
+        self.rigid_truth = dict(rigid_truth or {})
+        self.fluent_truth = dict(fluent_truth or {})
+
+    def check_atom(self, name: str, arity: int, fluent: bool) -> None:
+        decl = self.predicates.get(name)
+        if decl is None:
+            raise ModelError("undeclared predicate %s" % name)
+        want_arity, kind = decl
+        if arity != want_arity:
+            raise ModelError("%s expects %d arguments, got %d" % (name, want_arity, arity))
+        if fluent == (kind == "rigid"):
+            raise ModelError("%s used with wrong predicate kind" % name)
+
+    def rigid_value(self, name: str, args: tuple[str, ...]) -> bool:
+        self.check_atom(name, len(args), fluent=False)
+        v = self.rigid_truth.get((name, args))
+        if v is None:
+            raise TotalityError("rigid atom %s%r unassigned" % (name, args))
+        return v
+
+    def fluent_value(self, name: str, args: tuple[str, ...], sit: SitTerm) -> bool:
+        self.check_atom(name, len(args), fluent=True)
+        v = self.fluent_truth.get((name, args, str(sit)))
+        if v is None:
+            raise TotalityError("fluent atom %s%r at %s unassigned" % (name, args, sit))
+        return v
 
 
 def _ground_names(args: tuple[Term, ...]) -> tuple[str, ...]:

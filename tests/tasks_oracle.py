@@ -1,0 +1,87 @@
+"""Reference task semantics for differential tests.
+
+`traces` is an independent recursive semantics of the task constructs:
+it follows every choice of the task itself, without `tasks.normalize`,
+and collects the operation sequences of all completing executions.
+`execute` and `run_branch` are checked against it, and `normalize`
+against it through `branch_to_task`.  `replay_derivation` rebuilds a
+task from its rule ids, to check `tasks.enumerate_derivations`.
+"""
+
+from robovalid.logic import S0, anchor, evaluate
+from robovalid.tasks import (
+    EPSILON, NIL, Choice, Grammar, Nil, Op, Seq, Task, TaskParser, Test,
+)
+from robovalid.theory import (
+    ActionTheory, GroundOp, StateView, WorldState, possible, progress,
+)
+
+
+def traces(theory: ActionTheory, w0: WorldState, tau: Task) -> set[tuple[GroundOp, ...]]:
+    """Operation sequences of all completing executions (for equivalence
+    checks between a task and its branch normal form)."""
+    out: set[tuple[GroundOp, ...]] = set()
+
+    def rec2(state: WorldState, tau: Task, ops: tuple[GroundOp, ...]) -> None:
+        if isinstance(tau, Nil):
+            out.add(ops)
+            return
+        if isinstance(tau, Op):
+            if possible(theory, state, tau.op):
+                rec2(progress(theory, state, tau.op), NIL, ops + (tau.op,))
+            return
+        if isinstance(tau, Test):
+            if evaluate(StateView(theory, state), anchor(tau.formula, S0)):
+                rec2(state, NIL, ops)
+            return
+        if isinstance(tau, Seq):
+            head, rest = tau.first, tau.second
+            if isinstance(head, Nil):
+                rec2(state, rest, ops)
+            elif isinstance(head, Seq):
+                rec2(state, Seq(head.first, Seq(head.second, rest)), ops)
+            elif isinstance(head, Choice):
+                rec2(state, Seq(head.left, rest), ops)
+                rec2(state, Seq(head.right, rest), ops)
+            elif isinstance(head, Op):
+                if possible(theory, state, head.op):
+                    rec2(progress(theory, state, head.op), rest, ops + (head.op,))
+            elif isinstance(head, Test):
+                if evaluate(StateView(theory, state), anchor(head.formula, S0)):
+                    rec2(state, rest, ops)
+            return
+        if isinstance(tau, Choice):
+            rec2(state, tau.left, ops)
+            rec2(state, tau.right, ops)
+            return
+
+    rec2(w0, tau, ())
+    return out
+
+
+def branch_to_task(branch: list[Task]) -> Task:
+    """Right-nested sequence for one branch ([] is nil)."""
+    if not branch:
+        return NIL
+    out = branch[-1]
+    for atom in reversed(branch[:-1]):
+        out = Seq(atom, out)
+    return out
+
+
+def replay_derivation(grammar: Grammar, steps: tuple[str, ...],
+                      theory: ActionTheory) -> Task:
+    """Apply rule ids to the start symbol (leftmost) and parse the result."""
+    by_id = {r.id: r for r in grammar.rules}
+    form: tuple[str, ...] = (grammar.start,)
+    for rid in steps:
+        if rid == EPSILON:
+            break
+        rule = by_id[rid]
+        idx = next((i for i, t in enumerate(form) if t in grammar.nonterminals), None)
+        if idx is None or form[idx] != rule.lhs:
+            raise ValueError("rule %s does not apply to leftmost nonterminal" % rid)
+        form = form[:idx] + rule.rhs + form[idx + 1:]
+    if any(t in grammar.nonterminals for t in form):
+        raise ValueError("derivation %r does not terminate" % (steps,))
+    return TaskParser(theory).parse(" ".join(form))

@@ -9,8 +9,8 @@ from robovalid.ctgen import (
     generate_covering_array, realize_configuration, verify_covering_array,
 )
 from robovalid.logic import TRUE, PAnd, PEq, PNot, POr, peval
-from robovalid.tasks import enumerate_derivations
-from robovalid.theory import enumerate_initial_worlds
+from robovalid.tasks import Grammar, enumerate_derivations
+from robovalid.theory import GrammarRule, enumerate_initial_worlds
 from robovalid.wp import holds_at, wp
 
 
@@ -139,6 +139,43 @@ def test_enumerate_valid_matches_solver_oracle(request, name, depth):
     rows = list(enumerate_valid(model))
     assert rows == list(ctgen_oracle.enumerate_valid(model))
     assert all(check_assignment(model, row) for row in rows)
+
+
+def test_wp_computed_once_per_accomplishable_derivation(kitchen, kitchen_grammar,
+                                                        monkeypatch):
+    tasks = []
+    compute_wp = ctgen.compute_wp
+    monkeypatch.setattr(ctgen, "compute_wp",
+                        lambda phi, task, theory: tasks.append(task)
+                        or compute_wp(phi, task, theory))
+    model = build_model(kitchen, kitchen_grammar, 4, 2)
+    assert len(tasks) == len(model.wps) == 8
+    assert tasks == [model.derivations[steps] for steps in model.wps]
+
+
+@pytest.fixture(scope="module")
+def kitchen_choice_grammar(kitchen):
+    """The kitchen grammar plus a choice between two actions, so tasks
+    have more than one branch."""
+    return Grammar(kitchen.grammar + [GrammarRule("r_or", "T", ("[", "A", "|", "A", "]"))])
+
+
+@pytest.mark.parametrize("name,grammar,depth",
+                         [("kitchen", "kitchen_grammar", d) for d in range(1, 8)]
+                         + [("putfrag", "putfrag_grammar", d) for d in (1, 2, 3)]
+                         + [("tiny", "tiny_grammar", 6),
+                            ("kitchen", "kitchen_choice_grammar", 5)])
+def test_accomplishing_worlds_match_grounded_wp_oracle(request, name, grammar,
+                                                       depth):
+    """Running each task forward finds exactly the worlds that satisfy its
+    grounded weakest precondition, derivation by derivation."""
+    theory = request.getfixturevalue(name)
+    grammar = request.getfixturevalue(grammar)
+    worlds = list(enumerate_initial_worlds(theory))
+    got = list(ctgen.accomplishing_worlds(theory, grammar, depth, worlds))
+    want = [(deriv, task, sat) for deriv, task, _, sat
+            in ctgen_oracle.derivation_wps(theory, grammar, depth, worlds)]
+    assert got == want
 
 
 def test_never_true_family_gets_no_tuple_parameters(tiny, tiny_grammar):

@@ -7,6 +7,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robovalid.cli import _load_configs
+from robovalid.ctgen import CtError
 from robovalid.logic import ParseError
 from robovalid.stl import StlError, Trace, load_pmap
 from robovalid.theory import TheoryError, load_model
@@ -15,6 +17,8 @@ from conftest import MODELS
 
 KITCHEN = (MODELS / "kitchen4.sc").read_text()
 PMAP = (MODELS / "kitchen4.pmap").read_text()
+THEORY = load_model(MODELS / "kitchen4.sc")
+CONFIG = '{"assignment":[],"fluents":["Loc(o_b,o_p)"],"task":"open(o_m)"}\n'
 
 
 # file name -> (valid text, loader, the error a bad line must raise)
@@ -23,6 +27,7 @@ BASES = {
     "kitchen4.pmap": (PMAP, load_pmap, StlError),
     "trace.csv": ("time,x\n0,1\n", lambda path: Trace.from_csv(path.read_text()),
                   StlError),
+    "configs.jsonl": (CONFIG, lambda path: _load_configs(path, THEORY), CtError),
 }
 
 
@@ -34,6 +39,8 @@ BASES = {
     ("kitchen4.pmap", "pmap: Foo"),
     ("kitchen4.pmap", "pmap: Foo := s > 1"),
     ("trace.csv", "0.5,abc"),
+    ("configs.jsonl", "not json"),
+    ("configs.jsonl", '{"fluents": []}'),
 ])
 def test_bad_line_raises_typed_error(tmp_path, name, line):
     base, load, error = BASES[name]

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logic_oracle
+from logic_oracle import TotalityError, World
 from robovalid.logic import (
     And, Do, Eq, Exists, FALSE, Fluent, Forall, Iff, Implies, Not, Obj,
     OpTerm, Or, P_FALSE, P_TRUE, PEq, Rigid, S0, SitVar,
-    SubstitutionError, TotalityError, TRUE, Var, World, evaluate, fold,
-    format_formula, ground, parse_formula, peval, substitute,
+    SubstitutionError, TRUE, Var, evaluate, fold, format_formula, ground,
+    parse_formula, peval, substitute,
 )
 
 OBJECTS = ("o_b", "o_p", "o_m", "o_t")

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from robovalid.tasks import (
-    Choice, ExecutionState, Grammar, Op, Seq,
-    branch_to_task, enumerate_derivations, execute, format_task, normalize,
-    parse_task, replay_derivation, step, traces,
+    Choice, Grammar, Op, Seq, enumerate_derivations, execute, format_task,
+    normalize, parse_task, run_branch,
 )
 from robovalid.tasks import Test as TaskTest
-from robovalid.theory import GroundOp
+from robovalid.theory import GrammarRule, GroundOp, progress
+from tasks_oracle import branch_to_task, replay_derivation, traces
 
 
 def test_parse_format_roundtrip(kitchen):
@@ -28,15 +28,26 @@ def test_parse_format_roundtrip(kitchen):
 def test_step_semantics(kitchen, kitchen_worlds):
     w = next(w for w in kitchen_worlds
              if ("IsOpen", ("o_m",)) not in w.true_atoms)
-    tau = parse_task("[open(o_m) ; turn_on(o_m)]", kitchen)
-    succs = step(kitchen, ExecutionState(w, tau))
-    assert len(succs) == 1
-    assert format_task(succs[0].remaining) == "[nil ; turn_on(o_m)]"
-    assert succs[0].depth == 1
+    open_m, turn_on_m = GroundOp("open", ("o_m",)), GroundOp("turn_on", ("o_m",))
+    memo = {}
+    # open succeeds, then turn_on with the door open is stuck
+    [branch] = normalize(parse_task("[open(o_m) ; turn_on(o_m)]", kitchen))
+    assert run_branch(kitchen, w, branch, memo) is None
+    opened = progress(kitchen, w, open_m)
+    assert memo[(w, Op(open_m))] == opened
+    assert memo[(opened, Op(turn_on_m))] is None
 
-    # turn_on with the door open is stuck
-    stuck = step(kitchen, ExecutionState(succs[0].state, Op(GroundOp("turn_on", ("o_m",)))))
-    assert stuck == []
+    # open, close, then turn_on runs where bread, which needs heat, is
+    # inside; there is one state per operation, none for the test
+    [branch] = normalize(parse_task(
+        "[open(o_m) ; [IsOpen(o_m)@s ? ; [close(o_m) ; turn_on(o_m)]]]", kitchen))
+    ready = next(w for w in kitchen_worlds
+                 if ("IsOpen", ("o_m",)) not in w.true_atoms
+                 and ("Loc", ("o_b", "o_m")) in w.true_atoms)
+    states = run_branch(kitchen, ready, branch, memo)
+    assert len(states) == 3
+    assert ("Running", ("o_m",)) in states[-1].true_atoms
+    assert states[0] == progress(kitchen, ready, open_m)
 
 
 def test_test_construct(kitchen, kitchen_worlds):
@@ -78,6 +89,8 @@ def test_normalize_trace_equivalent(kitchen, kitchen_worlds):
             flat = t if flat is None else Choice(flat, t)
         for w in kitchen_worlds[:4]:
             assert traces(kitchen, w, tau) == traces(kitchen, w, flat)
+        for w in kitchen_worlds:
+            assert execute(kitchen, w, tau) == bool(traces(kitchen, w, tau))
 
 
 def test_branch_atoms_are_choice_free(kitchen):
@@ -108,6 +121,5 @@ def test_putfrag_syntactic_tasks(putfrag, putfrag_grammar):
 
 
 def test_grammar_rejects_nonterminating():
-    from robovalid.theory import GrammarRule
     with pytest.raises(ValueError):
         Grammar([GrammarRule("r1", "T", ("T",))])
