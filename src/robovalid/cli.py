@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Union
 
 from . import ctgen, falsify as fz, sim, stl
 from .logic import ParseError, format_formula, TRUE
@@ -70,17 +71,36 @@ def _load_configs(path, theory) -> list[ctgen.Configuration]:
     return out
 
 
-def _apply_knob_overrides(scn: sim.Scenario, specs: list[str]) -> sim.Scenario:
-    ranges = dict(scn.policy_ranges)
-    for s in specs:
-        name, _, bounds = s.partition("=")
-        if name not in ranges:
-            raise SystemExit("unknown policy knob %r" % name)
-        lo, _, hi = bounds.partition(":")
+def _knob_override(text: str) -> tuple[str, tuple[float, float]]:
+    """`--knob NAME=LO[:HI]`, checked as a scenario file's range is."""
+    name, _, bounds = text.partition("=")
+    lo, _, hi = bounds.partition(":")
+    try:
         lo = float(lo)
         hi = float(hi) if hi else lo
-        ranges[name] = (lo, hi)
+        sim.check_knob_range(name, lo, hi)
+    except (ValueError, sim.SimError) as exc:
+        raise argparse.ArgumentTypeError("%s: %s" % (text, exc)) from exc
+    return name, (lo, hi)
+
+
+def _apply_knob_overrides(scn: sim.Scenario,
+                          overrides: list[tuple[str, tuple[float, float]]]) -> sim.Scenario:
+    ranges = dict(scn.policy_ranges)
+    ranges.update(overrides)
     return sim.Scenario(scn.objects, scn.workspace, ranges)
+
+
+def _positive_int(text: str) -> int:
+    """A positive integer, as `--depth` takes."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
+
+
+def _strength(text: str) -> Union[int, str]:
+    """A positive integer or 'full', as `--strength` takes."""
+    return text if text == "full" else _positive_int(text)
 
 
 def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
@@ -121,7 +141,7 @@ def cmd_wp(args) -> int:
 def _generate(theory, depth: int, strength):
     grammar = Grammar(theory.grammar)
     model = ctgen.build_model(theory, grammar, depth, strength)
-    valid = sorted(ctgen.enumerate_valid(model))
+    valid = list(ctgen.enumerate_valid(model))
     rows = ctgen.generate_covering_array(model, strength, valid)
     configs = [ctgen.realize_configuration(model, r) for r in rows]
     return model, valid, rows, configs
@@ -129,12 +149,11 @@ def _generate(theory, depth: int, strength):
 
 def cmd_generate(args) -> int:
     theory = load_model(args.model)
-    strength = args.strength if args.strength == "full" else int(args.strength)
-    model, _, rows, configs = _generate(theory, args.depth, strength)
+    model, _, rows, configs = _generate(theory, args.depth, args.strength)
     path = _write_configs(args.out, configs)
     print("depth  syntax-valid  accomplishable  configurations  strength")
     print("%5d  %12d  %14d  %14d  %8s" % (args.depth, len(model.derivations),
-                                          len(model.wps), len(rows), strength))
+                                          len(model.wps), len(rows), args.strength))
     print("wrote %s" % path)
     return 0
 
@@ -188,16 +207,15 @@ def cmd_falsify(args) -> int:
 
 def cmd_validate(args) -> int:
     theory = load_model(args.model)
-    strength = args.strength if args.strength == "full" else int(args.strength)
     pmap = stl.load_pmap(args.pmap)
     scn = _apply_knob_overrides(sim.load_scenario(args.scenario), args.knob)
-    _, valid, rows, configs = _generate(theory, args.depth, strength)
+    _, valid, rows, configs = _generate(theory, args.depth, args.strength)
     cpath = _write_configs(args.out, configs)
     entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
                                      args.seed, args.sim_dt)
     summary = fz.summarize(entries)
     summary["valid_assignments"] = len(valid)
-    summary["strength"] = str(strength)
+    summary["strength"] = str(args.strength)
     path = _write_report(args.out, entries, results, summary)
     passed = summary["passed"]
     print("Only %d configurations passed the validation (%d falsified, %d errors)"
@@ -221,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="task counts per derivation depth")
     common(sp)
-    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--depth", type=_positive_int, required=True)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("wp", help="weakest precondition of a task")
@@ -231,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generate", help="covering-array configurations")
     common(sp)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--strength", default="2",
+    sp.add_argument("--depth", type=_positive_int, required=True)
+    sp.add_argument("--strength", type=_strength, default="2",
                     help="coverage strength: 1, 2, 3, ... or 'full'")
     sp.add_argument("--out", default=default_out)
     sp.set_defaults(func=cmd_generate)
@@ -243,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=25)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--sim-dt", type=float, default=0.25)
-        sp.add_argument("--knob", action="append", default=[],
+        sp.add_argument("--knob", type=_knob_override, action="append", default=[],
                         metavar="NAME=LO[:HI]",
                         help="override a policy knob range, e.g. "
                              "doorTorqueLimit=0.3")
@@ -257,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="full generate-and-falsify pipeline")
     common(sp)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--strength", default="2")
+    sp.add_argument("--depth", type=_positive_int, required=True)
+    sp.add_argument("--strength", type=_strength, default="2")
     falsify_flags(sp)
     sp.set_defaults(func=cmd_validate)
     return p

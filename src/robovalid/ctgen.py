@@ -62,7 +62,6 @@ class CtModel:
     strength: Union[int, str]
     # decode metadata
     theory: ActionTheory = None
-    grammar: Grammar = None
     depth: int = 0
     derivations: dict[tuple[str, ...], Task] = field(default_factory=dict)
     # WP of each accomplishable derivation only, keyed like `derivations`
@@ -96,7 +95,7 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
     worlds = list(enumerate_initial_worlds(theory))
 
     model = CtModel(parameters=[], constraints=[], strength=strength,
-                    theory=theory, grammar=grammar, depth=depth)
+                    theory=theory, depth=depth)
     rule_ids = sorted(r.id for r in grammar.rules)
 
     # (c) derivation-step parameters
@@ -271,19 +270,23 @@ def check_assignment(model: CtModel, row: tuple[str, ...]) -> bool:
 # Covering arrays
 # ---------------------------------------------------------------------------
 
+def _row_tuples(model: CtModel, rows: list[tuple[str, ...]],
+               t: int) -> list[frozenset[tuple]]:
+    """The t-tuples of (parameter index, value) pairs of each row, indices
+    ascending.  A strength above the number of parameters means all of
+    them, so every row then has exactly one tuple: the whole row."""
+    t = min(t, len(model.parameters))
+    return [frozenset(itertools.combinations(tuple(enumerate(row)), t))
+            for row in rows]
+
+
 def coverable_tuples(model: CtModel, t: int,
                      valid: Optional[list[tuple[str, ...]]] = None) -> set[tuple]:
     """Every t-tuple of (parameter index, value) pairs extendable to a
     valid full assignment."""
     if valid is None:
         valid = list(enumerate_valid(model))
-    n = len(model.parameters)
-    out: set[tuple] = set()
-    combos = list(itertools.combinations(range(n), t))
-    for row in valid:
-        for combo in combos:
-            out.add(tuple((i, row[i]) for i in combo))
-    return out
+    return set().union(*_row_tuples(model, valid, t))
 
 
 def generate_covering_array(model: CtModel, t: Union[int, str],
@@ -298,22 +301,19 @@ def generate_covering_array(model: CtModel, t: Union[int, str],
         return valid
     if not isinstance(t, int) or t < 1:
         raise CtError("coverage strength must be a positive integer or 'full'")
-    t = min(t, len(model.parameters))
-    combos = list(itertools.combinations(range(len(model.parameters)), t))
-    row_tuples = [frozenset(tuple((i, row[i]) for i in combo) for combo in combos)
-                  for row in valid]
-    uncovered = set().union(*row_tuples) if row_tuples else set()
+    tuples = _row_tuples(model, valid, t)
+    uncovered = set().union(*tuples)
     rows: list[tuple[str, ...]] = []
     while uncovered:
         best_i, best_gain = None, -1
-        for i, rt in enumerate(row_tuples):
+        for i, rt in enumerate(tuples):
             gain = len(rt & uncovered)
             if gain > best_gain:
                 best_i, best_gain = i, gain
         if best_gain <= 0:
             raise CtError("uncoverable tuples remain; internal inconsistency")
         rows.append(valid[best_i])
-        uncovered -= row_tuples[best_i]
+        uncovered -= tuples[best_i]
     return rows
 
 
@@ -323,13 +323,7 @@ def verify_covering_array(model: CtModel, rows: list[tuple[str, ...]], t: int,
     for row in rows:
         if not check_assignment(model, row):
             return False
-    need = coverable_tuples(model, t, valid)
-    combos = list(itertools.combinations(range(len(model.parameters)), min(t, len(model.parameters))))
-    have: set[tuple] = set()
-    for row in rows:
-        for combo in combos:
-            have.add(tuple((i, row[i]) for i in combo))
-    return need <= have
+    return coverable_tuples(model, t, valid) <= set().union(*_row_tuples(model, rows, t))
 
 
 # ---------------------------------------------------------------------------

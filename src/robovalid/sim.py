@@ -103,13 +103,21 @@ def load_scenario(path) -> Scenario:
     ranges = {}
     for knob in KNOB_NAMES:
         lo, hi = raw["policy"][knob]
-        legal = KNOB_LEGAL[knob]
-        if not (legal[0] <= lo <= hi <= legal[1]):
-            raise SimError("knob %s range [%g, %g] outside legal %r"
-                           % (knob, lo, hi, legal))
+        check_knob_range(knob, lo, hi)
         ranges[knob] = (lo, hi)
     workspace = {k: tuple(v) for k, v in raw["workspace"].items()}
     return Scenario(objects, workspace, ranges)
+
+
+def check_knob_range(knob: str, lo: float, hi: float) -> None:
+    """A policy knob's range, from a scenario file or an override, must be
+    ordered and lie within the knob's legal range."""
+    legal = KNOB_LEGAL.get(knob)
+    if legal is None:
+        raise SimError("unknown policy knob %r" % knob)
+    if not (legal[0] <= lo <= hi <= legal[1]):
+        raise SimError("knob %s range [%g, %g] is not an ordered range within "
+                       "the legal [%g, %g]" % (knob, lo, hi, *legal))
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +136,10 @@ class ConcreteState:
                              dict(self.running), dict(self.knobs))
 
 
-def support_point(scn: Scenario, state: ConcreteState, name: str) -> tuple[float, float, float]:
-    g = scn.objects[name]
-    x, y, z = state.positions[name]
-    return (x, y, z + g.support_dz)
-
-
 def signal_values(scn: Scenario, state: ConcreteState) -> dict[str, float]:
     names = sorted(scn.objects)
     out: dict[str, float] = {}
     for n in names:
-        g = scn.objects[n]
         out["DoorAngle_%s" % n] = state.door_angles.get(n, 180.0)
         out["running_%s" % n] = state.running.get(n, 0.0)
     for a in names:
@@ -167,7 +168,6 @@ def signal_values(scn: Scenario, state: ConcreteState) -> dict[str, float]:
 class ScenarioSample:
     q0: ConcreteState
     sample_point: tuple[float, ...]
-    bounds_used: dict[str, tuple[float, float]]
     parents: dict[str, Optional[str]]  # initial support object per movable
 
 
@@ -198,7 +198,6 @@ def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
     if any(not (0.0 <= u <= 1.0) for u in sample):
         raise SimError("sample point outside the unit box")
     it = iter(sample)
-    bounds: dict[str, tuple[float, float]] = {}
 
     positions: dict[str, tuple[float, float, float]] = {
         n: g.position for n, g in scn.objects.items() if g.fixed}
@@ -239,7 +238,6 @@ def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
         ang = 2.0 * math.pi * u1
         positions[m] = (cx + r * math.cos(ang), cy + r * math.sin(ang),
                         sz + gm.height / 2.0)
-        bounds["place_%s" % m] = (0.0, r if gp.fixed else _JITTER_RADIUS)
 
     door_angles: dict[str, float] = {}
     for dname in scn.doors():
@@ -248,14 +246,12 @@ def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
         is_open = (dname, ) in {args for (f, args) in w0.true_atoms if f == "IsOpen"}
         lo, hi = g.door_open if is_open else g.door_closed
         door_angles[dname] = lo + u * (hi - lo)
-        bounds["door_%s" % dname] = (lo, hi)
 
     knobs: dict[str, float] = {}
     for knob in KNOB_NAMES:
         u = next(it)
         lo, hi = scn.policy_ranges[knob]
         knobs[knob] = lo + u * (hi - lo)
-        bounds["knob_%s" % knob] = (lo, hi)
 
     running = {n: 0.0 for n in scn.objects}
     # abstract worlds cannot start with anything running; a running object
@@ -267,7 +263,7 @@ def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
     q0 = ConcreteState(positions, door_angles, running, knobs)
     _check_workspace(scn, q0)
     _check_roundtrip(theory, w0, scn, pmap, q0)
-    return ScenarioSample(q0, tuple(sample), bounds, parents)
+    return ScenarioSample(q0, tuple(sample), parents)
 
 
 def _check_workspace(scn: Scenario, state: ConcreteState) -> None:

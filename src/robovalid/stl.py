@@ -1,6 +1,9 @@
 """Signal temporal logic: quantitative robustness over timed traces and
 specification synthesis from world-task configurations.
 
+The fragment is true, atoms (a signal compared with a threshold), not,
+and, or, and the bounded temporal operators eventually and always.
+
 Signals are piecewise-constant between strictly increasing sample times.
 Window extrema are taken over the window start plus every sample time in
 (start, end]; the end counts only when it is a sample time.  Monitoring is
@@ -112,13 +115,7 @@ class Always(_Interval):
     body: "StlFormula" = None
 
 
-@dataclass(frozen=True)
-class Until(_Interval):
-    left: "StlFormula" = None
-    right: "StlFormula" = None
-
-
-StlFormula = Union[STrue, Atom, SNot, SAnd, SOr, Eventually, Always, Until]
+StlFormula = Union[STrue, Atom, SNot, SAnd, SOr, Eventually, Always]
 
 
 def format_stl(phi: StlFormula) -> str:
@@ -137,9 +134,6 @@ def format_stl(phi: StlFormula) -> str:
         return "(ev %.10g %.10g %s)" % (phi.lo, phi.hi, format_stl(phi.body))
     if isinstance(phi, Always):
         return "(alw %.10g %.10g %s)" % (phi.lo, phi.hi, format_stl(phi.body))
-    if isinstance(phi, Until):
-        return "(until %.10g %.10g %s %s)" % (
-            phi.lo, phi.hi, format_stl(phi.left), format_stl(phi.right))
     raise TypeError("unknown formula node %r" % (phi,))
 
 
@@ -258,7 +252,7 @@ def robustness(phi: StlFormula, trace: Trace, t: float = 0.0) -> RobustnessResul
 
 # Node kinds of the compiled formula.  A node is a tuple whose first entry
 # is its kind; its children are indices of earlier nodes.
-_TRUE, _ATOM, _NOT, _AND, _OR, _EV, _ALW, _UNTIL = range(8)
+_TRUE, _ATOM, _NOT, _AND, _OR, _EV, _ALW = range(7)
 
 
 def _compile(phi: StlFormula) -> list[tuple]:
@@ -290,8 +284,6 @@ def _compile(phi: StlFormula) -> list[tuple]:
             return add((_EV, f.lo, f.hi, visit(f.body)))
         if isinstance(f, Always):
             return add((_ALW, f.lo, f.hi, visit(f.body)))
-        if isinstance(f, Until):
-            return add((_UNTIL, f.lo, f.hi, visit(f.left), visit(f.right)))
         if isinstance(f, STrue):
             return add((_TRUE,))
         raise TypeError("unknown formula node %r" % (f,))
@@ -304,8 +296,7 @@ def _demand(nodes: list[tuple], trace: Trace,
             root_time: float) -> tuple[list[dict], bool]:
     """Top-down pass: the times at which each node is needed, as the keys
     of one dict per node.  A window operator maps each of its times to
-    the points `Trace.window_times` gives it; `Until` maps each time to
-    (point, points for the left operand) pairs.  The result is truncated
+    the points `Trace.window_times` gives it.  The result is truncated
     exactly when some window ends past the trace."""
     demand: list[dict] = [{} for _ in nodes]
     demand[-1][root_time] = None
@@ -323,16 +314,6 @@ def _demand(nodes: list[tuple], trace: Trace,
                 pts = asked[t] = trace.window_times(t + lo, t + hi)
                 truncated = truncated or t + hi > end
                 inner.update(dict.fromkeys(pts))
-        elif kind == _UNTIL:
-            _, lo, hi, left, right = node
-            lefts, rights = demand[left], demand[right]
-            for t in asked:
-                pts = trace.window_times(t + lo, t + hi)
-                truncated = truncated or t + hi > end
-                steps = asked[t] = [(u, trace.window_times(t, u)) for u in pts]
-                for u, before in steps:
-                    rights[u] = None
-                    lefts.update(dict.fromkeys(before))
     return demand, truncated
 
 
@@ -374,14 +355,6 @@ def _evaluate(nodes: list[tuple], demand: list[dict], trace: Trace) -> list[dict
             body = values[node[3]]
             agg = max if kind == _EV else min
             vals = {t: agg([body[u] for u in pts]) for t, pts in asked.items()}
-        elif kind == _UNTIL:
-            left, right = values[node[3]], values[node[4]]
-            vals = {}
-            for t, steps in asked.items():
-                best = -inf
-                for u, before in steps:
-                    best = max(best, min([right[u]] + [left[v] for v in before]))
-                vals[t] = best
         else:  # _TRUE
             vals = dict.fromkeys(asked, inf)
         values.append(vals)
@@ -407,11 +380,6 @@ def _raise_first_error(nodes: list[tuple], trace: Trace, t: float) -> None:
         elif kind == _EV or kind == _ALW:
             for u in trace.window_times(t + node[1], t + node[2]):
                 visit(node[3], u)
-        elif kind == _UNTIL:
-            for u in trace.window_times(t + node[1], t + node[2]):
-                visit(node[4], u)
-                for v in trace.window_times(t, u):
-                    visit(node[3], v)
         cleared.add((i, t))
 
     visit(len(nodes) - 1, t)
@@ -436,12 +404,6 @@ def bool_sat(phi: StlFormula, trace: Trace, t: float = 0.0) -> bool:
     if isinstance(phi, Always):
         return all(bool_sat(phi.body, trace, u)
                    for u in trace.window_times(t + phi.lo, t + phi.hi))
-    if isinstance(phi, Until):
-        for u in trace.window_times(t + phi.lo, t + phi.hi):
-            if bool_sat(phi.right, trace, u) and \
-               all(bool_sat(phi.left, trace, v) for v in trace.window_times(t, u)):
-                return True
-        return False
     raise TypeError("unknown formula node %r" % (phi,))
 
 
@@ -549,8 +511,8 @@ class SpecSynthesisResult:
     delta_t: float
 
 
-def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
-               delta_t: float = None) -> SpecSynthesisResult:
+def synthesize(config: Configuration, theory: ActionTheory,
+               pmap: PredicateMap) -> SpecSynthesisResult:
     """Nested-Eventually specification for an accomplishable configuration.
 
     The task is normalized into choice-free branches and each is run
@@ -560,8 +522,7 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
     tests stripped.  The result is the disjunction over surviving
     branches.
     """
-    if delta_t is None:
-        delta_t = pmap.delta_t
+    delta_t = pmap.delta_t
     if delta_t <= 0:
         raise StlError("delta_t must be positive")
     memo: dict = {}

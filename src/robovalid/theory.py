@@ -75,6 +75,16 @@ class DerivedFluentDef:
     arity: int
     closure_of: str  # transitive closure of this primitive fluent
 
+    def check(self, predicates: dict[str, PredicateDecl]) -> None:
+        """A closure is binary, over a declared binary primitive fluent."""
+        if self.arity != 2:
+            raise TheoryError("closure %s must have arity 2, not %d"
+                              % (self.fluent, self.arity))
+        base = predicates.get(self.closure_of)
+        if base is None or base.kind != "primitive" or base.arity != 2:
+            raise TheoryError("%s is a closure of %s, which is not a declared "
+                              "binary primitive fluent" % (self.fluent, self.closure_of))
+
 
 @dataclass(frozen=True)
 class GrammarRule:
@@ -99,12 +109,8 @@ class ActionTheory:
             decl = self.predicates.get(name)
             if decl is None or decl.kind != "primitive":
                 raise TheoryError("successor axiom for non-primitive fluent %s" % name)
-        for name, d in self.derived.items():
-            base = self.predicates.get(d.closure_of)
-            if base is None or base.kind != "primitive":
-                raise TheoryError(
-                    "%s is a closure of undeclared or non-primitive %s"
-                    % (name, d.closure_of))
+        for d in self.derived.values():
+            d.check(self.predicates)
         for f in self.primitive_fluents():
             if f not in self.successor:
                 raise TheoryError("primitive fluent %s has no successor axiom" % f)
@@ -114,9 +120,6 @@ class ActionTheory:
 
     def derived_fluents(self) -> list[str]:
         return sorted(n for n, d in self.predicates.items() if d.kind == "derived")
-
-    def rigid_predicates(self) -> list[str]:
-        return sorted(n for n, d in self.predicates.items() if d.kind == "rigid")
 
     def ground_atoms(self, fluent: str) -> list[GroundAtom]:
         arity = self.predicates[fluent].arity
@@ -159,9 +162,6 @@ class WorldState:
 
     def holds(self, atom: GroundAtom) -> bool:
         return atom in self.true_atoms
-
-    def sorted_atoms(self) -> list[GroundAtom]:
-        return sorted(self.true_atoms)
 
 
 class StateView:
@@ -364,6 +364,7 @@ def load_model(path) -> ActionTheory:
     rigid_truths: set[tuple[str, tuple[str, ...]]] = set()
     grammar: list[GrammarRule] = []
     pending: list[tuple[int, str, str]] = []
+    closure_lines: dict[str, int] = {}
 
     with open(path) as fh:
         raw_lines = fh.readlines()
@@ -393,6 +394,7 @@ def load_model(path) -> ActionTheory:
                 elif len(parts) >= 3 and parts[1] == "closure-of":
                     predicates[name] = PredicateDecl(name, arity, "derived")
                     derived[name] = DerivedFluentDef(name, arity, closure_of=parts[2])
+                    closure_lines[name] = lineno
                 else:
                     raise TheoryError("bad fluent declaration %r" % rest)
             elif key in ("op", "successor", "init", "grammar"):
@@ -402,6 +404,12 @@ def load_model(path) -> ActionTheory:
         except TheoryError as exc:
             raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
 
+    # the base may be declared after the closure, so check once all are read
+    for name, lineno in closure_lines.items():
+        try:
+            derived[name].check(predicates)
+        except TheoryError as exc:
+            raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
     if not objects:
         raise TheoryError("%s: no objects declared" % path)
     parser = FormulaParser(objects)

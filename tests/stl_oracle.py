@@ -9,7 +9,7 @@ and shallow formulas only.
 
 from robovalid.stl import (
     Always, Atom, Eventually, RobustnessResult, SAnd, SNot, SOr, STrue,
-    StlFormula, Trace, TruncationError, Until,
+    StlFormula, Trace, TruncationError,
 )
 
 
@@ -42,16 +42,4 @@ def _rho(phi: StlFormula, trace: Trace, t: float) -> RobustnessResult:
         agg = max if isinstance(phi, Eventually) else min
         return RobustnessResult(agg(r.value for r in rs),
                                 truncated or any(r.truncated for r in rs))
-    if isinstance(phi, Until):
-        lo, hi = t + phi.lo, t + phi.hi
-        pts = trace.window_times(lo, hi)
-        truncated = hi > trace.end
-        best = float("-inf")
-        for u in pts:
-            right = _rho(phi.right, trace, u)
-            lefts = [_rho(phi.left, trace, v) for v in trace.window_times(t, u)]
-            inner = min([right.value] + [r.value for r in lefts])
-            truncated = truncated or right.truncated or any(r.truncated for r in lefts)
-            best = max(best, inner)
-        return RobustnessResult(best, truncated)
     raise TypeError("unknown formula node %r" % (phi,))

@@ -74,6 +74,34 @@ def test_knob_override_rejects_unknown(tmp_path):
               "--knob", "noSuchKnob=1", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("knob", ["doorTorqueLimit=5", "doorTorqueLimit=1.5:0.2",
+                                  "timingScale=-1", "doorTorqueLimit=abc"])
+def test_knob_override_checked_like_scenario_file(tmp_path, capsys, knob):
+    """An override outside the knob's legal range, reversed or not a number
+    is a usage error that names the knob."""
+    with pytest.raises(SystemExit) as e:
+        main(["validate", "--model", KITCHEN, "--depth", "4",
+              "--strength", "1", "--pmap", PMAP, "--scenario", SCENARIO,
+              "--knob", knob, "--out", str(tmp_path)])
+    assert e.value.code == 2
+    assert knob.partition("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--depth", "2", "--strength", "abc"],
+    ["generate", "--depth", "2", "--strength", "0"],
+    ["generate", "--depth", "2", "--strength", "-1"],
+    ["generate", "--depth", "0"],
+    ["enumerate", "--depth", "0"],
+], ids=" ".join)
+def test_bad_depth_or_strength_is_usage_error(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path)] if argv[0] == "generate" else []
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--model", KITCHEN] + out)
+    assert e.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_falsify_consumes_generated_configs(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["generate", "--model", KITCHEN, "--depth", "4",

@@ -121,6 +121,14 @@ def test_coverable_tuples_only_from_valid_rows(put_model, put_valid):
     assert d1_vals == {"r_t1"}
 
 
+def test_strength_above_parameter_count_covers_whole_rows(put_model, put_valid):
+    """With 7 parameters, strength 8 asks for every row, whole."""
+    assert len(put_model.parameters) == 7
+    assert generate_covering_array(put_model, 8, put_valid) == put_valid
+    assert verify_covering_array(put_model, put_valid, 8, put_valid)
+    assert not verify_covering_array(put_model, put_valid[:1], 8, put_valid)
+
+
 def test_bad_strength_rejected(put_model):
     with pytest.raises(CtError):
         generate_covering_array(put_model, 0)

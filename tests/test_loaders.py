@@ -35,6 +35,9 @@ BASES = {
     ("kitchen4.sc", "rigid: Foo"),
     ("kitchen4.sc", "rigid: Foo/x"),
     ("kitchen4.sc", "fluent: Loc"),
+    # a closure must be binary, over a binary primitive fluent
+    ("kitchen4.sc", "fluent: In/2 closure-of IsOpen"),
+    ("kitchen4.sc", "fluent: In/3 closure-of Loc"),
     ("kitchen4.pmap", "deltat: x"),
     ("kitchen4.pmap", "pmap: Foo"),
     ("kitchen4.pmap", "pmap: Foo := s > 1"),

@@ -9,7 +9,7 @@ import stl_oracle
 from robovalid import stl
 from robovalid.stl import (
     Always, Atom, Eventually, RobustnessResult, SAnd, SNot, SOr, STrue,
-    StlError, Trace, TruncationError, Until, bool_sat, chi, format_stl,
+    StlError, Trace, TruncationError, bool_sat, chi, format_stl,
     load_pmap, robustness, synthesize,
 )
 from robovalid.tasks import format_task
@@ -39,17 +39,6 @@ def test_window_endpoint_sampling():
     assert r.value == -1.0
     r2 = robustness(Always(0.25, 0.75, Atom("x", ">", 0.0)), tr)
     assert r2.value == 4.0  # window strictly inside the first segment
-
-
-def test_until_semantics():
-    tr = mono_trace(1, 1, -5, 9)
-    phi = Until(0.0, 3.0, Atom("x", ">", 0.0), Atom("x", ">", 5.0))
-    # x>0 breaks at t=2 before x>5 holds; best candidate is t'=0 at -4
-    assert robustness(phi, tr).value == -4.0
-    assert not bool_sat(phi, tr)
-    tr2 = mono_trace(1, 1, 9, -5)
-    assert robustness(phi, tr2).value > 0
-    assert bool_sat(phi, tr2)
 
 
 def test_truncation_flag_and_error():
@@ -148,7 +137,7 @@ def rich_formulas(draw, trace, depth=3):
     """Every formula node kind, windows with non-zero starts, empty
     conjunctions and disjunctions, and thresholds equal to trace samples.
     Rarely, an atom names a signal the trace does not have."""
-    leaf = st.integers(0, 9) if depth == 0 else st.integers(0, 16)
+    leaf = st.integers(0, 9) if depth == 0 else st.integers(0, 14)
     kind = draw(leaf)
     if kind == 0:
         return STrue()
@@ -169,9 +158,7 @@ def rich_formulas(draw, trace, depth=3):
     hi = lo + draw(st.sampled_from((0.0, 0.3, 0.5, 1.0, 1.5, 2.5)))
     if kind == 13:
         return Eventually(lo, hi, draw(sub))
-    if kind == 14:
-        return Always(lo, hi, draw(sub))
-    return Until(lo, hi, draw(sub), draw(sub))
+    return Always(lo, hi, draw(sub))
 
 
 def _outcome(evaluate, phi, trace, t):
@@ -209,7 +196,6 @@ ZERO_TIE_FORMULAS = [
     SOr((SNot(Atom("x", ">=", 0.0)), Atom("x", "<=", -0.0))),
     # the two atoms differ only in the sign of their zero threshold
     SOr((SAnd((Atom("x", ">", -0.0), Atom("y", ">", 100.0))), Atom("x", ">", 0.0))),
-    Until(0.0, 2.0, SNot(Atom("x", "<=", 0.0)), Atom("x", ">=", -0.0)),
 ]
 
 
