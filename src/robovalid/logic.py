@@ -12,7 +12,7 @@ three-valued logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Union
 
 
 class LogicError(Exception):
@@ -220,11 +220,6 @@ def disj(parts) -> Formula:
     return out
 
 
-def situation_terms(phi: Formula) -> set[SitTerm]:
-    """All situation terms attached to fluent atoms in phi."""
-    return {a.sit for a in atoms(phi) if isinstance(a, Fluent)}
-
-
 _ATOMS = (TrueF, FalseF, Rigid, Fluent, Eq, OpEq)
 
 
@@ -266,86 +261,72 @@ def map_atoms(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute(phi: Formula, var: str, value: Union[Obj, Var, SitTerm]) -> Formula:
-    """Replace every free occurrence of `var` in phi by `value`.
+def substitute(phi: Formula, var: str, value: Union[Term, SitTerm]) -> Formula:
+    """Replace every free occurrence of `var` in phi by `value`."""
+    return substitute_all(phi, {var: value})
 
-    Object variables accept object constants or other object variables;
-    situation variables accept only situation terms.  Bound occurrences
-    are untouched.
+
+def substitute_all(phi: Formula, values: Mapping[str, Union[Term, SitTerm]]) -> Formula:
+    """Replace every free occurrence of each variable named in `values`
+    by its value, all at once, so a value put in is never substituted
+    again.
+
+    Object variables take object constants or object variables, and
+    situation variables take situation terms; a value of the other sort
+    in a slot is a SubstitutionError.  Bound occurrences are untouched.
     """
-    if isinstance(value, (Obj, Var)):
-        return _subst_obj(phi, var, value)
-    if isinstance(value, (SitConst, SitVar, Do)):
-        return _subst_sit(phi, var, value)
-    raise SubstitutionError("cannot substitute value of type %s" % type(value).__name__)
+    for value in values.values():
+        if not isinstance(value, (Obj, Var, SitConst, SitVar, Do)):
+            raise SubstitutionError("cannot substitute value of type %s"
+                                    % type(value).__name__)
 
-
-def _subst_term(t: Term, var: str, value: Term) -> Term:
-    if isinstance(t, Var) and t.name == var:
-        return value
-    return t
-
-
-def _subst_obj(phi: Formula, var: str, value: Term) -> Formula:
-    def sub_args(args):
-        return tuple(_subst_term(a, var, value) for a in args)
-
-    def sub_sit(s: SitTerm) -> SitTerm:
-        if isinstance(s, Do):
-            return Do(OpTerm(s.op.name, sub_args(s.op.args)), sub_sit(s.prev))
-        if isinstance(s, (SitVar, SitConst)) and s.name == var:
-            raise SubstitutionError(
-                "object constant %s substituted into situation slot %s" % (value, var))
-        return s
-
-    if isinstance(phi, (TrueF, FalseF)):
-        return phi
-    if isinstance(phi, Rigid):
-        return Rigid(phi.name, sub_args(phi.args))
-    if isinstance(phi, Fluent):
-        return Fluent(phi.name, sub_args(phi.args), sub_sit(phi.sit))
-    if isinstance(phi, Eq):
-        return Eq(_subst_term(phi.left, var, value), _subst_term(phi.right, var, value))
-    if isinstance(phi, OpEq):
-        return OpEq(phi.name, sub_args(phi.args))
-    if isinstance(phi, Not):
-        return Not(_subst_obj(phi.body, var, value))
-    if isinstance(phi, _BINARY):
-        return type(phi)(_subst_obj(phi.left, var, value), _subst_obj(phi.right, var, value))
-    if isinstance(phi, _QUANT):
-        if phi.var == var:
-            return phi
-        return type(phi)(phi.var, _subst_obj(phi.body, var, value))
-    raise ModelError("unknown formula node: %r" % (phi,))
-
-
-def _subst_sit(phi: Formula, var: str, value: SitTerm) -> Formula:
-    def sub_sit(s: SitTerm) -> SitTerm:
-        if isinstance(s, (SitVar, SitConst)) and s.name == var:
+    def term(t: Term, values) -> Term:
+        if isinstance(t, Var) and t.name in values:
+            value = values[t.name]
+            if not isinstance(value, (Obj, Var)):
+                raise SubstitutionError("situation term %s substituted into "
+                                        "object slot %s" % (value, t.name))
             return value
+        return t
+
+    def terms(args: tuple[Term, ...], values) -> tuple[Term, ...]:
+        return tuple(term(a, values) for a in args)
+
+    def sit(s: SitTerm, values) -> SitTerm:
         if isinstance(s, Do):
-            return Do(s.op, sub_sit(s.prev))
+            return Do(OpTerm(s.op.name, terms(s.op.args, values)), sit(s.prev, values))
+        if s.name in values:
+            value = values[s.name]
+            if isinstance(value, (Obj, Var)):
+                raise SubstitutionError("object term %s substituted into "
+                                        "situation slot %s" % (value, s.name))
+            return value
         return s
 
-    if isinstance(phi, (TrueF, FalseF, Rigid, OpEq)):
-        return phi
-    if isinstance(phi, Eq):
-        for t in (phi.left, phi.right):
-            if isinstance(t, Var) and t.name == var:
-                raise SubstitutionError(
-                    "situation term substituted into object slot %s" % var)
-        return phi
-    if isinstance(phi, Fluent):
-        return Fluent(phi.name, phi.args, sub_sit(phi.sit))
-    if isinstance(phi, Not):
-        return Not(_subst_sit(phi.body, var, value))
-    if isinstance(phi, _BINARY):
-        return type(phi)(_subst_sit(phi.left, var, value), _subst_sit(phi.right, var, value))
-    if isinstance(phi, _QUANT):
-        if phi.var == var:
-            return phi
-        return type(phi)(phi.var, _subst_sit(phi.body, var, value))
-    raise ModelError("unknown formula node: %r" % (phi,))
+    def walk(f: Formula, values) -> Formula:
+        if isinstance(f, Not):
+            return Not(walk(f.body, values))
+        if isinstance(f, _BINARY):
+            return type(f)(walk(f.left, values), walk(f.right, values))
+        if isinstance(f, _QUANT):
+            if f.var in values:
+                values = {k: v for k, v in values.items() if k != f.var}
+                if not values:
+                    return f
+            return type(f)(f.var, walk(f.body, values))
+        if isinstance(f, Rigid):
+            return Rigid(f.name, terms(f.args, values))
+        if isinstance(f, Fluent):
+            return Fluent(f.name, terms(f.args, values), sit(f.sit, values))
+        if isinstance(f, Eq):
+            return Eq(term(f.left, values), term(f.right, values))
+        if isinstance(f, OpEq):
+            return OpEq(f.name, terms(f.args, values))
+        if isinstance(f, (TrueF, FalseF)):
+            return f
+        raise ModelError("unknown formula node: %r" % (f,))
+
+    return walk(phi, values) if values else phi
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +494,17 @@ def check_axioms(world, axioms, sit: SitTerm) -> bool:
 
 
 def anchor(phi: Formula, sit: SitTerm) -> Formula:
-    """Replace every free situation variable in phi by `sit`."""
-    for sv in _free_sit_vars(phi):
-        phi = substitute(phi, sv, sit)
-    return phi
+    """Replace the situation variable at the root of each fluent's
+    situation term by `sit`."""
+    def root(s: SitTerm) -> SitTerm:
+        if isinstance(s, Do):
+            return Do(s.op, root(s.prev))
+        return sit if isinstance(s, SitVar) else s
 
+    def atom(a: Formula) -> Formula:
+        return Fluent(a.name, a.args, root(a.sit)) if isinstance(a, Fluent) else a
 
-def _free_sit_vars(phi: Formula) -> set[str]:
-    out = set()
-    for s in situation_terms(phi):
-        while isinstance(s, Do):
-            s = s.prev
-        if isinstance(s, SitVar):
-            out.add(s.name)
-    return out
+    return map_atoms(phi, atom)
 
 
 # ---------------------------------------------------------------------------

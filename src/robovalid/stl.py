@@ -441,8 +441,9 @@ class PredicateMap:
 
 
 def load_pmap(path) -> PredicateMap:
-    """File format: `pmap: Fluent(a,b) := signal_{a}_{b} <cmp> <threshold>`
-    lines plus one `deltat: <seconds>` line.  '#' starts a comment."""
+    """File format: one `pmap: Fluent(a,b) := signal_{a}_{b} <cmp> <threshold>`
+    line per fluent family plus one `deltat: <seconds>` line.  '#' starts
+    a comment."""
     templates: dict[str, PredicateTemplate] = {}
     delta_t = None
     with open(path) as f:
@@ -456,6 +457,8 @@ def load_pmap(path) -> PredicateMap:
                     raise StlError("missing ':'")
                 key, rest = key.strip(), rest.strip()
                 if key == "deltat":
+                    if delta_t is not None:
+                        raise StlError("second deltat line")
                     delta_t = float(rest)
                     if not 0 < delta_t < math.inf:
                         raise StlError("deltat must be positive and finite")
@@ -465,6 +468,8 @@ def load_pmap(path) -> PredicateMap:
                         raise StlError("expected 'Fluent(a,b) := <signal> <cmp> "
                                        "<threshold>'")
                     name, params = parse_ground_atom(head.strip())
+                    if name in templates:
+                        raise StlError("second pmap line for %s" % name)
                     toks = expr.split()
                     if len(toks) != 3 or toks[1] not in _COMPARATORS:
                         raise StlError("expected '<signal> <cmp> <threshold>'")

@@ -22,8 +22,8 @@ from .logic import (
     format_formula, tokenize,
 )
 from .theory import (
-    ActionTheory, GrammarRule, GroundOp, StateView, WorldState, possible,
-    progress,
+    ActionTheory, GrammarRule, GroundOp, PreconditionViolation, StateView,
+    WorldState, progress,
 )
 
 
@@ -175,9 +175,10 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
 def _run_atom(theory: ActionTheory, state: WorldState,
               atom: Task) -> Optional[WorldState]:
     if isinstance(atom, Op):
-        if possible(theory, state, atom.op):
+        try:
             return progress(theory, state, atom.op)
-        return None
+        except PreconditionViolation:
+            return None
     if isinstance(atom, Test):
         if evaluate(StateView(theory, state), anchor(atom.formula, S0)):
             return state
@@ -206,14 +207,12 @@ class Derivation:
 
 
 class Grammar:
-    """A set of rules plus the start symbol (the first rule's left side)."""
+    """A set of rules with distinct ids, as `theory.load_model` checks, plus
+    the start symbol (the first rule's left side)."""
 
     def __init__(self, rules: list[GrammarRule]):
         if not rules:
             raise ValueError("empty grammar")
-        ids = [r.id for r in rules]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate grammar rule ids")
         self.rules = list(rules)
         self.start = rules[0].lhs
         self.nonterminals = {r.lhs for r in rules}

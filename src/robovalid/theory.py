@@ -14,12 +14,21 @@ from typing import Iterator
 from .logic import (
     FALSE, Eq, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE, P_TRUE, PEq,
     PFormula, ParseError, Rigid, S0, SitTerm, FormulaParser, anchor,
-    check_axioms, conj, evaluate, ground, map_atoms, peval, substitute,
+    check_axioms, conj, evaluate, ground, map_atoms, peval, substitute_all,
 )
 
 
 class TheoryError(Exception):
     """Malformed action theory or model file."""
+
+
+class DeclarationError(TheoryError):
+    """A declaration the others contradict.  `key` is its section and
+    name, such as ("successor", "Loc"), so a loader can name its line."""
+
+    def __init__(self, key: tuple[str, str], message: str):
+        super().__init__(message)
+        self.key = key
 
 
 class PreconditionViolation(Exception):
@@ -78,12 +87,14 @@ class DerivedFluentDef:
     def check(self, predicates: dict[str, PredicateDecl]) -> None:
         """A closure is binary, over a declared binary primitive fluent."""
         if self.arity != 2:
-            raise TheoryError("closure %s must have arity 2, not %d"
-                              % (self.fluent, self.arity))
+            raise DeclarationError(("predicate", self.fluent),
+                                   "closure %s must have arity 2, not %d"
+                                   % (self.fluent, self.arity))
         base = predicates.get(self.closure_of)
         if base is None or base.kind != "primitive" or base.arity != 2:
-            raise TheoryError("%s is a closure of %s, which is not a declared "
-                              "binary primitive fluent" % (self.fluent, self.closure_of))
+            raise DeclarationError(("predicate", self.fluent),
+                                   "%s is a closure of %s, which is not a declared "
+                                   "binary primitive fluent" % (self.fluent, self.closure_of))
 
 
 @dataclass(frozen=True)
@@ -105,15 +116,17 @@ class ActionTheory:
     grammar: list[GrammarRule] = field(default_factory=list)
 
     def __post_init__(self):
-        for name, sa in self.successor.items():
+        for name in self.successor:
             decl = self.predicates.get(name)
             if decl is None or decl.kind != "primitive":
-                raise TheoryError("successor axiom for non-primitive fluent %s" % name)
+                raise DeclarationError(("successor", name), "successor axiom for "
+                                       "non-primitive fluent %s" % name)
         for d in self.derived.values():
             d.check(self.predicates)
         for f in self.primitive_fluents():
             if f not in self.successor:
-                raise TheoryError("primitive fluent %s has no successor axiom" % f)
+                raise DeclarationError(("predicate", f),
+                                       "primitive fluent %s has no successor axiom" % f)
 
     def primitive_fluents(self) -> list[str]:
         return sorted(n for n, d in self.predicates.items() if d.kind == "primitive")
@@ -248,14 +261,13 @@ def instantiate_op_equalities(phi: Formula, op: GroundOp) -> Formula:
 def instantiate_gamma(gamma: Formula, params: tuple[str, ...],
                       atom_args: tuple[str, ...], op: GroundOp) -> Formula:
     """Instantiate an effect condition for one ground atom and operation."""
-    phi = gamma
-    for p, a in zip(params, atom_args):
-        phi = substitute(phi, p, Obj(a))
+    phi = substitute_all(gamma, dict(zip(params, map(Obj, atom_args))))
     return instantiate_op_equalities(phi, op)
 
 
-def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
-    """Whether `op` is executable in `state` (its precondition holds)."""
+def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
+    """The precondition of a ground operation, at the situation variable
+    of its declaration."""
     decl = theory.operations.get(op.name)
     if decl is None:
         raise TheoryError("undeclared operation %s" % op.name)
@@ -265,18 +277,20 @@ def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
     for a in op.args:
         if a not in theory.objects:
             raise TheoryError("undeclared object %s" % a)
-    phi = decl.precondition
-    for p, a in zip(decl.params, op.args):
-        phi = substitute(phi, p, Obj(a))
-    phi = anchor(phi, S0)
+    return substitute_all(decl.precondition, dict(zip(decl.params, map(Obj, op.args))))
+
+
+def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
+    """Whether `op` is executable in `state` (its precondition holds)."""
+    phi = anchor(instantiate_precondition(theory, op), S0)
     return evaluate(StateView(theory, state), phi)
 
 
 def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldState:
     """Forward state update: new truth is gamma+ or (old and not gamma-)."""
-    if not possible(theory, state, op):
-        raise PreconditionViolation("%s is not possible here" % op)
     view = StateView(theory, state)
+    if not evaluate(view, anchor(instantiate_precondition(theory, op), S0)):
+        raise PreconditionViolation("%s is not possible here" % op)
     new_true: set[GroundAtom] = set()
     for atom in theory.all_primitive_atoms():
         fname, args = atom
@@ -353,7 +367,9 @@ def load_model(path) -> ActionTheory:
     """Parse the line-oriented model file format.
 
     Sections: objects:, rigid:, rigidtrue:, fluent:, op:, successor:,
-    init:, grammar:.  '#' starts a comment.
+    init:, grammar:.  '#' starts a comment.  An object, predicate,
+    operation, successor axiom or grammar rule id declared twice is an
+    error at its second declaration.
     """
     objects: list[str] = []
     predicates: dict[str, PredicateDecl] = {}
@@ -364,7 +380,13 @@ def load_model(path) -> ActionTheory:
     rigid_truths: set[tuple[str, tuple[str, ...]]] = set()
     grammar: list[GrammarRule] = []
     pending: list[tuple[int, str, str]] = []
-    closure_lines: dict[str, int] = {}
+    lines: dict[tuple[str, str], int] = {}  # (section, name) -> its line
+
+    def declare(section: str, name: str, lineno: int) -> None:
+        if (section, name) in lines:
+            raise TheoryError("%s %s is already declared on line %d"
+                              % (section, name, lines[(section, name)]))
+        lines[(section, name)] = lineno
 
     with open(path) as fh:
         raw_lines = fh.readlines()
@@ -379,9 +401,12 @@ def load_model(path) -> ActionTheory:
                 raise TheoryError("missing section keyword")
             key, rest = key.strip(), rest.strip()
             if key == "objects":
-                objects.extend(rest.split())
+                for name in rest.split():
+                    declare("object", name, lineno)
+                    objects.append(name)
             elif key == "rigid":
                 name, arity = _parse_declaration(rest)
+                declare("predicate", name, lineno)
                 predicates[name] = PredicateDecl(name, arity, "rigid")
             elif key == "rigidtrue":
                 for atom in rest.split():
@@ -389,12 +414,12 @@ def load_model(path) -> ActionTheory:
             elif key == "fluent":
                 parts = rest.split() or [""]
                 name, arity = _parse_declaration(parts[0])
+                declare("predicate", name, lineno)
                 if len(parts) >= 2 and parts[1] == "primitive":
                     predicates[name] = PredicateDecl(name, arity, "primitive")
                 elif len(parts) >= 3 and parts[1] == "closure-of":
                     predicates[name] = PredicateDecl(name, arity, "derived")
                     derived[name] = DerivedFluentDef(name, arity, closure_of=parts[2])
-                    closure_lines[name] = lineno
                 else:
                     raise TheoryError("bad fluent declaration %r" % rest)
             elif key in ("op", "successor", "init", "grammar"):
@@ -404,12 +429,6 @@ def load_model(path) -> ActionTheory:
         except TheoryError as exc:
             raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
 
-    # the base may be declared after the closure, so check once all are read
-    for name, lineno in closure_lines.items():
-        try:
-            derived[name].check(predicates)
-        except TheoryError as exc:
-            raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
     if not objects:
         raise TheoryError("%s: no objects declared" % path)
     parser = FormulaParser(objects)
@@ -418,12 +437,14 @@ def load_model(path) -> ActionTheory:
         try:
             if key == "op":
                 head, pre = rest.split("pre:", 1)
-                name, params = parse_ground_atom(head.strip())
+                name, params = _parse_head(head)
+                declare("op", name, lineno)
                 operations[name] = OperationDecl(name, params, parser.parse(pre))
             elif key == "successor":
                 head, tail = rest.split("plus:", 1)
                 plus_text, minus_text = tail.split("minus:", 1)
-                name, params = parse_ground_atom(head.strip())
+                name, params = _parse_head(head)
+                declare("successor", name, lineno)
                 successor[name] = SuccessorAxiom(
                     name, params, parser.parse(plus_text), parser.parse(minus_text))
             elif key == "init":
@@ -431,20 +452,35 @@ def load_model(path) -> ActionTheory:
             elif key == "grammar":
                 rid, rule = rest.split(":", 1)
                 lhs, rhs = rule.split("::=", 1)
+                declare("grammar rule", rid.strip(), lineno)
                 grammar.append(GrammarRule(rid.strip(), lhs.strip(), tuple(rhs.split())))
         except (ValueError, ParseError, TheoryError) as exc:
             raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
 
-    return ActionTheory(
-        objects=tuple(objects),
-        predicates=predicates,
-        operations=operations,
-        successor=successor,
-        derived=derived,
-        init_axioms=init_axioms,
-        rigid_truths=frozenset(rigid_truths),
-        grammar=grammar,
-    )
+    # a closure's base and a fluent's successor axiom may come after it, so
+    # the declarations are checked against each other once all are read
+    try:
+        return ActionTheory(
+            objects=tuple(objects),
+            predicates=predicates,
+            operations=operations,
+            successor=successor,
+            derived=derived,
+            init_axioms=init_axioms,
+            rigid_truths=frozenset(rigid_truths),
+            grammar=grammar,
+        )
+    except DeclarationError as exc:
+        raise TheoryError("%s:%d: %s" % (path, lines[exc.key], exc)) from exc
+
+
+def _parse_head(text: str) -> tuple[str, tuple[str, ...]]:
+    """`name(x,y)`, the head of an operation or successor axiom, whose
+    parameters are distinct."""
+    name, params = parse_ground_atom(text.strip())
+    if len(set(params)) != len(params):
+        raise TheoryError("repeated parameter in %s" % text.strip())
+    return name, params
 
 
 def _parse_declaration(text: str) -> tuple[str, int]:

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from .logic import (
     And, Do, Exists, Fluent, Forall, Formula, Iff, Implies, Not, Obj, Or, S0,
     SitVar, Var, LogicError, anchor, conj, disj, evaluate, fold, map_atoms,
-    substitute,
+    substitute, substitute_all,
 )
 from .theory import (
     ActionTheory, GroundOp, StateView, WorldState, instantiate_op_equalities,
+    instantiate_precondition,
 )
 from .tasks import Choice, Nil, Op, Seq, Task, Test
 
@@ -31,7 +32,8 @@ def unfold_derived(phi: Formula, theory: ActionTheory) -> Formula:
     """Replace derived-fluent atoms by formulas over primitive fluents.
 
     A transitive closure is expanded exactly by bounding chains at
-    |objects| - 1 compositions.
+    |objects| - 1 compositions.  The chain variables are the first of
+    _c1, _c2, ... that the atom's arguments do not name.
     """
     def unfold(a: Formula) -> Formula:
         if not (isinstance(a, Fluent) and a.name in theory.derived):
@@ -39,9 +41,11 @@ def unfold_derived(phi: Formula, theory: ActionTheory) -> Formula:
         src, dst = a.args
         base = theory.derived[a.name].closure_of
         hops = max(1, len(theory.objects) - 1)
+        taken = {t.name for t in a.args if isinstance(t, Var)}
+        names = [n for n in ("_c%d" % i for i in range(1, hops + 2)) if n not in taken]
         terms = [Fluent(base, (src, dst), a.sit)]
         for length in range(2, hops + 1):
-            mids = ["_c%d" % i for i in range(1, length)]
+            mids = names[:length - 1]
             chain = [Fluent(base, (src, Var(mids[0])), a.sit)]
             for x, y in zip(mids, mids[1:]):
                 chain.append(Fluent(base, (Var(x), Var(y)), a.sit))
@@ -83,14 +87,25 @@ def regress(phi: Formula, theory: ActionTheory) -> Formula:
 
 
 def _inst(gamma, params, args, op, sit):
-    # the template's own quantified variables get names that no parameter
-    # and no variable fluent argument has, so substituting the arguments
-    # cannot capture them
-    taken = set(params) | {a.name for a in args if isinstance(a, Var)}
-    phi = _rename_bound(gamma, taken)
-    for p, a in zip(params, args):
-        phi = substitute(phi, p, a)
+    # the template's own quantified variables get names that no parameter,
+    # no variable fluent argument and no quantifier of the template has, so
+    # neither substituting the arguments nor renaming an enclosing
+    # quantifier can capture them
+    taken = (set(params) | {a.name for a in args if isinstance(a, Var)}
+             | _bound_names(gamma))
+    phi = substitute_all(_rename_bound(gamma, taken), dict(zip(params, args)))
     return anchor(instantiate_op_equalities(phi, op), sit)
+
+
+def _bound_names(phi: Formula) -> set[str]:
+    """The variables that the quantifiers of phi bind."""
+    if isinstance(phi, (Exists, Forall)):
+        return {phi.var} | _bound_names(phi.body)
+    if isinstance(phi, (And, Or, Implies, Iff)):
+        return _bound_names(phi.left) | _bound_names(phi.right)
+    if isinstance(phi, Not):
+        return _bound_names(phi.body)
+    return set()
 
 
 def _rename_bound(phi: Formula, taken: set[str], depth: int = 1) -> Formula:
@@ -112,11 +127,7 @@ def _rename_bound(phi: Formula, taken: set[str], depth: int = 1) -> Formula:
 def poss_formula(theory: ActionTheory, op: GroundOp) -> Formula:
     """The defining executability condition of a ground operation at s,
     with derived fluents unfolded."""
-    decl = theory.operations[op.name]
-    phi = decl.precondition
-    for p, a in zip(decl.params, op.args):
-        phi = substitute(phi, p, Obj(a))
-    return unfold_derived(anchor(phi, SIT), theory)
+    return unfold_derived(anchor(instantiate_precondition(theory, op), SIT), theory)
 
 
 @dataclass(frozen=True)

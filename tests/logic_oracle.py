@@ -1,4 +1,10 @@
-"""Reference formula evaluator and world for differential tests.
+"""Reference formula evaluator, substitution and world for differential
+tests.
+
+`substitute` is the substitution that `robovalid.logic.substitute_all`
+replaced: one walk per sort, replacing one variable at a time.  A
+situation term put into an object variable is an error only in an
+equality; `substitute_all` rejects it in every object slot.
 
 `evaluate3` is the recursive Kleene evaluator that `robovalid.logic.
 ground` plus `robovalid.logic.peval` replaced: it rebuilds the body with
@@ -11,12 +17,16 @@ gives classical two-valued evaluation.
 can read; the package reads world states through `theory.StateView`.
 """
 
-from typing import Optional
+from typing import Optional, Union
 
 from robovalid.logic import (
-    And, Eq, Exists, FalseF, Fluent, Forall, Formula, Iff, Implies, LogicError,
-    ModelError, Not, Obj, OpEq, Or, Rigid, SitTerm, Term, TrueF, substitute,
+    And, Do, Eq, Exists, FalseF, Fluent, Forall, Formula, Iff, Implies,
+    LogicError, ModelError, Not, Obj, OpEq, OpTerm, Or, Rigid, SitConst,
+    SitTerm, SitVar, SubstitutionError, Term, TrueF, Var,
 )
+
+_BINARY = (And, Or, Implies, Iff)
+_QUANT = (Exists, Forall)
 
 
 class TotalityError(LogicError):
@@ -60,6 +70,88 @@ class World:
         if v is None:
             raise TotalityError("fluent atom %s%r at %s unassigned" % (name, args, sit))
         return v
+
+
+def substitute(phi: Formula, var: str, value: Union[Obj, Var, SitTerm]) -> Formula:
+    """Replace every free occurrence of `var` in phi by `value`.
+
+    Object variables accept object constants or other object variables;
+    situation variables accept only situation terms.  Bound occurrences
+    are untouched.
+    """
+    if isinstance(value, (Obj, Var)):
+        return _subst_obj(phi, var, value)
+    if isinstance(value, (SitConst, SitVar, Do)):
+        return _subst_sit(phi, var, value)
+    raise SubstitutionError("cannot substitute value of type %s" % type(value).__name__)
+
+
+def _subst_term(t: Term, var: str, value: Term) -> Term:
+    if isinstance(t, Var) and t.name == var:
+        return value
+    return t
+
+
+def _subst_obj(phi: Formula, var: str, value: Term) -> Formula:
+    def sub_args(args):
+        return tuple(_subst_term(a, var, value) for a in args)
+
+    def sub_sit(s: SitTerm) -> SitTerm:
+        if isinstance(s, Do):
+            return Do(OpTerm(s.op.name, sub_args(s.op.args)), sub_sit(s.prev))
+        if isinstance(s, (SitVar, SitConst)) and s.name == var:
+            raise SubstitutionError(
+                "object constant %s substituted into situation slot %s" % (value, var))
+        return s
+
+    if isinstance(phi, (TrueF, FalseF)):
+        return phi
+    if isinstance(phi, Rigid):
+        return Rigid(phi.name, sub_args(phi.args))
+    if isinstance(phi, Fluent):
+        return Fluent(phi.name, sub_args(phi.args), sub_sit(phi.sit))
+    if isinstance(phi, Eq):
+        return Eq(_subst_term(phi.left, var, value), _subst_term(phi.right, var, value))
+    if isinstance(phi, OpEq):
+        return OpEq(phi.name, sub_args(phi.args))
+    if isinstance(phi, Not):
+        return Not(_subst_obj(phi.body, var, value))
+    if isinstance(phi, _BINARY):
+        return type(phi)(_subst_obj(phi.left, var, value), _subst_obj(phi.right, var, value))
+    if isinstance(phi, _QUANT):
+        if phi.var == var:
+            return phi
+        return type(phi)(phi.var, _subst_obj(phi.body, var, value))
+    raise ModelError("unknown formula node: %r" % (phi,))
+
+
+def _subst_sit(phi: Formula, var: str, value: SitTerm) -> Formula:
+    def sub_sit(s: SitTerm) -> SitTerm:
+        if isinstance(s, (SitVar, SitConst)) and s.name == var:
+            return value
+        if isinstance(s, Do):
+            return Do(s.op, sub_sit(s.prev))
+        return s
+
+    if isinstance(phi, (TrueF, FalseF, Rigid, OpEq)):
+        return phi
+    if isinstance(phi, Eq):
+        for t in (phi.left, phi.right):
+            if isinstance(t, Var) and t.name == var:
+                raise SubstitutionError(
+                    "situation term substituted into object slot %s" % var)
+        return phi
+    if isinstance(phi, Fluent):
+        return Fluent(phi.name, phi.args, sub_sit(phi.sit))
+    if isinstance(phi, Not):
+        return Not(_subst_sit(phi.body, var, value))
+    if isinstance(phi, _BINARY):
+        return type(phi)(_subst_sit(phi.left, var, value), _subst_sit(phi.right, var, value))
+    if isinstance(phi, _QUANT):
+        if phi.var == var:
+            return phi
+        return type(phi)(phi.var, _subst_sit(phi.body, var, value))
+    raise ModelError("unknown formula node: %r" % (phi,))
 
 
 def _ground_names(args: tuple[Term, ...]) -> tuple[str, ...]:

@@ -35,12 +35,29 @@ BASES = {
     ("kitchen4.sc", "rigid: Foo"),
     ("kitchen4.sc", "rigid: Foo/x"),
     ("kitchen4.sc", "fluent: Loc"),
-    # a closure must be binary, over a binary primitive fluent
+    # a closure must be binary, over a binary primitive fluent; kitchen4.sc
+    # already declares In, so the In lines are also second declarations
     ("kitchen4.sc", "fluent: In/2 closure-of IsOpen"),
     ("kitchen4.sc", "fluent: In/3 closure-of Loc"),
+    ("kitchen4.sc", "fluent: Inside/2 closure-of IsOpen"),
+    ("kitchen4.sc", "fluent: Inside/3 closure-of Loc"),
+    # a name declared twice, in any section
+    ("kitchen4.sc", "objects: o_b"),
+    ("kitchen4.sc", "objects: o_c o_c"),
+    ("kitchen4.sc", "rigid: IsOpen/1"),
+    ("kitchen4.sc", "fluent: Placeable/2 primitive"),
+    ("kitchen4.sc", "op: open(o) pre: true"),
+    ("kitchen4.sc", "successor: IsOpen(o) plus: false minus: false"),
+    ("kitchen4.sc", "grammar: r_act: T ::= A"),
+    ("kitchen4.sc", "op: swap(o,o) pre: true"),
+    # declarations that contradict the others name their own line
+    ("kitchen4.sc", "fluent: Door/0 primitive"),
+    ("kitchen4.sc", "successor: Door() plus: false minus: false"),
     ("kitchen4.pmap", "deltat: x"),
+    ("kitchen4.pmap", "deltat: 1.0"),
     ("kitchen4.pmap", "pmap: Foo"),
     ("kitchen4.pmap", "pmap: Foo := s > 1"),
+    ("kitchen4.pmap", "pmap: IsOpen(a) := DoorAngle_{a} > 70"),
     ("trace.csv", "0.5,abc"),
     ("configs.jsonl", "not json"),
     ("configs.jsonl", '{"fluents": []}'),

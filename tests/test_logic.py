@@ -9,7 +9,7 @@ from robovalid.logic import (
     And, Do, Eq, Exists, FALSE, Fluent, Forall, Iff, Implies, Not, Obj,
     OpTerm, Or, P_FALSE, P_TRUE, PEq, Rigid, S0, SitVar,
     SubstitutionError, TRUE, Var, evaluate, fold, format_formula, ground,
-    parse_formula, peval, substitute,
+    parse_formula, peval, substitute, substitute_all,
 )
 
 OBJECTS = ("o_b", "o_p", "o_m", "o_t")
@@ -72,6 +72,16 @@ def test_substitute_sort_errors():
     with pytest.raises(SubstitutionError):
         # object constant into a situation slot
         substitute(parse_formula("IsOpen(o_m)@s", OBJECTS), "s", Obj("o_b"))
+
+
+def test_substitute_all_swaps_in_one_step():
+    phi = parse_formula("Loc(o,p)@s & alpha = put(o,p) & (exists p . Loc(o,p)@s)",
+                        OBJECTS)
+    got = substitute_all(phi, {"o": Var("p"), "p": Var("o")})
+    assert got == parse_formula("Loc(p,o)@s & alpha = put(p,o) & "
+                                "(exists p . Loc(p,p)@s)", OBJECTS)
+    # replacing one variable after the other would give Loc(o,o)
+    assert substitute(substitute(phi, "o", Var("p")), "p", Var("o")) != got
 
 
 def test_fold_constants():
@@ -227,3 +237,45 @@ KEYWORDS = {"forall", "exists", "true", "false", "alpha", "do", "s0"}
 def test_format_parse_roundtrip(phi):
     assert not (set(VARIABLES) & (set(OBJECTS) | KEYWORDS))
     assert parse_formula(format_formula(phi), OBJECTS) == phi
+
+
+SIT_TERMS = (S0, SitVar("s"), SitVar("t"),
+             Do(OpTerm("open", (Obj("o_m"),)), SitVar("s")))
+# formulas with free variables: x and y in object slots and in an
+# operation term, s and s0 in situation slots
+open_formulas = formulas(
+    sits=(S0, SitVar("s"), Do(OpTerm("put", (Var("x"), Obj("o_p"))), SitVar("s"))),
+    scope=VARIABLES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(open_formulas, st.sampled_from(VARIABLES + ("s",)),
+       st.sampled_from([Obj(o) for o in OBJECTS] + [Var("x"), Var("z")]
+                       + list(SIT_TERMS)))
+def test_substitute_all_matches_oracle(phi, var, value):
+    """One variable: the same formula as the oracle walk, and an error
+    wherever it raises.  The one difference: a situation term put into
+    an object slot outside an equality is an error only here."""
+    try:
+        want = logic_oracle.substitute(phi, var, value)
+    except SubstitutionError:
+        want = None
+    try:
+        got = substitute_all(phi, {var: value})
+    except SubstitutionError:
+        assert want is None or value in SIT_TERMS
+        return
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_formulas, st.sampled_from([Obj(o) for o in OBJECTS]),
+       st.sampled_from([Obj(o) for o in OBJECTS]),
+       st.sampled_from([S0, Do(OpTerm("open", (Obj("o_m"),)), S0)]))
+def test_substitute_all_of_ground_values_is_sequential(phi, x, y, s):
+    """Values without variables cannot be captured, so putting them in at
+    once equals putting them in one after the other with the oracle."""
+    want = phi
+    for var, value in (("x", x), ("y", y), ("s", s)):
+        want = logic_oracle.substitute(want, var, value)
+    assert substitute_all(phi, {"x": x, "y": y, "s": s}) == want

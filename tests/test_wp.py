@@ -1,12 +1,16 @@
 import random
 
+import pytest
+
 from robovalid.cli import main
 from robovalid.logic import (
     Do, Fluent, Not, Obj, S0, TRUE, evaluate, format_formula, parse_formula,
     substitute,
 )
 from robovalid.tasks import enumerate_derivations, execute, parse_task
-from robovalid.theory import GroundOp, StateView, possible, progress
+from robovalid.theory import (
+    GroundOp, StateView, enumerate_initial_worlds, load_model, possible, progress,
+)
 from robovalid.wp import (
     SIT, holds_at, poss_formula, regress, unfold_derived, wp,
 )
@@ -126,6 +130,42 @@ def test_regression_avoids_capturing_fresh_names(kitchen, kitchen_worlds):
             assert evaluate(StateView(kitchen, w, S0), regr) == after, (text, w)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("text,worlds", [
+    # o and p are the Loc successor axiom's parameters
+    ("[put(o_b,o_m) ; exists p . exists o . Loc(p,o)@s & p = o_b & o = o_m ?]", 3),
+    ("[put(o_b,o_m) ; exists x . exists y . Loc(x,y)@s & x = o_b & y = o_m ?]", 3),
+    # _c1 is the first chain variable of the unfolded closure In
+    ("exists _c1 . In(_c1,o_m)@s & _c1 = o_b ?", 6),
+])
+def test_wp_equals_execution_with_clashing_names(kitchen, kitchen_worlds, text, worlds):
+    """Task variables named like the regression's own variables stay
+    apart from them: the successor axiom's parameters are replaced all at
+    once, and closure chains take names the atom does not use."""
+    tau = parse_task(text, kitchen)
+    phi = wp(TRUE, tau, kitchen).formula
+    got = [holds_at(phi, kitchen, w) for w in kitchen_worlds]
+    assert got == [execute(kitchen, w, tau) for w in kitchen_worlds]
+    assert sum(got) == worlds
+
+
+def test_regression_avoids_capturing_the_axioms_own_names(tmp_path):
+    """An effect condition that binds _g1 inside another quantifier:
+    renaming the outer quantifier to _g1 would capture the inner one."""
+    text = (MODELS / "kitchen4.sc").read_text()
+    old = "minus: exists q . alpha = put(o,q)"
+    assert old in text
+    path = tmp_path / "kitchen4_g1.sc"
+    path.write_text(text.replace(
+        old, "minus: exists q . exists _g1 . alpha = put(o,q) & _g1 != q"))
+    theory = load_model(path)
+    worlds = list(enumerate_initial_worlds(theory))
+    for test in ["Loc(o_b,o_p)@s", "!Loc(o_b,o_p)@s"]:
+        tau = parse_task("[put(o_b,o_m) ; %s ?]" % test, theory)
+        phi = wp(TRUE, tau, theory).formula
+        assert ([holds_at(phi, theory, w) for w in worlds]
+                == [execute(theory, w, tau) for w in worlds])
 
 
 def test_wp_equals_execution_depth4(kitchen, kitchen_grammar, kitchen_worlds):
