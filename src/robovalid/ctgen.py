@@ -16,6 +16,7 @@ describe the same set independently; `check_assignment` and
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -59,7 +60,6 @@ class CtConstraint:
 class CtModel:
     parameters: list[CtParameter]
     constraints: list[CtConstraint]
-    strength: Union[int, str]
     # decode metadata
     theory: ActionTheory = None
     depth: int = 0
@@ -89,13 +89,18 @@ class Configuration:
 
 def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
                 strength: Union[int, str]) -> CtModel:
-    """Assemble parameters and constraints for (initial world, task) pairs."""
+    """Assemble parameters and constraints for (initial world, task) pairs.
+
+    The model does not depend on the coverage `strength`; a bad one is
+    rejected here, before any work, as `generate_covering_array` rejects
+    it.
+    """
+    _check_strength(strength)
     if depth < 1:
         raise CtError("derivation depth must be at least 1")
     worlds = list(enumerate_initial_worlds(theory))
 
-    model = CtModel(parameters=[], constraints=[], strength=strength,
-                    theory=theory, depth=depth)
+    model = CtModel(parameters=[], constraints=[], theory=theory, depth=depth)
     rule_ids = sorted(r.id for r in grammar.rules)
 
     # (c) derivation-step parameters
@@ -205,6 +210,13 @@ def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
                                    for b in branches)]
 
 
+def _check_strength(strength: Union[int, str]) -> None:
+    """Reject a coverage strength that is neither a positive integer nor
+    'full'."""
+    if strength != "full" and (not isinstance(strength, int) or strength < 1):
+        raise CtError("coverage strength must be a positive integer or 'full'")
+
+
 def _pad(steps: tuple[str, ...], depth: int) -> tuple[str, ...]:
     return steps + (EPSILON,) * (depth - len(steps))
 
@@ -293,27 +305,46 @@ def generate_covering_array(model: CtModel, t: Union[int, str],
                             valid: Optional[list[tuple[str, ...]]] = None) -> list[tuple[str, ...]]:
     """Greedy one-row-at-a-time covering array over the valid assignments.
 
-    Among equally covering candidates the lexicographically smallest row
-    wins, so arrays are reproducible across runs and platforms.
+    Each round takes the valid row that covers the most t-tuples not yet
+    covered; among rows of equal gain the one with the lowest index in
+    sorted order wins, so arrays are reproducible across runs and
+    platforms.  `"full"` returns every valid row.
+
+    The choice is made by lazy greedy (Minoux 1978).  Each distinct
+    t-tuple is one bit, each row one int mask of its tuples, and a heap
+    holds (-gain, row index) with gains as last computed.  The top entry's
+    gain is recomputed as `(mask & uncovered).bit_count()`; the row is
+    taken when that entry still sorts no later than the next one, and is
+    pushed back otherwise.  Gains only fall as tuples get covered, so a
+    stale gain bounds the true one and the row taken is the row a full
+    rescan would take.
     """
+    _check_strength(t)
     valid = sorted(enumerate_valid(model)) if valid is None else sorted(valid)
     if t == "full":
         return valid
-    if not isinstance(t, int) or t < 1:
-        raise CtError("coverage strength must be a positive integer or 'full'")
-    tuples = _row_tuples(model, valid, t)
-    uncovered = set().union(*tuples)
+    t = min(t, len(model.parameters))
+    bits: dict[tuple, int] = {}
+    masks: list[int] = []
+    for row in valid:
+        mask = 0
+        for tup in itertools.combinations(tuple(enumerate(row)), t):
+            mask |= 1 << bits.setdefault(tup, len(bits))
+        masks.append(mask)
+    uncovered = (1 << len(bits)) - 1
+    heap = [(-mask.bit_count(), i) for i, mask in enumerate(masks)]
+    heapq.heapify(heap)
     rows: list[tuple[str, ...]] = []
     while uncovered:
-        best_i, best_gain = None, -1
-        for i, rt in enumerate(tuples):
-            gain = len(rt & uncovered)
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_gain <= 0:
+        _, i = heapq.heappop(heap)
+        gain = (masks[i] & uncovered).bit_count()
+        if heap and (-gain, i) > heap[0]:
+            heapq.heappush(heap, (-gain, i))
+            continue
+        if gain == 0:
             raise CtError("uncoverable tuples remain; internal inconsistency")
-        rows.append(valid[best_i])
-        uncovered -= tuples[best_i]
+        rows.append(valid[i])
+        uncovered &= ~masks[i]
     return rows
 
 

@@ -274,27 +274,30 @@ def substitute_all(phi: Formula, values: Mapping[str, Union[Term, SitTerm]]) -> 
     Object variables take object constants or object variables, and
     situation variables take situation terms; a value of the other sort
     in a slot is a SubstitutionError.  Bound occurrences are untouched.
+    A quantifier binds an object variable only: inside it, the value for
+    its name no longer goes into object slots but still goes into
+    situation slots.
     """
     for value in values.values():
         if not isinstance(value, (Obj, Var, SitConst, SitVar, Do)):
             raise SubstitutionError("cannot substitute value of type %s"
                                     % type(value).__name__)
 
-    def term(t: Term, values) -> Term:
-        if isinstance(t, Var) and t.name in values:
-            value = values[t.name]
+    def term(t: Term, objs) -> Term:
+        if isinstance(t, Var) and t.name in objs:
+            value = objs[t.name]
             if not isinstance(value, (Obj, Var)):
                 raise SubstitutionError("situation term %s substituted into "
                                         "object slot %s" % (value, t.name))
             return value
         return t
 
-    def terms(args: tuple[Term, ...], values) -> tuple[Term, ...]:
-        return tuple(term(a, values) for a in args)
+    def terms(args: tuple[Term, ...], objs) -> tuple[Term, ...]:
+        return tuple(term(a, objs) for a in args)
 
-    def sit(s: SitTerm, values) -> SitTerm:
+    def sit(s: SitTerm, objs) -> SitTerm:
         if isinstance(s, Do):
-            return Do(OpTerm(s.op.name, terms(s.op.args, values)), sit(s.prev, values))
+            return Do(OpTerm(s.op.name, terms(s.op.args, objs)), sit(s.prev, objs))
         if s.name in values:
             value = values[s.name]
             if isinstance(value, (Obj, Var)):
@@ -303,25 +306,25 @@ def substitute_all(phi: Formula, values: Mapping[str, Union[Term, SitTerm]]) -> 
             return value
         return s
 
-    def walk(f: Formula, values) -> Formula:
+    # `objs` is `values` less the names bound by the enclosing quantifiers;
+    # situation slots read `values` itself
+    def walk(f: Formula, objs) -> Formula:
         if isinstance(f, Not):
-            return Not(walk(f.body, values))
+            return Not(walk(f.body, objs))
         if isinstance(f, _BINARY):
-            return type(f)(walk(f.left, values), walk(f.right, values))
+            return type(f)(walk(f.left, objs), walk(f.right, objs))
         if isinstance(f, _QUANT):
-            if f.var in values:
-                values = {k: v for k, v in values.items() if k != f.var}
-                if not values:
-                    return f
-            return type(f)(f.var, walk(f.body, values))
+            if f.var in objs:
+                objs = {k: v for k, v in objs.items() if k != f.var}
+            return type(f)(f.var, walk(f.body, objs))
         if isinstance(f, Rigid):
-            return Rigid(f.name, terms(f.args, values))
+            return Rigid(f.name, terms(f.args, objs))
         if isinstance(f, Fluent):
-            return Fluent(f.name, terms(f.args, values), sit(f.sit, values))
+            return Fluent(f.name, terms(f.args, objs), sit(f.sit, objs))
         if isinstance(f, Eq):
-            return Eq(term(f.left, values), term(f.right, values))
+            return Eq(term(f.left, objs), term(f.right, objs))
         if isinstance(f, OpEq):
-            return OpEq(f.name, terms(f.args, values))
+            return OpEq(f.name, terms(f.args, objs))
         if isinstance(f, (TrueF, FalseF)):
             return f
         raise ModelError("unknown formula node: %r" % (f,))

@@ -10,11 +10,19 @@ its own copy of `pparams`, which the package no longer needs.
 `robovalid.ctgen.accomplishing_worlds` replaced: it computes the weakest
 precondition of every derivation, grounds it once and evaluates it with
 `peval` on every world, where the package runs the task forward.
+
+`generate_covering_array` is the greedy that `robovalid.ctgen.
+generate_covering_array` replaced: every round it rescans every valid row
+and intersects its frozenset of t-tuples with the uncovered set, where the
+package keeps stale gains in a heap and counts bits of int masks.  Both
+take the row of highest gain, the lowest index in sorted order among
+ties, so they must return the same rows.  Called without valid rows, it
+takes them from this module's solver.
 """
 
-from typing import Iterator
+from typing import Iterator, Optional, Union
 
-from robovalid.ctgen import CtModel
+from robovalid.ctgen import CtError, CtModel, _row_tuples
 from robovalid.logic import TRUE, Formula, PAnd, PEq, PFormula, PNot, POr, peval
 from robovalid.tasks import Derivation, Grammar, Task, enumerate_derivations
 from robovalid.theory import ActionTheory, WorldState, ground_primitive
@@ -120,3 +128,31 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
     if not model.derivations:
         return
     yield from rec(0, d_watch)
+
+
+def generate_covering_array(model: CtModel, t: Union[int, str],
+                            valid: Optional[list[tuple[str, ...]]] = None) -> list[tuple[str, ...]]:
+    """Greedy one-row-at-a-time covering array over the valid assignments.
+
+    Among equally covering candidates the lexicographically smallest row
+    wins, so arrays are reproducible across runs and platforms.
+    """
+    valid = sorted(enumerate_valid(model)) if valid is None else sorted(valid)
+    if t == "full":
+        return valid
+    if not isinstance(t, int) or t < 1:
+        raise CtError("coverage strength must be a positive integer or 'full'")
+    tuples = _row_tuples(model, valid, t)
+    uncovered = set().union(*tuples)
+    rows: list[tuple[str, ...]] = []
+    while uncovered:
+        best_i, best_gain = None, -1
+        for i, rt in enumerate(tuples):
+            gain = len(rt & uncovered)
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        if best_gain <= 0:
+            raise CtError("uncoverable tuples remain; internal inconsistency")
+        rows.append(valid[best_i])
+        uncovered -= tuples[best_i]
+    return rows

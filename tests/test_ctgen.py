@@ -1,12 +1,14 @@
 import warnings
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import ctgen_oracle
 from robovalid import ctgen
 from robovalid.ctgen import (
-    CtError, build_model, check_assignment, coverable_tuples, enumerate_valid,
-    generate_covering_array, realize_configuration, verify_covering_array,
+    CtError, CtModel, CtParameter, build_model, check_assignment,
+    coverable_tuples, enumerate_valid, generate_covering_array,
+    realize_configuration, verify_covering_array,
 )
 from robovalid.logic import TRUE, PAnd, PEq, PNot, POr, peval
 from robovalid.tasks import Grammar, enumerate_derivations
@@ -129,11 +131,52 @@ def test_strength_above_parameter_count_covers_whole_rows(put_model, put_valid):
     assert not verify_covering_array(put_model, put_valid[:1], 8, put_valid)
 
 
-def test_bad_strength_rejected(put_model):
-    with pytest.raises(CtError):
-        generate_covering_array(put_model, 0)
-    with pytest.raises(CtError):
-        generate_covering_array(put_model, "partial")
+def test_bad_strength_rejected(put_model, putfrag, putfrag_grammar, monkeypatch):
+    """generate_covering_array rejects a bad strength, and build_model
+    rejects it before it enumerates a single world."""
+    for bad in (0, "partial"):
+        with pytest.raises(CtError):
+            generate_covering_array(put_model, bad)
+    monkeypatch.setattr(ctgen, "enumerate_initial_worlds",
+                        lambda theory: pytest.fail("worlds enumerated first"))
+    for bad in (0, "partial"):
+        with pytest.raises(CtError):
+            build_model(putfrag, putfrag_grammar, 3, bad)
+
+
+@pytest.mark.parametrize("name,depth,strengths", [("kitchen", 4, (1, 2, 3)),
+                                                  ("kitchen", 6, (1, 2, 3)),
+                                                  ("putfrag", 3, (1, 2, 3, 8))])
+def test_covering_array_matches_rescan_oracle(request, name, depth, strengths):
+    """The lazy greedy over bit masks picks the rows, in order, that a full
+    rescan of every row's tuple set picks.  putfrag has 7 parameters, so
+    strength 8 is clamped."""
+    theory = request.getfixturevalue(name)
+    model = build_model(theory, request.getfixturevalue(name + "_grammar"), depth, 2)
+    valid = list(enumerate_valid(model))
+    for t in strengths:
+        assert (generate_covering_array(model, t, valid)
+                == ctgen_oracle.generate_covering_array(model, t, valid))
+
+
+@st.composite
+def synthetic_rows(draw):
+    """A model of 2-6 parameters with 2 or 3 values each, and distinct
+    rows over it: small domains make many rows tie on gain."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=6))
+    model = CtModel([CtParameter("p%d" % i, ("a", "b", "c")[:n])
+                     for i, n in enumerate(sizes)], [])
+    row = st.tuples(*(st.sampled_from(p.domain) for p in model.parameters))
+    return model, draw(st.lists(row, unique=True, max_size=40))
+
+
+@given(synthetic_rows(), st.integers(1, 5))
+@example((CtModel([CtParameter("p0", ("a", "b")), CtParameter("p1", ("a", "b"))], []),
+          []), 2)
+def test_covering_array_matches_rescan_oracle_on_synthetic_rows(model_rows, t):
+    model, rows = model_rows
+    assert (generate_covering_array(model, t, rows)
+            == ctgen_oracle.generate_covering_array(model, t, rows))
 
 
 @pytest.mark.parametrize("name,depth", [("putfrag", d) for d in (1, 2, 3)]

@@ -63,6 +63,11 @@ def test_substitute_respects_binding():
     text = format_formula(substitute(phi, "x", Obj("o_b")))
     assert "Loc(o_b,o_p)" in text
     assert "exists x . Loc(x,o_m)" in text  # bound occurrence untouched
+    # a quantifier binds an object variable only, never the situation s
+    phi = parse_formula("exists s . IsOpen(o_m)@s & s = o_b", OBJECTS)
+    do = Do(OpTerm("open", (Obj("o_m"),)), SitVar("s"))
+    assert substitute_all(phi, {"s": do}) == parse_formula(
+        "exists s . IsOpen(o_m)@do(open(o_m),s) & s = o_b", OBJECTS)
 
 
 def test_substitute_sort_errors():

@@ -138,11 +138,14 @@ def test_regression_avoids_capturing_fresh_names(kitchen, kitchen_worlds):
     ("[put(o_b,o_m) ; exists x . exists y . Loc(x,y)@s & x = o_b & y = o_m ?]", 3),
     # _c1 is the first chain variable of the unfolded closure In
     ("exists _c1 . In(_c1,o_m)@s & _c1 = o_b ?", 6),
+    # a quantifier binds an object variable, not the situation variable s
+    ("[open(o_m) ; exists s . IsOpen(o_m)@s & s = o_b ?]", 6),
 ])
 def test_wp_equals_execution_with_clashing_names(kitchen, kitchen_worlds, text, worlds):
     """Task variables named like the regression's own variables stay
     apart from them: the successor axiom's parameters are replaced all at
-    once, and closure chains take names the atom does not use."""
+    once, closure chains take names the atom does not use, and an object
+    quantifier named s leaves the situation s to the regression."""
     tau = parse_task(text, kitchen)
     phi = wp(TRUE, tau, kitchen).formula
     got = [holds_at(phi, kitchen, w) for w in kitchen_worlds]
