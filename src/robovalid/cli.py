@@ -18,7 +18,7 @@ from .logic import ParseError, format_formula, TRUE
 from .tasks import Grammar, format_task, parse_task
 from .theory import (
     TheoryError, WorldState, enumerate_initial_worlds, load_model,
-    parse_ground_atom,
+    parse_ground_atom, satisfies_init,
 )
 from .wp import wp
 
@@ -52,8 +52,10 @@ def _write_configs(out_dir, configs) -> str:
 
 
 def _load_configs(path, theory) -> list[ctgen.Configuration]:
-    """The configurations of a configs.jsonl file; a malformed line is a
-    CtError naming its path and line."""
+    """The configurations of a configs.jsonl file; a malformed line, or a
+    world that is not an initial world of the model, is a CtError naming
+    its path and line."""
+    primitive = frozenset(theory.all_primitive_atoms())
     out = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -62,6 +64,12 @@ def _load_configs(path, theory) -> list[ctgen.Configuration]:
             try:
                 rec = json.loads(line)
                 w0 = WorldState(frozenset(parse_ground_atom(a) for a in rec["fluents"]))
+                unknown = sorted(w0.true_atoms - primitive)
+                if unknown:
+                    raise ValueError("%s is not a primitive fluent atom of the model"
+                                     % _atom_str(unknown[0]))
+                if not satisfies_init(theory, w0):
+                    raise ValueError("the world does not satisfy the initial axioms")
                 task = parse_task(rec["task"], theory)
                 out.append(ctgen.Configuration(w0, task, tuple(rec["assignment"])))
             except KeyError as exc:
@@ -84,8 +92,14 @@ def _knob_override(text: str) -> tuple[str, tuple[float, float]]:
     return name, (lo, hi)
 
 
-def _apply_knob_overrides(scn: sim.Scenario,
-                          overrides: list[tuple[str, tuple[float, float]]]) -> sim.Scenario:
+def _load_scenario(path, theory, overrides) -> sim.Scenario:
+    """The scenario file with the `--knob` overrides applied; it must
+    describe the model's objects."""
+    scn = sim.load_scenario(path)
+    if sorted(scn.objects) != sorted(theory.objects):
+        raise sim.SimError("%s: scenario objects %s differ from the model's %s"
+                           % (path, " ".join(sorted(scn.objects)),
+                              " ".join(sorted(theory.objects))))
     ranges = dict(scn.policy_ranges)
     ranges.update(overrides)
     return sim.Scenario(scn.objects, scn.workspace, ranges)
@@ -158,8 +172,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_campaign(theory, configs, scn, pmap, budget, seed, sim_dt):
-    results = [fz.campaign([cfg], theory, scn, pmap, budget, seed + i, sim_dt)[0]
+def _run_campaign(theory, configs, scn, pmap, budget, seed):
+    results = [fz.campaign([cfg], theory, scn, pmap, budget, seed + i)[0]
                for i, cfg in enumerate(configs)]
     entries = [fz.CampaignEntry(i, e.task_text, e.status, e.robustness,
                                 e.evaluations, e.error)
@@ -192,10 +206,10 @@ def _write_report(out_dir, entries, results, summary) -> str:
 def cmd_falsify(args) -> int:
     theory = load_model(args.model)
     pmap = stl.load_pmap(args.pmap)
-    scn = _apply_knob_overrides(sim.load_scenario(args.scenario), args.knob)
+    scn = _load_scenario(args.scenario, theory, args.knob)
     configs = _load_configs(args.configs, theory)
     entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
-                                     args.seed, args.sim_dt)
+                                     args.seed)
     summary = fz.summarize(entries)
     path = _write_report(args.out, entries, results, summary)
     print("falsified %d / passed %d / errors %d of %d configurations"
@@ -208,11 +222,11 @@ def cmd_falsify(args) -> int:
 def cmd_validate(args) -> int:
     theory = load_model(args.model)
     pmap = stl.load_pmap(args.pmap)
-    scn = _apply_knob_overrides(sim.load_scenario(args.scenario), args.knob)
+    scn = _load_scenario(args.scenario, theory, args.knob)
     _, valid, rows, configs = _generate(theory, args.depth, args.strength)
     cpath = _write_configs(args.out, configs)
     entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
-                                     args.seed, args.sim_dt)
+                                     args.seed)
     summary = fz.summarize(entries)
     summary["valid_assignments"] = len(valid)
     summary["strength"] = str(args.strength)
@@ -260,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scenario", required=True)
         sp.add_argument("--budget", type=int, default=25)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--sim-dt", type=float, default=0.25)
         sp.add_argument("--knob", type=_knob_override, action="append", default=[],
                         metavar="NAME=LO[:HI]",
                         help="override a policy knob range, e.g. "

@@ -96,48 +96,40 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
     best_rho = math.inf
     best_sample: Optional[ScenarioSample] = None
     best_trace: Optional[Trace] = None
-    best_point: Optional[tuple[float, ...]] = None
 
-    def evaluate(point: tuple[float, ...]):
-        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, best_point
+    def evaluate(point: tuple[float, ...]) -> float:
+        """The point's robustness, or infinity if it cannot be instantiated."""
+        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace
         evaluations += 1
         try:
             sample = instantiate(theory, config.initial_world, scn, pmap, point)
         except InstantiationError:
             infeasible += 1
-            return None
-        trace, truncated = run_policy(theory, scn, sample, ops,
-                                      problem.sim_dt, horizon)
+            return math.inf
+        trace, truncated = run_policy(scn, sample, ops, problem.sim_dt, horizon)
         r = robustness(spec.formula, trace, 0.0)
         effective = r.value if not (truncated or r.truncated) else max(r.value, 0.0)
         if effective < best_rho:
             best_rho = effective
-            best_sample, best_trace, best_point = sample, trace, point
+            best_sample, best_trace = sample, trace
         return effective
 
-    initial = _latin_hypercube(rng, min(_INIT_BATCH, problem.budget), d)
-    for p in initial:
-        v = evaluate(p)
-        if v is not None and v < 0:
-            return _result(best_rho, best_sample, best_trace, evaluations, infeasible)
-        if evaluations >= problem.budget:
+    for p in _latin_hypercube(rng, min(_INIT_BATCH, problem.budget), d):
+        if evaluate(p) < 0:
             break
 
     step = _INIT_STEP
     since_improvement = 0
-    while evaluations < problem.budget:
-        if best_point is None or since_improvement >= _STAGNATION:
+    while evaluations < problem.budget and best_rho >= 0:
+        if best_sample is None or since_improvement >= _STAGNATION:
             candidate = tuple(rng.random() for _ in range(d))
             step = _INIT_STEP
             since_improvement = 0
         else:
             candidate = tuple(min(1.0, max(0.0, x + rng.gauss(0.0, step)))
-                              for x in best_point)
+                              for x in best_sample.sample_point)
         before = best_rho
-        v = evaluate(candidate)
-        if v is not None and v < 0:
-            break
-        if v is not None and v < before:
+        if evaluate(candidate) < before:
             step = min(2.0 * step, 1.0)
             since_improvement = 0
         else:
@@ -147,12 +139,9 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
     if best_sample is None:
         raise FalsificationError(
             "every instantiation was infeasible for %s" % format_task(config.task))
-    return _result(best_rho, best_sample, best_trace, evaluations, infeasible)
-
-
-def _result(rho, sample, trace, evaluations, infeasible) -> FalsificationResult:
-    status = "falsified" if rho < 0 else "passed-budget-exhausted"
-    return FalsificationResult(status, rho, sample, trace, evaluations, infeasible)
+    status = "falsified" if best_rho < 0 else "passed-budget-exhausted"
+    return FalsificationResult(status, best_rho, best_sample, best_trace,
+                               evaluations, infeasible)
 
 
 # Failures a campaign records per configuration instead of stopping.
@@ -171,8 +160,8 @@ class CampaignEntry:
 
 
 def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
-             pmap: PredicateMap, budget: int, seed: int,
-             sim_dt: float = 0.25) -> list[tuple[CampaignEntry, Optional[FalsificationResult]]]:
+             pmap: PredicateMap, budget: int,
+             seed: int) -> list[tuple[CampaignEntry, Optional[FalsificationResult]]]:
     """Falsify each configuration; a configuration that fails with a domain
     error is recorded as an "error" entry, with the error's type name, and
     the campaign continues.  Any other exception is a programming error and
@@ -183,7 +172,7 @@ def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
         try:
             spec = synthesize(config, theory, pmap)
             problem = FalsificationProblem(config, spec, theory, scn, pmap,
-                                           budget, seed + i, sim_dt)
+                                           budget, seed + i)
             res = falsify(problem)
             out.append((CampaignEntry(i, task_text, res.status,
                                       res.best_robustness, res.evaluations), res))

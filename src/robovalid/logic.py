@@ -12,7 +12,7 @@ three-valued logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Mapping, Optional, Union
+from typing import Callable, Hashable, Mapping, Optional, Union
 
 
 class LogicError(Exception):
@@ -221,23 +221,6 @@ def disj(parts) -> Formula:
 
 
 _ATOMS = (TrueF, FalseF, Rigid, Fluent, Eq, OpEq)
-
-
-def atoms(phi: Formula) -> Iterator[Formula]:
-    """The atom nodes of phi, left to right."""
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Not):
-            stack.append(f.body)
-        elif isinstance(f, _BINARY):
-            stack += (f.right, f.left)
-        elif isinstance(f, _QUANT):
-            stack.append(f.body)
-        elif isinstance(f, _ATOMS):
-            yield f
-        else:
-            raise ModelError("unknown formula node: %r" % (f,))
 
 
 def map_atoms(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:

@@ -78,34 +78,58 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        raw = json.load(f)
+    """The scenario of a JSON file; bad JSON, a missing key or a value of
+    the wrong type is a SimError naming the file."""
+    try:
+        with open(path) as f:
+            return _scenario(json.load(f))
+    except KeyError as exc:
+        raise SimError("%s: missing key %s" % (path, exc)) from exc
+    except (ValueError, TypeError, AttributeError, SimError) as exc:
+        raise SimError("%s: %s" % (path, exc)) from exc
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):  # not bool
+        raise SimError("expected a finite number, got %r" % (value,))
+    return value
+
+
+def _numbers(value, n: int) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != n:
+        raise SimError("expected a list of %d numbers, got %r" % (n, value))
+    return tuple(_number(v) for v in value)
+
+
+def _scenario(raw: dict) -> Scenario:
     objects = {}
     for name, o in raw["objects"].items():
         door = o.get("door")
+        if not isinstance(o["fixed"], bool):
+            raise SimError("fixed of %s must be true or false" % name)
         objects[name] = ObjectGeometry(
             name=name,
             fixed=o["fixed"],
-            height=o["height"],
-            support_radius=o["support"]["radius"],
-            support_dz=o["support"]["dz"],
-            region_radius=o["region"]["radius"],
-            region_dzlo=o["region"]["dzlo"],
-            region_dzhi=o["region"]["dzhi"],
-            position=tuple(o["position"]) if "position" in o else None,
-            zones={k: tuple(v) for k, v in o.get("zones", {}).items()},
-            zone_radius=o.get("zone_radius", 0.0),
-            door_closed=tuple(door["closed"]) if door else None,
-            door_open=tuple(door["open"]) if door else None,
+            height=_number(o["height"]),
+            support_radius=_number(o["support"]["radius"]),
+            support_dz=_number(o["support"]["dz"]),
+            region_radius=_number(o["region"]["radius"]),
+            region_dzlo=_number(o["region"]["dzlo"]),
+            region_dzhi=_number(o["region"]["dzhi"]),
+            position=_numbers(o["position"], 3) if "position" in o else None,
+            zones={k: _numbers(v, 2) for k, v in o.get("zones", {}).items()},
+            zone_radius=_number(o.get("zone_radius", 0.0)),
+            door_closed=_numbers(door["closed"], 2) if door else None,
+            door_open=_numbers(door["open"], 2) if door else None,
         )
         if objects[name].fixed and objects[name].position is None:
             raise SimError("fixed object %s needs a position" % name)
     ranges = {}
     for knob in KNOB_NAMES:
-        lo, hi = raw["policy"][knob]
+        lo, hi = _numbers(raw["policy"][knob], 2)
         check_knob_range(knob, lo, hi)
         ranges[knob] = (lo, hi)
-    workspace = {k: tuple(v) for k, v in raw["workspace"].items()}
+    workspace = {axis: _numbers(raw["workspace"][axis], 2) for axis in "xyz"}
     return Scenario(objects, workspace, ranges)
 
 
@@ -176,7 +200,7 @@ def box_dimension(scn: Scenario) -> int:
     return 2 * len(scn.movable()) + len(scn.doors()) + len(KNOB_NAMES)
 
 
-def _loc_parent(theory: ActionTheory, w0: WorldState, obj: str) -> Optional[str]:
+def _loc_parent(w0: WorldState, obj: str) -> Optional[str]:
     for (f, args) in w0.true_atoms:
         if f == "Loc" and args[0] == obj:
             return args[1]
@@ -201,16 +225,16 @@ def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
 
     positions: dict[str, tuple[float, float, float]] = {
         n: g.position for n, g in scn.objects.items() if g.fixed}
-    parents: dict[str, Optional[str]] = {}
-    for m in scn.movable():
-        parents[m] = _loc_parent(theory, w0, m)
+    parents = {m: _loc_parent(w0, m) for m in scn.movable()}
 
-    # support-first order: carriers before the objects they carry
+    # support-first order: carriers before the objects they carry; a chain
+    # of carriers longer than the movables is a cycle
     def depth(m: str) -> int:
-        k, cur = 0, parents.get(m)
+        k, cur = 0, parents[m]
         while cur in parents:
-            k += 1
-            cur = parents[cur]
+            if k == len(parents):
+                raise InstantiationError("the Loc atoms of w0 form a cycle through %s" % m)
+            k, cur = k + 1, parents[cur]
         return k
 
     placement = {m: (next(it), next(it)) for m in scn.movable()}
@@ -230,8 +254,6 @@ def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
             cx, cy = zone
             sz = gp.position[2] + gp.support_dz
         else:
-            if p not in positions:
-                raise InstantiationError("carrier %s placed after %s" % (p, m))
             r = _JITTER_RADIUS * math.sqrt(u2)
             cx, cy, pz = positions[p]
             sz = pz + gp.support_dz
@@ -294,14 +316,6 @@ def _check_roundtrip(theory: ActionTheory, w0: WorldState, scn: Scenario,
 # Scripted policy execution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _OpRun:
-    op: GroundOp
-    start: float
-    end: float
-    captured: Optional[dict] = None
-
-
 def _descendants(parents: dict[str, Optional[str]], root: str) -> list[str]:
     out = []
     for m in parents:
@@ -314,93 +328,87 @@ def _descendants(parents: dict[str, Optional[str]], root: str) -> list[str]:
     return sorted(out)
 
 
-def run_policy(theory: ActionTheory, scn: Scenario, sample: ScenarioSample,
-               ops: list[GroundOp], dt: float, horizon: float) -> tuple[Trace, bool]:
+def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
+               dt: float, horizon: float) -> tuple[Trace, bool]:
     """Execute an op-only branch with scripted controllers.
 
-    Returns the fixed-rate trace and a truncation flag set when the
-    horizon ends before the last operation completes.
+    The operations run in order.  Each one is captured from the state the
+    previous one left, interpolated at the sample times inside its stroke
+    and finalized once a sample time reaches its end.  Returns the
+    fixed-rate trace and a truncation flag set when the horizon ends
+    before the last operation completes.
     """
     if dt <= 0 or horizon < 0:
         raise SimError("dt must be positive and horizon nonnegative")
     knobs = sample.q0.knobs
     ts = knobs["timingScale"]
 
-    schedule: list[_OpRun] = []
-    t = 0.0
+    schedule: list[tuple[GroundOp, float, float]] = []
+    start = 0.0
     for op in ops:
         if op.name not in _OP_DURATION:
             raise SimError("no controller for operation %s" % op.name)
         dur = _OP_DURATION[op.name] * ts
-        schedule.append(_OpRun(op, t, t + dur))
-        t += dur + _DWELL * ts
-    makespan = schedule[-1].end if schedule else 0.0
-    truncated = horizon < makespan
+        schedule.append((op, start, start + dur))
+        start += dur + _DWELL * ts
+    truncated = bool(schedule) and horizon < schedule[-1][2]
 
     state = sample.q0.copy()
     parents = dict(sample.parents)
-
-    def capture(run: _OpRun) -> None:
-        if run.captured is not None:
-            return
-        op = run.op
-        cap: dict = {}
-        if op.name == "put":
-            obj, dest = op.args
-            moved = [obj] + _descendants(parents, obj)
-            cap["moved"] = {m: state.positions[m] for m in moved}
-            gd = scn.objects[dest]
-            gm = scn.objects[obj]
-            if gd.fixed:
-                zx, zy = gd.zones[obj]
-                sz = gd.position[2] + gd.support_dz
-            else:
-                zx, zy, dz = state.positions[dest]
-                sz = dz + gd.support_dz
-            cap["target"] = (zx, zy, sz + gm.height / 2.0)
-            cap["grasped"] = knobs["graspSuccessMargin"] >= _GRASP_MIN_MARGIN
-        elif op.name in ("open", "close"):
-            (obj,) = op.args
-            if obj not in state.door_angles:
-                raise SimError("%s has no door to %s" % (obj, op.name))
-            cap["angle0"] = state.door_angles[obj]
-            if op.name == "open":
-                cap["target"] = min(_OPEN_TARGET_CAP, 180.0 * knobs["doorTorqueLimit"])
-            else:
-                cap["target"] = _CLOSE_TARGET
-        run.captured = cap
-
-    def apply_partial(snap: ConcreteState, run: _OpRun, now: float) -> None:
-        capture(run)
-        f = min(1.0, max(0.0, (now - run.start) / (run.end - run.start)))
-        _apply(snap, run, f, parents, final=False)
-
-    def finalize(run: _OpRun) -> None:
-        capture(run)
-        _apply(state, run, 1.0, parents, final=True)
-
-    times: list[float] = []
-    rows: list[dict[str, float]] = []
-    idx = 0
-    n_steps = int(math.floor(horizon / dt + 1e-9))
-    for i in range(n_steps + 1):
-        now = i * dt
-        while idx < len(schedule) and now >= schedule[idx].end:
-            finalize(schedule[idx])
-            idx += 1
-        snap = state
-        if idx < len(schedule) and now >= schedule[idx].start:
+    n = int(math.floor(horizon / dt + 1e-9)) + 1
+    rows: list[dict[str, float]] = []  # len(rows) is the next sample's index
+    for op, start, end in schedule:
+        while len(rows) < n and len(rows) * dt < start:
+            rows.append(signal_values(scn, state))
+        if len(rows) == n:
+            break
+        cap = _capture(scn, state, parents, knobs, op)
+        while len(rows) < n and (now := len(rows) * dt) < end:
             snap = state.copy()
-            apply_partial(snap, schedule[idx], now)
-        times.append(now)
-        rows.append(signal_values(scn, snap))
+            _apply(snap, op, cap, (now - start) / (end - start), parents, final=False)
+            rows.append(signal_values(scn, snap))
+        if len(rows) == n:
+            break
+        _apply(state, op, cap, 1.0, parents, final=True)
+    while len(rows) < n:
+        rows.append(signal_values(scn, state))
     signals = {name: tuple(r[name] for r in rows) for name in rows[0]}
-    return Trace(tuple(times), signals), truncated
+    return Trace(tuple(i * dt for i in range(n)), signals), truncated
 
 
-def _apply(st: ConcreteState, run: _OpRun, f: float,
+def _capture(scn: Scenario, state: ConcreteState, parents: dict[str, Optional[str]],
+             knobs: dict[str, float], op: GroundOp) -> dict:
+    """What an operation reads at its start: the poses of everything a put
+    moves and its target, or a door's angle and target."""
+    cap: dict = {}
+    if op.name == "put":
+        obj, dest = op.args
+        moved = [obj] + _descendants(parents, obj)
+        cap["moved"] = {m: state.positions[m] for m in moved}
+        gd = scn.objects[dest]
+        gm = scn.objects[obj]
+        if gd.fixed:
+            zx, zy = gd.zones[obj]
+            sz = gd.position[2] + gd.support_dz
+        else:
+            zx, zy, dz = state.positions[dest]
+            sz = dz + gd.support_dz
+        cap["target"] = (zx, zy, sz + gm.height / 2.0)
+        cap["grasped"] = knobs["graspSuccessMargin"] >= _GRASP_MIN_MARGIN
+    elif op.name in ("open", "close"):
+        (obj,) = op.args
+        if obj not in state.door_angles:
+            raise SimError("%s has no door to %s" % (obj, op.name))
+        cap["angle0"] = state.door_angles[obj]
+        if op.name == "open":
+            cap["target"] = min(_OPEN_TARGET_CAP, 180.0 * knobs["doorTorqueLimit"])
+        else:
+            cap["target"] = _CLOSE_TARGET
+    return cap
+
+
+def _apply(st: ConcreteState, op: GroundOp, cap: dict, f: float,
            parents: dict[str, Optional[str]], final: bool) -> None:
-    op, cap = run.op, run.captured
     if op.name == "put":
         if not cap["grasped"]:
             return

@@ -1,0 +1,111 @@
+"""Reference policy execution for differential tests.
+
+This is the sample-driven loop that `robovalid.sim.run_policy` replaced:
+it walks the sample times, finalizes every operation whose stroke has
+ended and interpolates the one in progress, capturing each operation
+lazily the first time a sample reaches it.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+from robovalid.sim import (
+    _DWELL, _GRASP_MIN_MARGIN, _OP_DURATION, _OPEN_TARGET_CAP, _CLOSE_TARGET,
+    SimError, _descendants, signal_values,
+)
+from robovalid.stl import Trace
+
+
+@dataclass
+class _OpRun:
+    op: object
+    start: float
+    end: float
+    captured: Optional[dict] = None
+
+
+def run_policy(scn, sample, ops, dt, horizon):
+    if dt <= 0 or horizon < 0:
+        raise SimError("dt must be positive and horizon nonnegative")
+    knobs = sample.q0.knobs
+    ts = knobs["timingScale"]
+    schedule = []
+    t = 0.0
+    for op in ops:
+        if op.name not in _OP_DURATION:
+            raise SimError("no controller for operation %s" % op.name)
+        dur = _OP_DURATION[op.name] * ts
+        schedule.append(_OpRun(op, t, t + dur))
+        t += dur + _DWELL * ts
+    makespan = schedule[-1].end if schedule else 0.0
+    truncated = horizon < makespan
+    state = sample.q0.copy()
+    parents = dict(sample.parents)
+
+    def capture(run):
+        if run.captured is not None:
+            return
+        op = run.op
+        cap = {}
+        if op.name == "put":
+            obj, dest = op.args
+            moved = [obj] + _descendants(parents, obj)
+            cap["moved"] = {m: state.positions[m] for m in moved}
+            gd, gm = scn.objects[dest], scn.objects[obj]
+            if gd.fixed:
+                zx, zy = gd.zones[obj]
+                sz = gd.position[2] + gd.support_dz
+            else:
+                zx, zy, dz = state.positions[dest]
+                sz = dz + gd.support_dz
+            cap["target"] = (zx, zy, sz + gm.height / 2.0)
+            cap["grasped"] = knobs["graspSuccessMargin"] >= _GRASP_MIN_MARGIN
+        elif op.name in ("open", "close"):
+            (obj,) = op.args
+            if obj not in state.door_angles:
+                raise SimError("%s has no door to %s" % (obj, op.name))
+            cap["angle0"] = state.door_angles[obj]
+            if op.name == "open":
+                cap["target"] = min(_OPEN_TARGET_CAP, 180.0 * knobs["doorTorqueLimit"])
+            else:
+                cap["target"] = _CLOSE_TARGET
+        run.captured = cap
+
+    def apply(st, run, f, final):
+        capture(run)
+        op, cap = run.op, run.captured
+        if op.name == "put":
+            if not cap["grasped"]:
+                return
+            obj = op.args[0]
+            x0, y0, z0 = cap["moved"][obj]
+            tx, ty, tz = cap["target"]
+            dx, dy, dz = f * (tx - x0), f * (ty - y0), f * (tz - z0)
+            for m, (mx, my, mz) in cap["moved"].items():
+                st.positions[m] = (mx + dx, my + dy, mz + dz)
+            if final:
+                parents[obj] = op.args[1]
+        elif op.name in ("open", "close"):
+            a0, target = cap["angle0"], cap["target"]
+            st.door_angles[op.args[0]] = a0 + f * (target - a0)
+        elif op.name == "turn_on" and f >= 1.0:
+            st.running[op.args[0]] = 1.0
+
+    times, rows = [], []
+    idx = 0
+    for i in range(int(math.floor(horizon / dt + 1e-9)) + 1):
+        now = i * dt
+        while idx < len(schedule) and now >= schedule[idx].end:
+            apply(state, schedule[idx], 1.0, final=True)
+            idx += 1
+        snap = state
+        if idx < len(schedule) and now >= schedule[idx].start:
+            run = schedule[idx]
+            snap = state.copy()
+            apply(snap, run, min(1.0, max(0.0, (now - run.start) / (run.end - run.start))),
+                  final=False)
+        times.append(now)
+        rows.append(signal_values(scn, snap))
+    signals = {name: tuple(r[name] for r in rows) for name in rows[0]}
+    return Trace(tuple(times), signals), truncated

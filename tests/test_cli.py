@@ -163,3 +163,14 @@ def test_error_rows_give_nonzero_exit(tmp_path, capsys):
     assert summary["errors"] == summary["configurations"] == 6
     assert main(["falsify", "--configs", str(out / "configs.jsonl")] + flags) == 1
     assert "errors 6 of 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["falsify", "--configs", "configs.jsonl"],
+                                     ["validate", "--depth", "2"]], ids=lambda c: c[0])
+def test_sim_dt_is_not_an_option(tmp_path, capsys, command):
+    """The simulation step is fixed; `--sim-dt` is a usage error."""
+    with pytest.raises(SystemExit) as e:
+        main(command + ["--model", KITCHEN, "--pmap", PMAP, "--scenario", SCENARIO,
+                        "--sim-dt", "0.5", "--out", str(tmp_path)])
+    assert e.value.code == 2
+    assert "--sim-dt" in capsys.readouterr().err

@@ -1,24 +1,28 @@
 """Malformed input files fail with the loader's own error type and, for
 line-oriented files, the path and line number of the offending line."""
 
+import json
 import pathlib
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robovalid.cli import _load_configs
+from robovalid.cli import _load_configs, main
 from robovalid.ctgen import CtError
 from robovalid.logic import ParseError
+from robovalid.sim import SimError, load_scenario
 from robovalid.stl import StlError, Trace, load_pmap
 from robovalid.theory import TheoryError, load_model
 
-from conftest import MODELS
+from conftest import MODELS, ROOT
 
 KITCHEN = (MODELS / "kitchen4.sc").read_text()
 PMAP = (MODELS / "kitchen4.pmap").read_text()
 THEORY = load_model(MODELS / "kitchen4.sc")
-CONFIG = '{"assignment":[],"fluents":["Loc(o_b,o_p)"],"task":"open(o_m)"}\n'
+CONFIG = ('{"assignment":[],"fluents":["IsOpen(o_b)","IsOpen(o_p)","IsOpen(o_t)",'
+          '"Loc(o_b,o_p)","Loc(o_p,o_t)"],"task":"open(o_m)"}\n')
+SCENARIO = MODELS / "kitchen4_scenario.json"
 
 
 # file name -> (valid text, loader, the error a bad line must raise)
@@ -61,6 +65,11 @@ BASES = {
     ("trace.csv", "0.5,abc"),
     ("configs.jsonl", "not json"),
     ("configs.jsonl", '{"fluents": []}'),
+    # a world must be an initial world of the model: declared objects,
+    # declared primitive fluents, and the initial axioms hold
+    ("configs.jsonl", CONFIG.strip().replace("Loc(o_b,o_p)", "Loc(o_b,o_zz)")),
+    ("configs.jsonl", CONFIG.strip().replace("Loc(o_b,o_p)", "Nope(o_b)")),
+    ("configs.jsonl", CONFIG.strip().replace("Loc(o_p,o_t)", "Loc(o_p,o_b)")),
 ])
 def test_bad_line_raises_typed_error(tmp_path, name, line):
     base, load, error = BASES[name]
@@ -71,6 +80,63 @@ def test_bad_line_raises_typed_error(tmp_path, name, line):
         load(path)
     if name != "trace.csv":  # the line-oriented files name the bad line
         assert str(info.value).startswith("%s:%d: " % (path, text.count("\n")))
+
+
+def _without(key):
+    def edit(raw):
+        del raw[key]
+    return edit
+
+
+def _set(value, *keys):
+    def edit(raw):
+        for key in keys[:-1]:
+            raw = raw[key]
+        raw[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _without("policy"),
+    _without("workspace"),
+    _set("tall", "objects", "o_b", "height"),
+    _set(float("nan"), "objects", "o_b", "height"),
+    _set([0.0, 0.0], "objects", "o_t", "position"),
+    _set(["a", 1.0], "policy", "timingScale"),
+    _set("false", "objects", "o_t", "fixed"),
+    _set([], "objects"),
+], ids=["no-policy", "no-workspace", "text-height", "nan-height", "short-position",
+        "text-range", "text-fixed", "objects-list"])
+def test_bad_scenario_raises_sim_error(tmp_path, edit):
+    raw = json.loads(SCENARIO.read_text())
+    edit(raw)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SimError, match="^%s: " % path):
+        load_scenario(path)
+
+
+def test_scenario_that_is_not_json_raises_sim_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(SCENARIO.read_text()[:-20])
+    with pytest.raises(SimError, match="^%s: " % path):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["falsify", "--configs",
+     str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl")],
+    ["validate", "--depth", "2"],
+], ids=lambda c: c[0])
+def test_scenario_must_describe_the_model_objects(tmp_path, command):
+    raw = json.loads(SCENARIO.read_text())
+    del raw["objects"]["o_t"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SimError, match="scenario objects o_b o_m o_p differ"):
+        main(command + ["--model", str(MODELS / "kitchen4.sc"),
+                        "--pmap", str(MODELS / "kitchen4.pmap"),
+                        "--scenario", str(path), "--out", str(tmp_path / "out")])
 
 
 LINES = KITCHEN.splitlines()

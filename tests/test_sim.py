@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sim_oracle
 from robovalid import sim
 from robovalid.sim import (
     InstantiationError, Scenario, box_dimension, instantiate, run_policy,
@@ -68,7 +70,7 @@ def test_unlocated_world_is_instantiation_error(kitchen, scenario, pmap):
 def test_zero_length_task(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
     s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
-    tr, truncated = run_policy(kitchen, scenario, s, [], 0.25, 0.0)
+    tr, truncated = run_policy(scenario, s, [], 0.25, 0.0)
     assert not truncated
     assert len(tr.times) == 1
 
@@ -76,8 +78,7 @@ def test_zero_length_task(kitchen, kitchen_worlds, scenario, pmap):
 def test_healthy_open_crosses_threshold(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
     s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
-    tr, truncated = run_policy(kitchen, scenario, s,
-                               [GroundOp("open", ("o_m",))], 0.25, 5.0)
+    tr, truncated = run_policy(scenario, s, [GroundOp("open", ("o_m",))], 0.25, 5.0)
     assert not truncated
     angles = tr.signals["DoorAngle_o_m"]
     assert angles[0] < 1.0
@@ -90,8 +91,7 @@ def test_healthy_open_crosses_threshold(kitchen, kitchen_worlds, scenario, pmap)
 def test_door_fault_plateaus(kitchen, kitchen_worlds, fault_scenario, pmap):
     w = closed_world(kitchen_worlds)
     s = instantiate(kitchen, w, fault_scenario, pmap, midpoint(fault_scenario))
-    tr, _ = run_policy(kitchen, fault_scenario, s,
-                       [GroundOp("open", ("o_m",))], 0.25, 5.0)
+    tr, _ = run_policy(fault_scenario, s, [GroundOp("open", ("o_m",))], 0.25, 5.0)
     assert max(tr.signals["DoorAngle_o_m"]) < 80.0
 
 
@@ -101,7 +101,7 @@ def test_grasp_fault_drops_put(kitchen, kitchen_worlds, scenario, pmap):
     w = next(w for w in kitchen_worlds if ("Loc", ("o_b", "o_t")) in w.true_atoms
              and ("Loc", ("o_p", "o_t")) in w.true_atoms)
     s = instantiate(kitchen, w, bad, pmap, midpoint(bad))
-    tr, _ = run_policy(kitchen, bad, s, [GroundOp("put", ("o_b", "o_p"))], 0.25, 5.0)
+    tr, _ = run_policy(bad, s, [GroundOp("put", ("o_b", "o_p"))], 0.25, 5.0)
     assert tr.signals["dist_o_b_o_p"][-1] > 0.05  # never arrived
 
 
@@ -111,8 +111,7 @@ def test_carried_object_tracks_carrier(kitchen, kitchen_worlds, scenario, pmap):
              and ("Loc", ("o_p", "o_t")) in w.true_atoms
              and ("IsOpen", ("o_m",)) in w.true_atoms)
     s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
-    tr, _ = run_policy(kitchen, scenario, s, [GroundOp("put", ("o_p", "o_m"))],
-                       0.25, 5.0)
+    tr, _ = run_policy(scenario, s, [GroundOp("put", ("o_p", "o_m"))], 0.25, 5.0)
     assert tr.signals["dist_o_p_o_m"][-1] <= 0.01
     assert tr.signals["contain_o_b_o_m"][-1] <= 0.0  # bread rode along
     for i in range(len(tr.times)):
@@ -123,8 +122,7 @@ def test_carried_object_tracks_carrier(kitchen, kitchen_worlds, scenario, pmap):
 def test_truncation_flag(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
     s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
-    tr, truncated = run_policy(kitchen, scenario, s,
-                               [GroundOp("open", ("o_m",))], 0.25, 1.0)
+    tr, truncated = run_policy(scenario, s, [GroundOp("open", ("o_m",))], 0.25, 1.0)
     assert truncated  # horizon shorter than the 2 s stroke
 
 
@@ -132,7 +130,53 @@ def test_trace_determinism(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
     s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
     ops = [GroundOp("open", ("o_m",)), GroundOp("turn_on", ("o_m",))]
-    a, _ = run_policy(kitchen, scenario, s, ops, 0.25, 10.0)
+    a, _ = run_policy(scenario, s, ops, 0.25, 10.0)
     s2 = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
-    b, _ = run_policy(kitchen, scenario, s2, ops, 0.25, 10.0)
+    b, _ = run_policy(scenario, s2, ops, 0.25, 10.0)
     assert a.to_csv() == b.to_csv()
+
+
+def test_loc_cycle_is_instantiation_error(kitchen, scenario, pmap):
+    # the initial axioms rule this world out, so only a hand-made one has it
+    cyclic = WorldState(frozenset({("Loc", ("o_b", "o_p")), ("Loc", ("o_p", "o_b")),
+                                   ("IsOpen", ("o_b",)), ("IsOpen", ("o_p",)),
+                                   ("IsOpen", ("o_t",))}))
+    with pytest.raises(InstantiationError, match="cycle"):
+        instantiate(kitchen, cyclic, scenario, pmap, midpoint(scenario))
+
+
+# the puts kitchen4.sc allows, and every door and switch operation
+OPS = ([GroundOp("put", args) for args in (("o_b", "o_m"), ("o_b", "o_p"), ("o_p", "o_m"),
+                                           ("o_b", "o_t"), ("o_p", "o_t"))]
+       + [GroundOp(name, (o,)) for name in ("open", "close", "turn_on")
+          for o in ("o_b", "o_p", "o_m", "o_t")])
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except sim.SimError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenario,
+                                                 pmap, data):
+    """Trace times, signal values and the truncation flag equal the old
+    sample-driven loop's exactly, over every knob's legal range, dt values
+    that do and do not divide the strokes, and horizons that cut an
+    operation short.  Operations on objects without a door or zone raise
+    the same SimError in both."""
+    wide = Scenario(scenario.objects, scenario.workspace, dict(sim.KNOB_LEGAL))
+    w = data.draw(st.sampled_from(kitchen_worlds))
+    point = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(box_dimension(wide)))
+    try:
+        s = instantiate(kitchen, w, wide, pmap, point)
+    except InstantiationError:
+        return
+    ops = data.draw(st.lists(st.sampled_from(OPS), max_size=4))
+    dt = data.draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 0.7, 1.0, 2.5]))
+    horizon = data.draw(st.floats(0.0, 20.0))
+    assert _outcome(run_policy, wide, s, ops, dt, horizon) == \
+        _outcome(sim_oracle.run_policy, wide, s, ops, dt, horizon)

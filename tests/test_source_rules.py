@@ -3,7 +3,8 @@ type, never by `hasattr`; no module keeps `global` mutable state; every
 import sits at module level, where the import graph is visible; every
 name a module imports is used there; and every module-level function or
 class, and every method that is not a dunder, is named somewhere in the
-package, the tests or the benchmark."""
+package, the tests or the benchmark.  A name loaded inside a function
+that binds it itself, as a parameter or a local variable, is not a use."""
 
 import ast
 
@@ -15,15 +16,63 @@ SOURCES = sorted((ROOT / "src" / "robovalid").glob("*.py"))
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
-def named(tree: ast.AST) -> set[str]:
-    """The identifiers a module names: variables, attributes, imported
-    names, and strings that are one identifier, since the benchmark looks
-    functions up by name."""
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def scope_nodes(scope: ast.AST):
+    """The nodes of a module, function or comprehension, without looking
+    inside the functions and comprehensions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def local_names(scope: ast.AST) -> set[str]:
+    """The names a function or comprehension binds: its parameters, the
+    names it assigns and the functions and classes it defines."""
     out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        out = {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}
+    shared = set()
+    for node in scope_nodes(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            shared.update(node.names)
+    return out - shared
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """The names a module loads where no enclosing function or
+    comprehension binds them: a function's local variable or parameter
+    named like another module's function is not a use of it."""
+    out = set()
+
+    def visit(scope, bound):
+        for node in scope_nodes(scope):
+            if (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+                    and node.id not in bound):
+                out.add(node.id)
+            elif isinstance(node, _SCOPES):
+                visit(node, bound | local_names(node))
+
+    visit(tree, frozenset())
+    return out
+
+
+def named(tree: ast.AST) -> set[str]:
+    """The identifiers a module names: the names it loads, attributes,
+    imported names, and strings that are one identifier, since the
+    benchmark looks functions up by name."""
+    out = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
@@ -61,8 +110,7 @@ def violations(source: str, elsewhere: frozenset[str] = frozenset()) -> list[str
             for inner in ast.walk(node):
                 if isinstance(inner, (ast.Import, ast.ImportFrom)):
                     out.append("line %d: import inside a function" % inner.lineno)
-    used = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used = loaded_names(tree)
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
@@ -79,6 +127,8 @@ def violations(source: str, elsewhere: frozenset[str] = frozenset()) -> list[str
 
 
 def test_rules_catch_each_violation():
+    # `atoms` is loaded only where a parameter or a local variable of the
+    # same name binds it, so the module-level `atoms` is named nowhere
     source = (
         "import os\n"
         "from os import path as p, sep\n"
@@ -88,10 +138,18 @@ def test_rules_catch_each_violation():
         "    return hasattr(x, 'left') or os.name or sep\n"
         "class K:\n"
         "    def __init__(self):\n"
-        "        self.v = f(self)\n"
+        "        self.v = f(self), worlds()\n"
         "    def dead(self):\n"
-        "        return K\n")
+        "        return K\n"
+        "def atoms(phi):\n"
+        "    return phi\n"
+        "def walk(phi, atoms):\n"
+        "    return [atoms(x) for x in phi]\n"
+        "def worlds():\n"
+        "    atoms = walk((), lambda atoms: atoms)\n"
+        "    return atoms\n")
     assert violations(source) == ["line 10: dead is named nowhere else",
+                                  "line 12: atoms is named nowhere else",
                                   "line 2: unused import p",
                                   "line 4: global statement",
                                   "line 5: import inside a function",
