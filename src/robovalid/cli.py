@@ -106,7 +106,7 @@ def _load_scenario(path, theory, overrides) -> sim.Scenario:
 
 
 def _positive_int(text: str) -> int:
-    """A positive integer, as `--depth` takes."""
+    """A positive integer, as `--depth` and `--budget` take."""
     if not (text.isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
     return int(text)
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     def falsify_flags(sp):
         sp.add_argument("--pmap", required=True)
         sp.add_argument("--scenario", required=True)
-        sp.add_argument("--budget", type=int, default=25)
+        sp.add_argument("--budget", type=_positive_int, default=25)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--knob", type=_knob_override, action="append", default=[],
                         metavar="NAME=LO[:HI]",

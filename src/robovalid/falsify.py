@@ -21,7 +21,8 @@ from .sim import (
     instantiate, run_policy,
 )
 from .stl import (
-    PredicateMap, SpecSynthesisResult, StlError, Trace, robustness, synthesize,
+    Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, chi, robustness,
+    synthesize,
 )
 from .tasks import format_task
 from .theory import ActionTheory, TheoryError
@@ -81,6 +82,11 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
 
     Stops early at the first strictly negative, non-truncated robustness.
     Truncated traces are evaluated but can never count as falsified.
+
+    What does not depend on the sample point is built once: chi of the
+    initial world, which every instantiation is checked against, and the
+    spec's monitor, built from the first trace since every trace has the
+    same sample times.
     """
     theory, scn, pmap = problem.theory, problem.scenario, problem.pmap
     config, spec = problem.config, problem.spec
@@ -90,6 +96,8 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
     horizon = max(len(ops), 1) * spec.delta_t
     d = box_dimension(scn)
     rng = random.Random(problem.seed)
+    chi_w0 = chi(theory, config.initial_world, pmap)
+    monitor: Optional[Monitor] = None
 
     evaluations = 0
     infeasible = 0
@@ -99,15 +107,17 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
 
     def evaluate(point: tuple[float, ...]) -> float:
         """The point's robustness, or infinity if it cannot be instantiated."""
-        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace
+        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
-            sample = instantiate(theory, config.initial_world, scn, pmap, point)
+            sample = instantiate(config.initial_world, scn, chi_w0, point)
         except InstantiationError:
             infeasible += 1
             return math.inf
         trace, truncated = run_policy(scn, sample, ops, problem.sim_dt, horizon)
-        r = robustness(spec.formula, trace, 0.0)
+        if monitor is None:
+            monitor = Monitor(spec.formula, trace.times)
+        r = robustness(monitor, trace)
         effective = r.value if not (truncated or r.truncated) else max(r.value, 0.0)
         if effective < best_rho:
             best_rho = effective

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .stl import PredicateMap, Trace, bool_sat, chi, format_stl
-from .theory import ActionTheory, GroundOp, WorldState
+from .stl import SAnd, Trace, bool_sat, format_stl
+from .theory import GroundOp, WorldState
 
 
 class SimError(Exception):
@@ -166,11 +166,19 @@ def signal_values(scn: Scenario, state: ConcreteState) -> dict[str, float]:
     for n in names:
         out["DoorAngle_%s" % n] = state.door_angles.get(n, 180.0)
         out["running_%s" % n] = state.running.get(n, 0.0)
-    for a in names:
+    _pair_signals(scn, state, names, names, out)
+    return out
+
+
+def _pair_signals(scn: Scenario, state: ConcreteState, lefts, rights,
+                  out: dict[str, float]) -> None:
+    """Write `dist_a_b` and `contain_a_b` into `out` for every a in
+    `lefts` and b in `rights`."""
+    for a in lefts:
         ax, ay, az = state.positions[a]
         ga = scn.objects[a]
         bottom = az - ga.height / 2.0
-        for b in names:
+        for b in rights:
             gb = scn.objects[b]
             bx, by, bz = state.positions[b]
             horiz = math.hypot(ax - bx, ay - by)
@@ -181,7 +189,22 @@ def signal_values(scn: Scenario, state: ConcreteState) -> dict[str, float]:
                 horiz - gb.region_radius,
                 (bz + gb.region_dzlo) - az,
                 az - (bz + gb.region_dzhi))
-    return out
+
+
+def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
+             written: tuple[list[str], list[str]]) -> None:
+    """Recompute in `row` the signals of what `_apply` wrote: every pair
+    signal of the objects it moved, and the door and running signals of
+    the objects whose door or switch it set.  Every other entry is
+    already `signal_values(scn, state)`'s."""
+    moved, switched = written
+    for n in switched:
+        row["DoorAngle_%s" % n] = state.door_angles.get(n, 180.0)
+        row["running_%s" % n] = state.running.get(n, 0.0)
+    if moved:
+        names = sorted(scn.objects)
+        _pair_signals(scn, state, moved, names, row)
+        _pair_signals(scn, state, [n for n in names if n not in moved], moved, row)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +230,15 @@ def _loc_parent(w0: WorldState, obj: str) -> Optional[str]:
     return None
 
 
-def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
-                pmap: PredicateMap, sample: tuple[float, ...]) -> ScenarioSample:
+def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
+                sample: tuple[float, ...]) -> ScenarioSample:
     """Map a unit-box point to a concrete initial state consistent with w0.
 
     Movable objects are placed support-first: on a fixed surface inside
     the object's own zone, or on a movable carrier with a small jitter
     around its top anchor.  Door angles come from the closed or open
-    interval chosen by IsOpen, knobs from the scenario ranges.
+    interval chosen by IsOpen, knobs from the scenario ranges.  The state
+    must satisfy every literal of `chi_w0`, which is `stl.chi` of w0.
     """
     d = box_dimension(scn)
     if len(sample) != d:
@@ -284,7 +308,7 @@ def instantiate(theory: ActionTheory, w0: WorldState, scn: Scenario,
 
     q0 = ConcreteState(positions, door_angles, running, knobs)
     _check_workspace(scn, q0)
-    _check_roundtrip(theory, w0, scn, pmap, q0)
+    _check_roundtrip(scn, chi_w0, q0)
     return ScenarioSample(q0, tuple(sample), parents)
 
 
@@ -300,11 +324,9 @@ def _check_workspace(scn: Scenario, state: ConcreteState) -> None:
             raise InstantiationError("door angle of %s out of range: %g" % (n, ang))
 
 
-def _check_roundtrip(theory: ActionTheory, w0: WorldState, scn: Scenario,
-                     pmap: PredicateMap, state: ConcreteState) -> None:
+def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState) -> None:
     trace = Trace((0.0,), {k: (v,) for k, v in signal_values(scn, state).items()})
-    formula = chi(theory, w0, pmap)
-    violated = [format_stl(lit) for lit in formula.parts
+    violated = [format_stl(lit) for lit in chi_w0.parts
                 if not bool_sat(lit, trace, 0.0)]
     if violated:
         raise InstantiationError(
@@ -334,9 +356,12 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
 
     The operations run in order.  Each one is captured from the state the
     previous one left, interpolated at the sample times inside its stroke
-    and finalized once a sample time reaches its end.  Returns the
-    fixed-rate trace and a truncation flag set when the horizon ends
-    before the last operation completes.
+    and finalized once a sample time reaches its end.  Signals are
+    computed once; the samples of a stretch of constant state share one
+    dict, and a sample inside a stroke recomputes only the signals of
+    what the operation wrote.  Returns the fixed-rate trace and a
+    truncation flag set when the horizon ends before the last operation
+    completes.
     """
     if dt <= 0 or horizon < 0:
         raise SimError("dt must be positive and horizon nonnegative")
@@ -357,23 +382,26 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     parents = dict(sample.parents)
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     rows: list[dict[str, float]] = []  # len(rows) is the next sample's index
+    held = signal_values(scn, state)  # the signals of `state`
     for op, start, end in schedule:
         while len(rows) < n and len(rows) * dt < start:
-            rows.append(signal_values(scn, state))
+            rows.append(held)
         if len(rows) == n:
             break
         cap = _capture(scn, state, parents, knobs, op)
         while len(rows) < n and (now := len(rows) * dt) < end:
             snap = state.copy()
-            _apply(snap, op, cap, (now - start) / (end - start), parents, final=False)
-            rows.append(signal_values(scn, snap))
+            row = dict(held)
+            _refresh(scn, snap, row, _apply(snap, op, cap, (now - start) / (end - start),
+                                            parents, final=False))
+            rows.append(row)
         if len(rows) == n:
             break
-        _apply(state, op, cap, 1.0, parents, final=True)
-    while len(rows) < n:
-        rows.append(signal_values(scn, state))
-    signals = {name: tuple(r[name] for r in rows) for name in rows[0]}
-    return Trace(tuple(i * dt for i in range(n)), signals), truncated
+        held = dict(held)
+        _refresh(scn, state, held, _apply(state, op, cap, 1.0, parents, final=True))
+    rows.extend([held] * (n - len(rows)))
+    columns = zip(*[row.values() for row in rows])
+    return Trace(tuple(i * dt for i in range(n)), dict(zip(rows[0], columns))), truncated
 
 
 def _capture(scn: Scenario, state: ConcreteState, parents: dict[str, Optional[str]],
@@ -408,10 +436,14 @@ def _capture(scn: Scenario, state: ConcreteState, parents: dict[str, Optional[st
 
 
 def _apply(st: ConcreteState, op: GroundOp, cap: dict, f: float,
-           parents: dict[str, Optional[str]], final: bool) -> None:
+           parents: dict[str, Optional[str]],
+           final: bool) -> tuple[list[str], list[str]]:
+    """Set `st` to fraction `f` of the operation's stroke.  Returns the
+    objects whose position it wrote and those whose door angle or running
+    flag it wrote."""
     if op.name == "put":
         if not cap["grasped"]:
-            return
+            return [], []
         obj = op.args[0]
         x0, y0, z0 = cap["moved"][obj]
         tx, ty, tz = cap["target"]
@@ -420,10 +452,13 @@ def _apply(st: ConcreteState, op: GroundOp, cap: dict, f: float,
             st.positions[m] = (mx + dx, my + dy, mz + dz)
         if final:
             parents[obj] = op.args[1]
-    elif op.name in ("open", "close"):
+        return list(cap["moved"]), []
+    if op.name in ("open", "close"):
         obj = op.args[0]
         a0, target = cap["angle0"], cap["target"]
         st.door_angles[obj] = a0 + f * (target - a0)
-    elif op.name == "turn_on":
-        if f >= 1.0:
-            st.running[op.args[0]] = 1.0
+        return [], [obj]
+    if op.name == "turn_on" and f >= 1.0:
+        st.running[op.args[0]] = 1.0
+        return [], [op.args[0]]
+    return [], []

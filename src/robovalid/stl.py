@@ -170,22 +170,12 @@ class Trace:
         return vals[i]
 
     def window_times(self, lo: float, hi: float) -> list[float]:
-        """Evaluation instants for a window: its start plus every strictly
-        later sample time up to its end, clipped to the trace."""
-        if lo > self.end:
-            raise TruncationError(
-                "window [%g, %g] starts past the trace end %g" % (lo, hi, self.end))
-        out = [lo]
-        i = bisect.bisect_right(self.times, lo)
-        while i < len(self.times) and self.times[i] <= hi:
-            out.append(self.times[i])
-            i += 1
-        return out
+        return _window_times(self.times, lo, hi)
 
     def to_csv(self) -> str:
         names = sorted(self.signals)
         buf = io.StringIO()
-        buf.write("time," + ",".join(names) + "\n")
+        buf.write(",".join(["time"] + names) + "\n")
         for i, t in enumerate(self.times):
             row = [_fmt(t)] + [_fmt(self.signals[n][i]) for n in names]
             buf.write(",".join(row) + "\n")
@@ -219,6 +209,20 @@ def _fmt(x: float) -> str:
     return "%.10g" % x
 
 
+def _window_times(times: tuple[float, ...], lo: float, hi: float) -> list[float]:
+    """Evaluation instants for a window: its start plus every strictly
+    later sample time up to its end, clipped to the sample times."""
+    if lo > times[-1]:
+        raise TruncationError(
+            "window [%g, %g] starts past the trace end %g" % (lo, hi, times[-1]))
+    out = [lo]
+    i = bisect.bisect_right(times, lo)
+    while i < len(times) and times[i] <= hi:
+        out.append(times[i])
+        i += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Robustness and boolean satisfaction
 # ---------------------------------------------------------------------------
@@ -229,25 +233,57 @@ class RobustnessResult:
     truncated: bool
 
 
-def robustness(phi: StlFormula, trace: Trace, t: float = 0.0) -> RobustnessResult:
+class Monitor:
+    """A formula compiled for traces sampled at `times` and evaluated at
+    `t`: its node DAG, the times each node is needed at and the sample
+    row of each of an atom's times.  None of it depends on the signal
+    values, so one monitor serves every trace with these times.
+    `robustness` takes a monitor in place of a formula, as `re.search`
+    takes a compiled pattern."""
+
+    def __init__(self, phi: StlFormula, times: tuple[float, ...], t: float = 0.0):
+        if t > times[-1]:
+            raise TruncationError("evaluation time %g past trace end %g"
+                                  % (t, times[-1]))
+        self.times, self.t = times, t
+        self.nodes = _compile(phi)
+        self.demand, self.truncated, self.rows, self.error = None, False, None, None
+        try:
+            self.demand, self.truncated = _demand(self.nodes, times, t)
+        except StlError as exc:
+            # a window starts past the end; evaluating a trace raises this
+            # error or one the recursive semantics meets earlier
+            self.error = exc
+        else:
+            self.rows = _atom_rows(self.nodes, self.demand, times)
+
+
+def robustness(phi: Union[StlFormula, Monitor], trace: Trace,
+               t: float = 0.0) -> RobustnessResult:
     """Quantitative semantics; `truncated` is set when any window had to be
-    clipped at the end of the trace.
+    clipped at the end of the trace.  In place of a formula, `phi` can be
+    a `Monitor` built for the trace's times and for `t`.
 
     Each distinct subformula is evaluated once per time point at which an
     enclosing operator asks for it, from the leaves up.  For windows of
     bounded size the cost is linear in the formula and in the trace,
     instead of growing with the product of the nested window sizes.
     """
-    if t > trace.end:
-        raise TruncationError("evaluation time %g past trace end %g" % (t, trace.end))
-    nodes = _compile(phi)
+    if not isinstance(phi, Monitor):
+        monitor = Monitor(phi, trace.times, t)
+    elif phi.times != trace.times or phi.t != t:
+        raise StlError("the monitor was built for other sample times or another "
+                       "evaluation time than %g" % t)
+    else:
+        monitor = phi
     try:
-        demand, truncated = _demand(nodes, trace, t)
-        values = _evaluate(nodes, demand, trace)
+        if monitor.error is not None:
+            raise monitor.error.with_traceback(None)
+        values = _evaluate(monitor.nodes, monitor.demand, monitor.rows, trace)
     except StlError:
-        _raise_first_error(nodes, trace, t)
+        _raise_first_error(monitor.nodes, trace, t)
         raise
-    return RobustnessResult(values[-1][t], truncated)
+    return RobustnessResult(values[-1][t], monitor.truncated)
 
 
 # Node kinds of the compiled formula.  A node is a tuple whose first entry
@@ -292,15 +328,15 @@ def _compile(phi: StlFormula) -> list[tuple]:
     return nodes
 
 
-def _demand(nodes: list[tuple], trace: Trace,
+def _demand(nodes: list[tuple], times: tuple[float, ...],
             root_time: float) -> tuple[list[dict], bool]:
     """Top-down pass: the times at which each node is needed, as the keys
     of one dict per node.  A window operator maps each of its times to
-    the points `Trace.window_times` gives it.  The result is truncated
+    the points `_window_times` gives it.  The result is truncated
     exactly when some window ends past the trace."""
     demand: list[dict] = [{} for _ in nodes]
     demand[-1][root_time] = None
-    end = trace.end
+    end = times[-1]
     truncated = False
     for node, asked in zip(reversed(nodes), reversed(demand)):
         kind = node[0]
@@ -311,35 +347,49 @@ def _demand(nodes: list[tuple], trace: Trace,
             _, lo, hi, body = node
             inner = demand[body]
             for t in asked:
-                pts = asked[t] = trace.window_times(t + lo, t + hi)
+                pts = asked[t] = _window_times(times, t + lo, t + hi)
                 truncated = truncated or t + hi > end
                 inner.update(dict.fromkeys(pts))
     return demand, truncated
 
 
-def _evaluate(nodes: list[tuple], demand: list[dict], trace: Trace) -> list[dict]:
-    """Bottom-up pass: every node's robustness at each of its demanded
-    times.  `min` and `max` keep the earlier of equal operands, as the
-    recursive semantics does, so signed zeros come out the same."""
-    inf = float("inf")
-    times = trace.times
+def _atom_rows(nodes: list[tuple], demand: list[dict],
+               times: tuple[float, ...]) -> list:
+    """For each atom, the sample row of each of its demanded times, or None
+    when one of them precedes the first sample; None for other nodes."""
     rows_at: dict[tuple, list[int]] = {}  # sample rows per demanded time list
-    values: list[dict] = []
+    out: list = []
     for node, asked in zip(nodes, demand):
-        kind = node[0]
-        if kind == _ATOM:
-            _, signal, comparator, threshold, _ = node
-            samples = trace.signals.get(signal)
+        rows = None
+        if node[0] == _ATOM:
             key = tuple(asked)
             rows = rows_at.get(key)
             if rows is None:
                 rows = rows_at[key] = [bisect.bisect_right(times, t) - 1 for t in key]
-            if samples is None or min(rows) < 0:
+            if min(rows) < 0:
+                rows = None
+        out.append(rows)
+    return out
+
+
+def _evaluate(nodes: list[tuple], demand: list[dict], rows: list,
+              trace: Trace) -> list[dict]:
+    """Bottom-up pass: every node's robustness at each of its demanded
+    times.  `min` and `max` keep the earlier of equal operands, as the
+    recursive semantics does, so signed zeros come out the same."""
+    inf = float("inf")
+    values: list[dict] = []
+    for node, asked, atom_rows in zip(nodes, demand, rows):
+        kind = node[0]
+        if kind == _ATOM:
+            _, signal, comparator, threshold, _ = node
+            samples = trace.signals.get(signal)
+            if samples is None or atom_rows is None:
                 raise StlError("atom on %r cannot be sampled" % signal)
             if comparator in (">", ">="):  # Atom.margin, for all rows at once
-                margins = [samples[i] - threshold for i in rows]
+                margins = [samples[i] - threshold for i in atom_rows]
             else:
-                margins = [threshold - samples[i] for i in rows]
+                margins = [threshold - samples[i] for i in atom_rows]
             vals = dict(zip(asked, margins))
         elif kind == _NOT:
             body = values[node[1][0]]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -174,3 +175,16 @@ def test_sim_dt_is_not_an_option(tmp_path, capsys, command):
                         "--sim-dt", "0.5", "--out", str(tmp_path)])
     assert e.value.code == 2
     assert "--sim-dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3", "2.5"])
+@pytest.mark.parametrize("command", [["falsify", "--configs", "configs.jsonl"],
+                                     ["validate", "--depth", "2"]], ids=lambda c: c[0])
+def test_nonpositive_budget_is_usage_error(tmp_path, capsys, command, budget):
+    """A budget below one evaluation is rejected before anything runs."""
+    with pytest.raises(SystemExit) as e:
+        main(command + ["--model", KITCHEN, "--pmap", PMAP, "--scenario", SCENARIO,
+                        "--budget", budget, "--out", str(tmp_path)])
+    assert e.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)

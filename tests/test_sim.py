@@ -28,14 +28,14 @@ def test_box_dimension(scenario):
 
 def test_closed_door_angle_below_one_degree(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     assert s.q0.door_angles["o_m"] < 1.0
     assert s.q0.door_angles["o_m"] > 0.0
 
 
 def test_open_door_angle_above_threshold(kitchen, kitchen_worlds, scenario, pmap):
     w = next(w for w in kitchen_worlds if ("IsOpen", ("o_m",)) in w.true_atoms)
-    s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     assert s.q0.door_angles["o_m"] > 80.0
 
 
@@ -46,17 +46,18 @@ def test_roundtrip_consistency_100_samples(kitchen, kitchen_worlds, scenario, pm
     for _ in range(100):
         w = rng.choice(kitchen_worlds)
         pt = tuple(rng.random() for _ in range(box_dimension(scenario)))
-        s = instantiate(kitchen, w, scenario, pmap, pt)
+        s = instantiate(w, scenario, chi(kitchen, w, pmap), pt)
         tr = Trace((0.0,), {k: (v,) for k, v in
                             signal_values(scenario, s.q0).items()})
         assert bool_sat(chi(kitchen, w, pmap), tr, 0.0)
 
 
 def test_bad_sample_rejected(kitchen, kitchen_worlds, scenario, pmap):
+    w = kitchen_worlds[0]
     with pytest.raises(sim.SimError):
-        instantiate(kitchen, kitchen_worlds[0], scenario, pmap, (0.5,))
+        instantiate(w, scenario, chi(kitchen, w, pmap), (0.5,))
     with pytest.raises(sim.SimError):
-        instantiate(kitchen, kitchen_worlds[0], scenario, pmap,
+        instantiate(w, scenario, chi(kitchen, w, pmap),
                     tuple([1.5] * box_dimension(scenario)))
 
 
@@ -64,12 +65,12 @@ def test_unlocated_world_is_instantiation_error(kitchen, scenario, pmap):
     ghost = WorldState(frozenset({("IsOpen", ("o_b",)), ("IsOpen", ("o_p",)),
                                   ("IsOpen", ("o_t",)), ("IsOpen", ("o_m",))}))
     with pytest.raises(InstantiationError):
-        instantiate(kitchen, ghost, scenario, pmap, midpoint(scenario))
+        instantiate(ghost, scenario, chi(kitchen, ghost, pmap), midpoint(scenario))
 
 
 def test_zero_length_task(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, truncated = run_policy(scenario, s, [], 0.25, 0.0)
     assert not truncated
     assert len(tr.times) == 1
@@ -77,7 +78,7 @@ def test_zero_length_task(kitchen, kitchen_worlds, scenario, pmap):
 
 def test_healthy_open_crosses_threshold(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, truncated = run_policy(scenario, s, [GroundOp("open", ("o_m",))], 0.25, 5.0)
     assert not truncated
     angles = tr.signals["DoorAngle_o_m"]
@@ -90,7 +91,7 @@ def test_healthy_open_crosses_threshold(kitchen, kitchen_worlds, scenario, pmap)
 
 def test_door_fault_plateaus(kitchen, kitchen_worlds, fault_scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(kitchen, w, fault_scenario, pmap, midpoint(fault_scenario))
+    s = instantiate(w, fault_scenario, chi(kitchen, w, pmap), midpoint(fault_scenario))
     tr, _ = run_policy(fault_scenario, s, [GroundOp("open", ("o_m",))], 0.25, 5.0)
     assert max(tr.signals["DoorAngle_o_m"]) < 80.0
 
@@ -100,7 +101,7 @@ def test_grasp_fault_drops_put(kitchen, kitchen_worlds, scenario, pmap):
                    dict(scenario.policy_ranges, graspSuccessMargin=(0.001, 0.001)))
     w = next(w for w in kitchen_worlds if ("Loc", ("o_b", "o_t")) in w.true_atoms
              and ("Loc", ("o_p", "o_t")) in w.true_atoms)
-    s = instantiate(kitchen, w, bad, pmap, midpoint(bad))
+    s = instantiate(w, bad, chi(kitchen, w, pmap), midpoint(bad))
     tr, _ = run_policy(bad, s, [GroundOp("put", ("o_b", "o_p"))], 0.25, 5.0)
     assert tr.signals["dist_o_b_o_p"][-1] > 0.05  # never arrived
 
@@ -110,7 +111,7 @@ def test_carried_object_tracks_carrier(kitchen, kitchen_worlds, scenario, pmap):
     w = next(w for w in kitchen_worlds if ("Loc", ("o_b", "o_p")) in w.true_atoms
              and ("Loc", ("o_p", "o_t")) in w.true_atoms
              and ("IsOpen", ("o_m",)) in w.true_atoms)
-    s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, _ = run_policy(scenario, s, [GroundOp("put", ("o_p", "o_m"))], 0.25, 5.0)
     assert tr.signals["dist_o_p_o_m"][-1] <= 0.01
     assert tr.signals["contain_o_b_o_m"][-1] <= 0.0  # bread rode along
@@ -121,17 +122,17 @@ def test_carried_object_tracks_carrier(kitchen, kitchen_worlds, scenario, pmap):
 
 def test_truncation_flag(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, truncated = run_policy(scenario, s, [GroundOp("open", ("o_m",))], 0.25, 1.0)
     assert truncated  # horizon shorter than the 2 s stroke
 
 
 def test_trace_determinism(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     ops = [GroundOp("open", ("o_m",)), GroundOp("turn_on", ("o_m",))]
     a, _ = run_policy(scenario, s, ops, 0.25, 10.0)
-    s2 = instantiate(kitchen, w, scenario, pmap, midpoint(scenario))
+    s2 = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     b, _ = run_policy(scenario, s2, ops, 0.25, 10.0)
     assert a.to_csv() == b.to_csv()
 
@@ -142,7 +143,7 @@ def test_loc_cycle_is_instantiation_error(kitchen, scenario, pmap):
                                    ("IsOpen", ("o_b",)), ("IsOpen", ("o_p",)),
                                    ("IsOpen", ("o_t",))}))
     with pytest.raises(InstantiationError, match="cycle"):
-        instantiate(kitchen, cyclic, scenario, pmap, midpoint(scenario))
+        instantiate(cyclic, scenario, chi(kitchen, cyclic, pmap), midpoint(scenario))
 
 
 # the puts kitchen4.sc allows, and every door and switch operation
@@ -153,10 +154,16 @@ OPS = ([GroundOp("put", args) for args in (("o_b", "o_m"), ("o_b", "o_p"), ("o_p
 
 
 def _outcome(run, *args):
+    """`float.hex` of every time and signal value, with signal names and
+    the truncation flag, or the raised SimError's type and text.  Hex
+    tells 0.0 from -0.0, which `==` does not."""
     try:
-        return run(*args)
+        trace, truncated = run(*args)
     except sim.SimError as e:
         return type(e), str(e)
+    return ([t.hex() for t in trace.times],
+            {name: [v.hex() for v in vals] for name, vals in trace.signals.items()},
+            truncated)
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,7 +171,7 @@ def _outcome(run, *args):
 def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenario,
                                                  pmap, data):
     """Trace times, signal values and the truncation flag equal the old
-    sample-driven loop's exactly, over every knob's legal range, dt values
+    sample-driven loop's bit for bit, over every knob's legal range, dt values
     that do and do not divide the strokes, and horizons that cut an
     operation short.  Operations on objects without a door or zone raise
     the same SimError in both."""
@@ -172,7 +179,7 @@ def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenar
     w = data.draw(st.sampled_from(kitchen_worlds))
     point = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(box_dimension(wide)))
     try:
-        s = instantiate(kitchen, w, wide, pmap, point)
+        s = instantiate(w, wide, chi(kitchen, w, pmap), point)
     except InstantiationError:
         return
     ops = data.draw(st.lists(st.sampled_from(OPS), max_size=4))

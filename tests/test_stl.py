@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,13 +117,15 @@ def test_atom_monotone_in_margin():
 
 
 @st.composite
-def timed_traces(draw):
-    """Two signals over 1-7 samples with uneven steps.  Both zeros are
-    common values, so zero margins of either sign tie inside windows."""
-    steps = draw(st.lists(st.sampled_from((0.25, 0.5, 1.0)), min_size=0, max_size=6))
-    times = [0.0]
-    for step in steps:
-        times.append(times[-1] + step)
+def timed_traces(draw, times=None):
+    """Two signals over 1-7 samples with uneven steps, or over the given
+    sample times.  Both zeros are common values, so zero margins of
+    either sign tie inside windows."""
+    if times is None:
+        steps = draw(st.lists(st.sampled_from((0.25, 0.5, 1.0)), min_size=0, max_size=6))
+        times = [0.0]
+        for step in steps:
+            times.append(times[-1] + step)
     values = st.one_of(st.sampled_from((0.0, -0.0, 1.0)),
                        st.floats(-4, 4, allow_nan=False, width=16))
     return Trace(tuple(times), {
@@ -162,12 +163,13 @@ def rich_formulas(draw, trace, depth=3):
 
 
 def _outcome(evaluate, phi, trace, t):
-    """Value bytes and truncation flag, or the raised error's type and text."""
+    """`float.hex` of the value and the truncation flag, or the raised
+    error's type and text.  Hex tells 0.0 from -0.0, which `==` does not."""
     try:
         r = evaluate(phi, trace, t)
     except StlError as e:
         return type(e), str(e)
-    return struct.pack("<d", r.value), r.truncated
+    return r.value.hex(), r.truncated
 
 
 @settings(max_examples=1500, deadline=None)
@@ -179,10 +181,67 @@ def test_robustness_matches_recursive_oracle(data):
                             st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
     got = _outcome(robustness, phi, tr, t)
     assert got == _outcome(stl_oracle.robustness, phi, tr, t)
-    if isinstance(got[0], bytes):
+    if isinstance(got[0], str):
         value = robustness(phi, tr, t).value
         if value != 0:  # zero robustness is the boundary, either answer is fine
             assert (value > 0) == bool_sat(phi, tr, t)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_monitor_matches_formula_and_oracle(data):
+    """One monitor, built once, evaluates every trace with its sample times
+    bit for bit as the formula does and as the recursive oracle does, or
+    raises the same error; a trace with other times, or another
+    evaluation time, is refused."""
+    first = data.draw(timed_traces())
+    traces = [first] + [data.draw(timed_traces(first.times)) for _ in range(3)]
+    phi = data.draw(rich_formulas(first))
+    t = data.draw(st.one_of(st.sampled_from(first.times),
+                            st.floats(-0.5, first.end + 0.5, allow_nan=False)))
+    try:
+        monitor = stl.Monitor(phi, first.times, t)
+    except StlError as e:
+        for tr in traces:
+            assert _outcome(robustness, phi, tr, t) == (type(e), str(e))
+        return
+
+    def monitored(_, trace, t):
+        return robustness(monitor, trace, t)
+
+    for tr in traces:
+        got = _outcome(monitored, phi, tr, t)
+        assert got == _outcome(robustness, phi, tr, t)
+        assert got == _outcome(stl_oracle.robustness, phi, tr, t)
+    longer = Trace(first.times + (first.end + 0.25,),
+                   {name: vals + vals[-1:] for name, vals in first.signals.items()})
+    shifted = Trace(tuple(u + 0.125 for u in first.times), first.signals)
+    for other in (longer, shifted):
+        with pytest.raises(StlError, match="monitor"):
+            robustness(monitor, other, t)
+    with pytest.raises(StlError, match="monitor"):
+        robustness(monitor, first, t + 0.25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_csv_text_roundtrip(data):
+    """Reading a written trace and writing it again gives the same text,
+    for infinities, NaN, both zeros, subnormals and finite values up to
+    1e300 in magnitude.  Within ten significant digits of the largest
+    float, `%.10g` rounds past it and the text reads back as infinity."""
+    n = data.draw(st.integers(1, 6))
+    dt = data.draw(st.sampled_from((0.05, 0.1, 0.25, 0.3, 0.7, 2.5)))
+    names = data.draw(st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,12}",
+                                             fullmatch=True),
+                               max_size=4, unique=True))
+    values = (st.floats(-1e300, 1e300)
+              | st.sampled_from((0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan)))
+    trace = Trace(tuple(i * dt for i in range(n)),
+                  {name: tuple(data.draw(st.lists(values, min_size=n, max_size=n)))
+                   for name in names})
+    text = trace.to_csv()
+    assert Trace.from_csv(text).to_csv() == text
 
 
 ZERO_TIE_TRACES = [
