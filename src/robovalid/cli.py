@@ -117,31 +117,31 @@ def _strength(text: str) -> Union[int, str]:
     return text if text == "full" else _positive_int(text)
 
 
+def _count_table(theory, grammar, depth: int, worlds) -> list[tuple[int, int]]:
+    """(syntax-valid, accomplishable) derivation counts for each depth
+    1..`depth`.  A derivation of n steps is one of every depth k >= n, so
+    one pass at the largest depth gives every row as a cumulative count by
+    length."""
+    syntax_valid = [0] * (depth + 1)
+    accomplishable = [0] * (depth + 1)
+    for deriv, _, sat in ctgen.accomplishing_worlds(theory, grammar, depth, worlds):
+        syntax_valid[len(deriv.steps)] += 1
+        accomplishable[len(deriv.steps)] += bool(sat)
+    return [(sum(syntax_valid[:k + 1]), sum(accomplishable[:k + 1]))
+            for k in range(1, depth + 1)]
+
+
 def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
-    syntax_valid = 0
-    accomplishable = 0
-    for _, _, sat in ctgen.accomplishing_worlds(theory, grammar, depth, worlds):
-        syntax_valid += 1
-        accomplishable += bool(sat)
-    return syntax_valid, accomplishable
+    return _count_table(theory, grammar, depth, worlds)[-1]
 
 
 def cmd_enumerate(args) -> int:
     theory = load_model(args.model)
-    grammar = Grammar(theory.grammar)
     worlds = list(enumerate_initial_worlds(theory))
-    # a derivation of n steps is one of every depth k >= n, so one pass at
-    # the largest depth gives every row as a cumulative count by length
-    syntax_valid = [0] * (args.depth + 1)
-    accomplishable = [0] * (args.depth + 1)
-    for deriv, _, sat in ctgen.accomplishing_worlds(theory, grammar, args.depth,
-                                                    worlds):
-        syntax_valid[len(deriv.steps)] += 1
-        accomplishable[len(deriv.steps)] += bool(sat)
+    table = _count_table(theory, Grammar(theory.grammar), args.depth, worlds)
     print("depth  syntax-valid  accomplishable")
-    for k in range(1, args.depth + 1):
-        print("%5d  %12d  %14d" % (k, sum(syntax_valid[:k + 1]),
-                                   sum(accomplishable[:k + 1])))
+    for k, (syntax_valid, accomplishable) in enumerate(table, 1):
+        print("%5d  %12d  %14d" % (k, syntax_valid, accomplishable))
     return 0
 
 
@@ -172,16 +172,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _run_campaign(theory, configs, scn, pmap, budget, seed):
-    results = [fz.campaign([cfg], theory, scn, pmap, budget, seed + i)[0]
-               for i, cfg in enumerate(configs)]
-    entries = [fz.CampaignEntry(i, e.task_text, e.status, e.robustness,
-                                e.evaluations, e.error)
-               for i, (e, _) in enumerate(results)]
-    return entries, [r for _, r in results]
-
-
-def _write_report(out_dir, entries, results, summary) -> str:
+def _write_report(out_dir, outcomes, summary) -> str:
     os.makedirs(out_dir, exist_ok=True)
     report = {
         "summary": summary,
@@ -189,13 +180,13 @@ def _write_report(out_dir, entries, results, summary) -> str:
             {"index": e.index, "task": e.task_text, "status": e.status,
              "robustness": e.robustness, "evaluations": e.evaluations,
              "error": e.error}
-            for e in entries
+            for e, _ in outcomes
         ],
     }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as f:
         f.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    for e, res in zip(entries, results):
+    for e, res in outcomes:
         if res is not None and res.status == "falsified":
             tpath = os.path.join(out_dir, "trace_%03d.csv" % e.index)
             with open(tpath, "w") as f:
@@ -208,10 +199,9 @@ def cmd_falsify(args) -> int:
     pmap = stl.load_pmap(args.pmap)
     scn = _load_scenario(args.scenario, theory, args.knob)
     configs = _load_configs(args.configs, theory)
-    entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
-                                     args.seed)
-    summary = fz.summarize(entries)
-    path = _write_report(args.out, entries, results, summary)
+    outcomes = fz.campaign(configs, theory, scn, pmap, args.budget, args.seed)
+    summary = fz.summarize([e for e, _ in outcomes])
+    path = _write_report(args.out, outcomes, summary)
     print("falsified %d / passed %d / errors %d of %d configurations"
           % (summary["falsified"], summary["passed"], summary["errors"],
              summary["configurations"]))
@@ -225,12 +215,11 @@ def cmd_validate(args) -> int:
     scn = _load_scenario(args.scenario, theory, args.knob)
     _, valid, rows, configs = _generate(theory, args.depth, args.strength)
     cpath = _write_configs(args.out, configs)
-    entries, results = _run_campaign(theory, configs, scn, pmap, args.budget,
-                                     args.seed)
-    summary = fz.summarize(entries)
+    outcomes = fz.campaign(configs, theory, scn, pmap, args.budget, args.seed)
+    summary = fz.summarize([e for e, _ in outcomes])
     summary["valid_assignments"] = len(valid)
     summary["strength"] = str(args.strength)
-    path = _write_report(args.out, entries, results, summary)
+    path = _write_report(args.out, outcomes, summary)
     passed = summary["passed"]
     print("Only %d configurations passed the validation (%d falsified, %d errors)"
           % (passed, summary["falsified"], summary["errors"]))

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Union
 
 from .logic import (
     Formula, P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, Rigid, TRUE,
-    anchor, ground, peval,
+    ground, peval,
 )
 from .tasks import (
     Derivation, EPSILON, Grammar, Task, enumerate_derivations, normalize,
@@ -31,9 +31,9 @@ from .tasks import (
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
-    satisfies_init,
+    initial_formulas, satisfies_init,
 )
-from .wp import holds_at, unfold_derived, wp as compute_wp, SIT
+from .wp import holds_at, wp as compute_wp
 
 
 class CtError(Exception):
@@ -165,10 +165,9 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
                          for inst in comps))
 
     # (d) initial-axiom constraints
-    for i, ax in enumerate(theory.init_axioms):
-        anchored = anchor(unfold_derived(ax, theory), SIT)
+    for i, phi in enumerate(initial_formulas(theory)):
         model.constraints.append(CtConstraint(
-            "initial axiom %d" % (i + 1), ground(anchored, theory.objects, param_atom)))
+            "initial axiom %d" % (i + 1), ground(phi, theory.objects, param_atom)))
 
     # grammar validity and (e) weakest-precondition constraints
     valid_ants = []
@@ -282,14 +281,21 @@ def check_assignment(model: CtModel, row: tuple[str, ...]) -> bool:
 # Covering arrays
 # ---------------------------------------------------------------------------
 
-def _row_tuples(model: CtModel, rows: list[tuple[str, ...]],
-               t: int) -> list[frozenset[tuple]]:
-    """The t-tuples of (parameter index, value) pairs of each row, indices
-    ascending.  A strength above the number of parameters means all of
-    them, so every row then has exactly one tuple: the whole row."""
+def _tuple_masks(model: CtModel, rows: list[tuple[str, ...]], t: int,
+                 bits: dict[tuple, int]) -> list[int]:
+    """Each row's t-tuples of (parameter index, value) pairs, indices
+    ascending, as an int mask.  `bits` numbers the tuples; a tuple not in
+    it yet gets the next free bit.  A strength above the number of
+    parameters means all of them, so every row then has exactly one
+    tuple: the whole row."""
     t = min(t, len(model.parameters))
-    return [frozenset(itertools.combinations(tuple(enumerate(row)), t))
-            for row in rows]
+    masks = []
+    for row in rows:
+        mask = 0
+        for tup in itertools.combinations(tuple(enumerate(row)), t):
+            mask |= 1 << bits.setdefault(tup, len(bits))
+        masks.append(mask)
+    return masks
 
 
 def coverable_tuples(model: CtModel, t: int,
@@ -298,7 +304,9 @@ def coverable_tuples(model: CtModel, t: int,
     valid full assignment."""
     if valid is None:
         valid = list(enumerate_valid(model))
-    return set().union(*_row_tuples(model, valid, t))
+    bits: dict[tuple, int] = {}
+    _tuple_masks(model, valid, t, bits)
+    return set(bits)
 
 
 def generate_covering_array(model: CtModel, t: Union[int, str],
@@ -323,14 +331,8 @@ def generate_covering_array(model: CtModel, t: Union[int, str],
     valid = sorted(enumerate_valid(model)) if valid is None else sorted(valid)
     if t == "full":
         return valid
-    t = min(t, len(model.parameters))
     bits: dict[tuple, int] = {}
-    masks: list[int] = []
-    for row in valid:
-        mask = 0
-        for tup in itertools.combinations(tuple(enumerate(row)), t):
-            mask |= 1 << bits.setdefault(tup, len(bits))
-        masks.append(mask)
+    masks = _tuple_masks(model, valid, t, bits)
     uncovered = (1 << len(bits)) - 1
     heap = [(-mask.bit_count(), i) for i, mask in enumerate(masks)]
     heapq.heapify(heap)
@@ -350,11 +352,19 @@ def generate_covering_array(model: CtModel, t: Union[int, str],
 
 def verify_covering_array(model: CtModel, rows: list[tuple[str, ...]], t: int,
                           valid: Optional[list[tuple[str, ...]]] = None) -> bool:
-    """Independent soundness + coverage pass over a generated array."""
+    """Independent soundness + coverage pass over a generated array: every
+    row satisfies the constraints, and numbering the valid rows' t-tuples
+    after the array's adds no new tuple."""
     for row in rows:
         if not check_assignment(model, row):
             return False
-    return coverable_tuples(model, t, valid) <= set().union(*_row_tuples(model, rows, t))
+    if valid is None:
+        valid = list(enumerate_valid(model))
+    bits: dict[tuple, int] = {}
+    _tuple_masks(model, rows, t, bits)
+    covered = len(bits)
+    _tuple_masks(model, valid, t, bits)
+    return len(bits) == covered
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,9 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
             monitor = Monitor(spec.formula, trace.times)
         r = robustness(monitor, trace)
         effective = r.value if not (truncated or r.truncated) else max(r.value, 0.0)
-        if effective < best_rho:
+        # the first feasible point is the incumbent even at +inf, the
+        # robustness of a `true` spec
+        if effective < best_rho or best_sample is None:
             best_rho = effective
             best_sample, best_trace = sample, trace
         return effective

@@ -467,18 +467,6 @@ def evaluate(world, phi: Formula) -> bool:
     return peval(ground(phi, world.objects, atom), {})
 
 
-def check_axioms(world, axioms, sit: SitTerm) -> bool:
-    """True iff every axiom holds in `world` after anchoring to `sit`.
-
-    Axioms may mention any single free situation variable; it is replaced
-    by `sit` before evaluation.
-    """
-    for psi in axioms:
-        if not evaluate(world, anchor(psi, sit)):
-            return False
-    return True
-
-
 def anchor(phi: Formula, sit: SitTerm) -> Formula:
     """Replace the situation variable at the root of each fluent's
     situation term by `sit`."""

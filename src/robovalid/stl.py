@@ -575,7 +575,8 @@ def synthesize(config: Configuration, theory: ActionTheory,
     get stuck are pruned; each surviving branch contributes one nested
     formula over the checkpoint states its operations reach, with its
     tests stripped.  The result is the disjunction over surviving
-    branches.
+    branches; a task none of whose branches can run from the initial world
+    is an StlError.
     """
     delta_t = pmap.delta_t
     if delta_t <= 0:
@@ -597,7 +598,6 @@ def synthesize(config: Configuration, theory: ActionTheory,
             formula = STrue()
         specs.append(BranchSpec(ops, tuple(checkpoints), formula))
     if not specs:
-        raise StlError("all branches pruned for an accomplishable configuration; "
-                       "encoding bug")
+        raise StlError("no branch of the task can run from the initial world")
     top = specs[0].formula if len(specs) == 1 else SOr(tuple(s.formula for s in specs))
     return SpecSynthesisResult(top, tuple(specs), delta_t)

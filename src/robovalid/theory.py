@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .logic import (
-    FALSE, Eq, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE, P_TRUE, PEq,
-    PFormula, ParseError, Rigid, S0, SitTerm, FormulaParser, anchor,
-    check_axioms, conj, evaluate, ground, map_atoms, peval, substitute_all,
+    FALSE, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE,
+    P_TRUE, PEq, PFormula, ParseError, Rigid, S0, SitTerm, FormulaParser, Var,
+    anchor, conj, disj, evaluate, ground, map_atoms, peval, substitute_all,
 )
 
 
@@ -209,7 +209,7 @@ class StateView:
 
 
 # ---------------------------------------------------------------------------
-# Derived fluents
+# Derived fluents: computed over a state, or unfolded in a formula
 # ---------------------------------------------------------------------------
 
 def compute_derived(theory: ActionTheory, state: WorldState) -> frozenset[GroundAtom]:
@@ -234,6 +234,37 @@ def compute_derived(theory: ActionTheory, state: WorldState) -> frozenset[Ground
             for dst in seen:
                 out.add((name, (src, dst)))
     return frozenset(out)
+
+
+def unfold_derived(phi: Formula, theory: ActionTheory) -> Formula:
+    """Replace derived-fluent atoms by formulas over primitive fluents.
+
+    A transitive closure is expanded exactly by bounding chains at
+    |objects| - 1 compositions.  The chain variables are the first of
+    _c1, _c2, ... that the atom's arguments do not name.
+    """
+    def unfold(a: Formula) -> Formula:
+        if not (isinstance(a, Fluent) and a.name in theory.derived):
+            return a
+        src, dst = a.args
+        base = theory.derived[a.name].closure_of
+        hops = max(1, len(theory.objects) - 1)
+        taken = {t.name for t in a.args if isinstance(t, Var)}
+        names = [n for n in ("_c%d" % i for i in range(1, hops + 2)) if n not in taken]
+        terms = [Fluent(base, (src, dst), a.sit)]
+        for length in range(2, hops + 1):
+            mids = names[:length - 1]
+            chain = [Fluent(base, (src, Var(mids[0])), a.sit)]
+            for x, y in zip(mids, mids[1:]):
+                chain.append(Fluent(base, (Var(x), Var(y)), a.sit))
+            chain.append(Fluent(base, (Var(mids[-1]), dst), a.sit))
+            body = conj(chain)
+            for m in reversed(mids):
+                body = Exists(m, body)
+            terms.append(body)
+        return disj(terms)
+
+    return map_atoms(phi, unfold)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +358,12 @@ def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm) -> PFormu
     return ground(phi, theory.objects, atom)
 
 
+def initial_formulas(theory: ActionTheory) -> list[Formula]:
+    """The initial axioms at s0, with derived fluents unfolded, so they
+    mention only rigid atoms and primitive fluents."""
+    return [unfold_derived(anchor(ax, S0), theory) for ax in theory.init_axioms]
+
+
 def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     """All WorldStates satisfying the initial axioms, in deterministic order.
 
@@ -335,7 +372,7 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     abandoned, which avoids the 2^N generate-then-filter blowup.
     """
     atoms = theory.all_primitive_atoms()
-    axioms = [ground_primitive(theory, anchor(a, S0), S0) for a in theory.init_axioms]
+    axioms = [ground_primitive(theory, f, S0) for f in initial_formulas(theory)]
     assigned: dict[GroundAtom, bool] = {}
 
     def consistent() -> bool:
@@ -355,8 +392,10 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
 
 
 def satisfies_init(theory: ActionTheory, state: WorldState) -> bool:
-    """Independent check that `state` satisfies every initial axiom."""
-    return check_axioms(StateView(theory, state), theory.init_axioms, S0)
+    """Whether `state` satisfies every initial axiom."""
+    truth = {atom: atom in state.true_atoms for atom in theory.all_primitive_atoms()}
+    return all(peval(ground_primitive(theory, f, S0), truth) is True
+               for f in initial_formulas(theory))
 
 
 # ---------------------------------------------------------------------------

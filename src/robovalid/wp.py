@@ -1,9 +1,10 @@
 """Regression over successor situations and inductive weakest preconditions.
 
-Derived fluents are unfolded to primitives before any regression, and
-executability atoms are macro-expanded to their defining conditions, so a
-weakest precondition is always a pure fluent/rigid formula over one
-situation variable.
+Derived fluents are unfolded to primitives before any regression, in the
+postcondition, in tests and preconditions and in each instantiated effect
+condition, and executability atoms are macro-expanded to their defining
+conditions, so a weakest precondition is always a pure fluent/rigid
+formula over one situation variable.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from dataclasses import dataclass
 
 from .logic import (
     And, Do, Exists, Fluent, Forall, Formula, Iff, Implies, Not, Obj, Or, S0,
-    SitVar, Var, LogicError, anchor, conj, disj, evaluate, fold, map_atoms,
-    substitute, substitute_all,
+    SitVar, Var, LogicError, anchor, evaluate, fold, map_atoms, substitute,
+    substitute_all,
 )
 from .theory import (
     ActionTheory, GroundOp, StateView, WorldState, instantiate_op_equalities,
-    instantiate_precondition,
+    instantiate_precondition, unfold_derived,
 )
 from .tasks import Choice, Nil, Op, Seq, Task, Test
 
@@ -28,40 +29,10 @@ class RegressionError(LogicError):
     """Formula shape violates the regression contract."""
 
 
-def unfold_derived(phi: Formula, theory: ActionTheory) -> Formula:
-    """Replace derived-fluent atoms by formulas over primitive fluents.
-
-    A transitive closure is expanded exactly by bounding chains at
-    |objects| - 1 compositions.  The chain variables are the first of
-    _c1, _c2, ... that the atom's arguments do not name.
-    """
-    def unfold(a: Formula) -> Formula:
-        if not (isinstance(a, Fluent) and a.name in theory.derived):
-            return a
-        src, dst = a.args
-        base = theory.derived[a.name].closure_of
-        hops = max(1, len(theory.objects) - 1)
-        taken = {t.name for t in a.args if isinstance(t, Var)}
-        names = [n for n in ("_c%d" % i for i in range(1, hops + 2)) if n not in taken]
-        terms = [Fluent(base, (src, dst), a.sit)]
-        for length in range(2, hops + 1):
-            mids = names[:length - 1]
-            chain = [Fluent(base, (src, Var(mids[0])), a.sit)]
-            for x, y in zip(mids, mids[1:]):
-                chain.append(Fluent(base, (Var(x), Var(y)), a.sit))
-            chain.append(Fluent(base, (Var(mids[-1]), dst), a.sit))
-            body = conj(chain)
-            for m in reversed(mids):
-                body = Exists(m, body)
-            terms.append(body)
-        return disj(terms)
-
-    return map_atoms(phi, unfold)
-
-
 def regress(phi: Formula, theory: ActionTheory) -> Formula:
     """One regression step: every fluent at do(a, s) for a single known
-    ground operation is rewritten to gamma+ or (F and not gamma-) at s.
+    ground operation is rewritten to gamma+ or (F and not gamma-) at s,
+    with the derived fluents of gamma+ and gamma- unfolded.
     """
     def regress_fluent(a: Formula) -> Formula:
         if not isinstance(a, Fluent):
@@ -79,14 +50,14 @@ def regress(phi: Formula, theory: ActionTheory) -> Formula:
             raise RegressionError("operation term %s is not ground" % (sit.op,))
         op = GroundOp(sit.op.name, tuple(x.name for x in sit.op.args))
         sa = theory.successor[a.name]
-        gplus = _inst(sa.gamma_plus, sa.params, a.args, op, sit.prev)
-        gminus = _inst(sa.gamma_minus, sa.params, a.args, op, sit.prev)
+        gplus = _inst(theory, sa.gamma_plus, sa.params, a.args, op, sit.prev)
+        gminus = _inst(theory, sa.gamma_minus, sa.params, a.args, op, sit.prev)
         return fold(Or(gplus, And(Fluent(a.name, a.args, sit.prev), Not(gminus))))
 
     return map_atoms(phi, regress_fluent)
 
 
-def _inst(gamma, params, args, op, sit):
+def _inst(theory, gamma, params, args, op, sit):
     # the template's own quantified variables get names that no parameter,
     # no variable fluent argument and no quantifier of the template has, so
     # neither substituting the arguments nor renaming an enclosing
@@ -94,7 +65,7 @@ def _inst(gamma, params, args, op, sit):
     taken = (set(params) | {a.name for a in args if isinstance(a, Var)}
              | _bound_names(gamma))
     phi = substitute_all(_rename_bound(gamma, taken), dict(zip(params, args)))
-    return anchor(instantiate_op_equalities(phi, op), sit)
+    return unfold_derived(anchor(instantiate_op_equalities(phi, op), sit), theory)
 
 
 def _bound_names(phi: Formula) -> set[str]:

@@ -55,6 +55,28 @@ def kitchen_worlds(kitchen):
 
 
 @pytest.fixture(scope="session")
+def derived_init_path(tmp_path_factory):
+    """kitchen4 plus an initial axiom over the closure In: the bread does
+    not start in the microwave, directly or on the plate."""
+    path = tmp_path_factory.mktemp("derived_init") / "kitchen4_init_in.sc"
+    path.write_text((MODELS / "kitchen4.sc").read_text() + "init: !In(o_b,o_m)@s0\n")
+    return path
+
+
+@pytest.fixture(scope="session")
+def derived_gamma_path(tmp_path_factory):
+    """kitchen4 with an effect condition over the closure In: turn_on sets
+    Running only when something is in the appliance."""
+    text = (MODELS / "kitchen4.sc").read_text()
+    old = "successor: Running(o) plus: alpha = turn_on(o) minus: false"
+    assert old in text
+    path = tmp_path_factory.mktemp("derived_gamma") / "kitchen4_gamma_in.sc"
+    path.write_text(text.replace(old, "successor: Running(o) plus: alpha = turn_on(o) "
+                                      "& (exists x . In(x,o)@s) minus: false"))
+    return path
+
+
+@pytest.fixture(scope="session")
 def putfrag():
     return load_model(MODELS / "putfrag.sc")
 

@@ -17,12 +17,14 @@ and intersects its frozenset of t-tuples with the uncovered set, where the
 package keeps stale gains in a heap and counts bits of int masks.  Both
 take the row of highest gain, the lowest index in sorted order among
 ties, so they must return the same rows.  Called without valid rows, it
-takes them from this module's solver.
+takes them from this module's solver.  It builds the tuple sets with its
+own `_row_tuples`, not with the package's mask builder.
 """
 
+import itertools
 from typing import Iterator, Optional, Union
 
-from robovalid.ctgen import CtError, CtModel, _row_tuples
+from robovalid.ctgen import CtError, CtModel
 from robovalid.logic import TRUE, Formula, PAnd, PEq, PFormula, PNot, POr, peval
 from robovalid.tasks import Derivation, Grammar, Task, enumerate_derivations
 from robovalid.theory import ActionTheory, WorldState, ground_primitive
@@ -128,6 +130,16 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
     if not model.derivations:
         return
     yield from rec(0, d_watch)
+
+
+def _row_tuples(model: CtModel, rows: list[tuple[str, ...]],
+                t: int) -> list[frozenset[tuple]]:
+    """The t-tuples of (parameter index, value) pairs of each row, indices
+    ascending.  A strength above the number of parameters means all of
+    them, so every row then has exactly one tuple: the whole row."""
+    t = min(t, len(model.parameters))
+    return [frozenset(itertools.combinations(tuple(enumerate(row)), t))
+            for row in rows]
 
 
 def generate_covering_array(model: CtModel, t: Union[int, str],

@@ -46,6 +46,12 @@ def test_enumerate_counts(capsys, monkeypatch):
     assert table[4] == (28, 8)
 
 
+def test_enumerate_with_a_derived_initial_axiom(derived_init_path, capsys):
+    assert main(["enumerate", "--model", str(derived_init_path), "--depth", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split()[0] for ln in lines] == ["depth", "1", "2", "3"]
+
+
 def test_wp_output(capsys):
     assert main(["wp", "--model", KITCHEN,
                  "--task", "[open(o_m) ; close(o_m)]"]) == 0
@@ -188,3 +194,21 @@ def test_nonpositive_budget_is_usage_error(tmp_path, capsys, command, budget):
     assert e.value.code == 2
     assert "--budget" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+def test_task_that_cannot_run_is_an_error_row(tmp_path, capsys, kitchen_worlds):
+    """A configs line whose task cannot run from its world, here the test
+    IsOpen(o_m) on a closed microwave, is an error row that says so, and
+    falsify exits 1."""
+    world = next(w for w in kitchen_worlds if ("IsOpen", ("o_m",)) not in w.true_atoms)
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps({
+        "fluents": sorted("%s(%s)" % (f, ",".join(args)) for f, args in world.true_atoms),
+        "task": "IsOpen(o_m)@s ?", "assignment": []}) + "\n")
+    out = tmp_path / "run"
+    assert main(["falsify", "--model", KITCHEN, "--configs", str(configs),
+                 "--pmap", PMAP, "--scenario", SCENARIO, "--out", str(out)]) == 1
+    assert "errors 1 of 1" in capsys.readouterr().out
+    row, = json.loads((out / "report.json").read_text())["configurations"]
+    assert row["status"] == "error"
+    assert row["error"] == "StlError: no branch of the task can run from the initial world"

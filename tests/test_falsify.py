@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from robovalid import ctgen, falsify as falsify_module
@@ -5,8 +7,8 @@ from robovalid.falsify import (
     FalsificationError, FalsificationProblem, FalsificationResult, campaign,
     falsify, summarize,
 )
-from robovalid.stl import PredicateMap, synthesize
-from robovalid.tasks import format_task
+from robovalid.stl import PredicateMap, STrue, synthesize
+from robovalid.tasks import format_task, parse_task
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,18 @@ def test_budget_one_runs_one_evaluation(kitchen_configs, kitchen, scenario, pmap
     res = falsify(prob)
     assert res.evaluations == 1
     assert res.status == "passed-budget-exhausted"
+
+
+def test_true_spec_passes_with_its_evaluations(kitchen, kitchen_worlds, scenario, pmap):
+    """A task without operations gets the spec `true`, robustness +inf at
+    every point.  The first feasible point is still the incumbent, so the
+    search spends its budget and the configuration passes."""
+    cfg = ctgen.Configuration(kitchen_worlds[0], parse_task("nil", kitchen), ())
+    assert isinstance(synthesize(cfg, kitchen, pmap).formula, STrue)
+    (entry, res), = campaign([cfg], kitchen, scenario, pmap, 10, 0)
+    assert (entry.status, entry.robustness, entry.evaluations) == (
+        "passed-budget-exhausted", math.inf, 10)
+    assert res.best_sample is not None and res.infeasible < 10
 
 
 def test_status_consistency_enforced():

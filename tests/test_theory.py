@@ -1,9 +1,9 @@
 import pytest
 
-from robovalid.logic import Do, S0, evaluate, parse_formula
+from robovalid.logic import Do, S0, anchor, evaluate, parse_formula
 from robovalid.theory import (
     GroundOp, ModelError, PreconditionViolation, StateView, WorldState,
-    compute_derived, enumerate_initial_worlds, ground_primitive,
+    compute_derived, enumerate_initial_worlds, ground_primitive, load_model,
     parse_ground_atom, possible, progress, satisfies_init,
 )
 
@@ -115,6 +115,37 @@ def test_enumeration_matches_satisfies_init_on_one_atom_flips(kitchen, kitchen_w
     assert any(f in enumerated for f in flips)
     for f in flips:
         assert (f in enumerated) == satisfies_init(kitchen, WorldState(f)), sorted(f)
+
+
+def test_initial_axiom_over_a_derived_fluent(derived_init_path, kitchen, kitchen_worlds):
+    """An initial axiom may mention a closure: the worlds are the kitchen
+    worlds where it holds of the computed closure, in the same order."""
+    theory = load_model(derived_init_path)
+    want = [w.true_atoms for w in kitchen_worlds
+            if ("In", ("o_b", "o_m")) not in compute_derived(kitchen, w)]
+    assert len(want) == 6
+    assert [w.true_atoms for w in enumerate_initial_worlds(theory)] == want
+
+
+def _satisfies_init_reference(theory, state):
+    """Every initial axiom evaluated at s0 over a view of the state, which
+    computes derived fluents as closures."""
+    view = StateView(theory, state, S0)
+    return all(evaluate(view, anchor(ax, S0)) for ax in theory.init_axioms)
+
+
+@pytest.mark.parametrize("derived_init", [False, True], ids=["kitchen4", "derived-init"])
+def test_satisfies_init_matches_evaluation_on_one_atom_flips(
+        kitchen, kitchen_worlds, derived_init_path, derived_init):
+    """The grounded check agrees with evaluating each axiom over the
+    state on every state one primitive atom away from a kitchen world."""
+    theory = load_model(derived_init_path) if derived_init else kitchen
+    atoms = theory.all_primitive_atoms()
+    states = [WorldState(w.true_atoms ^ {a}) for w in kitchen_worlds for a in atoms]
+    assert len(states) == 288
+    got = [satisfies_init(theory, w) for w in states]
+    assert got == [_satisfies_init_reference(theory, w) for w in states]
+    assert True in got and False in got
 
 
 def test_zero_ary_atoms_load(tiny):

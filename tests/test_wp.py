@@ -7,7 +7,9 @@ from robovalid.logic import (
     Do, Fluent, Not, Obj, S0, TRUE, evaluate, format_formula, parse_formula,
     substitute,
 )
-from robovalid.tasks import enumerate_derivations, execute, parse_task
+from robovalid.tasks import (
+    Grammar, enumerate_derivations, execute, format_task, parse_task,
+)
 from robovalid.theory import (
     GroundOp, StateView, enumerate_initial_worlds, load_model, possible, progress,
 )
@@ -176,3 +178,28 @@ def test_wp_equals_execution_depth4(kitchen, kitchen_grammar, kitchen_worlds):
         phi = wp(TRUE, task, kitchen).formula
         for w in kitchen_worlds:
             assert holds_at(phi, kitchen, w) == execute(kitchen, w, task)
+
+
+DERIVED_GAMMA_TASK = "[close(o_m) ; [turn_on(o_m) ; Running(o_m)@s ?]]"
+
+
+def test_wp_command_with_a_derived_effect_condition(derived_gamma_path, capsys):
+    """Regression unfolds the closure in an effect condition, so the WP
+    holds primitive fluents only."""
+    assert main(["wp", "--model", str(derived_gamma_path),
+                 "--task", DERIVED_GAMMA_TASK]) == 0
+    out = capsys.readouterr().out
+    assert "Loc(" in out and "In(" not in out
+
+
+def test_wp_equals_execution_with_a_derived_effect_condition(derived_gamma_path,
+                                                              kitchen_worlds):
+    theory = load_model(derived_gamma_path)
+    tau = parse_task(DERIVED_GAMMA_TASK, theory)
+    phi = wp(TRUE, tau, theory).formula
+    assert any(holds_at(phi, theory, w) for w in kitchen_worlds)
+    tasks = [tau] + [t for _, t in enumerate_derivations(Grammar(theory.grammar), 5, theory)]
+    for task in tasks:
+        phi = wp(TRUE, task, theory).formula
+        assert ([holds_at(phi, theory, w) for w in kitchen_worlds]
+                == [execute(theory, w, task) for w in kitchen_worlds]), format_task(task)
