@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import Union
+from typing import Optional, Union
 
 from . import ctgen, falsify as fz, sim, stl
 from .logic import ParseError, format_formula, TRUE
@@ -172,20 +173,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _json_number(x: Optional[float]) -> Union[float, str, None]:
+    """x itself when it is finite or None; else "inf", "-inf" or "nan",
+    which strict JSON can hold and `float()` reads back."""
+    return x if x is None or math.isfinite(x) else repr(x)
+
+
 def _write_report(out_dir, outcomes, summary) -> str:
     os.makedirs(out_dir, exist_ok=True)
     report = {
         "summary": summary,
         "configurations": [
             {"index": e.index, "task": e.task_text, "status": e.status,
-             "robustness": e.robustness, "evaluations": e.evaluations,
+             "robustness": _json_number(e.robustness), "evaluations": e.evaluations,
              "error": e.error}
             for e, _ in outcomes
         ],
     }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as f:
-        f.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        f.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     for e, res in outcomes:
         if res is not None and res.status == "falsified":
             tpath = os.path.join(out_dir, "trace_%03d.csv" % e.index)

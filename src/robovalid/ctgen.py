@@ -31,7 +31,7 @@ from .tasks import (
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
-    initial_formulas, satisfies_init,
+    initial_formulas,
 )
 from .wp import holds_at, wp as compute_wp
 
@@ -63,6 +63,8 @@ class CtModel:
     # decode metadata
     theory: ActionTheory = None
     depth: int = 0
+    # every initial world of the theory
+    worlds: frozenset[WorldState] = frozenset()
     derivations: dict[tuple[str, ...], Task] = field(default_factory=dict)
     # WP of each accomplishable derivation only, keyed like `derivations`
     wps: dict[tuple[str, ...], Formula] = field(default_factory=dict)
@@ -100,7 +102,8 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
         raise CtError("derivation depth must be at least 1")
     worlds = list(enumerate_initial_worlds(theory))
 
-    model = CtModel(parameters=[], constraints=[], theory=theory, depth=depth)
+    model = CtModel(parameters=[], constraints=[], theory=theory, depth=depth,
+                    worlds=frozenset(worlds))
     rule_ids = sorted(r.id for r in grammar.rules)
 
     # (c) derivation-step parameters
@@ -151,18 +154,27 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
     unary_atoms = {atom: PEq(pname, "true")
                    for pname, atom in model.unary_params.items()}
 
+    encodings: dict[tuple[bool, str, tuple[str, ...]], PFormula] = {}
+
     def param_atom(node: Formula, args: tuple[str, ...]) -> PFormula:
-        """A ground atom as a constraint over the parameters encoding it."""
+        """A ground atom as a constraint over the parameters encoding it,
+        built once per (rigid or fluent, name, args)."""
+        key = (isinstance(node, Rigid), node.name, args)
+        enc = encodings.get(key)
+        if enc is not None:
+            return enc
         if isinstance(node, Rigid):
-            return P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
-        p = unary_atoms.get((node.name, args))
-        if p is not None:
-            return p
-        comps = model.tuple_params.get(node.name)
-        if comps is None:
-            raise CtError("fluent %s has no parameter encoding" % node.name)
-        return POr(tuple(PAnd(tuple(PEq(c, a) for c, a in zip(inst, args)))
-                         for inst in comps))
+            enc = P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
+        elif (node.name, args) in unary_atoms:
+            enc = unary_atoms[(node.name, args)]
+        else:
+            comps = model.tuple_params.get(node.name)
+            if comps is None:
+                raise CtError("fluent %s has no parameter encoding" % node.name)
+            enc = POr(tuple(PAnd(tuple(PEq(c, a) for c, a in zip(inst, args)))
+                            for inst in comps))
+        encodings[key] = enc
+        return enc
 
     # (d) initial-axiom constraints
     for i, phi in enumerate(initial_formulas(theory)):
@@ -291,10 +303,12 @@ def _tuple_masks(model: CtModel, rows: list[tuple[str, ...]], t: int,
     t = min(t, len(model.parameters))
     masks = []
     for row in rows:
-        mask = 0
-        for tup in itertools.combinations(tuple(enumerate(row)), t):
-            mask |= 1 << bits.setdefault(tup, len(bits))
-        masks.append(mask)
+        indices = [bits.setdefault(tup, len(bits))
+                   for tup in itertools.combinations(tuple(enumerate(row)), t)]
+        buf = bytearray((max(indices) >> 3) + 1)
+        for i in indices:
+            buf[i >> 3] |= 1 << (i & 7)
+        masks.append(int.from_bytes(buf, "little"))
     return masks
 
 
@@ -416,7 +430,7 @@ def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration
     if task is None:
         raise CtError("assignment's derivation %r is not a valid one" % (steps,))
 
-    if not satisfies_init(theory, w0):
+    if w0 not in model.worlds:
         raise CtError("decoded world violates the initial axioms (encoding bug)")
     wpf = model.wps.get(steps)
     if wpf is None or not holds_at(wpf, theory, w0):

@@ -160,39 +160,50 @@ class ConcreteState:
                              dict(self.running), dict(self.knobs))
 
 
-def signal_values(scn: Scenario, state: ConcreteState) -> dict[str, float]:
+def signal_values(scn: Scenario, state: ConcreteState,
+                  pairs: Optional[dict] = None) -> dict[str, float]:
+    """Every signal of `state`.  `pairs` is `_pair_table(scn)`, built here
+    when not given."""
     names = sorted(scn.objects)
     out: dict[str, float] = {}
     for n in names:
         out["DoorAngle_%s" % n] = state.door_angles.get(n, 180.0)
         out["running_%s" % n] = state.running.get(n, 0.0)
-    _pair_signals(scn, state, names, names, out)
+    _pair_signals(state, _pair_table(scn) if pairs is None else pairs, names, names, out)
     return out
 
 
-def _pair_signals(scn: Scenario, state: ConcreteState, lefts, rights,
+def _pair_table(scn: Scenario) -> dict[str, tuple[float, dict[str, tuple]]]:
+    """For each object a: half its height, and for each object b the keys
+    of `dist_a_b` and `contain_a_b` with b's support and region geometry."""
+    return {a: (ga.height / 2.0,
+                {b: ("dist_%s_%s" % (a, b), "contain_%s_%s" % (a, b),
+                     gb.support_radius, gb.support_dz, gb.region_radius,
+                     gb.region_dzlo, gb.region_dzhi)
+                 for b, gb in scn.objects.items()})
+            for a, ga in scn.objects.items()}
+
+
+def _pair_signals(state: ConcreteState, pairs: dict, lefts, rights,
                   out: dict[str, float]) -> None:
     """Write `dist_a_b` and `contain_a_b` into `out` for every a in
-    `lefts` and b in `rights`."""
+    `lefts` and b in `rights`; `pairs` is `_pair_table`'s."""
     for a in lefts:
         ax, ay, az = state.positions[a]
-        ga = scn.objects[a]
-        bottom = az - ga.height / 2.0
+        half, row = pairs[a]
+        bottom = az - half
         for b in rights:
-            gb = scn.objects[b]
+            dist, contain, support_radius, support_dz, region_radius, dzlo, dzhi = row[b]
             bx, by, bz = state.positions[b]
             horiz = math.hypot(ax - bx, ay - by)
-            out["dist_%s_%s" % (a, b)] = max(
-                max(0.0, horiz - gb.support_radius),
-                abs(bottom - (bz + gb.support_dz)))
-            out["contain_%s_%s" % (a, b)] = max(
-                horiz - gb.region_radius,
-                (bz + gb.region_dzlo) - az,
-                az - (bz + gb.region_dzhi))
+            out[dist] = max(max(0.0, horiz - support_radius),
+                            abs(bottom - (bz + support_dz)))
+            out[contain] = max(horiz - region_radius, (bz + dzlo) - az,
+                               az - (bz + dzhi))
 
 
 def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
-             written: tuple[list[str], list[str]]) -> None:
+             written: tuple[list[str], list[str]], pairs: dict) -> None:
     """Recompute in `row` the signals of what `_apply` wrote: every pair
     signal of the objects it moved, and the door and running signals of
     the objects whose door or switch it set.  Every other entry is
@@ -203,8 +214,8 @@ def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
         row["running_%s" % n] = state.running.get(n, 0.0)
     if moved:
         names = sorted(scn.objects)
-        _pair_signals(scn, state, moved, names, row)
-        _pair_signals(scn, state, [n for n in names if n not in moved], moved, row)
+        _pair_signals(state, pairs, moved, names, row)
+        _pair_signals(state, pairs, [n for n in names if n not in moved], moved, row)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +370,10 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     and finalized once a sample time reaches its end.  Signals are
     computed once; the samples of a stretch of constant state share one
     dict, and a sample inside a stroke recomputes only the signals of
-    what the operation wrote.  Returns the fixed-rate trace and a
-    truncation flag set when the horizon ends before the last operation
-    completes.
+    what the operation wrote, with the pair signals' keys and geometry
+    looked up in one `_pair_table` per call.  Returns the fixed-rate
+    trace and a truncation flag set when the horizon ends before the last
+    operation completes.
     """
     if dt <= 0 or horizon < 0:
         raise SimError("dt must be positive and horizon nonnegative")
@@ -382,7 +394,8 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     parents = dict(sample.parents)
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     rows: list[dict[str, float]] = []  # len(rows) is the next sample's index
-    held = signal_values(scn, state)  # the signals of `state`
+    pairs = _pair_table(scn)
+    held = signal_values(scn, state, pairs)  # the signals of `state`
     for op, start, end in schedule:
         while len(rows) < n and len(rows) * dt < start:
             rows.append(held)
@@ -393,12 +406,12 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
             snap = state.copy()
             row = dict(held)
             _refresh(scn, snap, row, _apply(snap, op, cap, (now - start) / (end - start),
-                                            parents, final=False))
+                                            parents, final=False), pairs)
             rows.append(row)
         if len(rows) == n:
             break
         held = dict(held)
-        _refresh(scn, state, held, _apply(state, op, cap, 1.0, parents, final=True))
+        _refresh(scn, state, held, _apply(state, op, cap, 1.0, parents, final=True), pairs)
     rows.extend([held] * (n - len(rows)))
     columns = zip(*[row.values() for row in rows])
     return Trace(tuple(i * dt for i in range(n)), dict(zip(rows[0], columns))), truncated

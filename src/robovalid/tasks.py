@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .logic import (
-    Formula, FormulaParser, ParseError, S0, _TokenStream, anchor, evaluate,
-    format_formula, tokenize,
+    Formula, FormulaParser, ParseError, _TokenStream, format_formula, peval,
+    tokenize,
 )
 from .theory import (
-    ActionTheory, GrammarRule, GroundOp, PreconditionViolation, StateView,
-    WorldState, progress,
+    ActionTheory, GrammarRule, GroundOp, PreconditionViolation, WorldState,
+    apply_op, ground_op, ground_state_formula, state_truth,
 )
 
 
@@ -154,9 +154,11 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
 
     Returns the state after each operation, or None when a test fails or
     an operation is not possible on the way.  `memo` maps (state, atom)
-    to the state after the atom, or to None when it is stuck there; the
-    caller owns it and shares it across the branches and worlds of a run,
-    whose branches share most of their prefixes.
+    to the state after the atom, or to None when it is stuck there; it
+    also keeps each operation grounded once (`theory.ground_op`, keyed by
+    its GroundOp) and each test's formula grounded once (keyed by the
+    Test).  The caller owns it and shares it across the branches and
+    worlds of a run, whose branches share most of their prefixes.
     """
     states = []
     for atom in branch:
@@ -164,7 +166,7 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
         if key in memo:
             state = memo[key]
         else:
-            state = memo[key] = _run_atom(theory, state, atom)
+            state = memo[key] = _run_atom(theory, state, atom, memo)
         if state is None:
             return None
         if isinstance(atom, Op):
@@ -172,17 +174,21 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
     return states
 
 
-def _run_atom(theory: ActionTheory, state: WorldState,
-              atom: Task) -> Optional[WorldState]:
+def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
+              memo: dict) -> Optional[WorldState]:
     if isinstance(atom, Op):
+        step = memo.get(atom.op)
+        if step is None:
+            step = memo[atom.op] = ground_op(theory, atom.op)
         try:
-            return progress(theory, state, atom.op)
+            return apply_op(step, state_truth(theory, state))
         except PreconditionViolation:
             return None
     if isinstance(atom, Test):
-        if evaluate(StateView(theory, state), anchor(atom.formula, S0)):
-            return state
-        return None
+        phi = memo.get(atom)
+        if phi is None:
+            phi = memo[atom] = ground_state_formula(theory, atom.formula)
+        return state if peval(phi, state_truth(theory, state)) else None
     raise TypeError("branch atom %r is neither an operation nor a test" % (atom,))
 
 

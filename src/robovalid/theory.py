@@ -13,8 +13,9 @@ from typing import Iterator
 
 from .logic import (
     FALSE, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE,
-    P_TRUE, PEq, PFormula, ParseError, Rigid, S0, SitTerm, FormulaParser, Var,
-    anchor, conj, disj, evaluate, ground, map_atoms, peval, substitute_all,
+    P_TRUE, PAnd, PEq, PFormula, PNot, POr, ParseError, Rigid, S0, SitTerm,
+    FormulaParser, Var, anchor, conj, disj, ground, map_atoms, peval,
+    substitute_all,
 )
 
 
@@ -311,46 +312,96 @@ def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
     return substitute_all(decl.precondition, dict(zip(decl.params, map(Obj, op.args))))
 
 
-def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
-    """Whether `op` is executable in `state` (its precondition holds)."""
-    phi = anchor(instantiate_precondition(theory, op), S0)
-    return evaluate(StateView(theory, state), phi)
+@dataclass(frozen=True)
+class GroundedOp:
+    """A ground operation with its precondition and the effect conditions
+    of every ground primitive atom, grounded at s0 by `ground_primitive`
+    with derived atoms as their own keys.  `apply_op` decides a step by
+    `peval` over a state's `state_truth`."""
+    op: GroundOp
+    pre: PFormula
+    effects: tuple[tuple[GroundAtom, PFormula, PFormula], ...]  # (atom, gamma+, gamma-)
 
 
-def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldState:
-    """Forward state update: new truth is gamma+ or (old and not gamma-)."""
-    view = StateView(theory, state)
-    if not evaluate(view, anchor(instantiate_precondition(theory, op), S0)):
-        raise PreconditionViolation("%s is not possible here" % op)
-    new_true: set[GroundAtom] = set()
+def ground_op(theory: ActionTheory, op: GroundOp) -> GroundedOp:
+    """Ground `op`'s precondition and its 2 x |primitive atoms| effect
+    conditions once.  An atom the theory does not declare, or a fluent at
+    another situation, is a ModelError here, whatever the state."""
+    effects = []
     for atom in theory.all_primitive_atoms():
         fname, args = atom
         sa = theory.successor[fname]
-        gplus = anchor(instantiate_gamma(sa.gamma_plus, sa.params, args, op), S0)
-        gminus = anchor(instantiate_gamma(sa.gamma_minus, sa.params, args, op), S0)
-        if evaluate(view, gplus) or (state.holds(atom) and not evaluate(view, gminus)):
-            new_true.add(atom)
-    return WorldState(frozenset(new_true))
+        plus, minus = (ground_state_formula(theory, instantiate_gamma(g, sa.params, args, op))
+                       for g in (sa.gamma_plus, sa.gamma_minus))
+        effects.append((atom, plus, minus))
+    return GroundedOp(op, ground_state_formula(theory, instantiate_precondition(theory, op)),
+                      tuple(effects))
+
+
+def ground_state_formula(theory: ActionTheory, phi: Formula) -> PFormula:
+    """phi, over one situation, anchored at s0 and grounded with derived
+    atoms as keys of their own, so `peval` decides it over a state's
+    `state_truth`."""
+    return ground_primitive(theory, anchor(phi, S0), S0, derived=True)
+
+
+def state_truth(theory: ActionTheory, state: WorldState) -> dict[GroundAtom, bool]:
+    """The truth value in `state` of every ground primitive atom and every
+    ground derived atom, the keys of `ground_primitive`'s formulas."""
+    truth = {atom: atom in state.true_atoms for atom in theory.all_primitive_atoms()}
+    for name in theory.derived_fluents():
+        truth.update(dict.fromkeys(theory.ground_atoms(name), False))
+    truth.update(dict.fromkeys(compute_derived(theory, state), True))
+    return truth
+
+
+def apply_op(step: GroundedOp, truth: dict[GroundAtom, bool]) -> WorldState:
+    """The state after `step` from the state whose `state_truth` is
+    `truth`: an atom's new truth is gamma+ or (old and not gamma-)."""
+    if not peval(step.pre, truth):
+        raise PreconditionViolation("%s is not possible here" % step.op)
+    return WorldState(frozenset(
+        atom for atom, plus, minus in step.effects
+        if peval(plus, truth) or (truth[atom] and not peval(minus, truth))))
+
+
+def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
+    """Whether `op` is executable in `state` (its precondition holds)."""
+    pre = ground_state_formula(theory, instantiate_precondition(theory, op))
+    return peval(pre, state_truth(theory, state)) is True
+
+
+def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldState:
+    """The state after `op`, or PreconditionViolation when it is not
+    possible.  `op` is grounded for this one step; `tasks.run_branch`
+    keeps each grounded operation for a whole run."""
+    return apply_op(ground_op(theory, op), state_truth(theory, state))
 
 
 # ---------------------------------------------------------------------------
 # Initial world enumeration
 # ---------------------------------------------------------------------------
 
-def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm) -> PFormula:
+def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm,
+                     derived: bool = False) -> PFormula:
     """phi, over rigid atoms and primitive fluents at `sit`, grounded over
     the theory's objects.
 
     Each fluent atom F(args)@sit becomes PEq((F, args), True) and each
     rigid atom its truth value, so `peval` decides the result over a dict
-    from ground atoms to truth values, partial or total.
+    from ground atoms to truth values, partial or total.  With `derived`,
+    a derived-fluent atom is a key of its own too, as `state_truth` fills
+    them; without, it is a ModelError.
     """
+    kinds = ("primitive", "derived") if derived else ("primitive",)
+
     def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
         if isinstance(node, Rigid):
             return P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
         decl = theory.predicates.get(node.name)
-        if decl is None or decl.kind != "primitive" or decl.arity != len(args):
-            raise ModelError("bad primitive fluent atom %s%r" % (node.name, args))
+        if decl is None or decl.kind not in kinds or decl.arity != len(args):
+            raise ModelError("bad %s fluent atom %s%r"
+                             % ("/".join(kinds), node.name, args))
         if node.sit != sit:
             raise ModelError("fluent %s at %s, expected %s" % (node.name, node.sit, sit))
         return PEq((node.name, args), True)
@@ -367,16 +418,31 @@ def initial_formulas(theory: ActionTheory) -> list[Formula]:
 def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     """All WorldStates satisfying the initial axioms, in deterministic order.
 
-    Backtracks over ground primitive atoms with three-valued pruning:
-    a partial assignment that already falsifies some initial axiom is
-    abandoned, which avoids the 2^N generate-then-filter blowup.
+    Backtracks over ground primitive atoms, False before True, with
+    three-valued pruning: a partial assignment that already falsifies
+    some initial axiom is abandoned, which avoids the 2^N
+    generate-then-filter blowup.  The grounded axioms are split into
+    their top-level conjuncts (a forall grounds to a PAnd), and assigning
+    an atom re-checks only the conjuncts that mention it: `peval` is
+    monotone, so every other conjunct keeps its value.  An atom-free
+    conjunct that is false leaves no world, unless the theory has no
+    primitive atom, whose one world is then the empty one.
     """
     atoms = theory.all_primitive_atoms()
-    axioms = [ground_primitive(theory, f, S0) for f in initial_formulas(theory)]
+    conjuncts: list[PFormula] = []
+    for f in initial_formulas(theory):
+        _split_conjuncts(ground_primitive(theory, f, S0), conjuncts)
+    touching: dict[GroundAtom, list[PFormula]] = {a: [] for a in atoms}
+    constant = []
+    for c in conjuncts:
+        mentioned = _mentioned_atoms(c)
+        for a in mentioned:
+            touching[a].append(c)
+        if not mentioned:
+            constant.append(c)
+    if atoms and any(peval(c, {}) is False for c in constant):
+        return
     assigned: dict[GroundAtom, bool] = {}
-
-    def consistent() -> bool:
-        return all(peval(ax, assigned) is not False for ax in axioms)
 
     def rec(i: int) -> Iterator[WorldState]:
         if i == len(atoms):
@@ -384,11 +450,31 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
             return
         for value in (False, True):
             assigned[atoms[i]] = value
-            if consistent():
+            if all(peval(c, assigned) is not False for c in touching[atoms[i]]):
                 yield from rec(i + 1)
             del assigned[atoms[i]]
 
     yield from rec(0)
+
+
+def _split_conjuncts(phi: PFormula, out: list[PFormula]) -> None:
+    """Append the conjuncts of phi's top-level PAnd nodes to `out`."""
+    if isinstance(phi, PAnd):
+        for p in phi.parts:
+            _split_conjuncts(p, out)
+    else:
+        out.append(phi)
+
+
+def _mentioned_atoms(phi: PFormula) -> set:
+    """The ground atoms that phi's PEq nodes read."""
+    if isinstance(phi, PEq):
+        return {phi.param}
+    if isinstance(phi, PNot):
+        return _mentioned_atoms(phi.body)
+    if isinstance(phi, (PAnd, POr)):
+        return set().union(*map(_mentioned_atoms, phi.parts))
+    return set()
 
 
 def satisfies_init(theory: ActionTheory, state: WorldState) -> bool:

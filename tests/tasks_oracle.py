@@ -6,6 +6,13 @@ and collects the operation sequences of all completing executions.
 `execute` and `run_branch` are checked against it, and `normalize`
 against it through `branch_to_task`.  `replay_derivation` rebuilds a
 task from its rule ids, to check `tasks.enumerate_derivations`.
+
+`possible` and `progress` are the per-step semantics the package used
+before it grounded each operation once: every call instantiates the
+precondition and each atom's effect conditions afresh and evaluates
+them over a `theory.StateView`, which computes derived fluents as
+closures.  `traces` steps with them, so it shares no progression code
+with `theory.progress` or `tasks.run_branch`.
 """
 
 from robovalid.logic import S0, anchor, evaluate
@@ -13,8 +20,30 @@ from robovalid.tasks import (
     EPSILON, NIL, Choice, Grammar, Nil, Op, Seq, Task, TaskParser, Test,
 )
 from robovalid.theory import (
-    ActionTheory, GroundOp, StateView, WorldState, possible, progress,
+    ActionTheory, GroundAtom, GroundOp, PreconditionViolation, StateView,
+    WorldState, instantiate_gamma, instantiate_precondition,
 )
+
+
+def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
+    phi = anchor(instantiate_precondition(theory, op), S0)
+    return evaluate(StateView(theory, state), phi)
+
+
+def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldState:
+    """New truth is gamma+ or (old and not gamma-), each evaluated per atom."""
+    view = StateView(theory, state)
+    if not evaluate(view, anchor(instantiate_precondition(theory, op), S0)):
+        raise PreconditionViolation("%s is not possible here" % op)
+    new_true: set[GroundAtom] = set()
+    for atom in theory.all_primitive_atoms():
+        fname, args = atom
+        sa = theory.successor[fname]
+        gplus = anchor(instantiate_gamma(sa.gamma_plus, sa.params, args, op), S0)
+        gminus = anchor(instantiate_gamma(sa.gamma_minus, sa.params, args, op), S0)
+        if evaluate(view, gplus) or (state.holds(atom) and not evaluate(view, gminus)):
+            new_true.add(atom)
+    return WorldState(frozenset(new_true))
 
 
 def traces(theory: ActionTheory, w0: WorldState, tau: Task) -> set[tuple[GroundOp, ...]]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -212,3 +213,26 @@ def test_task_that_cannot_run_is_an_error_row(tmp_path, capsys, kitchen_worlds):
     row, = json.loads((out / "report.json").read_text())["configurations"]
     assert row["status"] == "error"
     assert row["error"] == "StlError: no branch of the task can run from the initial world"
+
+
+def test_report_is_strict_json_with_an_infinite_robustness(tmp_path, capsys, kitchen_worlds):
+    """Task nil passes with robustness +inf, which the report writes as
+    the string "inf": a parser that rejects Infinity and NaN reads it."""
+    world = kitchen_worlds[0]
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps({
+        "fluents": sorted("%s(%s)" % (f, ",".join(args)) for f, args in world.true_atoms),
+        "task": "nil", "assignment": []}) + "\n")
+    out = tmp_path / "run"
+    assert main(["falsify", "--model", KITCHEN, "--configs", str(configs),
+                 "--pmap", PMAP, "--scenario", SCENARIO, "--budget", "2",
+                 "--out", str(out)]) == 0
+    assert "passed 1" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError("not JSON: %s" % constant)
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    row, = report["configurations"]
+    assert row["status"] == "passed-budget-exhausted"
+    assert row["robustness"] == "inf" and float(row["robustness"]) == math.inf

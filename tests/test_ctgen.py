@@ -10,9 +10,13 @@ from robovalid.ctgen import (
     coverable_tuples, enumerate_valid, generate_covering_array,
     realize_configuration, verify_covering_array,
 )
-from robovalid.logic import TRUE, PAnd, PEq, PNot, POr, peval
-from robovalid.tasks import Grammar, enumerate_derivations
-from robovalid.theory import GrammarRule, enumerate_initial_worlds
+from robovalid.logic import (
+    P_FALSE, P_TRUE, TRUE, PAnd, PEq, PNot, POr, Rigid, ground, peval,
+)
+from robovalid.tasks import EPSILON, Grammar, enumerate_derivations
+from robovalid.theory import (
+    GrammarRule, WorldState, enumerate_initial_worlds, initial_formulas,
+)
 from robovalid.wp import holds_at, wp
 
 
@@ -244,3 +248,63 @@ def test_never_true_family_gets_no_tuple_parameters(tiny, tiny_grammar):
     for row in rows:
         cfg = realize_configuration(model, row)
         assert ctgen.encode_world(model, cfg.initial_world) == row[6:]
+
+
+def test_realize_rejects_a_flipped_world(kitchen, kitchen_grammar, kitchen_worlds):
+    """Flipping one unary parameter of a valid row gives a world outside
+    the initial worlds, which is the "violates the initial axioms" error,
+    or another initial world, which realizes exactly when the task's WP
+    holds there."""
+    model = build_model(kitchen, kitchen_grammar, 4, 2)
+    index = model.param_index()
+    worlds = {w.true_atoms for w in kitchen_worlds}
+    violations = 0
+    for row in enumerate_valid(model):
+        steps = row[:model.depth]
+        for pname, atom in model.unary_params.items():
+            i = index[pname]
+            flipped = row[:i] + ({"true": "false", "false": "true"}[row[i]],) + row[i + 1:]
+            world = realize_configuration(model, row).initial_world.true_atoms ^ {atom}
+            if world not in worlds:
+                violations += 1
+                with pytest.raises(CtError, match="violates the initial axioms"):
+                    realize_configuration(model, flipped)
+            elif holds_at(model.wps[steps], kitchen, WorldState(world)):
+                assert realize_configuration(model, flipped).initial_world.true_atoms == world
+            else:
+                with pytest.raises(CtError, match="not accomplishable"):
+                    realize_configuration(model, flipped)
+    assert violations > 0
+
+
+def test_realize_rejects_an_unknown_derivation(put_model, put_valid):
+    row = (EPSILON,) * put_model.depth + put_valid[0][put_model.depth:]
+    with pytest.raises(CtError, match="is not a valid one"):
+        realize_configuration(put_model, row)
+
+
+@pytest.mark.parametrize("name,depth", [("kitchen", 4), ("putfrag", 3)])
+def test_constraints_equal_an_unmemoized_regrounding(request, name, depth):
+    """Each initial-axiom and WP constraint equals its formula grounded
+    again through an atom callback that builds every encoding afresh."""
+    theory = request.getfixturevalue(name)
+    model = build_model(theory, request.getfixturevalue(name + "_grammar"), depth, 2)
+    unary = {atom: pname for pname, atom in model.unary_params.items()}
+
+    def atom(node, args):
+        if isinstance(node, Rigid):
+            return P_TRUE if (node.name, args) in theory.rigid_truths else P_FALSE
+        if (node.name, args) in unary:
+            return PEq(unary[(node.name, args)], "true")
+        return POr(tuple(PAnd(tuple(PEq(c, a) for c, a in zip(inst, args)))
+                         for inst in model.tuple_params[node.name]))
+
+    want = [("initial axiom %d" % i, ground(phi, theory.objects, atom))
+            for i, phi in enumerate(initial_formulas(theory), 1)]
+    for steps, wpf in model.wps.items():
+        ant = PAnd(tuple(PEq("d%d" % k, v) for k, v in enumerate(steps, 1)))
+        want.append(("WP of derivation %s" % ",".join(s for s in steps if s != EPSILON),
+                     POr((PNot(ant), ground(wpf, theory.objects, atom)))))
+    labels = {label for label, _ in want}
+    assert len(labels) == len(want) > len(model.wps)
+    assert [(c.label, c.formula) for c in model.constraints if c.label in labels] == want

@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tasks_oracle
+import theory_oracle
+from conftest import TINY_MODEL
 from robovalid.logic import Do, S0, anchor, evaluate, parse_formula
+from robovalid.tasks import Op, run_branch
+from robovalid.tasks import Test as TaskTest
 from robovalid.theory import (
-    GroundOp, ModelError, PreconditionViolation, StateView, WorldState,
-    compute_derived, enumerate_initial_worlds, ground_primitive, load_model,
-    parse_ground_atom, possible, progress, satisfies_init,
+    GroundOp, GroundedOp, ModelError, PreconditionViolation, StateView,
+    WorldState, compute_derived, enumerate_initial_worlds, ground_primitive,
+    load_model, parse_ground_atom, possible, progress, satisfies_init,
 )
 
 
@@ -163,6 +169,117 @@ def test_zero_ary_atoms_load(tiny):
     on = WorldState(frozenset({("On", ())}))
     assert possible(tiny, on, GroundOp("link", ("a", "b")))
     assert not possible(tiny, WorldState(frozenset()), GroundOp("link", ("a", "b")))
+
+
+NO_ATOMS_MODEL = """\
+objects: a b
+rigid: Ready/0
+rigidtrue: Ready()
+init: Ready()
+"""
+
+
+@pytest.fixture(scope="module")
+def oracle_theories(kitchen, tiny, putfrag, derived_init_path, derived_gamma_path,
+                    tmp_path_factory):
+    """The models the grounded paths are checked on, by name: a constant
+    false axiom leaves no world, and the one world of a theory without
+    primitive atoms is the empty one, false axiom or not."""
+    texts = {"constant-false": TINY_MODEL + "init: false\n",
+             "no-atoms": NO_ATOMS_MODEL,
+             "no-atoms-false": NO_ATOMS_MODEL + "init: false\n"}
+    out = {"kitchen": kitchen, "tiny": tiny, "putfrag": putfrag,
+           "derived-init": load_model(derived_init_path),
+           "derived-gamma": load_model(derived_gamma_path)}
+    for name, text in texts.items():
+        path = tmp_path_factory.mktemp("oracle") / (name + ".sc")
+        path.write_text(text)
+        out[name] = load_model(path)
+    return out
+
+
+@pytest.mark.parametrize("name", ["kitchen", "tiny", "putfrag", "derived-init",
+                                  "derived-gamma", "constant-false", "no-atoms",
+                                  "no-atoms-false"])
+def test_enumeration_matches_backtracking_oracle(oracle_theories, name):
+    """Re-checking only the conjuncts an assignment touches yields the
+    worlds, in order, that re-checking every axiom yields."""
+    theory = oracle_theories[name]
+    got = [w.true_atoms for w in enumerate_initial_worlds(theory)]
+    assert got == [w.true_atoms for w in theory_oracle.enumerate_initial_worlds(theory)]
+    assert len(got) == {"kitchen": 12, "derived-init": 6, "constant-false": 0,
+                        "no-atoms": 1, "no-atoms-false": 1}.get(name, len(got))
+
+
+# Test formulas for branches, per model; derived fluents included.
+_TESTS = {"kitchen": ["IsOpen(o_m)@s", "exists x . In(x,o_m)@s"],
+          "derived-gamma": ["!IsOpen(o_m)@s", "In(o_b,o_m)@s"],
+          "tiny": ["On()@s", "exists x . Up(x)@s & !R(x,x)@s"],
+          "putfrag": ["In(o_b,o_m)@s", "!Loc(o_p,o_t)@s"]}
+
+
+def _outcome(step, theory, state, op):
+    """The state `step` gives, or the type of the exception it raises."""
+    try:
+        return step(theory, state, op)
+    except Exception as exc:
+        return type(exc)
+
+
+def _branch_by_view(theory, state, branch):
+    """run_branch's result, stepping with the oracle."""
+    states = []
+    for atom in branch:
+        if isinstance(atom, TaskTest):
+            if not evaluate(StateView(theory, state), anchor(atom.formula, S0)):
+                return None
+            continue
+        if not tasks_oracle.possible(theory, state, atom.op):
+            return None
+        state = tasks_oracle.progress(theory, state, atom.op)
+        states.append(state)
+    return states
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_progress_matches_view_oracle(oracle_theories, data):
+    """From any primitive state, not only initial worlds, each ground
+    operation grounded once gives the per-atom oracle's state or the same
+    exception type, alone or inside a branch with tests, with one memo
+    shared by the whole example."""
+    name = data.draw(st.sampled_from(sorted(_TESTS)))
+    theory = oracle_theories[name]
+    state = WorldState(frozenset(data.draw(st.sets(st.sampled_from(
+        theory.all_primitive_atoms())))))
+    memo: dict = {}
+    for op in theory.ground_ops():
+        want = _outcome(tasks_oracle.progress, theory, state, op)
+        assert _outcome(progress, theory, state, op) == want, op
+        stepped = run_branch(theory, state, [Op(op)], memo)
+        assert stepped == (None if want is PreconditionViolation else [want]), op
+        assert isinstance(memo[op], GroundedOp)
+    tests = [TaskTest(parse_formula(t, theory.objects)) for t in _TESTS[name]]
+    for test in tests:
+        assert run_branch(theory, state, [test], memo) == _branch_by_view(theory, state, [test])
+    atom = st.one_of(st.sampled_from([Op(op) for op in theory.ground_ops()]),
+                     st.sampled_from(tests))
+    branch = data.draw(st.lists(atom, max_size=4))
+    assert run_branch(theory, state, branch, memo) == _branch_by_view(theory, state, branch)
+
+
+def test_a_bad_effect_atom_is_a_model_error(tmp_path):
+    """An effect condition over an undeclared fluent is a ModelError at the
+    operation's first step, whether or not the step is possible."""
+    path = tmp_path / "bad.sc"
+    path.write_text(TINY_MODEL.replace("successor: On() plus: false",
+                                       "successor: On() plus: Nope()@s"))
+    theory = load_model(path)
+    for state in (WorldState(frozenset()), WorldState(frozenset({("On", ())}))):
+        with pytest.raises(ModelError):
+            progress(theory, state, GroundOp("link", ("a", "b")))
+        with pytest.raises(ModelError):
+            run_branch(theory, state, [Op(GroundOp("raise", ("a",)))], {})
 
 
 def test_model_errors():
