@@ -31,9 +31,9 @@ from .tasks import (
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
-    initial_formulas,
+    ground_state_formula, initial_formulas, state_truth,
 )
-from .wp import holds_at, wp as compute_wp
+from .wp import wp as compute_wp
 
 
 class CtError(Exception):
@@ -70,6 +70,9 @@ class CtModel:
     wps: dict[tuple[str, ...], Formula] = field(default_factory=dict)
     # the initial worlds each of those tasks completes from, in enumeration order
     wp_worlds: dict[tuple[str, ...], list[WorldState]] = field(default_factory=dict)
+    # those WPs grounded over one state (`theory.ground_state_formula`), each
+    # the first time `realize_configuration` decodes a row of its derivation
+    grounded_wps: dict[tuple[str, ...], PFormula] = field(default_factory=dict)
     unary_params: dict[str, GroundAtom] = field(default_factory=dict)
     tuple_params: dict[str, list[list[str]]] = field(default_factory=dict)  # family -> [instance][component]
 
@@ -433,6 +436,8 @@ def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration
     if w0 not in model.worlds:
         raise CtError("decoded world violates the initial axioms (encoding bug)")
     wpf = model.wps.get(steps)
-    if wpf is None or not holds_at(wpf, theory, w0):
+    if wpf is not None and steps not in model.grounded_wps:
+        model.grounded_wps[steps] = ground_state_formula(theory, wpf)
+    if wpf is None or not peval(model.grounded_wps[steps], state_truth(theory, w0)):
         raise CtError("decoded configuration is not accomplishable (encoding bug)")
     return Configuration(w0, task, row)

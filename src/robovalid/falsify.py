@@ -177,12 +177,15 @@ def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
     """Falsify each configuration; a configuration that fails with a domain
     error is recorded as an "error" entry, with the error's type name, and
     the campaign continues.  Any other exception is a programming error and
-    propagates.  Per-config seeds are derived from the base seed."""
+    propagates.  Per-config seeds are derived from the base seed.  The
+    configurations share one forward-execution memo, so each operation
+    is grounded once per campaign."""
     out = []
+    memo: dict = {}
     for i, config in enumerate(configs):
         task_text = format_task(config.task)
         try:
-            spec = synthesize(config, theory, pmap)
+            spec = synthesize(config, theory, pmap, memo)
             problem = FalsificationProblem(config, spec, theory, scn, pmap,
                                            budget, seed + i)
             res = falsify(problem)

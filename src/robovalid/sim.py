@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .stl import SAnd, Trace, bool_sat, format_stl
+from .stl import SAnd, SNot, StlError, Trace, format_stl
 from .theory import GroundOp, WorldState
 
 
@@ -196,10 +196,17 @@ def _pair_signals(state: ConcreteState, pairs: dict, lefts, rights,
             dist, contain, support_radius, support_dz, region_radius, dzlo, dzhi = row[b]
             bx, by, bz = state.positions[b]
             horiz = math.hypot(ax - bx, ay - by)
-            out[dist] = max(max(0.0, horiz - support_radius),
-                            abs(bottom - (bz + support_dz)))
-            out[contain] = max(horiz - region_radius, (bz + dzlo) - az,
-                               az - (bz + dzhi))
+            # max(x, y) is `y if y > x else x`, bit for bit: the earlier of
+            # equal operands wins and a NaN later operand never does
+            gap = horiz - support_radius
+            gap = gap if gap > 0.0 else 0.0
+            lift = abs(bottom - (bz + support_dz))
+            out[dist] = lift if lift > gap else gap
+            worst = horiz - region_radius
+            below = (bz + dzlo) - az
+            worst = below if below > worst else worst
+            above = az - (bz + dzhi)
+            out[contain] = above if above > worst else worst
 
 
 def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
@@ -336,9 +343,19 @@ def _check_workspace(scn: Scenario, state: ConcreteState) -> None:
 
 
 def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState) -> None:
-    trace = Trace((0.0,), {k: (v,) for k, v in signal_values(scn, state).items()})
-    violated = [format_stl(lit) for lit in chi_w0.parts
-                if not bool_sat(lit, trace, 0.0)]
+    """Every literal of `chi_w0`, an atom or a negated atom, must hold of
+    the state's signals; an atom on a signal the state lacks is an
+    StlError."""
+    values = signal_values(scn, state)
+    violated = []
+    for lit in chi_w0.parts:
+        negated = isinstance(lit, SNot)
+        atom = lit.body if negated else lit
+        value = values.get(atom.signal)
+        if value is None:
+            raise StlError("unknown signal %r" % atom.signal)
+        if atom.holds(value) == negated:
+            violated.append(format_stl(lit))
     if violated:
         raise InstantiationError(
             "concrete state inconsistent with the abstract world: "

@@ -9,6 +9,12 @@ Window extrema are taken over the window start plus every sample time in
 (start, end]; the end counts only when it is a sample time.  Monitoring is
 therefore reproducible bit for bit.
 
+A `Monitor` compiles a formula for one set of sample times: the node
+DAG, each node's demanded times as an ordered list, and index plans
+that say where a node's operand values sit in its operands' lists.
+`robustness` then fills one list of values per node by position, with
+no lookup by time.
+
 Synthesis runs each branch of a configuration's task forward
 (`tasks.run_branch`): that decides which branches the initial world can
 follow and gives their checkpoint states.  Weakest preconditions play no
@@ -22,7 +28,7 @@ import bisect
 import io
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .ctgen import Configuration
 from .tasks import Op, normalize, run_branch
@@ -235,11 +241,16 @@ class RobustnessResult:
 
 class Monitor:
     """A formula compiled for traces sampled at `times` and evaluated at
-    `t`: its node DAG, the times each node is needed at and the sample
-    row of each of an atom's times.  None of it depends on the signal
-    values, so one monitor serves every trace with these times.
-    `robustness` takes a monitor in place of a formula, as `re.search`
-    takes a compiled pattern."""
+    `t`.  For each node of its DAG the monitor keeps the times the node
+    is needed at, as an ordered list, and an index plan into the lists
+    below it: for a not, and or or node, the positions of its times in
+    each operand's list, or None where the two lists are equal; for a
+    window, the positions of each of its times' window points in its
+    body's list; for an atom, the sample row of each of its times.
+    None of it depends on the signal values, so one monitor serves every
+    trace with these times, and evaluating a trace fills one list of
+    values per node by position alone.  `robustness` takes a monitor in
+    place of a formula, as `re.search` takes a compiled pattern."""
 
     def __init__(self, phi: StlFormula, times: tuple[float, ...], t: float = 0.0):
         if t > times[-1]:
@@ -247,15 +258,13 @@ class Monitor:
                                   % (t, times[-1]))
         self.times, self.t = times, t
         self.nodes = _compile(phi)
-        self.demand, self.truncated, self.rows, self.error = None, False, None, None
+        self.demand, self.plans, self.truncated, self.error = None, None, False, None
         try:
-            self.demand, self.truncated = _demand(self.nodes, times, t)
+            self.demand, self.plans, self.truncated = _plan(self.nodes, times, t)
         except StlError as exc:
             # a window starts past the end; evaluating a trace raises this
             # error or one the recursive semantics meets earlier
             self.error = exc
-        else:
-            self.rows = _atom_rows(self.nodes, self.demand, times)
 
 
 def robustness(phi: Union[StlFormula, Monitor], trace: Trace,
@@ -279,11 +288,11 @@ def robustness(phi: Union[StlFormula, Monitor], trace: Trace,
     try:
         if monitor.error is not None:
             raise monitor.error.with_traceback(None)
-        values = _evaluate(monitor.nodes, monitor.demand, monitor.rows, trace)
+        values = _evaluate(monitor.nodes, monitor.demand, monitor.plans, trace)
     except StlError:
         _raise_first_error(monitor.nodes, trace, t)
         raise
-    return RobustnessResult(values[-1][t], monitor.truncated)
+    return RobustnessResult(values[-1][0], monitor.truncated)
 
 
 # Node kinds of the compiled formula.  A node is a tuple whose first entry
@@ -328,12 +337,20 @@ def _compile(phi: StlFormula) -> list[tuple]:
     return nodes
 
 
-def _demand(nodes: list[tuple], times: tuple[float, ...],
-            root_time: float) -> tuple[list[dict], bool]:
-    """Top-down pass: the times at which each node is needed, as the keys
-    of one dict per node.  A window operator maps each of its times to
-    the points `_window_times` gives it.  The result is truncated
-    exactly when some window ends past the trace."""
+def _plan(nodes: list[tuple], times: tuple[float, ...],
+          root_time: float) -> tuple[list[list[float]], list, bool]:
+    """Each node's demanded times and index plan (see `Monitor`), and
+    whether the result is truncated: exactly when some window ends past
+    the trace.
+
+    A top-down pass collects the times at which each node is needed, in
+    the order they are first asked for; a window operator maps each of
+    its times to the points `_window_times` gives it.  Every parent of a
+    node comes later in post-order, so a node's times are complete when
+    the pass reaches it.  The plans then look up positions in those
+    lists.  An atom whose times include one before the first sample has
+    no rows (None); evaluating it raises.
+    """
     demand: list[dict] = [{} for _ in nodes]
     demand[-1][root_time] = None
     end = times[-1]
@@ -350,63 +367,67 @@ def _demand(nodes: list[tuple], times: tuple[float, ...],
                 pts = asked[t] = _window_times(times, t + lo, t + hi)
                 truncated = truncated or t + hi > end
                 inner.update(dict.fromkeys(pts))
-    return demand, truncated
-
-
-def _atom_rows(nodes: list[tuple], demand: list[dict],
-               times: tuple[float, ...]) -> list:
-    """For each atom, the sample row of each of its demanded times, or None
-    when one of them precedes the first sample; None for other nodes."""
+    lists = [list(asked) for asked in demand]
+    position = [{u: j for j, u in enumerate(asked)} for asked in demand]
     rows_at: dict[tuple, list[int]] = {}  # sample rows per demanded time list
-    out: list = []
-    for node, asked in zip(nodes, demand):
-        rows = None
-        if node[0] == _ATOM:
-            key = tuple(asked)
-            rows = rows_at.get(key)
-            if rows is None:
-                rows = rows_at[key] = [bisect.bisect_right(times, t) - 1 for t in key]
-            if min(rows) < 0:
-                rows = None
-        out.append(rows)
-    return out
+    plans: list = []
+    for node, asked, own in zip(nodes, demand, lists):
+        kind = node[0]
+        plan = None
+        if kind == _ATOM:
+            key = tuple(own)
+            plan = rows_at.get(key)
+            if plan is None:
+                plan = rows_at[key] = [bisect.bisect_right(times, u) - 1 for u in key]
+            if min(plan) < 0:
+                plan = None
+        elif kind == _NOT or kind == _AND or kind == _OR:
+            plan = tuple(None if lists[c] == own else [position[c][u] for u in own]
+                         for c in node[1])
+        elif kind == _EV or kind == _ALW:
+            at = position[node[3]]
+            plan = [[at[u] for u in pts] for pts in asked.values()]
+        plans.append(plan)
+    return lists, plans, truncated
 
 
-def _evaluate(nodes: list[tuple], demand: list[dict], rows: list,
-              trace: Trace) -> list[dict]:
+def _evaluate(nodes: list[tuple], demand: list[list[float]], plans: list,
+              trace: Trace) -> list[list[float]]:
     """Bottom-up pass: every node's robustness at each of its demanded
-    times.  `min` and `max` keep the earlier of equal operands, as the
-    recursive semantics does, so signed zeros come out the same."""
+    times, one list per node in the order of `demand`.  `min` and `max`
+    keep the earlier of equal operands, as the recursive semantics does,
+    so signed zeros come out the same."""
     inf = float("inf")
-    values: list[dict] = []
-    for node, asked, atom_rows in zip(nodes, demand, rows):
+    values: list[list[float]] = []
+    for node, asked, plan in zip(nodes, demand, plans):
         kind = node[0]
         if kind == _ATOM:
             _, signal, comparator, threshold, _ = node
             samples = trace.signals.get(signal)
-            if samples is None or atom_rows is None:
+            if samples is None or plan is None:
                 raise StlError("atom on %r cannot be sampled" % signal)
             if comparator in (">", ">="):  # Atom.margin, for all rows at once
-                margins = [samples[i] - threshold for i in atom_rows]
+                vals = [samples[i] - threshold for i in plan]
             else:
-                margins = [threshold - samples[i] for i in atom_rows]
-            vals = dict(zip(asked, margins))
+                vals = [threshold - samples[i] for i in plan]
         elif kind == _NOT:
-            body = values[node[1][0]]
-            vals = {t: -body[t] for t in asked}
+            body, (idx,) = values[node[1][0]], plan
+            vals = [-v for v in body] if idx is None else [-body[j] for j in idx]
         elif kind == _AND or kind == _OR:
-            parts = [values[c] for c in node[1]]
+            parts = [values[c] if idx is None else [values[c][j] for j in idx]
+                     for c, idx in zip(node[1], plan)]
             if not parts:
-                vals = dict.fromkeys(asked, inf if kind == _AND else -inf)
+                vals = [inf if kind == _AND else -inf] * len(asked)
+            elif len(parts) == 1:
+                vals = parts[0]
             else:
-                agg = min if kind == _AND else max
-                vals = {t: agg([p[t] for p in parts]) for t in asked}
+                vals = list(map(min if kind == _AND else max, *parts))
         elif kind == _EV or kind == _ALW:
             body = values[node[3]]
             agg = max if kind == _EV else min
-            vals = {t: agg([body[u] for u in pts]) for t, pts in asked.items()}
+            vals = [agg([body[j] for j in idx]) for idx in plan]
         else:  # _TRUE
-            vals = dict.fromkeys(asked, inf)
+            vals = [inf] * len(asked)
         values.append(vals)
     return values
 
@@ -566,8 +587,8 @@ class SpecSynthesisResult:
     delta_t: float
 
 
-def synthesize(config: Configuration, theory: ActionTheory,
-               pmap: PredicateMap) -> SpecSynthesisResult:
+def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
+               memo: Optional[dict] = None) -> SpecSynthesisResult:
     """Nested-Eventually specification for an accomplishable configuration.
 
     The task is normalized into choice-free branches and each is run
@@ -577,11 +598,16 @@ def synthesize(config: Configuration, theory: ActionTheory,
     tests stripped.  The result is the disjunction over surviving
     branches; a task none of whose branches can run from the initial world
     is an StlError.
+
+    `memo` is `run_branch`'s.  It holds only what the theory determines,
+    so a caller may share one across configurations of the same theory,
+    as `falsify.campaign` does; without one, a fresh one is used.
     """
     delta_t = pmap.delta_t
     if delta_t <= 0:
         raise StlError("delta_t must be positive")
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     specs: list[BranchSpec] = []
     for branch in normalize(config.task):
         states = run_branch(theory, config.initial_world, branch, memo)

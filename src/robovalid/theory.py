@@ -425,8 +425,8 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     their top-level conjuncts (a forall grounds to a PAnd), and assigning
     an atom re-checks only the conjuncts that mention it: `peval` is
     monotone, so every other conjunct keeps its value.  An atom-free
-    conjunct that is false leaves no world, unless the theory has no
-    primitive atom, whose one world is then the empty one.
+    conjunct that is false leaves no world, with primitive atoms or
+    without; a theory without any has at most the empty world.
     """
     atoms = theory.all_primitive_atoms()
     conjuncts: list[PFormula] = []
@@ -440,7 +440,7 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
             touching[a].append(c)
         if not mentioned:
             constant.append(c)
-    if atoms and any(peval(c, {}) is False for c in constant):
+    if any(peval(c, {}) is False for c in constant):
         return
     assigned: dict[GroundAtom, bool] = {}
 

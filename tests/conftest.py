@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from robovalid import sim, stl
+from robovalid.cli import _load_configs
 from robovalid.tasks import Grammar
 from robovalid.theory import enumerate_initial_worlds, load_model
 
@@ -113,3 +114,10 @@ def fault_scenario(scenario):
     # doorTorqueLimit pinned below the 80-degree stall point
     return sim.Scenario(scenario.objects, scenario.workspace,
                         dict(scenario.policy_ranges, doorTorqueLimit=(0.3, 0.3)))
+
+
+@pytest.fixture(scope="session")
+def frozen_configs(kitchen):
+    """The 52 frozen depth-8, strength-2 configurations of the benchmark."""
+    return _load_configs(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl",
+                         kitchen)

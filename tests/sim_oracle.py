@@ -1,9 +1,18 @@
-"""Reference policy execution for differential tests.
+"""Reference policy execution and round-trip check for differential tests.
 
-This is the sample-driven loop that `robovalid.sim.run_policy` replaced:
-it walks the sample times, finalizes every operation whose stroke has
-ended and interpolates the one in progress, capturing each operation
-lazily the first time a sample reaches it.
+`run_policy` is the sample-driven loop that `robovalid.sim.run_policy`
+replaced: it walks the sample times, finalizes every operation whose
+stroke has ended and interpolates the one in progress, capturing each
+operation lazily the first time a sample reaches it.
+
+`pair_signals` computes `dist_a_b` and `contain_a_b` with the nested
+`max` calls that `robovalid.sim._pair_signals` replaced by conditional
+expressions.
+
+`check_roundtrip` is the check of a concrete state against chi(w0) that
+`robovalid.sim.instantiate` made before it decided each literal
+directly: it builds a one-sample trace of the state's signals and asks
+`bool_sat` about every literal.
 """
 
 import math
@@ -12,9 +21,35 @@ from typing import Optional
 
 from robovalid.sim import (
     _DWELL, _GRASP_MIN_MARGIN, _OP_DURATION, _OPEN_TARGET_CAP, _CLOSE_TARGET,
-    SimError, _descendants, signal_values,
+    InstantiationError, SimError, _descendants, signal_values,
 )
-from robovalid.stl import Trace
+from robovalid.stl import Trace, bool_sat, format_stl
+
+
+def pair_signals(scn, state):
+    out = {}
+    for a, ga in scn.objects.items():
+        ax, ay, az = state.positions[a]
+        bottom = az - ga.height / 2.0
+        for b, gb in scn.objects.items():
+            bx, by, bz = state.positions[b]
+            horiz = math.hypot(ax - bx, ay - by)
+            out["dist_%s_%s" % (a, b)] = max(max(0.0, horiz - gb.support_radius),
+                                             abs(bottom - (bz + gb.support_dz)))
+            out["contain_%s_%s" % (a, b)] = max(horiz - gb.region_radius,
+                                                (bz + gb.region_dzlo) - az,
+                                                az - (bz + gb.region_dzhi))
+    return out
+
+
+def check_roundtrip(scn, chi_w0, state):
+    trace = Trace((0.0,), {k: (v,) for k, v in signal_values(scn, state).items()})
+    violated = [format_stl(lit) for lit in chi_w0.parts
+                if not bool_sat(lit, trace, 0.0)]
+    if violated:
+        raise InstantiationError(
+            "concrete state inconsistent with the abstract world: "
+            + "; ".join(violated))
 
 
 @dataclass

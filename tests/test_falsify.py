@@ -1,14 +1,15 @@
+import collections
 import math
 
 import pytest
 
-from robovalid import ctgen, falsify as falsify_module
+from robovalid import ctgen, falsify as falsify_module, tasks
 from robovalid.falsify import (
     FalsificationError, FalsificationProblem, FalsificationResult, campaign,
     falsify, summarize,
 )
-from robovalid.stl import PredicateMap, STrue, synthesize
-from robovalid.tasks import format_task, parse_task
+from robovalid.stl import PredicateMap, PredicateTemplate, STrue, synthesize
+from robovalid.tasks import Op, format_task, normalize, parse_task
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +136,45 @@ def test_campaign_propagates_programming_errors(kitchen_configs, kitchen, scenar
     with pytest.raises(KeyError):
         campaign([_open_config(kitchen_configs)], kitchen, scenario, pmap,
                  budget=1, seed=0)
+
+
+def test_unknown_signal_in_the_pmap_is_an_error_row(kitchen_configs, kitchen, scenario,
+                                                    pmap):
+    """A pmap naming a signal the simulator does not produce fails the
+    round-trip check of the first instantiation with an StlError, which
+    the campaign records."""
+    door = pmap.templates["IsOpen"]
+    renamed = PredicateMap(dict(pmap.templates, IsOpen=PredicateTemplate(
+        door.family, door.params, "Door_{a}", door.comparator, door.threshold)),
+        pmap.delta_t)
+    [(entry, res)] = campaign([_open_config(kitchen_configs)], kitchen, scenario,
+                              renamed, budget=3, seed=0)
+    assert (entry.status, entry.evaluations, res) == ("error", 0, None)
+    assert entry.error == "StlError: unknown signal 'Door_o_b'"
+
+
+def test_campaign_grounds_each_operation_once(frozen_configs, kitchen, scenario, pmap,
+                                              monkeypatch):
+    """The configurations of a campaign share one forward-execution memo:
+    each operation any of their branches runs is grounded once."""
+    grounded = collections.Counter()
+    real = tasks.ground_op
+
+    def counting(theory, op):
+        grounded[op] += 1
+        return real(theory, op)
+
+    monkeypatch.setattr(tasks, "ground_op", counting)
+    campaign(frozen_configs, kitchen, scenario, pmap, budget=1, seed=0)
+    ops = {a.op for cfg in frozen_configs
+           for branch in normalize(cfg.task) for a in branch if isinstance(a, Op)}
+    assert set(grounded) <= ops
+    assert len(grounded) > 1 and set(grounded.values()) == {1}
+
+
+def test_synthesize_with_a_shared_memo_equals_a_fresh_one(frozen_configs, kitchen,
+                                                          pmap):
+    memo: dict = {}
+    for cfg in frozen_configs + frozen_configs[::-1]:
+        assert synthesize(cfg, kitchen, pmap, memo) == synthesize(cfg, kitchen, pmap)
+    assert memo

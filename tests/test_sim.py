@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from robovalid.sim import (
     InstantiationError, Scenario, box_dimension, instantiate, run_policy,
     signal_values,
 )
-from robovalid.stl import Trace, bool_sat, chi
+from robovalid.stl import Atom, SAnd, SNot, StlError, Trace, bool_sat, chi
 from robovalid.theory import GroundOp, WorldState
 
 
@@ -187,3 +189,76 @@ def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenar
     horizon = data.draw(st.floats(0.0, 20.0))
     assert _outcome(run_policy, wide, s, ops, dt, horizon) == \
         _outcome(sim_oracle.run_policy, wide, s, ops, dt, horizon)
+
+
+def _roundtrip_outcome(check, scn, chi_w0, state):
+    try:
+        check(scn, chi_w0, state)
+    except (InstantiationError, StlError) as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_roundtrip_check_matches_bool_sat(kitchen, kitchen_worlds, scenario, pmap, data):
+    """Deciding each literal of chi(w0) directly gives the verdict and the
+    message that `bool_sat` over a one-sample trace gives, for random
+    concrete kitchen states checked against the chi of their own or of
+    another initial world: states placed as `instantiate` places them,
+    then some objects moved anywhere in the workspace, doors set to any
+    angle and switches flipped."""
+    chi_w0 = chi(kitchen, data.draw(st.sampled_from(kitchen_worlds)), pmap)
+    w = data.draw(st.sampled_from(kitchen_worlds))
+    point = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(box_dimension(scenario)))
+    state = instantiate(w, scenario, SAnd(()), point).q0
+    for m in data.draw(st.lists(st.sampled_from(scenario.movable()), unique=True)):
+        state.positions[m] = tuple(data.draw(st.floats(lo, hi))
+                                   for lo, hi in scenario.workspace.values())
+    for d in data.draw(st.lists(st.sampled_from(scenario.doors()), unique=True)):
+        state.door_angles[d] = data.draw(st.sampled_from((0.0, 80.0, 80.5, 180.0)))
+    for n in data.draw(st.lists(st.sampled_from(sorted(scenario.objects)), unique=True)):
+        state.running[n] = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+    got = _roundtrip_outcome(sim._check_roundtrip, scenario, chi_w0, state)
+    assert got == _roundtrip_outcome(sim_oracle.check_roundtrip, scenario, chi_w0, state)
+
+
+def test_roundtrip_check_on_an_unknown_signal_is_stl_error(kitchen, kitchen_worlds,
+                                                           scenario, pmap):
+    w = closed_world(kitchen_worlds)
+    state = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario)).q0
+    chi_w0 = SAnd((Atom("DoorAngle_o_m", "<", 80.0), SNot(Atom("Door_o_m", ">", 80.0))))
+    want = _roundtrip_outcome(sim_oracle.check_roundtrip, scenario, chi_w0, state)
+    assert want == (StlError, "unknown signal 'Door_o_m'")
+    assert _roundtrip_outcome(sim._check_roundtrip, scenario, chi_w0, state) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pair_signals_match_nested_max(kitchen, kitchen_worlds, scenario, data):
+    """Every `dist` and `contain` signal equals the nested-`max` formula's
+    bit for bit: for positions on a coarse grid, where distances tie with
+    the geometry's radii and offsets; for geometry values of either zero,
+    where the operands tie at 0.0 and -0.0; and for positions that are
+    infinite or NaN."""
+    zeros = st.sampled_from((0.0, -0.0))
+    coords = st.one_of(st.sampled_from((0.0, -0.0, 0.4, 0.375, 0.6, 0.75, 2.5, 2.6)),
+                       st.floats(-2.0, 3.0),
+                       st.sampled_from((math.inf, -math.inf, math.nan)))
+    only_zeros = data.draw(st.booleans())
+    if only_zeros:
+        coords = zeros
+    objects = {}
+    for name, g in scenario.objects.items():
+        sizes = {k: data.draw(zeros if only_zeros else
+                              st.sampled_from((getattr(g, k), 0.0, -0.0)))
+                 for k in ("height", "support_radius", "support_dz", "region_radius",
+                           "region_dzlo", "region_dzhi")}
+        objects[name] = dataclasses.replace(g, **sizes)
+    scn = Scenario(objects, scenario.workspace, scenario.policy_ranges)
+    state = instantiate(kitchen_worlds[0], scenario, SAnd(()), midpoint(scenario)).q0
+    for name in scn.objects:
+        state.positions[name] = data.draw(st.tuples(coords, coords, coords))
+    got = signal_values(scn, state)
+    want = sim_oracle.pair_signals(scn, state)
+    assert {k: got[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stl_oracle
-from robovalid import stl
+from robovalid import sim, stl
 from robovalid.stl import (
     Always, Atom, Eventually, RobustnessResult, SAnd, SNot, SOr, STrue,
     StlError, Trace, TruncationError, bool_sat, chi, format_stl,
@@ -221,6 +221,164 @@ def test_monitor_matches_formula_and_oracle(data):
             robustness(monitor, other, t)
     with pytest.raises(StlError, match="monitor"):
         robustness(monitor, first, t + 0.25)
+
+
+def _same_number(a: float, b: float) -> bool:
+    """Equal bit for bit: equal or both NaN, with the same sign of zero."""
+    return (a == b or a != a and b != b) and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _node_tables_agree(phi, trace, t):
+    """Build a monitor for `phi` and evaluate `trace` with it, then check
+    every node's positional list against the keyed oracle's dict: the
+    same demanded times and, at each, the same value bit for bit.  An
+    evaluation that raises must raise the same error in both.  Returns
+    the monitor, or None when it raised."""
+    want = _outcome(stl_oracle.keyed_robustness, phi, trace, t)
+    try:
+        monitor = stl.Monitor(phi, trace.times, t)
+        got = _outcome(robustness, monitor, trace, t)
+    except StlError as e:
+        got = type(e), str(e)
+    assert got == want
+    if not isinstance(want[0], str):
+        return None
+    nodes = stl._compile(phi)
+    demand, _ = stl_oracle._demand(nodes, trace.times, t)
+    keyed = stl_oracle._evaluate(nodes, demand,
+                                 stl_oracle._atom_rows(nodes, demand, trace.times), trace)
+    values = stl._evaluate(monitor.nodes, monitor.demand, monitor.plans, trace)
+    for own, asked, by_time, vals in zip(monitor.demand, demand, keyed, values):
+        assert own == list(asked) and len(vals) == len(own)
+        assert all(_same_number(v, by_time[u]) for u, v in zip(own, vals))
+    return monitor
+
+
+def _shared(phi, lo, hi):
+    """`phi` under a disjunction and under a later window: the window asks
+    for `phi` first, at its points, and the disjunction then at its own
+    time, so the disjunction and the negation gather `phi`'s values from
+    a position that is not a prefix whenever `lo > 0`."""
+    return SAnd((SOr((SNot(phi), phi)), Eventually(lo, hi, phi)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_monitor_matches_keyed_oracle(data):
+    """The positional monitor fills, for every node, the values the keyed
+    evaluator keeps by time, over every node kind, windows that start
+    after their evaluation time, empty conjunctions and disjunctions,
+    shared subformulas asked for at more times than one of their
+    parents, and evaluation times between or before the samples."""
+    tr = data.draw(timed_traces())
+    phi = data.draw(rich_formulas(tr))
+    if data.draw(st.booleans()):
+        phi = _shared(phi, data.draw(st.sampled_from((0.0, 0.25, 0.5))),
+                      data.draw(st.sampled_from((0.5, 1.0, 2.0))))
+    t = data.draw(st.one_of(st.sampled_from(tr.times),
+                            st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
+    _node_tables_agree(phi, tr, t)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_shared_atom_gathers_the_parents_times(t):
+    """An atom under a disjunction and under a later window over it is
+    needed at the window's points first, then at the disjunction's time:
+    the disjunction and the negation read it through a gather that is
+    not a prefix, and the values agree with the keyed oracle."""
+    tr = Trace((0.0, 0.5, 1.0, 1.5, 2.0), {"x": (1.0, -0.0, 0.0, -2.0, 3.0)})
+    a = Atom("x", ">", 0.0)
+    phi = SAnd((SOr((a, SNot(a))), Eventually(0.25, 1.0, a), SAnd(()), SNot(SOr(()))))
+    monitor = _node_tables_agree(phi, tr, t)
+    atom = monitor.nodes.index((stl._ATOM, "x", ">", 0.0, 1.0))
+    last = [len(monitor.demand[atom]) - 1]
+    assert last != [0] and monitor.demand[atom][-1] == t
+    assert monitor.plans[atom + 1] == (last,)  # the negation
+    assert monitor.plans[atom + 2] == (last, None)  # the disjunction
+
+
+@pytest.mark.parametrize("wrap", [lambda c: SNot(c), lambda c: SAnd((c, STrue()))],
+                         ids=("not", "and"))
+def test_operand_times_in_another_order_are_gathered(wrap):
+    """A node asked for at times 1 then 0, over an operand a window asked
+    for at 0 then 1: the two lists hold the same times in another order,
+    so the node still gathers its operand's values."""
+    tr = Trace((0.0, 1.0, 2.0), {"x": (1.0, 5.0, -0.0)})
+    c = Atom("x", ">", 0.0)
+    p = wrap(c)
+    phi = SAnd((Eventually(0.0, 0.0, p), Eventually(1.0, 1.0, p), Eventually(0.0, 1.0, c)))
+    monitor = _node_tables_agree(phi, tr, 0.0)
+    atom = monitor.nodes.index((stl._ATOM, "x", ">", 0.0, 1.0))
+    node = next(i for i, n in enumerate(monitor.nodes) if n[0] in (stl._NOT, stl._AND))
+    assert monitor.demand[atom] == [0.0, 1.0] and monitor.demand[node] == [1.0, 0.0]
+    assert monitor.plans[node][0] == [1, 0]
+
+
+@st.composite
+def piecewise_traces(draw, times, signals):
+    """Every signal constant between up to three random breakpoints, at
+    values on and around its threshold in the kitchen predicate map, so
+    margins of both signs and both zeros meet in the min and max."""
+    rng = draw(st.randoms(use_true_random=False))
+    pools = {"DoorAngle": (0.0, 79.5, 80.0, 80.5, 120.0), "running": (0.0, 0.5, 1.0),
+             "dist": (-0.0, 0.0, 0.005, 0.01, 0.02), "contain": (-0.01, -0.0, 0.0, 0.01)}
+    out = {}
+    for name in sorted(signals):
+        pool = pools[name.split("_", 1)[0]]
+        cuts = sorted(rng.sample(range(1, len(times)), rng.randint(0, 3)))
+        vals = []
+        for lo, hi in zip([0] + cuts, cuts + [len(times)]):
+            v = rng.choice(pool) if rng.random() < 0.8 else rng.uniform(-0.1, 0.1)
+            vals.extend([v] * (hi - lo))
+        out[name] = tuple(vals)
+    return Trace(times, out)
+
+
+def _signals(phi, out):
+    """The signals the atoms of `phi` name, added to `out`."""
+    if isinstance(phi, Atom):
+        out.add(phi.signal)
+    elif isinstance(phi, (SAnd, SOr)):
+        for p in phi.parts:
+            _signals(p, out)
+    elif isinstance(phi, (SNot, Eventually, Always)):
+        _signals(phi.body, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def frozen_specs(frozen_configs, kitchen, pmap):
+    return [(cfg, synthesize(cfg, kitchen, pmap)) for cfg in frozen_configs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_monitor_matches_keyed_oracle_on_synthesized_specs(frozen_specs, kitchen, pmap,
+                                                           scenario, data):
+    """The nested Eventually specs of the frozen depth-8 configurations,
+    over traces sampled as `falsify` samples them: random piecewise-
+    constant ones, or the simulator's from a random sample point, whose
+    checkpoints hold with small margins.  Every node's values equal the
+    keyed oracle's bit for bit.  The recursive oracle is exponential in
+    the nesting of these specs."""
+    cfg, spec = data.draw(st.sampled_from(frozen_specs))
+    ops = list(spec.branches[0].ops)
+    horizon = max(len(ops), 1) * spec.delta_t
+    times = tuple(i * 0.25 for i in range(int(horizon / 0.25) + 1))
+    tr = None
+    if data.draw(st.booleans()):
+        point = data.draw(st.tuples(*[st.floats(0, 1)] * sim.box_dimension(scenario)))
+        try:
+            sample = sim.instantiate(cfg.initial_world, scenario,
+                                     chi(kitchen, cfg.initial_world, pmap), point)
+        except sim.InstantiationError:
+            pass
+        else:
+            tr, _ = sim.run_policy(scenario, sample, ops, 0.25, horizon)
+    if tr is None:
+        tr = data.draw(piecewise_traces(times, _signals(spec.formula, set())))
+    assert tr.times == times
+    assert _node_tables_agree(spec.formula, tr, 0.0) is not None
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,8 @@
 
 `enumerate_initial_worlds` is the backtracking the package used before it
 indexed the axioms' conjuncts by atom: after every assignment it
-re-evaluates every grounded initial axiom over the partial assignment.
+re-evaluates every grounded initial axiom over the partial assignment,
+starting with the empty one.
 """
 
 from typing import Iterator
@@ -31,4 +32,5 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
                 yield from rec(i + 1)
             del assigned[atoms[i]]
 
-    yield from rec(0)
+    if consistent():
+        yield from rec(0)
