@@ -18,8 +18,8 @@ from . import ctgen, falsify as fz, sim, stl
 from .logic import ParseError, format_formula, TRUE
 from .tasks import Grammar, format_task, parse_task
 from .theory import (
-    TheoryError, WorldState, enumerate_initial_worlds, load_model,
-    parse_ground_atom, satisfies_init,
+    TheoryError, WorldState, enumerate_initial_worlds, ground_initial_axioms,
+    load_model, parse_ground_atom, satisfies_init,
 )
 from .wp import wp
 
@@ -55,8 +55,9 @@ def _write_configs(out_dir, configs) -> str:
 def _load_configs(path, theory) -> list[ctgen.Configuration]:
     """The configurations of a configs.jsonl file; a malformed line, or a
     world that is not an initial world of the model, is a CtError naming
-    its path and line."""
+    its path and line.  The initial axioms are grounded once per file."""
     primitive = frozenset(theory.all_primitive_atoms())
+    axioms = ground_initial_axioms(theory)
     out = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -69,7 +70,7 @@ def _load_configs(path, theory) -> list[ctgen.Configuration]:
                 if unknown:
                     raise ValueError("%s is not a primitive fluent atom of the model"
                                      % _atom_str(unknown[0]))
-                if not satisfies_init(theory, w0):
+                if not satisfies_init(theory, w0, axioms):
                     raise ValueError("the world does not satisfy the initial axioms")
                 task = parse_task(rec["task"], theory)
                 out.append(ctgen.Configuration(w0, task, tuple(rec["assignment"])))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -297,17 +298,21 @@ def check_assignment(model: CtModel, row: tuple[str, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _tuple_masks(model: CtModel, rows: list[tuple[str, ...]], t: int,
-                 bits: dict[tuple, int]) -> list[int]:
-    """Each row's t-tuples of (parameter index, value) pairs, indices
-    ascending, as an int mask.  `bits` numbers the tuples; a tuple not in
-    it yet gets the next free bit.  A strength above the number of
-    parameters means all of them, so every row then has exactly one
-    tuple: the whole row."""
-    t = min(t, len(model.parameters))
+                 bits: dict[tuple, int],
+                 columns: Optional[list[int]] = None) -> list[int]:
+    """Each row's t-tuples of (parameter index, value) pairs over
+    `columns` (default: every parameter), indices ascending, as an int
+    mask.  `bits` numbers the tuples; a tuple not in it yet gets the next
+    free bit.  A strength above the number of columns means all of them,
+    so every row then has exactly one tuple: the whole row over them."""
+    if columns is None:
+        columns = range(len(model.parameters))
+    t = min(t, len(columns))
     masks = []
     for row in rows:
+        pairs = tuple((c, row[c]) for c in columns)
         indices = [bits.setdefault(tup, len(bits))
-                   for tup in itertools.combinations(tuple(enumerate(row)), t)]
+                   for tup in itertools.combinations(pairs, t)]
         buf = bytearray((max(indices) >> 3) + 1)
         for i in indices:
             buf[i >> 3] |= 1 << (i & 7)
@@ -335,35 +340,59 @@ def generate_covering_array(model: CtModel, t: Union[int, str],
     sorted order wins, so arrays are reproducible across runs and
     platforms.  `"full"` returns every valid row.
 
+    The gains are counted over the columns that vary among the valid
+    rows only.  A column with one value in every valid row is in every
+    row alike, so a t-tuple that uses j of the c such columns is covered
+    exactly when its (t - j)-part over the varying columns is, and
+    C(c, j) t-tuples share each such part.  A row's gain, the number of
+    its t-tuples not yet covered, is therefore the sum over j of C(c, j)
+    times the number of its uncovered (t - j)-tuples over the varying
+    columns: the same integer as a count over all columns, from far
+    fewer tuples.  With every column varying it is that count itself.
+
     The choice is made by lazy greedy (Minoux 1978).  Each distinct
-    t-tuple is one bit, each row one int mask of its tuples, and a heap
-    holds (-gain, row index) with gains as last computed.  The top entry's
-    gain is recomputed as `(mask & uncovered).bit_count()`; the row is
-    taken when that entry still sorts no later than the next one, and is
-    pushed back otherwise.  Gains only fall as tuples get covered, so a
-    stale gain bounds the true one and the row taken is the row a full
-    rescan would take.
+    (t - j)-tuple is one bit of the mask of its size, each row has one
+    int mask per size, and a heap holds (-gain, row index) with gains as
+    last computed.  The top entry's gain is recomputed from
+    `(mask & uncovered).bit_count()` per size; the row is taken when that
+    entry still sorts no later than the next one, and is pushed back
+    otherwise.  Gains only fall as tuples get covered, so a stale gain
+    bounds the true one and the row taken is the row a full rescan would
+    take.
     """
     _check_strength(t)
     valid = sorted(enumerate_valid(model)) if valid is None else sorted(valid)
     if t == "full":
         return valid
-    bits: dict[tuple, int] = {}
-    masks = _tuple_masks(model, valid, t, bits)
-    uncovered = (1 << len(bits)) - 1
-    heap = [(-mask.bit_count(), i) for i, mask in enumerate(masks)]
+    n = len(model.parameters)
+    t = min(t, n)
+    varying = [c for c in range(n) if len({row[c] for row in valid}) > 1]
+    const = n - len(varying)
+    # per size k of the varying part: its weight, the rows' masks and the
+    # uncovered k-tuples
+    weights, masks, uncovered = [], [], []
+    for k in range(max(0, t - const), min(t, len(varying)) + 1):
+        bits: dict[tuple, int] = {}
+        masks.append(_tuple_masks(model, valid, k, bits, varying))
+        weights.append(math.comb(const, t - k))
+        uncovered.append((1 << len(bits)) - 1)
+
+    def gain(i: int) -> int:
+        return sum(w * (m[i] & u).bit_count() for w, m, u in zip(weights, masks, uncovered))
+
+    heap = [(-gain(i), i) for i in range(len(valid))]
     heapq.heapify(heap)
     rows: list[tuple[str, ...]] = []
-    while uncovered:
+    while any(uncovered):
         _, i = heapq.heappop(heap)
-        gain = (masks[i] & uncovered).bit_count()
-        if heap and (-gain, i) > heap[0]:
-            heapq.heappush(heap, (-gain, i))
+        g = gain(i)
+        if heap and (-g, i) > heap[0]:
+            heapq.heappush(heap, (-g, i))
             continue
-        if gain == 0:
+        if g == 0:
             raise CtError("uncoverable tuples remain; internal inconsistency")
         rows.append(valid[i])
-        uncovered &= ~masks[i]
+        uncovered = [u & ~m[i] for m, u in zip(masks, uncovered)]
     return rows
 
 

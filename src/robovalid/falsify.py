@@ -18,7 +18,7 @@ from .ctgen import Configuration, CtError
 from .logic import LogicError
 from .sim import (
     InstantiationError, Scenario, ScenarioSample, SimError, box_dimension,
-    instantiate, run_policy,
+    instantiate, pair_table, run_policy,
 )
 from .stl import (
     Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, chi, robustness,
@@ -84,9 +84,10 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
     Truncated traces are evaluated but can never count as falsified.
 
     What does not depend on the sample point is built once: chi of the
-    initial world, which every instantiation is checked against, and the
-    spec's monitor, built from the first trace since every trace has the
-    same sample times.
+    initial world, which every instantiation is checked against, the
+    scenario's pair-signal table, which `instantiate` and `run_policy`
+    both read, and the spec's monitor, built from the first trace since
+    every trace has the same sample times.
     """
     theory, scn, pmap = problem.theory, problem.scenario, problem.pmap
     config, spec = problem.config, problem.spec
@@ -97,6 +98,7 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
     d = box_dimension(scn)
     rng = random.Random(problem.seed)
     chi_w0 = chi(theory, config.initial_world, pmap)
+    pairs = pair_table(scn)
     monitor: Optional[Monitor] = None
 
     evaluations = 0
@@ -110,11 +112,11 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
         nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
-            sample = instantiate(config.initial_world, scn, chi_w0, point)
+            sample = instantiate(config.initial_world, scn, chi_w0, point, pairs)
         except InstantiationError:
             infeasible += 1
             return math.inf
-        trace, truncated = run_policy(scn, sample, ops, problem.sim_dt, horizon)
+        trace, truncated = run_policy(scn, sample, ops, problem.sim_dt, horizon, pairs)
         if monitor is None:
             monitor = Monitor(spec.formula, trace.times)
         r = robustness(monitor, trace)

@@ -396,11 +396,14 @@ def peval(phi: PFormula, assignment: dict) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 def ground(phi: Formula, objects,
-           atom: Callable[[Formula, tuple[str, ...]], PFormula]) -> PFormula:
+           atom: Callable[[Formula, tuple[str, ...]], PFormula],
+           env: Optional[Mapping[str, str]] = None) -> PFormula:
     """The propositional form of phi over the finite domain `objects`.
 
-    Quantifiers unroll into POr / PAnd over `objects` in their order,
-    binding the variable in an environment; Implies and Iff become their
+    `env` binds free object variables of phi to object names, as
+    substituting those objects first would.  Quantifiers unroll into
+    POr / PAnd over `objects` in their order, binding the variable in
+    the environment over any outer binding; Implies and Iff become their
     PNot / PAnd / POr definitions; equalities and true / false become
     constants; and each rigid or fluent atom becomes atom(node, argument
     names).  Every atom is visited, so an atom that `atom` rejects raises
@@ -447,7 +450,7 @@ def ground(phi: Formula, objects,
                              "(missing gamma instantiation)")
         raise ModelError("unknown formula node: %r" % (f,))
 
-    return g(phi, {})
+    return g(phi, env or {})
 
 
 def evaluate(world, phi: Formula) -> bool:

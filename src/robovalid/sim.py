@@ -162,18 +162,18 @@ class ConcreteState:
 
 def signal_values(scn: Scenario, state: ConcreteState,
                   pairs: Optional[dict] = None) -> dict[str, float]:
-    """Every signal of `state`.  `pairs` is `_pair_table(scn)`, built here
+    """Every signal of `state`.  `pairs` is `pair_table(scn)`, built here
     when not given."""
     names = sorted(scn.objects)
     out: dict[str, float] = {}
     for n in names:
         out["DoorAngle_%s" % n] = state.door_angles.get(n, 180.0)
         out["running_%s" % n] = state.running.get(n, 0.0)
-    _pair_signals(state, _pair_table(scn) if pairs is None else pairs, names, names, out)
+    _pair_signals(state, pair_table(scn) if pairs is None else pairs, names, names, out)
     return out
 
 
-def _pair_table(scn: Scenario) -> dict[str, tuple[float, dict[str, tuple]]]:
+def pair_table(scn: Scenario) -> dict[str, tuple[float, dict[str, tuple]]]:
     """For each object a: half its height, and for each object b the keys
     of `dist_a_b` and `contain_a_b` with b's support and region geometry."""
     return {a: (ga.height / 2.0,
@@ -187,7 +187,7 @@ def _pair_table(scn: Scenario) -> dict[str, tuple[float, dict[str, tuple]]]:
 def _pair_signals(state: ConcreteState, pairs: dict, lefts, rights,
                   out: dict[str, float]) -> None:
     """Write `dist_a_b` and `contain_a_b` into `out` for every a in
-    `lefts` and b in `rights`; `pairs` is `_pair_table`'s."""
+    `lefts` and b in `rights`; `pairs` is `pair_table`'s."""
     for a in lefts:
         ax, ay, az = state.positions[a]
         half, row = pairs[a]
@@ -249,7 +249,8 @@ def _loc_parent(w0: WorldState, obj: str) -> Optional[str]:
 
 
 def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
-                sample: tuple[float, ...]) -> ScenarioSample:
+                sample: tuple[float, ...],
+                pairs: Optional[dict] = None) -> ScenarioSample:
     """Map a unit-box point to a concrete initial state consistent with w0.
 
     Movable objects are placed support-first: on a fixed surface inside
@@ -257,6 +258,7 @@ def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
     around its top anchor.  Door angles come from the closed or open
     interval chosen by IsOpen, knobs from the scenario ranges.  The state
     must satisfy every literal of `chi_w0`, which is `stl.chi` of w0.
+    `pairs` is `pair_table(scn)`, built here when not given.
     """
     d = box_dimension(scn)
     if len(sample) != d:
@@ -326,7 +328,7 @@ def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
 
     q0 = ConcreteState(positions, door_angles, running, knobs)
     _check_workspace(scn, q0)
-    _check_roundtrip(scn, chi_w0, q0)
+    _check_roundtrip(scn, chi_w0, q0, pairs)
     return ScenarioSample(q0, tuple(sample), parents)
 
 
@@ -342,11 +344,12 @@ def _check_workspace(scn: Scenario, state: ConcreteState) -> None:
             raise InstantiationError("door angle of %s out of range: %g" % (n, ang))
 
 
-def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState) -> None:
+def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState,
+                     pairs: Optional[dict] = None) -> None:
     """Every literal of `chi_w0`, an atom or a negated atom, must hold of
     the state's signals; an atom on a signal the state lacks is an
-    StlError."""
-    values = signal_values(scn, state)
+    StlError.  `pairs` is `pair_table(scn)`, built here when not given."""
+    values = signal_values(scn, state, pairs)
     violated = []
     for lit in chi_w0.parts:
         negated = isinstance(lit, SNot)
@@ -379,7 +382,8 @@ def _descendants(parents: dict[str, Optional[str]], root: str) -> list[str]:
 
 
 def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
-               dt: float, horizon: float) -> tuple[Trace, bool]:
+               dt: float, horizon: float,
+               pairs: Optional[dict] = None) -> tuple[Trace, bool]:
     """Execute an op-only branch with scripted controllers.
 
     The operations run in order.  Each one is captured from the state the
@@ -388,9 +392,9 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     computed once; the samples of a stretch of constant state share one
     dict, and a sample inside a stroke recomputes only the signals of
     what the operation wrote, with the pair signals' keys and geometry
-    looked up in one `_pair_table` per call.  Returns the fixed-rate
-    trace and a truncation flag set when the horizon ends before the last
-    operation completes.
+    looked up in `pairs`, which is `pair_table(scn)`, built here when
+    not given.  Returns the fixed-rate trace and a truncation flag set
+    when the horizon ends before the last operation completes.
     """
     if dt <= 0 or horizon < 0:
         raise SimError("dt must be positive and horizon nonnegative")
@@ -411,7 +415,8 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     parents = dict(sample.parents)
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     rows: list[dict[str, float]] = []  # len(rows) is the next sample's index
-    pairs = _pair_table(scn)
+    if pairs is None:
+        pairs = pair_table(scn)
     held = signal_values(scn, state, pairs)  # the signals of `state`
     for op, start, end in schedule:
         while len(rows) < n and len(rows) * dt < start:

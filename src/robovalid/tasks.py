@@ -156,9 +156,11 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
     an operation is not possible on the way.  `memo` maps (state, atom)
     to the state after the atom, or to None when it is stuck there; it
     also keeps each operation grounded once (`theory.ground_op`, keyed by
-    its GroundOp) and each test's formula grounded once (keyed by the
-    Test).  The caller owns it and shares it across the branches and
-    worlds of a run, whose branches share most of their prefixes.
+    its GroundOp), each test's formula grounded once (keyed by the Test)
+    and each state's `theory.state_truth` computed once (keyed by the
+    WorldState).  The caller owns it and shares it across the branches
+    and worlds of a run, whose branches share most of their prefixes and
+    reach the same states.
     """
     states = []
     for atom in branch:
@@ -176,19 +178,22 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
 
 def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
               memo: dict) -> Optional[WorldState]:
+    truth = memo.get(state)
+    if truth is None:
+        truth = memo[state] = state_truth(theory, state)
     if isinstance(atom, Op):
         step = memo.get(atom.op)
         if step is None:
             step = memo[atom.op] = ground_op(theory, atom.op)
         try:
-            return apply_op(step, state_truth(theory, state))
+            return apply_op(step, state, truth)
         except PreconditionViolation:
             return None
     if isinstance(atom, Test):
         phi = memo.get(atom)
         if phi is None:
             phi = memo[atom] = ground_state_formula(theory, atom.formula)
-        return state if peval(phi, state_truth(theory, state)) else None
+        return state if peval(phi, truth) else None
     raise TypeError("branch atom %r is neither an operation nor a test" % (atom,))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .logic import (
     FALSE, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE,
@@ -290,13 +290,6 @@ def instantiate_op_equalities(phi: Formula, op: GroundOp) -> Formula:
     return map_atoms(phi, fold_op_eq)
 
 
-def instantiate_gamma(gamma: Formula, params: tuple[str, ...],
-                      atom_args: tuple[str, ...], op: GroundOp) -> Formula:
-    """Instantiate an effect condition for one ground atom and operation."""
-    phi = substitute_all(gamma, dict(zip(params, map(Obj, atom_args))))
-    return instantiate_op_equalities(phi, op)
-
-
 def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
     """The precondition of a ground operation, at the situation variable
     of its declaration."""
@@ -315,27 +308,38 @@ def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
 @dataclass(frozen=True)
 class GroundedOp:
     """A ground operation with its precondition and the effect conditions
-    of every ground primitive atom, grounded at s0 by `ground_primitive`
-    with derived atoms as their own keys.  `apply_op` decides a step by
-    `peval` over a state's `state_truth`."""
+    of the atoms it may change, grounded at s0 by `ground_primitive` with
+    derived atoms as their own keys.  `effects` maps each primitive atom
+    whose gamma+ or gamma- is not constant false to (gamma+, gamma-), in
+    `all_primitive_atoms` order; every other atom keeps its truth across
+    the operation.  `apply_op` decides a step by `peval` over a state's
+    `state_truth`."""
     op: GroundOp
     pre: PFormula
-    effects: tuple[tuple[GroundAtom, PFormula, PFormula], ...]  # (atom, gamma+, gamma-)
+    effects: dict[GroundAtom, tuple[PFormula, PFormula]]
 
 
 def ground_op(theory: ActionTheory, op: GroundOp) -> GroundedOp:
-    """Ground `op`'s precondition and its 2 x |primitive atoms| effect
-    conditions once.  An atom the theory does not declare, or a fluent at
+    """Ground `op`'s precondition and the 2 x |primitive atoms| effect
+    conditions once.  Each successor axiom's gamma+ and gamma- have `op`
+    folded into their operation equalities and are anchored at s0 once;
+    each atom of the fluent is then grounded in one walk, with the
+    axiom's parameters bound to the atom's arguments.  Every atom is
+    grounded, so an atom the theory does not declare, or a fluent at
     another situation, is a ModelError here, whatever the state."""
-    effects = []
-    for atom in theory.all_primitive_atoms():
-        fname, args = atom
+    effects = {}
+    for fname in theory.primitive_fluents():
         sa = theory.successor[fname]
-        plus, minus = (ground_state_formula(theory, instantiate_gamma(g, sa.params, args, op))
-                       for g in (sa.gamma_plus, sa.gamma_minus))
-        effects.append((atom, plus, minus))
+        gammas = [anchor(instantiate_op_equalities(g, op), S0)
+                  for g in (sa.gamma_plus, sa.gamma_minus)]
+        for atom in theory.ground_atoms(fname):
+            env = dict(zip(sa.params, atom[1]))
+            plus, minus = (ground_primitive(theory, g, S0, derived=True, env=env)
+                           for g in gammas)
+            if peval(plus, {}) is not False or peval(minus, {}) is not False:
+                effects[atom] = (plus, minus)
     return GroundedOp(op, ground_state_formula(theory, instantiate_precondition(theory, op)),
-                      tuple(effects))
+                      effects)
 
 
 def ground_state_formula(theory: ActionTheory, phi: Formula) -> PFormula:
@@ -355,14 +359,19 @@ def state_truth(theory: ActionTheory, state: WorldState) -> dict[GroundAtom, boo
     return truth
 
 
-def apply_op(step: GroundedOp, truth: dict[GroundAtom, bool]) -> WorldState:
-    """The state after `step` from the state whose `state_truth` is
-    `truth`: an atom's new truth is gamma+ or (old and not gamma-)."""
+def apply_op(step: GroundedOp, state: WorldState,
+             truth: dict[GroundAtom, bool]) -> WorldState:
+    """The state after `step` from `state`, whose `state_truth` is
+    `truth`.  An atom of `step.effects` is true after it when gamma+
+    holds, or when it held and gamma- does not; every other atom is
+    carried over from `state`."""
     if not peval(step.pre, truth):
         raise PreconditionViolation("%s is not possible here" % step.op)
+    effects = step.effects
     return WorldState(frozenset(
-        atom for atom, plus, minus in step.effects
-        if peval(plus, truth) or (truth[atom] and not peval(minus, truth))))
+        [atom for atom in state.true_atoms if atom not in effects]
+        + [atom for atom, (plus, minus) in effects.items()
+           if peval(plus, truth) or (truth[atom] and not peval(minus, truth))]))
 
 
 def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
@@ -375,7 +384,7 @@ def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldStat
     """The state after `op`, or PreconditionViolation when it is not
     possible.  `op` is grounded for this one step; `tasks.run_branch`
     keeps each grounded operation for a whole run."""
-    return apply_op(ground_op(theory, op), state_truth(theory, state))
+    return apply_op(ground_op(theory, op), state, state_truth(theory, state))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +392,11 @@ def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldStat
 # ---------------------------------------------------------------------------
 
 def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm,
-                     derived: bool = False) -> PFormula:
+                     derived: bool = False,
+                     env: Optional[dict[str, str]] = None) -> PFormula:
     """phi, over rigid atoms and primitive fluents at `sit`, grounded over
-    the theory's objects.
+    the theory's objects, with the free object variables in `env` bound
+    as `logic.ground` binds them.
 
     Each fluent atom F(args)@sit becomes PEq((F, args), True) and each
     rigid atom its truth value, so `peval` decides the result over a dict
@@ -406,7 +417,7 @@ def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm,
             raise ModelError("fluent %s at %s, expected %s" % (node.name, node.sit, sit))
         return PEq((node.name, args), True)
 
-    return ground(phi, theory.objects, atom)
+    return ground(phi, theory.objects, atom, env)
 
 
 def initial_formulas(theory: ActionTheory) -> list[Formula]:
@@ -430,8 +441,8 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     """
     atoms = theory.all_primitive_atoms()
     conjuncts: list[PFormula] = []
-    for f in initial_formulas(theory):
-        _split_conjuncts(ground_primitive(theory, f, S0), conjuncts)
+    for ax in ground_initial_axioms(theory):
+        _split_conjuncts(ax, conjuncts)
     touching: dict[GroundAtom, list[PFormula]] = {a: [] for a in atoms}
     constant = []
     for c in conjuncts:
@@ -477,11 +488,20 @@ def _mentioned_atoms(phi: PFormula) -> set:
     return set()
 
 
-def satisfies_init(theory: ActionTheory, state: WorldState) -> bool:
-    """Whether `state` satisfies every initial axiom."""
+def ground_initial_axioms(theory: ActionTheory) -> list[PFormula]:
+    """`initial_formulas`, grounded over the primitive atoms at s0."""
+    return [ground_primitive(theory, f, S0) for f in initial_formulas(theory)]
+
+
+def satisfies_init(theory: ActionTheory, state: WorldState,
+                   axioms: Optional[list[PFormula]] = None) -> bool:
+    """Whether `state` satisfies every initial axiom.  `axioms` is
+    `ground_initial_axioms(theory)`, grounded here when not given; a
+    caller that checks many states grounds them once."""
+    if axioms is None:
+        axioms = ground_initial_axioms(theory)
     truth = {atom: atom in state.true_atoms for atom in theory.all_primitive_atoms()}
-    return all(peval(ground_primitive(theory, f, S0), truth) is True
-               for f in initial_formulas(theory))
+    return all(peval(ax, truth) is True for ax in axioms)
 
 
 # ---------------------------------------------------------------------------

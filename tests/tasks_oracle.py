@@ -21,8 +21,9 @@ from robovalid.tasks import (
 )
 from robovalid.theory import (
     ActionTheory, GroundAtom, GroundOp, PreconditionViolation, StateView,
-    WorldState, instantiate_gamma, instantiate_precondition,
+    WorldState, instantiate_precondition,
 )
+from theory_oracle import instantiate_gamma
 
 
 def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:

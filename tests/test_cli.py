@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import pytest
 from robovalid import ctgen
 from robovalid.cli import main
 
-from conftest import MODELS
+from conftest import MODELS, ROOT
 
 KITCHEN = str(MODELS / "kitchen4.sc")
 PUTFRAG = str(MODELS / "putfrag.sc")
@@ -73,6 +74,23 @@ def test_generate_putfrag_one_way(tmp_path, capsys):
         rec = json.loads(ln)
         assert set(rec) == {"assignment", "fluents", "task"}
         assert rec["task"].startswith("put(")
+
+
+# sha256 of kitchen4's configs.jsonl, by depth and strength, as written
+# when the covering array counted gains over every t-tuple of all columns
+CONFIGS_SHA256 = json.loads((ROOT / "tests" / "golden" / "kitchen4_configs_sha256.json")
+                            .read_text())
+
+
+@pytest.mark.parametrize("depth,strength", [(d, t) for d in sorted(CONFIGS_SHA256)
+                                            for t in sorted(CONFIGS_SHA256[d])])
+def test_generate_writes_the_golden_configs(tmp_path, capsys, depth, strength):
+    """`generate`'s covering array, decoded, is byte for byte the recorded
+    one at each pinned depth and strength."""
+    assert main(["generate", "--model", KITCHEN, "--depth", depth,
+                 "--strength", strength, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "configs.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CONFIGS_SHA256[depth][strength]
 
 
 def test_knob_override_rejects_unknown(tmp_path):

@@ -150,11 +150,14 @@ def test_bad_strength_rejected(put_model, putfrag, putfrag_grammar, monkeypatch)
 
 @pytest.mark.parametrize("name,depth,strengths", [("kitchen", 4, (1, 2, 3)),
                                                   ("kitchen", 6, (1, 2, 3)),
-                                                  ("putfrag", 3, (1, 2, 3, 8))])
+                                                  ("putfrag", 3, (1, 2, 3, 8)),
+                                                  ("kitchen", 6, (4,))])
 def test_covering_array_matches_rescan_oracle(request, name, depth, strengths):
     """The lazy greedy over bit masks picks the rows, in order, that a full
     rescan of every row's tuple set picks.  putfrag has 7 parameters, so
-    strength 8 is clamped."""
+    strength 8 is clamped.  The greedy counts gains over the varying
+    columns only, and these models have constant ones: at depth 6, 9 of
+    kitchen4's 18 parameters hold one value in every valid row."""
     theory = request.getfixturevalue(name)
     model = build_model(theory, request.getfixturevalue(name + "_grammar"), depth, 2)
     valid = list(enumerate_valid(model))
@@ -166,17 +169,31 @@ def test_covering_array_matches_rescan_oracle(request, name, depth, strengths):
 @st.composite
 def synthetic_rows(draw):
     """A model of 2-6 parameters with 2 or 3 values each, and distinct
-    rows over it: small domains make many rows tie on gain."""
+    rows over it: small domains make many rows tie on gain.  Some
+    columns, none, a few or all, are pinned to one value in every row,
+    as the valid rows of a real model pin some parameters."""
     sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=6))
     model = CtModel([CtParameter("p%d" % i, ("a", "b", "c")[:n])
                      for i, n in enumerate(sizes)], [])
-    row = st.tuples(*(st.sampled_from(p.domain) for p in model.parameters))
+    pinned = draw(st.sets(st.integers(0, len(sizes) - 1)))
+    row = st.tuples(*(st.just(draw(st.sampled_from(p.domain))) if i in pinned
+                      else st.sampled_from(p.domain)
+                      for i, p in enumerate(model.parameters)))
     return model, draw(st.lists(row, unique=True, max_size=40))
+
+
+_AB3 = CtModel([CtParameter("p%d" % i, ("a", "b")) for i in range(3)], [])
 
 
 @given(synthetic_rows(), st.integers(1, 5))
 @example((CtModel([CtParameter("p0", ("a", "b")), CtParameter("p1", ("a", "b"))], []),
           []), 2)
+# all columns constant: one row, and strength above the parameter count
+@example((_AB3, [("a", "b", "a")]), 2)
+@example((_AB3, [("a", "b", "a")]), 5)
+# one constant column, at strength 3, above the two varying ones, and at 2
+@example((_AB3, [("a", "a", "a"), ("a", "b", "a"), ("a", "a", "b"), ("a", "b", "b")]), 3)
+@example((_AB3, [("a", "a", "a"), ("a", "b", "a"), ("a", "a", "b"), ("a", "b", "b")]), 2)
 def test_covering_array_matches_rescan_oracle_on_synthetic_rows(model_rows, t):
     model, rows = model_rows
     assert (generate_covering_array(model, t, rows)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from robovalid import ctgen, falsify as falsify_module, tasks
+from robovalid import ctgen, falsify as falsify_module, sim, tasks
 from robovalid.falsify import (
     FalsificationError, FalsificationProblem, FalsificationResult, campaign,
     falsify, summarize,
@@ -31,6 +31,22 @@ def test_budget_one_runs_one_evaluation(kitchen_configs, kitchen, scenario, pmap
     res = falsify(prob)
     assert res.evaluations == 1
     assert res.status == "passed-budget-exhausted"
+
+
+def test_falsify_builds_one_pair_table(kitchen_configs, kitchen, scenario, pmap,
+                                       monkeypatch):
+    """One falsify call builds the scenario's pair-signal table once, and
+    every `instantiate` and `run_policy` call reads that one."""
+    built = []
+    real = sim.pair_table
+    monkeypatch.setattr(falsify_module, "pair_table",
+                        lambda scn: built.append(scn) or real(scn))
+    monkeypatch.setattr(sim, "pair_table",
+                        lambda scn: pytest.fail("pair table built per evaluation"))
+    prob = single_problem(kitchen_configs, kitchen, scenario, pmap,
+                          pick=lambda t: "put" in t, budget=6)
+    assert falsify(prob).evaluations == 6
+    assert built == [scenario]
 
 
 def test_true_spec_passes_with_its_evaluations(kitchen, kitchen_worlds, scenario, pmap):

@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 import tasks_oracle
 import theory_oracle
 from conftest import TINY_MODEL
-from robovalid.logic import Do, S0, anchor, evaluate, parse_formula
+from robovalid.logic import Do, S0, anchor, evaluate, parse_formula, peval
 from robovalid.tasks import Op, run_branch
 from robovalid.tasks import Test as TaskTest
 from robovalid.theory import (
     GroundOp, GroundedOp, ModelError, PreconditionViolation, StateView,
-    WorldState, compute_derived, enumerate_initial_worlds, ground_primitive,
-    load_model, parse_ground_atom, possible, progress, satisfies_init,
+    WorldState, compute_derived, enumerate_initial_worlds, ground_initial_axioms,
+    ground_op, ground_primitive, load_model, parse_ground_atom, possible,
+    progress, satisfies_init,
 )
 
 
@@ -213,6 +214,45 @@ def test_enumeration_matches_backtracking_oracle(oracle_theories, name):
 
 
 # Test formulas for branches, per model; derived fluents included.
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_axioms_grounded_once_agree_with_satisfies_init(oracle_theories, data):
+    """Checking a state against initial axioms grounded once, as
+    `cli._load_configs` does for a whole file, agrees with `satisfies_init`
+    grounding them on the call and with membership in the enumerated
+    worlds, on worlds and non-worlds alike: an initial world, or the
+    empty state, with any set of atoms flipped."""
+    theory = oracle_theories[data.draw(st.sampled_from(sorted(oracle_theories)))]
+    worlds = [w.true_atoms for w in enumerate_initial_worlds(theory)]
+    atoms = theory.all_primitive_atoms()
+    base = data.draw(st.sampled_from(worlds + [frozenset()]))
+    flips = data.draw(st.sets(st.sampled_from(atoms)) if atoms else st.just(set()))
+    state = WorldState(base ^ flips)
+    got = satisfies_init(theory, state, ground_initial_axioms(theory))
+    assert got == satisfies_init(theory, state) == (state.true_atoms in worlds)
+
+
+@pytest.mark.parametrize("name", ["kitchen", "putfrag"])
+def test_ground_op_effects_match_per_atom_oracle(request, name):
+    """Every effect `ground_op` keeps equals the effect conditions grounded
+    atom by atom after substituting the atom's arguments, and every atom
+    it leaves out has a gamma+ and a gamma- that ground to constant
+    false, so the operation cannot change it."""
+    theory = request.getfixturevalue(name)
+    dropped = 0
+    for op in theory.ground_ops():
+        got = ground_op(theory, op).effects
+        want = theory_oracle.ground_effects(theory, op)
+        assert list(got) == [atom for atom in want if atom in got]
+        for atom, gammas in want.items():
+            constant_false = all(peval(g, {}) is False for g in gammas)
+            assert (atom not in got) == constant_false, (op, atom)
+            if atom in got:
+                assert got[atom] == gammas, (op, atom)
+        dropped += len(want) - len(got)
+    assert dropped > 0
+
+
 _TESTS = {"kitchen": ["IsOpen(o_m)@s", "exists x . In(x,o_m)@s"],
           "derived-gamma": ["!IsOpen(o_m)@s", "In(o_b,o_m)@s"],
           "tiny": ["On()@s", "exists x . Up(x)@s & !R(x,x)@s"],
