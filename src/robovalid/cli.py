@@ -169,7 +169,7 @@ def cmd_generate(args) -> int:
     path = _write_configs(args.out, configs)
     print("depth  syntax-valid  accomplishable  configurations  strength")
     print("%5d  %12d  %14d  %14d  %8s" % (args.depth, len(model.derivations),
-                                          len(model.wps), len(rows), args.strength))
+                                          len(model.wp_worlds), len(rows), args.strength))
     print("wrote %s" % path)
     return 0
 

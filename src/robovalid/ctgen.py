@@ -6,12 +6,13 @@ for n-ary fluent families) and a bounded grammar derivation.  The valid
 rows are built, not searched for: each is the padded steps of an
 accomplishable derivation followed by the encoding of one enumerated
 initial world from which its task completes.  Forward execution
-(`tasks.run_branch`) decides that; weakest preconditions are computed
-only for the accomplishable derivations.  The constraints (initial
-axioms, symmetry breaking, grammar validity and per-derivation WPs)
-describe the same set independently; `check_assignment` and
-`verify_covering_array` check rows against them, and
-`realize_configuration` checks each decoded configuration against its WP.
+(`tasks.run_branch`) decides that, and `realize_configuration` checks
+each decoded configuration by membership in those worlds.  The
+constraints (initial axioms, symmetry breaking, grammar validity and
+per-derivation WPs) describe the same set independently;
+`check_assignment` and `verify_covering_array` check rows against them.
+`CtModel.constraints` and `CtModel.wps` are built on their first read,
+so generating a covering array computes and grounds no WP.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .logic import (
@@ -32,7 +34,7 @@ from .tasks import (
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
-    ground_state_formula, initial_formulas, state_truth,
+    initial_formulas,
 )
 from .wp import wp as compute_wp
 
@@ -60,25 +62,90 @@ class CtConstraint:
 @dataclass
 class CtModel:
     parameters: list[CtParameter]
-    constraints: list[CtConstraint]
     # decode metadata
     theory: ActionTheory = None
     depth: int = 0
     # every initial world of the theory
     worlds: frozenset[WorldState] = frozenset()
     derivations: dict[tuple[str, ...], Task] = field(default_factory=dict)
-    # WP of each accomplishable derivation only, keyed like `derivations`
-    wps: dict[tuple[str, ...], Formula] = field(default_factory=dict)
-    # the initial worlds each of those tasks completes from, in enumeration order
-    wp_worlds: dict[tuple[str, ...], list[WorldState]] = field(default_factory=dict)
-    # those WPs grounded over one state (`theory.ground_state_formula`), each
-    # the first time `realize_configuration` decodes a row of its derivation
-    grounded_wps: dict[tuple[str, ...], PFormula] = field(default_factory=dict)
+    # the initial worlds each accomplishable derivation's task completes
+    # from, keyed like `derivations`; an unaccomplishable one has no key
+    wp_worlds: dict[tuple[str, ...], frozenset[WorldState]] = field(default_factory=dict)
     unary_params: dict[str, GroundAtom] = field(default_factory=dict)
     tuple_params: dict[str, list[list[str]]] = field(default_factory=dict)  # family -> [instance][component]
 
     def param_index(self) -> dict[str, int]:
         return {p.name: i for i, p in enumerate(self.parameters)}
+
+    @cached_property
+    def wps(self) -> dict[tuple[str, ...], Formula]:
+        """The WP of each accomplishable derivation, in `derivations`
+        order, computed on first read."""
+        return {steps: compute_wp(TRUE, task, self.theory).formula
+                for steps, task in self.derivations.items() if steps in self.wp_worlds}
+
+    @cached_property
+    def constraints(self) -> list[CtConstraint]:
+        """The constraints over the parameters, grounded on first read:
+        each tuple instance all or none epsilon, symmetry breaking between
+        instances, the initial axioms, per derivation its WP or a block
+        when it is unaccomplishable, and grammar validity.  They describe
+        the valid rows independently of forward execution."""
+        theory = self.theory
+        constraints = []
+        for fam, insts in self.tuple_params.items():
+            for i, inst in enumerate(insts):
+                constraints.append(CtConstraint(
+                    "%s instance %d all-or-none epsilon" % (fam, i + 1),
+                    _all_or_none_eps(inst)))
+            for a, b in zip(insts, insts[1:]):
+                constraints.append(CtConstraint(
+                    "%s symmetry break %s < %s" % (fam, a[0], b[0]),
+                    _lex_less_or_both_eps(a, b, sorted(theory.objects))))
+
+        unary_atoms = {atom: PEq(pname, "true")
+                       for pname, atom in self.unary_params.items()}
+        encodings: dict[tuple[bool, str, tuple[str, ...]], PFormula] = {}
+
+        def param_atom(node: Formula, args: tuple[str, ...]) -> PFormula:
+            """A ground atom as a constraint over the parameters encoding
+            it, built once per (rigid or fluent, name, args)."""
+            key = (isinstance(node, Rigid), node.name, args)
+            enc = encodings.get(key)
+            if enc is not None:
+                return enc
+            if isinstance(node, Rigid):
+                enc = P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
+            elif (node.name, args) in unary_atoms:
+                enc = unary_atoms[(node.name, args)]
+            else:
+                comps = self.tuple_params.get(node.name)
+                if comps is None:
+                    raise CtError("fluent %s has no parameter encoding" % node.name)
+                enc = POr(tuple(PAnd(tuple(PEq(c, a) for c, a in zip(inst, args)))
+                                for inst in comps))
+            encodings[key] = enc
+            return enc
+
+        for i, phi in enumerate(initial_formulas(theory)):
+            constraints.append(CtConstraint(
+                "initial axiom %d" % (i + 1), ground(phi, theory.objects, param_atom)))
+
+        valid_ants = []
+        for steps in self.derivations:
+            ant = PAnd(tuple(PEq("d%d" % (k + 1), v) for k, v in enumerate(steps)))
+            valid_ants.append(ant)
+            shown = ",".join(s for s in steps if s != EPSILON)
+            if steps in self.wp_worlds:
+                constraints.append(CtConstraint(
+                    "WP of derivation %s" % shown,
+                    POr((PNot(ant), ground(self.wps[steps], theory.objects, param_atom)))))
+            else:
+                constraints.append(CtConstraint(
+                    "block unaccomplishable derivation %s" % shown, PNot(ant)))
+        constraints.append(CtConstraint(
+            "grammar validity", POr(tuple(valid_ants)) if valid_ants else P_FALSE))
+        return constraints
 
 
 @dataclass(frozen=True)
@@ -95,7 +162,10 @@ class Configuration:
 
 def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
                 strength: Union[int, str]) -> CtModel:
-    """Assemble parameters and constraints for (initial world, task) pairs.
+    """Assemble the parameters of (initial world, task) pairs, and the
+    derivations with the worlds each one's task completes from, run
+    forward.  Weakest preconditions and constraints are left to the
+    first read of `wps` and `constraints`.
 
     The model does not depend on the coverage `strength`; a bad one is
     rejected here, before any work, as `generate_covering_array` rejects
@@ -106,105 +176,37 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
         raise CtError("derivation depth must be at least 1")
     worlds = list(enumerate_initial_worlds(theory))
 
-    model = CtModel(parameters=[], constraints=[], theory=theory, depth=depth,
-                    worlds=frozenset(worlds))
+    model = CtModel(parameters=[], theory=theory, depth=depth, worlds=frozenset(worlds))
     rule_ids = sorted(r.id for r in grammar.rules)
 
     # (c) derivation-step parameters
     for k in range(1, depth + 1):
         model.parameters.append(CtParameter("d%d" % k, tuple(rule_ids) + (EPSILON,)))
 
-    # (b) n-ary fluent-family tuple parameters with symmetry breaking
+    # (b) n-ary fluent-family tuple parameters, symmetry-broken by `constraints`
     obj_domain = tuple(sorted(theory.objects)) + (EPSILON,)
-    for fam in theory.primitive_fluents():
-        arity = theory.predicates[fam].arity
+    arities = {fam: theory.predicates[fam].arity for fam in theory.primitive_fluents()}
+    for fam, arity in arities.items():
         if arity < 2:
             continue
-        bound = _instance_bound(fam, worlds)
-        insts: list[list[str]] = []
-        for i in range(1, bound + 1):
-            comp_names = []
-            for j in range(1, arity + 1):
-                name = "%s_%d_%d" % (fam, i, j)
-                model.parameters.append(CtParameter(name, obj_domain))
-                comp_names.append(name)
-            insts.append(comp_names)
+        insts = [["%s_%d_%d" % (fam, i, j) for j in range(1, arity + 1)]
+                 for i in range(1, _instance_bound(fam, worlds) + 1)]
         model.tuple_params[fam] = insts
-        for i, inst in enumerate(insts):
-            model.constraints.append(CtConstraint(
-                "%s instance %d all-or-none epsilon" % (fam, i + 1),
-                _all_or_none_eps(inst)))
-        for a, b in zip(insts, insts[1:]):
-            model.constraints.append(CtConstraint(
-                "%s symmetry break %s < %s" % (fam, a[0], b[0]),
-                _lex_less_or_both_eps(a, b, sorted(theory.objects))))
+        model.parameters.extend(CtParameter(name, obj_domain)
+                                for inst in insts for name in inst)
 
-    # (a) unary-fluent boolean parameters
-    for fam in theory.primitive_fluents():
-        if theory.predicates[fam].arity != 1:
-            continue
-        for o in sorted(theory.objects):
-            name = "%s_%s" % (fam, o)
-            model.parameters.append(CtParameter(name, ("false", "true")))
-            model.unary_params[name] = (fam, (o,))
+    # (a) boolean parameters of the unary fluents, then of the 0-ary ones
+    model.unary_params.update(("%s_%s" % (fam, o), (fam, (o,))) for fam, n in arities.items()
+                              if n == 1 for o in sorted(theory.objects))
+    model.unary_params.update((fam, (fam, ())) for fam, n in arities.items() if n == 0)
+    model.parameters.extend(CtParameter(name, ("false", "true"))
+                            for name in model.unary_params)
 
-    for fam in theory.primitive_fluents():
-        arity = theory.predicates[fam].arity
-        if arity == 0:
-            name = fam
-            model.parameters.append(CtParameter(name, ("false", "true")))
-            model.unary_params[name] = (fam, ())
-
-    unary_atoms = {atom: PEq(pname, "true")
-                   for pname, atom in model.unary_params.items()}
-
-    encodings: dict[tuple[bool, str, tuple[str, ...]], PFormula] = {}
-
-    def param_atom(node: Formula, args: tuple[str, ...]) -> PFormula:
-        """A ground atom as a constraint over the parameters encoding it,
-        built once per (rigid or fluent, name, args)."""
-        key = (isinstance(node, Rigid), node.name, args)
-        enc = encodings.get(key)
-        if enc is not None:
-            return enc
-        if isinstance(node, Rigid):
-            enc = P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
-        elif (node.name, args) in unary_atoms:
-            enc = unary_atoms[(node.name, args)]
-        else:
-            comps = model.tuple_params.get(node.name)
-            if comps is None:
-                raise CtError("fluent %s has no parameter encoding" % node.name)
-            enc = POr(tuple(PAnd(tuple(PEq(c, a) for c, a in zip(inst, args)))
-                            for inst in comps))
-        encodings[key] = enc
-        return enc
-
-    # (d) initial-axiom constraints
-    for i, phi in enumerate(initial_formulas(theory)):
-        model.constraints.append(CtConstraint(
-            "initial axiom %d" % (i + 1), ground(phi, theory.objects, param_atom)))
-
-    # grammar validity and (e) weakest-precondition constraints
-    valid_ants = []
     for deriv, task, sat in accomplishing_worlds(theory, grammar, depth, worlds):
         steps = _pad(deriv.steps, depth)
         model.derivations[steps] = task
-        ant = PAnd(tuple(PEq("d%d" % (k + 1), steps[k]) for k in range(depth)))
-        valid_ants.append(ant)
         if sat:
-            wpf = compute_wp(TRUE, task, theory).formula
-            model.wps[steps] = wpf
-            model.wp_worlds[steps] = sat
-            model.constraints.append(CtConstraint(
-                "WP of derivation %s" % ",".join(deriv.steps),
-                POr((PNot(ant), ground(wpf, theory.objects, param_atom)))))
-        else:
-            model.constraints.append(CtConstraint(
-                "block unaccomplishable derivation %s" % ",".join(deriv.steps),
-                PNot(ant)))
-    model.constraints.append(CtConstraint(
-        "grammar validity", POr(tuple(valid_ants)) if valid_ants else P_FALSE))
+            model.wp_worlds[steps] = frozenset(sat)
     return model
 
 
@@ -439,14 +441,13 @@ def encode_world(model: CtModel, world: WorldState) -> tuple[str, ...]:
 
 
 def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration:
-    """Decode a valid assignment into its accomplishable configuration."""
-    theory = model.theory
+    """Decode a valid assignment into its accomplishable configuration:
+    its world must be an initial world, and one its derivation's task
+    completes from (`wp_worlds`)."""
     assignment = {p.name: v for p, v in zip(model.parameters, row)}
 
-    true_atoms: set[GroundAtom] = set()
-    for pname, atom in model.unary_params.items():
-        if assignment[pname] == "true":
-            true_atoms.add(atom)
+    true_atoms = {atom for pname, atom in model.unary_params.items()
+                  if assignment[pname] == "true"}
     for fam, insts in model.tuple_params.items():
         for inst in insts:
             vals = tuple(assignment[c] for c in inst)
@@ -464,9 +465,6 @@ def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration
 
     if w0 not in model.worlds:
         raise CtError("decoded world violates the initial axioms (encoding bug)")
-    wpf = model.wps.get(steps)
-    if wpf is not None and steps not in model.grounded_wps:
-        model.grounded_wps[steps] = ground_state_formula(theory, wpf)
-    if wpf is None or not peval(model.grounded_wps[steps], state_truth(theory, w0)):
+    if w0 not in model.wp_worlds.get(steps, ()):
         raise CtError("decoded configuration is not accomplishable (encoding bug)")
     return Configuration(w0, task, row)

@@ -18,8 +18,8 @@ no lookup by time.
 Synthesis runs each branch of a configuration's task forward
 (`tasks.run_branch`): that decides which branches the initial world can
 follow and gives their checkpoint states.  Weakest preconditions play no
-part here; they feed the combinatorial model's constraints and the check
-in `ctgen.realize_configuration`.
+part here; they feed the combinatorial model's constraints, which
+`ctgen` builds only when they are read.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Forward execution decides accomplishability: a task can complete from a
 world iff some choice-free branch of `normalize` runs there, test by
 test and operation by operation (`run_branch`).  Weakest preconditions
 (`wp`) describe the same worlds symbolically; they feed the constraints
-of the combinatorial model and the check in `ctgen.realize_configuration`.
+of the combinatorial model, which check its rows independently.
 """
 
 from __future__ import annotations

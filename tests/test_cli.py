@@ -11,6 +11,7 @@ from robovalid.cli import main
 from conftest import MODELS, ROOT
 
 KITCHEN = str(MODELS / "kitchen4.sc")
+KITCHEN7 = str(MODELS / "kitchen7.sc")
 PUTFRAG = str(MODELS / "putfrag.sc")
 PMAP = str(MODELS / "kitchen4.pmap")
 SCENARIO = str(MODELS / "kitchen4_scenario.json")
@@ -74,6 +75,20 @@ def test_generate_putfrag_one_way(tmp_path, capsys):
         rec = json.loads(ln)
         assert set(rec) == {"assignment", "fluents", "task"}
         assert rec["task"].startswith("put(")
+
+
+def test_generate_seven_object_kitchen_computes_no_wp(tmp_path, capsys, monkeypatch):
+    """On the seven-object kitchen, whose closure In chains over seven
+    objects, `generate` runs the tasks forward and decodes the array
+    without computing or grounding a weakest precondition."""
+    wp_calls = []
+    monkeypatch.setattr(ctgen, "compute_wp", lambda *a: wp_calls.append(a))
+    assert main(["generate", "--model", KITCHEN7, "--depth", "4",
+                 "--strength", "2", "--out", str(tmp_path)]) == 0
+    assert wp_calls == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["4", "70", "14", "24", "2"]
+    assert len((tmp_path / "configs.jsonl").read_text().splitlines()) == 24
 
 
 # sha256 of kitchen4's configs.jsonl, by depth and strength, as written

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import ctgen_oracle
-from robovalid import ctgen
+from robovalid import cli, ctgen
 from robovalid.ctgen import (
     CtError, CtModel, CtParameter, build_model, check_assignment,
     coverable_tuples, enumerate_valid, generate_covering_array,
@@ -15,7 +15,8 @@ from robovalid.logic import (
 )
 from robovalid.tasks import EPSILON, Grammar, enumerate_derivations
 from robovalid.theory import (
-    GrammarRule, WorldState, enumerate_initial_worlds, initial_formulas,
+    GrammarRule, WorldState, enumerate_initial_worlds, ground_state_formula,
+    initial_formulas, state_truth,
 )
 from robovalid.wp import holds_at, wp
 
@@ -174,7 +175,7 @@ def synthetic_rows(draw):
     as the valid rows of a real model pin some parameters."""
     sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=6))
     model = CtModel([CtParameter("p%d" % i, ("a", "b", "c")[:n])
-                     for i, n in enumerate(sizes)], [])
+                     for i, n in enumerate(sizes)])
     pinned = draw(st.sets(st.integers(0, len(sizes) - 1)))
     row = st.tuples(*(st.just(draw(st.sampled_from(p.domain))) if i in pinned
                       else st.sampled_from(p.domain)
@@ -182,11 +183,11 @@ def synthetic_rows(draw):
     return model, draw(st.lists(row, unique=True, max_size=40))
 
 
-_AB3 = CtModel([CtParameter("p%d" % i, ("a", "b")) for i in range(3)], [])
+_AB3 = CtModel([CtParameter("p%d" % i, ("a", "b")) for i in range(3)])
 
 
 @given(synthetic_rows(), st.integers(1, 5))
-@example((CtModel([CtParameter("p0", ("a", "b")), CtParameter("p1", ("a", "b"))], []),
+@example((CtModel([CtParameter("p0", ("a", "b")), CtParameter("p1", ("a", "b"))]),
           []), 2)
 # all columns constant: one row, and strength above the parameter count
 @example((_AB3, [("a", "b", "a")]), 2)
@@ -213,16 +214,52 @@ def test_enumerate_valid_matches_solver_oracle(request, name, depth):
     assert all(check_assignment(model, row) for row in rows)
 
 
-def test_wp_computed_once_per_accomplishable_derivation(kitchen, kitchen_grammar,
-                                                        monkeypatch):
-    tasks = []
-    compute_wp = ctgen.compute_wp
+def test_wp_computed_once_per_accomplishable_derivation(kitchen, monkeypatch):
+    """Generating computes no WP.  The first read of `wps` computes each
+    accomplishable derivation's WP once, in derivation order; the
+    constraints reuse them, and a second read of the constraints is the
+    same list, grounded no further."""
+    tasks, grounded = [], []
+    compute_wp, ground_ = ctgen.compute_wp, ctgen.ground
     monkeypatch.setattr(ctgen, "compute_wp",
                         lambda phi, task, theory: tasks.append(task)
                         or compute_wp(phi, task, theory))
+    monkeypatch.setattr(ctgen, "ground",
+                        lambda *a: grounded.append(a) or ground_(*a))
+    model, _, _, _ = cli._generate(kitchen, 4, 2)
+    assert tasks == grounded == []
+    accomplishable = [steps for steps in model.derivations if steps in model.wp_worlds]
+    assert list(model.wps) == accomplishable
+    assert tasks == [model.derivations[steps] for steps in accomplishable]
+    assert len(tasks) == 8
+    constraints = model.constraints
+    assert len(tasks) == 8 and grounded
+    grounded.clear()
+    assert model.constraints is constraints
+    assert len(tasks) == 8 and grounded == []
+
+
+def test_realize_accepts_exactly_the_worlds_its_grounded_wp_holds_in(
+        kitchen, kitchen_grammar):
+    """Every accomplishable derivation's steps with every initial world's
+    encoding realizes exactly when the derivation's WP, grounded over the
+    state, holds there, and is "not accomplishable" otherwise: the
+    membership check against the worlds run forward is the WP check."""
     model = build_model(kitchen, kitchen_grammar, 4, 2)
-    assert len(tasks) == len(model.wps) == 8
-    assert tasks == [model.derivations[steps] for steps in model.wps]
+    held = rejected = 0
+    for steps, wpf in model.wps.items():
+        grounded = ground_state_formula(kitchen, wpf)
+        for w in model.worlds:
+            row = steps + ctgen.encode_world(model, w)
+            if peval(grounded, state_truth(kitchen, w)) is True:
+                assert realize_configuration(model, row).initial_world == w
+                held += 1
+            else:
+                with pytest.raises(CtError, match="not accomplishable"):
+                    realize_configuration(model, row)
+                rejected += 1
+    assert held == len(list(enumerate_valid(model))) == 33
+    assert rejected > 0
 
 
 @pytest.fixture(scope="module")
