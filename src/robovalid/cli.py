@@ -18,8 +18,8 @@ from . import ctgen, falsify as fz, sim, stl
 from .logic import ParseError, format_formula, TRUE
 from .tasks import Grammar, format_task, parse_task
 from .theory import (
-    TheoryError, WorldState, enumerate_initial_worlds, ground_initial_axioms,
-    load_model, parse_ground_atom, satisfies_init,
+    TheoryError, WorldState, enumerate_initial_worlds, load_model,
+    parse_ground_atom, satisfies_init,
 )
 from .wp import wp
 
@@ -55,9 +55,8 @@ def _write_configs(out_dir, configs) -> str:
 def _load_configs(path, theory) -> list[ctgen.Configuration]:
     """The configurations of a configs.jsonl file; a malformed line, or a
     world that is not an initial world of the model, is a CtError naming
-    its path and line.  The initial axioms are grounded once per file."""
+    its path and line."""
     primitive = frozenset(theory.all_primitive_atoms())
-    axioms = ground_initial_axioms(theory)
     out = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -70,7 +69,7 @@ def _load_configs(path, theory) -> list[ctgen.Configuration]:
                 if unknown:
                     raise ValueError("%s is not a primitive fluent atom of the model"
                                      % _atom_str(unknown[0]))
-                if not satisfies_init(theory, w0, axioms):
+                if not satisfies_init(theory, w0):
                     raise ValueError("the world does not satisfy the initial axioms")
                 task = parse_task(rec["task"], theory)
                 out.append(ctgen.Configuration(w0, task, tuple(rec["assignment"])))
@@ -126,14 +125,16 @@ def _count_table(theory, grammar, depth: int, worlds) -> list[tuple[int, int]]:
     length."""
     syntax_valid = [0] * (depth + 1)
     accomplishable = [0] * (depth + 1)
-    for deriv, _, sat in ctgen.accomplishing_worlds(theory, grammar, depth, worlds):
-        syntax_valid[len(deriv.steps)] += 1
-        accomplishable[len(deriv.steps)] += bool(sat)
+    for steps, _, sat in ctgen.accomplishing_worlds(theory, grammar, depth, worlds):
+        syntax_valid[len(steps)] += 1
+        accomplishable[len(steps)] += bool(sat)
     return [(sum(syntax_valid[:k + 1]), sum(accomplishable[:k + 1]))
             for k in range(1, depth + 1)]
 
 
 def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
+    """The last row of `_count_table`.  No production path calls it; it
+    serves the acceptance criteria and the test oracles."""
     return _count_table(theory, grammar, depth, worlds)[-1]
 
 

@@ -29,7 +29,7 @@ from .logic import (
     ground, peval,
 )
 from .tasks import (
-    Derivation, EPSILON, Grammar, Task, enumerate_derivations, normalize,
+    EPSILON, Grammar, Task, enumerate_derivations, normalize,
     run_branch,
 )
 from .theory import (
@@ -202,27 +202,28 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
     model.parameters.extend(CtParameter(name, ("false", "true"))
                             for name in model.unary_params)
 
-    for deriv, task, sat in accomplishing_worlds(theory, grammar, depth, worlds):
-        steps = _pad(deriv.steps, depth)
-        model.derivations[steps] = task
+    for steps, task, sat in accomplishing_worlds(theory, grammar, depth, worlds):
+        padded = _pad(steps, depth)
+        model.derivations[padded] = task
         if sat:
-            model.wp_worlds[steps] = frozenset(sat)
+            model.wp_worlds[padded] = frozenset(sat)
     return model
 
 
 def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
                          worlds: list[WorldState]
-                         ) -> Iterator[tuple[Derivation, Task, list[WorldState]]]:
-    """Every derivation of at most `depth` steps with its task and the
-    worlds of `worlds` from which the task can complete, in their order.
-    The derivation is accomplishable when that list is not empty.
+                         ) -> Iterator[tuple[tuple[str, ...], Task, list[WorldState]]]:
+    """Every derivation of at most `depth` steps, as its rule ids, with its
+    task and the worlds of `worlds` from which the task can complete, in
+    their order.  The derivation is accomplishable when that list is not
+    empty.
 
     The tasks are run forward; one memo serves the whole pass, since
     derivations share their prefixes and reach the same states."""
     memo: dict = {}
-    for deriv, task in enumerate_derivations(grammar, depth, theory):
+    for steps, task in enumerate_derivations(grammar, depth, theory):
         branches = normalize(task)
-        yield deriv, task, [w for w in worlds
+        yield steps, task, [w for w in worlds
                             if any(run_branch(theory, w, b, memo) is not None
                                    for b in branches)]
 
@@ -323,11 +324,9 @@ def _tuple_masks(model: CtModel, rows: list[tuple[str, ...]], t: int,
 
 
 def coverable_tuples(model: CtModel, t: int,
-                     valid: Optional[list[tuple[str, ...]]] = None) -> set[tuple]:
+                     valid: list[tuple[str, ...]]) -> set[tuple]:
     """Every t-tuple of (parameter index, value) pairs extendable to a
-    valid full assignment."""
-    if valid is None:
-        valid = list(enumerate_valid(model))
+    valid full assignment; `valid` is `enumerate_valid(model)`'s rows."""
     bits: dict[tuple, int] = {}
     _tuple_masks(model, valid, t, bits)
     return set(bits)
@@ -399,15 +398,13 @@ def generate_covering_array(model: CtModel, t: Union[int, str],
 
 
 def verify_covering_array(model: CtModel, rows: list[tuple[str, ...]], t: int,
-                          valid: Optional[list[tuple[str, ...]]] = None) -> bool:
+                          valid: list[tuple[str, ...]]) -> bool:
     """Independent soundness + coverage pass over a generated array: every
-    row satisfies the constraints, and numbering the valid rows' t-tuples
-    after the array's adds no new tuple."""
+    row satisfies the constraints, and numbering the rows of `valid`
+    (`enumerate_valid(model)`'s) after the array's adds no new tuple."""
     for row in rows:
         if not check_assignment(model, row):
             return False
-    if valid is None:
-        valid = list(enumerate_valid(model))
     bits: dict[tuple, int] = {}
     _tuple_masks(model, rows, t, bits)
     covered = len(bits)

@@ -18,7 +18,7 @@ from .ctgen import Configuration, CtError
 from .logic import LogicError
 from .sim import (
     InstantiationError, Scenario, ScenarioSample, SimError, box_dimension,
-    instantiate, pair_table, run_policy,
+    instantiate, run_policy,
 )
 from .stl import (
     Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, chi, robustness,
@@ -36,22 +36,7 @@ _INIT_BATCH = 8
 _STAGNATION = 12  # non-improving evaluations before a restart
 _INIT_STEP = 0.25
 _MIN_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class FalsificationProblem:
-    config: Configuration
-    spec: SpecSynthesisResult
-    theory: ActionTheory
-    scenario: Scenario
-    pmap: PredicateMap
-    budget: int
-    seed: int
-    sim_dt: float = 0.25
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise FalsificationError("budget must be at least 1")
+_SAMPLE_DT = 0.25  # simulation sample period, seconds
 
 
 @dataclass(frozen=True)
@@ -77,28 +62,29 @@ def _latin_hypercube(rng: random.Random, n: int, d: int) -> list[tuple[float, ..
     return [tuple(cols[j][i] for j in range(d)) for i in range(n)]
 
 
-def falsify(problem: FalsificationProblem) -> FalsificationResult:
-    """Minimize robustness of the synthesized spec over the unit box.
+def falsify(config: Configuration, spec: SpecSynthesisResult, theory: ActionTheory,
+            scn: Scenario, pmap: PredicateMap, budget: int,
+            seed: int) -> FalsificationResult:
+    """Minimize robustness of `spec`, synthesized from `config`, over the
+    unit box, with at most `budget` evaluations and an RNG seeded by `seed`.
 
     Stops early at the first strictly negative, non-truncated robustness.
     Truncated traces are evaluated but can never count as falsified.
 
     What does not depend on the sample point is built once: chi of the
-    initial world, which every instantiation is checked against, the
-    scenario's pair-signal table, which `instantiate` and `run_policy`
-    both read, and the spec's monitor, built from the first trace since
-    every trace has the same sample times.
+    initial world, which every instantiation is checked against, and the
+    spec's monitor, built from the first trace since every trace has the
+    same sample times.
     """
-    theory, scn, pmap = problem.theory, problem.scenario, problem.pmap
-    config, spec = problem.config, problem.spec
+    if budget < 1:
+        raise FalsificationError("budget must be at least 1")
     # with several surviving branches the policy follows the first one;
     # the spec is their disjunction, so a violation is still a violation
     ops = list(spec.branches[0].ops)
     horizon = max(len(ops), 1) * spec.delta_t
     d = box_dimension(scn)
-    rng = random.Random(problem.seed)
+    rng = random.Random(seed)
     chi_w0 = chi(theory, config.initial_world, pmap)
-    pairs = pair_table(scn)
     monitor: Optional[Monitor] = None
 
     evaluations = 0
@@ -112,11 +98,11 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
         nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
-            sample = instantiate(config.initial_world, scn, chi_w0, point, pairs)
+            sample = instantiate(config.initial_world, scn, chi_w0, point)
         except InstantiationError:
             infeasible += 1
             return math.inf
-        trace, truncated = run_policy(scn, sample, ops, problem.sim_dt, horizon, pairs)
+        trace, truncated = run_policy(scn, sample, ops, _SAMPLE_DT, horizon)
         if monitor is None:
             monitor = Monitor(spec.formula, trace.times)
         r = robustness(monitor, trace)
@@ -128,13 +114,13 @@ def falsify(problem: FalsificationProblem) -> FalsificationResult:
             best_sample, best_trace = sample, trace
         return effective
 
-    for p in _latin_hypercube(rng, min(_INIT_BATCH, problem.budget), d):
+    for p in _latin_hypercube(rng, min(_INIT_BATCH, budget), d):
         if evaluate(p) < 0:
             break
 
     step = _INIT_STEP
     since_improvement = 0
-    while evaluations < problem.budget and best_rho >= 0:
+    while evaluations < budget and best_rho >= 0:
         if best_sample is None or since_improvement >= _STAGNATION:
             candidate = tuple(rng.random() for _ in range(d))
             step = _INIT_STEP
@@ -188,9 +174,7 @@ def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
         task_text = format_task(config.task)
         try:
             spec = synthesize(config, theory, pmap, memo)
-            problem = FalsificationProblem(config, spec, theory, scn, pmap,
-                                           budget, seed + i)
-            res = falsify(problem)
+            res = falsify(config, spec, theory, scn, pmap, budget, seed + i)
             out.append((CampaignEntry(i, task_text, res.status,
                                       res.best_robustness, res.evaluations), res))
         except _DOMAIN_ERRORS as e:

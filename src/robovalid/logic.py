@@ -458,7 +458,8 @@ def evaluate(world, phi: Formula) -> bool:
 
     `world` answers rigid_value(name, args) and fluent_value(name, args,
     sit) and has the object domain `objects`.  phi is grounded first, so
-    every atom is checked against the world.
+    every atom is checked against the world.  No production path calls
+    it; it serves the acceptance criteria and the test oracles.
     """
     def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
         if isinstance(node, Rigid):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .stl import SAnd, SNot, StlError, Trace, format_stl
@@ -75,6 +76,18 @@ class Scenario:
 
     def doors(self) -> list[str]:
         return sorted(n for n, g in self.objects.items() if g.has_door)
+
+    @cached_property
+    def pairs(self) -> dict[str, tuple[float, dict[str, tuple]]]:
+        """For each object a: half its height, and for each object b the
+        keys of `dist_a_b` and `contain_a_b` with b's support and region
+        geometry.  Built on first read."""
+        return {a: (ga.height / 2.0,
+                    {b: ("dist_%s_%s" % (a, b), "contain_%s_%s" % (a, b),
+                         gb.support_radius, gb.support_dz, gb.region_radius,
+                         gb.region_dzlo, gb.region_dzhi)
+                     for b, gb in self.objects.items()})
+                for a, ga in self.objects.items()}
 
 
 def load_scenario(path) -> Scenario:
@@ -160,34 +173,22 @@ class ConcreteState:
                              dict(self.running), dict(self.knobs))
 
 
-def signal_values(scn: Scenario, state: ConcreteState,
-                  pairs: Optional[dict] = None) -> dict[str, float]:
-    """Every signal of `state`.  `pairs` is `pair_table(scn)`, built here
-    when not given."""
+def signal_values(scn: Scenario, state: ConcreteState) -> dict[str, float]:
+    """Every signal of `state`."""
     names = sorted(scn.objects)
     out: dict[str, float] = {}
     for n in names:
         out["DoorAngle_%s" % n] = state.door_angles.get(n, 180.0)
         out["running_%s" % n] = state.running.get(n, 0.0)
-    _pair_signals(state, pair_table(scn) if pairs is None else pairs, names, names, out)
+    _pair_signals(scn, state, names, names, out)
     return out
 
 
-def pair_table(scn: Scenario) -> dict[str, tuple[float, dict[str, tuple]]]:
-    """For each object a: half its height, and for each object b the keys
-    of `dist_a_b` and `contain_a_b` with b's support and region geometry."""
-    return {a: (ga.height / 2.0,
-                {b: ("dist_%s_%s" % (a, b), "contain_%s_%s" % (a, b),
-                     gb.support_radius, gb.support_dz, gb.region_radius,
-                     gb.region_dzlo, gb.region_dzhi)
-                 for b, gb in scn.objects.items()})
-            for a, ga in scn.objects.items()}
-
-
-def _pair_signals(state: ConcreteState, pairs: dict, lefts, rights,
+def _pair_signals(scn: Scenario, state: ConcreteState, lefts, rights,
                   out: dict[str, float]) -> None:
     """Write `dist_a_b` and `contain_a_b` into `out` for every a in
-    `lefts` and b in `rights`; `pairs` is `pair_table`'s."""
+    `lefts` and b in `rights`, with the keys and geometry of `scn.pairs`."""
+    pairs = scn.pairs
     for a in lefts:
         ax, ay, az = state.positions[a]
         half, row = pairs[a]
@@ -210,7 +211,7 @@ def _pair_signals(state: ConcreteState, pairs: dict, lefts, rights,
 
 
 def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
-             written: tuple[list[str], list[str]], pairs: dict) -> None:
+             written: tuple[list[str], list[str]]) -> None:
     """Recompute in `row` the signals of what `_apply` wrote: every pair
     signal of the objects it moved, and the door and running signals of
     the objects whose door or switch it set.  Every other entry is
@@ -221,8 +222,8 @@ def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
         row["running_%s" % n] = state.running.get(n, 0.0)
     if moved:
         names = sorted(scn.objects)
-        _pair_signals(state, pairs, moved, names, row)
-        _pair_signals(state, pairs, [n for n in names if n not in moved], moved, row)
+        _pair_signals(scn, state, moved, names, row)
+        _pair_signals(scn, state, [n for n in names if n not in moved], moved, row)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,7 @@ def _loc_parent(w0: WorldState, obj: str) -> Optional[str]:
 
 
 def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
-                sample: tuple[float, ...],
-                pairs: Optional[dict] = None) -> ScenarioSample:
+                sample: tuple[float, ...]) -> ScenarioSample:
     """Map a unit-box point to a concrete initial state consistent with w0.
 
     Movable objects are placed support-first: on a fixed surface inside
@@ -258,7 +258,6 @@ def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
     around its top anchor.  Door angles come from the closed or open
     interval chosen by IsOpen, knobs from the scenario ranges.  The state
     must satisfy every literal of `chi_w0`, which is `stl.chi` of w0.
-    `pairs` is `pair_table(scn)`, built here when not given.
     """
     d = box_dimension(scn)
     if len(sample) != d:
@@ -328,7 +327,7 @@ def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
 
     q0 = ConcreteState(positions, door_angles, running, knobs)
     _check_workspace(scn, q0)
-    _check_roundtrip(scn, chi_w0, q0, pairs)
+    _check_roundtrip(scn, chi_w0, q0)
     return ScenarioSample(q0, tuple(sample), parents)
 
 
@@ -344,12 +343,11 @@ def _check_workspace(scn: Scenario, state: ConcreteState) -> None:
             raise InstantiationError("door angle of %s out of range: %g" % (n, ang))
 
 
-def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState,
-                     pairs: Optional[dict] = None) -> None:
+def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState) -> None:
     """Every literal of `chi_w0`, an atom or a negated atom, must hold of
     the state's signals; an atom on a signal the state lacks is an
-    StlError.  `pairs` is `pair_table(scn)`, built here when not given."""
-    values = signal_values(scn, state, pairs)
+    StlError."""
+    values = signal_values(scn, state)
     violated = []
     for lit in chi_w0.parts:
         negated = isinstance(lit, SNot)
@@ -382,8 +380,7 @@ def _descendants(parents: dict[str, Optional[str]], root: str) -> list[str]:
 
 
 def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
-               dt: float, horizon: float,
-               pairs: Optional[dict] = None) -> tuple[Trace, bool]:
+               dt: float, horizon: float) -> tuple[Trace, bool]:
     """Execute an op-only branch with scripted controllers.
 
     The operations run in order.  Each one is captured from the state the
@@ -392,9 +389,9 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     computed once; the samples of a stretch of constant state share one
     dict, and a sample inside a stroke recomputes only the signals of
     what the operation wrote, with the pair signals' keys and geometry
-    looked up in `pairs`, which is `pair_table(scn)`, built here when
-    not given.  Returns the fixed-rate trace and a truncation flag set
-    when the horizon ends before the last operation completes.
+    looked up in `scn.pairs`.  Returns the fixed-rate trace and a
+    truncation flag set when the horizon ends before the last operation
+    completes.
     """
     if dt <= 0 or horizon < 0:
         raise SimError("dt must be positive and horizon nonnegative")
@@ -415,9 +412,7 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     parents = dict(sample.parents)
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     rows: list[dict[str, float]] = []  # len(rows) is the next sample's index
-    if pairs is None:
-        pairs = pair_table(scn)
-    held = signal_values(scn, state, pairs)  # the signals of `state`
+    held = signal_values(scn, state)  # the signals of `state`
     for op, start, end in schedule:
         while len(rows) < n and len(rows) * dt < start:
             rows.append(held)
@@ -428,12 +423,12 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
             snap = state.copy()
             row = dict(held)
             _refresh(scn, snap, row, _apply(snap, op, cap, (now - start) / (end - start),
-                                            parents, final=False), pairs)
+                                            parents, final=False))
             rows.append(row)
         if len(rows) == n:
             break
         held = dict(held)
-        _refresh(scn, state, held, _apply(state, op, cap, 1.0, parents, final=True), pairs)
+        _refresh(scn, state, held, _apply(state, op, cap, 1.0, parents, final=True))
     rows.extend([held] * (n - len(rows)))
     columns = zip(*[row.values() for row in rows])
     return Trace(tuple(i * dt for i in range(n)), dict(zip(rows[0], columns))), truncated

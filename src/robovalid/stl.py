@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import io
 import math
+import string
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -514,7 +515,8 @@ class PredicateMap:
 def load_pmap(path) -> PredicateMap:
     """File format: one `pmap: Fluent(a,b) := signal_{a}_{b} <cmp> <threshold>`
     line per fluent family plus one `deltat: <seconds>` line.  '#' starts
-    a comment."""
+    a comment.  A signal's placeholders must be the head's parameters,
+    with balanced braces, and a threshold must be finite."""
     templates: dict[str, PredicateTemplate] = {}
     delta_t = None
     with open(path) as f:
@@ -544,8 +546,15 @@ def load_pmap(path) -> PredicateMap:
                     toks = expr.split()
                     if len(toks) != 3 or toks[1] not in _COMPARATORS:
                         raise StlError("expected '<signal> <cmp> <threshold>'")
+                    threshold = float(toks[2])
+                    if not math.isfinite(threshold):
+                        raise StlError("threshold must be finite")
+                    for _, field, spec, conv in string.Formatter().parse(toks[0]):
+                        if field is not None and (field not in params or spec or conv):
+                            raise StlError("signal %s: a placeholder must be {p} for "
+                                           "a parameter p of %s" % (toks[0], head.strip()))
                     templates[name] = PredicateTemplate(
-                        name, params, toks[0], toks[1], float(toks[2]))
+                        name, params, toks[0], toks[1], threshold)
                 else:
                     raise StlError("unknown section %r" % key)
             except (ValueError, StlError, TheoryError) as exc:

@@ -199,7 +199,8 @@ def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
 
 def execute(theory: ActionTheory, w0: WorldState, tau: Task) -> bool:
     """Whether `tau` can complete from `w0`: some branch of its normal
-    form runs to the end."""
+    form runs to the end.  No production path calls it; it serves the
+    acceptance criteria and the test oracles."""
     memo: dict = {}
     return any(run_branch(theory, w0, b, memo) is not None for b in normalize(tau))
 
@@ -209,12 +210,6 @@ def execute(theory: ActionTheory, w0: WorldState, tau: Task) -> bool:
 # ---------------------------------------------------------------------------
 
 EPSILON = "eps"
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """A leftmost derivation: the applied rule ids, without epsilon padding."""
-    steps: tuple[str, ...]
 
 
 class Grammar:
@@ -256,18 +251,20 @@ class Grammar:
 
 
 def enumerate_derivations(grammar: Grammar, depth: int,
-                          theory: ActionTheory) -> Iterator[tuple[Derivation, Task]]:
+                          theory: ActionTheory) -> Iterator[tuple[tuple[str, ...], Task]]:
     """Every leftmost derivation with at most `depth` rule applications,
-    paired with the task it generates, in deterministic order.
+    as its applied rule ids (without epsilon padding) paired with the task
+    it generates, in deterministic order.
     """
     if depth < 1:
         return
     parser = TaskParser(theory)
 
-    def rec(form: tuple[str, ...], steps: tuple[str, ...]) -> Iterator[tuple[Derivation, Task]]:
+    def rec(form: tuple[str, ...],
+            steps: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], Task]]:
         idx = next((i for i, t in enumerate(form) if t in grammar.nonterminals), None)
         if idx is None:
-            yield Derivation(steps), parser.parse(" ".join(form))
+            yield steps, parser.parse(" ".join(form))
             return
         if len(steps) >= depth:
             return

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .logic import (
@@ -160,6 +161,12 @@ class ActionTheory:
             raise ModelError("bad rigid atom %s%r" % (name, args))
         return (name, args) in self.rigid_truths
 
+    @cached_property
+    def grounded_init(self) -> list[PFormula]:
+        """`initial_formulas`, grounded over the primitive atoms at s0.
+        Built on first read."""
+        return [ground_primitive(self, f, S0) for f in initial_formulas(self)]
+
 
 # ---------------------------------------------------------------------------
 # World states
@@ -184,7 +191,9 @@ class StateView:
 
     Fluent atoms are accepted at any situation term syntactically equal to
     the anchor; other situation terms are a ModelError, which keeps
-    progression bugs from silently reading the wrong situation.
+    progression bugs from silently reading the wrong situation.  No
+    production path uses it; it serves the acceptance criteria and the
+    test oracles.
     """
 
     def __init__(self, theory: ActionTheory, state: WorldState, sit: SitTerm = S0):
@@ -375,7 +384,9 @@ def apply_op(step: GroundedOp, state: WorldState,
 
 
 def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
-    """Whether `op` is executable in `state` (its precondition holds)."""
+    """Whether `op` is executable in `state` (its precondition holds).
+    No production path calls it; it serves the acceptance criteria and the
+    test oracles."""
     pre = ground_state_formula(theory, instantiate_precondition(theory, op))
     return peval(pre, state_truth(theory, state)) is True
 
@@ -383,7 +394,8 @@ def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
 def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldState:
     """The state after `op`, or PreconditionViolation when it is not
     possible.  `op` is grounded for this one step; `tasks.run_branch`
-    keeps each grounded operation for a whole run."""
+    keeps each grounded operation for a whole run.  No production path
+    calls it; it serves the acceptance criteria and the test oracles."""
     return apply_op(ground_op(theory, op), state, state_truth(theory, state))
 
 
@@ -441,7 +453,7 @@ def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     """
     atoms = theory.all_primitive_atoms()
     conjuncts: list[PFormula] = []
-    for ax in ground_initial_axioms(theory):
+    for ax in theory.grounded_init:
         _split_conjuncts(ax, conjuncts)
     touching: dict[GroundAtom, list[PFormula]] = {a: [] for a in atoms}
     constant = []
@@ -488,20 +500,11 @@ def _mentioned_atoms(phi: PFormula) -> set:
     return set()
 
 
-def ground_initial_axioms(theory: ActionTheory) -> list[PFormula]:
-    """`initial_formulas`, grounded over the primitive atoms at s0."""
-    return [ground_primitive(theory, f, S0) for f in initial_formulas(theory)]
-
-
-def satisfies_init(theory: ActionTheory, state: WorldState,
-                   axioms: Optional[list[PFormula]] = None) -> bool:
-    """Whether `state` satisfies every initial axiom.  `axioms` is
-    `ground_initial_axioms(theory)`, grounded here when not given; a
-    caller that checks many states grounds them once."""
-    if axioms is None:
-        axioms = ground_initial_axioms(theory)
+def satisfies_init(theory: ActionTheory, state: WorldState) -> bool:
+    """Whether `state` satisfies every initial axiom, decided over
+    `theory.grounded_init`."""
     truth = {atom: atom in state.true_atoms for atom in theory.all_primitive_atoms()}
-    return all(peval(ax, truth) is True for ax in axioms)
+    return all(peval(ax, truth) is True for ax in theory.grounded_init)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +525,7 @@ def load_model(path) -> ActionTheory:
     successor: dict[str, SuccessorAxiom] = {}
     derived: dict[str, DerivedFluentDef] = {}
     init_axioms: list[Formula] = []
-    rigid_truths: set[tuple[str, tuple[str, ...]]] = set()
+    rigid_truths: dict[GroundAtom, int] = {}  # atom -> its first line
     grammar: list[GrammarRule] = []
     pending: list[tuple[int, str, str]] = []
     lines: dict[tuple[str, str], int] = {}  # (section, name) -> its line
@@ -555,7 +558,7 @@ def load_model(path) -> ActionTheory:
                 predicates[name] = PredicateDecl(name, arity, "rigid")
             elif key == "rigidtrue":
                 for atom in rest.split():
-                    rigid_truths.add(parse_ground_atom(atom))
+                    rigid_truths.setdefault(parse_ground_atom(atom), lineno)
             elif key == "fluent":
                 parts = rest.split() or [""]
                 name, arity = _parse_declaration(parts[0])
@@ -576,6 +579,14 @@ def load_model(path) -> ActionTheory:
 
     if not objects:
         raise TheoryError("%s: no objects declared" % path)
+    # a rigidtrue: line may come before the declarations its atoms use
+    for (name, args), lineno in rigid_truths.items():
+        decl = predicates.get(name)
+        if (decl is None or decl.kind != "rigid" or decl.arity != len(args)
+                or not set(args) <= set(objects)):
+            raise TheoryError("%s:%d: rigidtrue %s(%s) is not a declared rigid "
+                              "predicate, with its arity, over declared objects"
+                              % (path, lineno, name, ",".join(args)))
     parser = FormulaParser(objects)
 
     for lineno, key, rest in pending:

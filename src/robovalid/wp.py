@@ -137,5 +137,7 @@ def _wp(phi: Formula, tau: Task, theory: ActionTheory) -> Formula:
 
 
 def holds_at(phi: Formula, theory: ActionTheory, state: WorldState) -> bool:
-    """Evaluate a one-situation formula (typically a WP) at a world state."""
+    """Evaluate a one-situation formula (typically a WP) at a world state.
+    No production path calls it; it serves the acceptance criteria and the
+    test oracles."""
     return evaluate(StateView(theory, state), anchor(phi, S0))

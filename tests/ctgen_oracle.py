@@ -26,25 +26,26 @@ from typing import Iterator, Optional, Union
 
 from robovalid.ctgen import CtError, CtModel
 from robovalid.logic import TRUE, Formula, PAnd, PEq, PFormula, PNot, POr, peval
-from robovalid.tasks import Derivation, Grammar, Task, enumerate_derivations
+from robovalid.tasks import Grammar, Task, enumerate_derivations
 from robovalid.theory import ActionTheory, WorldState, ground_primitive
 from robovalid.wp import SIT, wp
 
 
 def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
                    worlds: list[WorldState]
-                   ) -> Iterator[tuple[Derivation, Task, Formula, list[WorldState]]]:
-    """Every derivation of at most `depth` steps with its task, its WP and
+                   ) -> Iterator[tuple[tuple[str, ...], Task, Formula, list[WorldState]]]:
+    """Every derivation of at most `depth` steps, as its rule ids, with its
+    task, its WP and
     the worlds of `worlds` that satisfy the WP, in their order.  The
     derivation is accomplishable when that list is not empty.
 
     Each WP is grounded once and then evaluated against every world."""
     atoms = theory.all_primitive_atoms()
     assignments = [{a: w.holds(a) for a in atoms} for w in worlds]
-    for deriv, task in enumerate_derivations(grammar, depth, theory):
+    for steps, task in enumerate_derivations(grammar, depth, theory):
         wpf = wp(TRUE, task, theory).formula
         grounded = ground_primitive(theory, wpf, SIT)
-        yield deriv, task, wpf, [w for w, a in zip(worlds, assignments)
+        yield steps, task, wpf, [w for w, a in zip(worlds, assignments)
                                  if peval(grounded, a)]
 
 

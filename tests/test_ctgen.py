@@ -282,7 +282,7 @@ def test_accomplishing_worlds_match_grounded_wp_oracle(request, name, grammar,
     grammar = request.getfixturevalue(grammar)
     worlds = list(enumerate_initial_worlds(theory))
     got = list(ctgen.accomplishing_worlds(theory, grammar, depth, worlds))
-    want = [(deriv, task, sat) for deriv, task, _, sat
+    want = [(steps, task, sat) for steps, task, _, sat
             in ctgen_oracle.derivation_wps(theory, grammar, depth, worlds)]
     assert got == want
 

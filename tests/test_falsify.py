@@ -1,14 +1,14 @@
 import collections
+import functools
 import math
 
 import pytest
 
 from robovalid import ctgen, falsify as falsify_module, sim, tasks
 from robovalid.falsify import (
-    FalsificationError, FalsificationProblem, FalsificationResult, campaign,
-    falsify, summarize,
+    FalsificationError, FalsificationResult, campaign, falsify, summarize,
 )
-from robovalid.stl import PredicateMap, PredicateTemplate, STrue, synthesize
+from robovalid.stl import PredicateMap, PredicateTemplate, STrue, robustness, synthesize
 from robovalid.tasks import Op, format_task, normalize, parse_task
 
 
@@ -20,33 +20,39 @@ def kitchen_configs(kitchen, kitchen_grammar):
 
 
 def single_problem(configs, kitchen, scn, pmap, *, pick, budget=30, seed=0):
+    """The arguments of `falsify` for the first configuration whose task
+    text `pick` accepts."""
     cfg = next(c for c in configs if pick(format_task(c.task)))
     spec = synthesize(cfg, kitchen, pmap)
-    return FalsificationProblem(cfg, spec, kitchen, scn, pmap, budget, seed)
+    return cfg, spec, kitchen, scn, pmap, budget, seed
 
 
 def test_budget_one_runs_one_evaluation(kitchen_configs, kitchen, scenario, pmap):
     prob = single_problem(kitchen_configs, kitchen, scenario, pmap,
                           pick=lambda t: "turn_on" in t, budget=1)
-    res = falsify(prob)
+    res = falsify(*prob)
     assert res.evaluations == 1
     assert res.status == "passed-budget-exhausted"
 
 
 def test_falsify_builds_one_pair_table(kitchen_configs, kitchen, scenario, pmap,
                                        monkeypatch):
-    """One falsify call builds the scenario's pair-signal table once, and
-    every `instantiate` and `run_policy` call reads that one."""
+    """A scenario builds its pair-signal table once, on first read, and
+    every `instantiate` and `run_policy` call of a second `falsify` on it
+    reads that same table."""
     built = []
-    real = sim.pair_table
-    monkeypatch.setattr(falsify_module, "pair_table",
-                        lambda scn: built.append(scn) or real(scn))
-    monkeypatch.setattr(sim, "pair_table",
-                        lambda scn: pytest.fail("pair table built per evaluation"))
-    prob = single_problem(kitchen_configs, kitchen, scenario, pmap,
+    real = sim.Scenario.pairs.func
+    counted = functools.cached_property(lambda scn: built.append(scn) or real(scn))
+    counted.__set_name__(sim.Scenario, "pairs")
+    monkeypatch.setattr(sim.Scenario, "pairs", counted)
+    scn = sim.Scenario(scenario.objects, scenario.workspace, scenario.policy_ranges)
+    prob = single_problem(kitchen_configs, kitchen, scn, pmap,
                           pick=lambda t: "put" in t, budget=6)
-    assert falsify(prob).evaluations == 6
-    assert built == [scenario]
+    assert falsify(*prob).evaluations == 6
+    table = scn.pairs
+    assert falsify(*prob).evaluations == 6
+    assert scn.pairs is table
+    assert len(built) == 1 and built[0] is scn
 
 
 def test_true_spec_passes_with_its_evaluations(kitchen, kitchen_worlds, scenario, pmap):
@@ -68,16 +74,19 @@ def test_status_consistency_enforced():
         FalsificationResult("passed-budget-exhausted", -0.5, None, None, 1, 0)
 
 
-def test_bad_budget_rejected(kitchen_configs, kitchen, scenario, pmap):
-    with pytest.raises(FalsificationError):
-        single_problem(kitchen_configs, kitchen, scenario, pmap,
-                       pick=lambda t: "turn_on" in t, budget=0)
+def test_bad_budget_rejected(kitchen_configs, kitchen, scenario, pmap, monkeypatch):
+    """A budget below one is rejected before any work."""
+    prob = single_problem(kitchen_configs, kitchen, scenario, pmap,
+                          pick=lambda t: "turn_on" in t, budget=0)
+    monkeypatch.setattr(falsify_module, "chi", lambda *a: pytest.fail("work done"))
+    with pytest.raises(FalsificationError, match="^budget must be at least 1$"):
+        falsify(*prob)
 
 
 def test_healthy_open_passes(kitchen_configs, kitchen, scenario, pmap):
     prob = single_problem(kitchen_configs, kitchen, scenario, pmap,
                           pick=lambda t: t.startswith("open"), budget=20)
-    res = falsify(prob)
+    res = falsify(*prob)
     assert res.status == "passed-budget-exhausted"
     assert res.best_robustness > 0
 
@@ -85,7 +94,7 @@ def test_healthy_open_passes(kitchen_configs, kitchen, scenario, pmap):
 def test_door_fault_falsifies_open(kitchen_configs, kitchen, fault_scenario, pmap):
     prob = single_problem(kitchen_configs, kitchen, fault_scenario, pmap,
                           pick=lambda t: t.startswith("open"), budget=25)
-    res = falsify(prob)
+    res = falsify(*prob)
     assert res.status == "falsified"
     assert res.best_robustness < 0
     assert res.evaluations <= 25
@@ -95,13 +104,13 @@ def test_door_fault_falsifies_open(kitchen_configs, kitchen, fault_scenario, pma
 
 
 def test_seed_determinism(kitchen_configs, kitchen, scenario, pmap):
-    a = falsify(single_problem(kitchen_configs, kitchen, scenario, pmap,
+    a = falsify(*single_problem(kitchen_configs, kitchen, scenario, pmap,
                                pick=lambda t: "put" in t, budget=15, seed=7))
-    b = falsify(single_problem(kitchen_configs, kitchen, scenario, pmap,
+    b = falsify(*single_problem(kitchen_configs, kitchen, scenario, pmap,
                                pick=lambda t: "put" in t, budget=15, seed=7))
     assert a.best_robustness == b.best_robustness
     assert a.best_sample.sample_point == b.best_sample.sample_point
-    c = falsify(single_problem(kitchen_configs, kitchen, scenario, pmap,
+    c = falsify(*single_problem(kitchen_configs, kitchen, scenario, pmap,
                                pick=lambda t: "put" in t, budget=15, seed=8))
     assert c.best_sample.sample_point != a.best_sample.sample_point
 
@@ -113,9 +122,8 @@ def test_truncated_never_falsified(kitchen_configs, kitchen, fault_scenario, pma
     cfg = next(c for c in kitchen_configs
                if format_task(c.task).startswith("open"))
     spec = synthesize(cfg, kitchen, wide)
-    prob = FalsificationProblem(cfg, spec, kitchen, fault_scenario, wide, 10, 0,
-                                sim_dt=0.05)
-    res = falsify(prob)
+    res = falsify(cfg, spec, kitchen, fault_scenario, wide, 10, 0)
+    assert robustness(spec.formula, res.best_trace).truncated
     assert res.status == "passed-budget-exhausted"
 
 

@@ -57,11 +57,21 @@ BASES = {
     # declarations that contradict the others name their own line
     ("kitchen4.sc", "fluent: Door/0 primitive"),
     ("kitchen4.sc", "successor: Door() plus: false minus: false"),
+    # a rigid truth must be a declared rigid predicate over declared objects
+    ("kitchen4.sc", "rigidtrue: Placeable(o_b,o_zz)"),
+    ("kitchen4.sc", "rigidtrue: Nope(o_b)"),
+    ("kitchen4.sc", "rigidtrue: Placeable(o_b)"),
+    ("kitchen4.sc", "rigidtrue: IsOpen(o_b)"),
     ("kitchen4.pmap", "deltat: x"),
     ("kitchen4.pmap", "deltat: 1.0"),
     ("kitchen4.pmap", "pmap: Foo"),
     ("kitchen4.pmap", "pmap: Foo := s > 1"),
     ("kitchen4.pmap", "pmap: IsOpen(a) := DoorAngle_{a} > 70"),
+    # a finite threshold, and placeholders that are the head's parameters
+    ("kitchen4.pmap", "pmap: Foo(a) := s_{a} > nan"),
+    ("kitchen4.pmap", "pmap: Foo(a) := s_{a} > inf"),
+    ("kitchen4.pmap", "pmap: Foo(a) := s_{b} > 1"),
+    ("kitchen4.pmap", "pmap: Foo(a) := s_{a > 1"),
     ("trace.csv", "0.5,abc"),
     ("configs.jsonl", "not json"),
     ("configs.jsonl", '{"fluents": []}'),

@@ -110,8 +110,8 @@ def test_grammar_enumeration_counts(kitchen, kitchen_grammar):
 def test_derivations_deterministic_and_replayable(kitchen, kitchen_grammar):
     pairs = list(enumerate_derivations(kitchen_grammar, 4, kitchen))
     assert pairs == list(enumerate_derivations(kitchen_grammar, 4, kitchen))
-    for deriv, task in pairs:
-        assert replay_derivation(kitchen_grammar, deriv.steps, kitchen) == task
+    for steps, task in pairs:
+        assert replay_derivation(kitchen_grammar, steps, kitchen) == task
 
 
 def test_putfrag_syntactic_tasks(putfrag, putfrag_grammar):

@@ -9,9 +9,9 @@ from robovalid.tasks import Op, run_branch
 from robovalid.tasks import Test as TaskTest
 from robovalid.theory import (
     GroundOp, GroundedOp, ModelError, PreconditionViolation, StateView,
-    WorldState, compute_derived, enumerate_initial_worlds, ground_initial_axioms,
-    ground_op, ground_primitive, load_model, parse_ground_atom, possible,
-    progress, satisfies_init,
+    WorldState, compute_derived, enumerate_initial_worlds, ground_op,
+    ground_primitive, load_model, parse_ground_atom, possible, progress,
+    satisfies_init,
 )
 
 
@@ -217,19 +217,18 @@ def test_enumeration_matches_backtracking_oracle(oracle_theories, name):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_axioms_grounded_once_agree_with_satisfies_init(oracle_theories, data):
-    """Checking a state against initial axioms grounded once, as
-    `cli._load_configs` does for a whole file, agrees with `satisfies_init`
-    grounding them on the call and with membership in the enumerated
-    worlds, on worlds and non-worlds alike: an initial world, or the
-    empty state, with any set of atoms flipped."""
+    """`satisfies_init`, over the initial axioms the theory grounds once,
+    agrees with membership in the enumerated worlds, on worlds and
+    non-worlds alike: an initial world, or the empty state, with any set
+    of atoms flipped."""
     theory = oracle_theories[data.draw(st.sampled_from(sorted(oracle_theories)))]
     worlds = [w.true_atoms for w in enumerate_initial_worlds(theory)]
     atoms = theory.all_primitive_atoms()
     base = data.draw(st.sampled_from(worlds + [frozenset()]))
     flips = data.draw(st.sets(st.sampled_from(atoms)) if atoms else st.just(set()))
     state = WorldState(base ^ flips)
-    got = satisfies_init(theory, state, ground_initial_axioms(theory))
-    assert got == satisfies_init(theory, state) == (state.true_atoms in worlds)
+    assert satisfies_init(theory, state) == (state.true_atoms in worlds)
+    assert theory.grounded_init is theory.grounded_init
 
 
 @pytest.mark.parametrize("name", ["kitchen", "putfrag"])
