@@ -6,8 +6,9 @@ for n-ary fluent families) and a bounded grammar derivation.  The valid
 rows are built, not searched for: each is the padded steps of an
 accomplishable derivation followed by the encoding of one enumerated
 initial world from which its task completes.  Forward execution
-(`tasks.run_branch`) decides that, and `realize_configuration` checks
-each decoded configuration by membership in those worlds.  The
+(`tasks.run_branch`) decides that.  `encode_world` is the one codec of
+a row's world part; `realize_configuration` looks a row's steps, its
+world and their pairing up in the model's tables.  The
 constraints (initial axioms, symmetry breaking, grammar validity and
 per-derivation WPs) describe the same set independently;
 `check_assignment` and `verify_covering_array` check rows against them.
@@ -76,6 +77,11 @@ class CtModel:
 
     def param_index(self) -> dict[str, int]:
         return {p.name: i for i, p in enumerate(self.parameters)}
+
+    @cached_property
+    def world_codes(self) -> dict[tuple[str, ...], WorldState]:
+        """Each initial world by its `encode_world` values, built on first read."""
+        return {encode_world(self, w): w for w in self.worlds}
 
     @cached_property
     def wps(self) -> dict[tuple[str, ...], Formula]:
@@ -283,8 +289,7 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
     `check_assignment` accepts every one of them.
     """
     rank = [{v: i for i, v in enumerate(p.domain)} for p in model.parameters]
-    worlds = set().union(*model.wp_worlds.values())
-    encoded = {w: encode_world(model, w) for w in worlds}
+    encoded = {w: code for code, w in model.world_codes.items()}
     rows = [steps + encoded[w]
             for steps, sat in model.wp_worlds.items() for w in sat]
     yield from sorted(rows, key=lambda row: tuple(r[v] for r, v in zip(rank, row)))
@@ -413,12 +418,12 @@ def verify_covering_array(model: CtModel, rows: list[tuple[str, ...]], t: int,
 
 
 # ---------------------------------------------------------------------------
-# Encoding and decoding
+# Encoding and lookup
 # ---------------------------------------------------------------------------
 
 def encode_world(model: CtModel, world: WorldState) -> tuple[str, ...]:
     """The values of the world parameters (all but the derivation steps)
-    encoding `world`; `realize_configuration` decodes them.
+    encoding `world`, the one writer of a row's world part.
 
     A unary or 0-ary atom reads "true" or "false".  An n-ary family lists
     its true tuples in object-name order, then epsilon tuples up to its
@@ -438,29 +443,16 @@ def encode_world(model: CtModel, world: WorldState) -> tuple[str, ...]:
 
 
 def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration:
-    """Decode a valid assignment into its accomplishable configuration:
-    its world must be an initial world, and one its derivation's task
-    completes from (`wp_worlds`)."""
-    assignment = {p.name: v for p, v in zip(model.parameters, row)}
-
-    true_atoms = {atom for pname, atom in model.unary_params.items()
-                  if assignment[pname] == "true"}
-    for fam, insts in model.tuple_params.items():
-        for inst in insts:
-            vals = tuple(assignment[c] for c in inst)
-            if all(v == EPSILON for v in vals):
-                continue
-            if any(v == EPSILON for v in vals):
-                raise CtError("mixed-epsilon tuple for %s: %r" % (fam, vals))
-            true_atoms.add((fam, vals))
-    w0 = WorldState(frozenset(true_atoms))
-
-    steps = tuple(assignment["d%d" % (k + 1)] for k in range(model.depth))
+    """The accomplishable configuration of a valid assignment, by lookup:
+    its steps must be a derivation's, its world part the encoding of an
+    initial world (`world_codes`), and that world one its derivation's
+    task completes from (`wp_worlds`)."""
+    steps = row[:model.depth]
     task = model.derivations.get(steps)
     if task is None:
         raise CtError("assignment's derivation %r is not a valid one" % (steps,))
-
-    if w0 not in model.worlds:
+    w0 = model.world_codes.get(row[model.depth:])
+    if w0 is None:
         raise CtError("decoded world violates the initial axioms (encoding bug)")
     if w0 not in model.wp_worlds.get(steps, ()):
         raise CtError("decoded configuration is not accomplishable (encoding bug)")

@@ -21,7 +21,7 @@ from .sim import (
     instantiate, run_policy,
 )
 from .stl import (
-    Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, chi, robustness,
+    Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, robustness,
     synthesize,
 )
 from .tasks import format_task
@@ -62,19 +62,17 @@ def _latin_hypercube(rng: random.Random, n: int, d: int) -> list[tuple[float, ..
     return [tuple(cols[j][i] for j in range(d)) for i in range(n)]
 
 
-def falsify(config: Configuration, spec: SpecSynthesisResult, theory: ActionTheory,
-            scn: Scenario, pmap: PredicateMap, budget: int,
-            seed: int) -> FalsificationResult:
+def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
+            budget: int, seed: int) -> FalsificationResult:
     """Minimize robustness of `spec`, synthesized from `config`, over the
     unit box, with at most `budget` evaluations and an RNG seeded by `seed`.
 
     Stops early at the first strictly negative, non-truncated robustness.
     Truncated traces are evaluated but can never count as falsified.
 
-    What does not depend on the sample point is built once: chi of the
-    initial world, which every instantiation is checked against, and the
-    spec's monitor, built from the first trace since every trace has the
-    same sample times.
+    Every instantiation is checked against `spec.initial`, chi of the
+    initial world.  The spec's monitor is built once, from the first
+    trace, since every trace has the same sample times.
     """
     if budget < 1:
         raise FalsificationError("budget must be at least 1")
@@ -84,7 +82,6 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, theory: ActionTheo
     horizon = max(len(ops), 1) * spec.delta_t
     d = box_dimension(scn)
     rng = random.Random(seed)
-    chi_w0 = chi(theory, config.initial_world, pmap)
     monitor: Optional[Monitor] = None
 
     evaluations = 0
@@ -98,7 +95,7 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, theory: ActionTheo
         nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
-            sample = instantiate(config.initial_world, scn, chi_w0, point)
+            sample = instantiate(config.initial_world, scn, spec.initial, point)
         except InstantiationError:
             infeasible += 1
             return math.inf
@@ -174,7 +171,7 @@ def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
         task_text = format_task(config.task)
         try:
             spec = synthesize(config, theory, pmap, memo)
-            res = falsify(config, spec, theory, scn, pmap, budget, seed + i)
+            res = falsify(config, spec, scn, budget, seed + i)
             out.append((CampaignEntry(i, task_text, res.status,
                                       res.best_robustness, res.evaluations), res))
         except _DOMAIN_ERRORS as e:

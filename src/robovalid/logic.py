@@ -11,6 +11,7 @@ three-valued logic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Union
 
@@ -610,35 +611,20 @@ def _fmt(phi: Formula, prec: int) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_PUNCT = ("<->", "->", "!=", "(", ")", ",", "&", "|", "!", ".", "@", "=", "?", ";", "[", "]")
+# a token, or any other non-space character, which is an error
+_TOKEN = re.compile(r"<->|->|!=|[()&|!.,@=?;\[\]]|\w+|(\S)")
 
 
 def tokenize(text: str) -> list[str]:
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(p)
-                i += len(p)
-                break
-        else:
-            if c.isalnum() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(text[i:j])
-                i = j
-            else:
-                raise ParseError("unexpected character %r in %r" % (c, text))
+    for m in _TOKEN.finditer(text):
+        if m.group(1) is not None:
+            raise ParseError("unexpected character %r in %r" % (m.group(1), text))
+        toks.append(m.group())
     return toks
 
 
-class _TokenStream:
+class TokenStream:
     def __init__(self, toks: list[str]):
         self.toks = toks
         self.pos = 0
@@ -673,44 +659,44 @@ class FormulaParser:
         self.objects = set(objects)
 
     def parse(self, text: str) -> Formula:
-        ts = _TokenStream(tokenize(text))
+        ts = TokenStream(tokenize(text))
         phi = self.formula(ts)
         if not ts.at_end():
             raise ParseError("trailing tokens after formula: %r" % ts.toks[ts.pos:])
         return phi
 
-    def formula(self, ts: _TokenStream) -> Formula:
+    def formula(self, ts: TokenStream) -> Formula:
         return self.iff(ts)
 
-    def iff(self, ts: _TokenStream) -> Formula:
+    def iff(self, ts: TokenStream) -> Formula:
         f = self.implies(ts)
         while ts.peek() == "<->":
             ts.next()
             f = Iff(f, self.implies(ts))
         return f
 
-    def implies(self, ts: _TokenStream) -> Formula:
+    def implies(self, ts: TokenStream) -> Formula:
         f = self.disjunction(ts)
         if ts.peek() == "->":
             ts.next()
             return Implies(f, self.implies(ts))
         return f
 
-    def disjunction(self, ts: _TokenStream) -> Formula:
+    def disjunction(self, ts: TokenStream) -> Formula:
         f = self.conjunction(ts)
         while ts.peek() == "|":
             ts.next()
             f = Or(f, self.conjunction(ts))
         return f
 
-    def conjunction(self, ts: _TokenStream) -> Formula:
+    def conjunction(self, ts: TokenStream) -> Formula:
         f = self.unary(ts)
         while ts.peek() == "&":
             ts.next()
             f = And(f, self.unary(ts))
         return f
 
-    def unary(self, ts: _TokenStream) -> Formula:
+    def unary(self, ts: TokenStream) -> Formula:
         t = ts.peek()
         if t == "!":
             ts.next()
@@ -734,13 +720,13 @@ class FormulaParser:
             return FALSE
         return self.atom(ts)
 
-    def term(self, ts: _TokenStream) -> Term:
+    def term(self, ts: TokenStream) -> Term:
         name = ts.next()
         if not name or not (name[0].isalpha() or name[0] == "_"):
             raise ParseError("expected a term, got %r" % name)
         return Obj(name) if name in self.objects else Var(name)
 
-    def sit_term(self, ts: _TokenStream) -> SitTerm:
+    def sit_term(self, ts: TokenStream) -> SitTerm:
         name = ts.next()
         if name == "do":
             ts.expect("(")
@@ -756,7 +742,7 @@ class FormulaParser:
             return S0
         return SitVar(name)
 
-    def term_list(self, ts: _TokenStream) -> tuple[Term, ...]:
+    def term_list(self, ts: TokenStream) -> tuple[Term, ...]:
         """Comma-separated terms before a ')', none for a 0-ary atom."""
         if ts.peek() == ")":
             return ()
@@ -766,7 +752,7 @@ class FormulaParser:
             args.append(self.term(ts))
         return tuple(args)
 
-    def atom(self, ts: _TokenStream) -> Formula:
+    def atom(self, ts: TokenStream) -> Formula:
         name = ts.next()
         if name == "alpha":
             ts.expect("=")

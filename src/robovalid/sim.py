@@ -235,6 +235,7 @@ class ScenarioSample:
     q0: ConcreteState
     sample_point: tuple[float, ...]
     parents: dict[str, Optional[str]]  # initial support object per movable
+    signals: dict[str, float]  # signal_values of q0; never written
 
 
 def box_dimension(scn: Scenario) -> int:
@@ -257,7 +258,8 @@ def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
     the object's own zone, or on a movable carrier with a small jitter
     around its top anchor.  Door angles come from the closed or open
     interval chosen by IsOpen, knobs from the scenario ranges.  The state
-    must satisfy every literal of `chi_w0`, which is `stl.chi` of w0.
+    must satisfy every literal of `chi_w0`, which is `stl.chi` of w0; the
+    signals computed for that check are kept on the sample.
     """
     d = box_dimension(scn)
     if len(sample) != d:
@@ -327,8 +329,7 @@ def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
 
     q0 = ConcreteState(positions, door_angles, running, knobs)
     _check_workspace(scn, q0)
-    _check_roundtrip(scn, chi_w0, q0)
-    return ScenarioSample(q0, tuple(sample), parents)
+    return ScenarioSample(q0, tuple(sample), parents, _check_roundtrip(scn, chi_w0, q0))
 
 
 def _check_workspace(scn: Scenario, state: ConcreteState) -> None:
@@ -343,10 +344,11 @@ def _check_workspace(scn: Scenario, state: ConcreteState) -> None:
             raise InstantiationError("door angle of %s out of range: %g" % (n, ang))
 
 
-def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState) -> None:
+def _check_roundtrip(scn: Scenario, chi_w0: SAnd,
+                     state: ConcreteState) -> dict[str, float]:
     """Every literal of `chi_w0`, an atom or a negated atom, must hold of
-    the state's signals; an atom on a signal the state lacks is an
-    StlError."""
+    the state's signals, which are returned; an atom on a signal the
+    state lacks is an StlError."""
     values = signal_values(scn, state)
     violated = []
     for lit in chi_w0.parts:
@@ -361,6 +363,7 @@ def _check_roundtrip(scn: Scenario, chi_w0: SAnd, state: ConcreteState) -> None:
         raise InstantiationError(
             "concrete state inconsistent with the abstract world: "
             + "; ".join(violated))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +388,8 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
 
     The operations run in order.  Each one is captured from the state the
     previous one left, interpolated at the sample times inside its stroke
-    and finalized once a sample time reaches its end.  Signals are
-    computed once; the samples of a stretch of constant state share one
+    and finalized once a sample time reaches its end.  The signals start
+    from `sample.signals`, which are read and never written; the samples of a stretch of constant state share one
     dict, and a sample inside a stroke recomputes only the signals of
     what the operation wrote, with the pair signals' keys and geometry
     looked up in `scn.pairs`.  Returns the fixed-rate trace and a
@@ -412,7 +415,7 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     parents = dict(sample.parents)
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     rows: list[dict[str, float]] = []  # len(rows) is the next sample's index
-    held = signal_values(scn, state)  # the signals of `state`
+    held = sample.signals  # the signals of `state`
     for op, start, end in schedule:
         while len(rows) < n and len(rows) * dt < start:
             rows.append(held)

@@ -29,12 +29,12 @@ import io
 import math
 import string
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .ctgen import Configuration
 from .tasks import Op, normalize, run_branch
 from .theory import (
-    ActionTheory, TheoryError, WorldState, compute_derived, parse_ground_atom,
+    ActionTheory, TheoryError, WorldState, compute_derived, parse_head,
 )
 
 
@@ -540,7 +540,7 @@ def load_pmap(path) -> PredicateMap:
                     if not sep:
                         raise StlError("expected 'Fluent(a,b) := <signal> <cmp> "
                                        "<threshold>'")
-                    name, params = parse_ground_atom(head.strip())
+                    name, params = parse_head(head)
                     if name in templates:
                         raise StlError("second pmap line for %s" % name)
                     toks = expr.split()
@@ -594,11 +594,14 @@ class SpecSynthesisResult:
     formula: StlFormula
     branches: tuple[BranchSpec, ...]
     delta_t: float
+    initial: SAnd  # chi of the initial world
 
 
 def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
-               memo: Optional[dict] = None) -> SpecSynthesisResult:
-    """Nested-Eventually specification for an accomplishable configuration.
+               memo: dict) -> SpecSynthesisResult:
+    """Nested-Eventually specification for an accomplishable configuration,
+    with chi of its initial world, which every instantiation of it must
+    satisfy.
 
     The task is normalized into choice-free branches and each is run
     forward from the initial world (`tasks.run_branch`).  Branches that
@@ -610,13 +613,11 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
 
     `memo` is `run_branch`'s.  It holds only what the theory determines,
     so a caller may share one across configurations of the same theory,
-    as `falsify.campaign` does; without one, a fresh one is used.
+    as `falsify.campaign` does.
     """
     delta_t = pmap.delta_t
     if delta_t <= 0:
         raise StlError("delta_t must be positive")
-    if memo is None:
-        memo = {}
     specs: list[BranchSpec] = []
     for branch in normalize(config.task):
         states = run_branch(theory, config.initial_world, branch, memo)
@@ -635,4 +636,5 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
     if not specs:
         raise StlError("no branch of the task can run from the initial world")
     top = specs[0].formula if len(specs) == 1 else SOr(tuple(s.formula for s in specs))
-    return SpecSynthesisResult(top, tuple(specs), delta_t)
+    return SpecSynthesisResult(top, tuple(specs), delta_t,
+                               chi(theory, config.initial_world, pmap))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .logic import (
-    Formula, FormulaParser, ParseError, _TokenStream, format_formula, peval,
+    Formula, FormulaParser, ParseError, TokenStream, format_formula, peval,
     tokenize,
 )
 from .theory import (
@@ -81,13 +81,13 @@ class TaskParser:
         self.fparser = FormulaParser(theory.objects)
 
     def parse(self, text: str) -> Task:
-        ts = _TokenStream(tokenize(text))
+        ts = TokenStream(tokenize(text))
         tau = self.task(ts)
         if not ts.at_end():
             raise ParseError("trailing tokens after task: %r" % ts.toks[ts.pos:])
         return tau
 
-    def task(self, ts: _TokenStream) -> Task:
+    def task(self, ts: TokenStream) -> Task:
         if ts.peek() == "[":
             ts.next()
             first = self.task(ts)

@@ -13,10 +13,10 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .logic import (
-    FALSE, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm, P_FALSE,
-    P_TRUE, PAnd, PEq, PFormula, PNot, POr, ParseError, Rigid, S0, SitTerm,
-    FormulaParser, Var, anchor, conj, disj, ground, map_atoms, peval,
-    substitute_all,
+    FALSE, And, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm,
+    P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, ParseError, Rigid, S0,
+    SitTerm, FormulaParser, Var, anchor, conj, disj, format_formula, ground,
+    map_atoms, peval, substitute_all,
 )
 
 
@@ -129,6 +129,12 @@ class ActionTheory:
             if f not in self.successor:
                 raise DeclarationError(("predicate", f),
                                        "primitive fluent %s has no successor axiom" % f)
+        arities = {name: len(d.params) for name, d in self.operations.items()}
+        for ax in self.successor.values():
+            try:
+                _check_op_equalities(And(ax.gamma_plus, ax.gamma_minus), arities)
+            except TheoryError as exc:
+                raise DeclarationError(("successor", ax.fluent), str(exc)) from exc
 
     def primitive_fluents(self) -> list[str]:
         return sorted(n for n, d in self.predicates.items() if d.kind == "primitive")
@@ -285,15 +291,13 @@ def instantiate_op_equalities(phi: Formula, op: GroundOp) -> Formula:
     """Fold alpha-equality atoms for a known ground operation.
 
     alpha = f(t...) becomes the conjunction of argument equalities when f
-    matches op's name, else false.
+    matches op's name (with its arity, as `ActionTheory` checks), else false.
     """
     def fold_op_eq(a: Formula) -> Formula:
         if not isinstance(a, OpEq):
             return a
         if a.name != op.name:
             return FALSE
-        if len(a.args) != len(op.args):
-            raise TheoryError("arity mismatch in operation equality %s" % (a,))
         return conj([Eq(t, Obj(x)) for t, x in zip(a.args, op.args)])
 
     return map_atoms(phi, fold_op_eq)
@@ -593,18 +597,19 @@ def load_model(path) -> ActionTheory:
         try:
             if key == "op":
                 head, pre = rest.split("pre:", 1)
-                name, params = _parse_head(head)
+                name, params = parse_head(head)
                 declare("op", name, lineno)
-                operations[name] = OperationDecl(name, params, parser.parse(pre))
+                operations[name] = OperationDecl(
+                    name, params, _check_op_equalities(parser.parse(pre), {}))
             elif key == "successor":
                 head, tail = rest.split("plus:", 1)
                 plus_text, minus_text = tail.split("minus:", 1)
-                name, params = _parse_head(head)
+                name, params = parse_head(head)
                 declare("successor", name, lineno)
                 successor[name] = SuccessorAxiom(
                     name, params, parser.parse(plus_text), parser.parse(minus_text))
             elif key == "init":
-                init_axioms.append(parser.parse(rest))
+                init_axioms.append(_check_op_equalities(parser.parse(rest), {}))
             elif key == "grammar":
                 rid, rule = rest.split(":", 1)
                 lhs, rhs = rule.split("::=", 1)
@@ -613,8 +618,9 @@ def load_model(path) -> ActionTheory:
         except (ValueError, ParseError, TheoryError) as exc:
             raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
 
-    # a closure's base and a fluent's successor axiom may come after it, so
-    # the declarations are checked against each other once all are read
+    # a closure's base, a fluent's successor axiom and the operations its
+    # effect conditions name may come after it, so the declarations are
+    # checked against each other once all are read
     try:
         return ActionTheory(
             objects=tuple(objects),
@@ -630,9 +636,22 @@ def load_model(path) -> ActionTheory:
         raise TheoryError("%s:%d: %s" % (path, lines[exc.key], exc)) from exc
 
 
-def _parse_head(text: str) -> tuple[str, tuple[str, ...]]:
-    """`name(x,y)`, the head of an operation or successor axiom, whose
-    parameters are distinct."""
+def _check_op_equalities(phi: Formula, arities: dict[str, int]) -> Formula:
+    """phi, if each alpha = f(...) in it names an operation of `arities`
+    with its arity: any declared one in an effect condition, none in a
+    precondition or an initial axiom."""
+    def check(a: Formula) -> Formula:
+        if isinstance(a, OpEq) and arities.get(a.name) != len(a.args):
+            raise TheoryError("%s: alpha may name only a declared operation, with "
+                              "its arity, in a successor axiom" % format_formula(a))
+        return a
+
+    return map_atoms(phi, check)
+
+
+def parse_head(text: str) -> tuple[str, tuple[str, ...]]:
+    """`name(x,y)`, the head of an operation, a successor axiom or a
+    predicate-map line, whose parameters are distinct."""
     name, params = parse_ground_atom(text.strip())
     if len(set(params)) != len(params):
         raise TheoryError("repeated parameter in %s" % text.strip())

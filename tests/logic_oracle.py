@@ -15,18 +15,51 @@ gives classical two-valued evaluation.
 
 `World` is an explicit truth table over ground atoms that both evaluators
 can read; the package reads world states through `theory.StateView`.
+
+`tokenize` is the character loop that the compiled pattern of
+`robovalid.logic.tokenize` replaced: at each character it tries every
+punctuation token, longest first where they share a prefix, then a run
+of alphanumerics and underscores.
 """
 
 from typing import Optional, Union
 
 from robovalid.logic import (
     And, Do, Eq, Exists, FalseF, Fluent, Forall, Formula, Iff, Implies,
-    LogicError, ModelError, Not, Obj, OpEq, OpTerm, Or, Rigid, SitConst,
-    SitTerm, SitVar, SubstitutionError, Term, TrueF, Var,
+    LogicError, ModelError, Not, Obj, OpEq, OpTerm, Or, ParseError, Rigid,
+    SitConst, SitTerm, SitVar, SubstitutionError, Term, TrueF, Var,
 )
 
 _BINARY = (And, Or, Implies, Iff)
 _QUANT = (Exists, Forall)
+
+
+_PUNCT = ("<->", "->", "!=", "(", ")", ",", "&", "|", "!", ".", "@", "=", "?", ";", "[", "]")
+
+
+def tokenize(text: str) -> list[str]:
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(p)
+                i += len(p)
+                break
+        else:
+            if c.isalnum() or c == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                toks.append(text[i:j])
+                i = j
+            else:
+                raise ParseError("unexpected character %r in %r" % (c, text))
+    return toks
 
 
 class TotalityError(LogicError):

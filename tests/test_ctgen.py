@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import pytest
@@ -329,6 +330,41 @@ def test_realize_rejects_a_flipped_world(kitchen, kitchen_grammar, kitchen_world
                 with pytest.raises(CtError, match="not accomplishable"):
                     realize_configuration(model, flipped)
     assert violations > 0
+
+
+def test_realize_agrees_with_check_assignment(kitchen, kitchen_grammar):
+    """A valid row with two instances of a family swapped breaks the
+    symmetry breaking: it is no initial world's encoding, and the
+    constraints reject it.  A valid row with one tuple component set to
+    any value of its domain, epsilon included, realizes exactly when it
+    satisfies the constraints."""
+    model = build_model(kitchen, kitchen_grammar, 4, 2)
+    index = model.param_index()
+    comps = [index[c] for insts in model.tuple_params.values()
+             for inst in insts for c in inst]
+    swapped = realized = rejected = 0
+    for row in enumerate_valid(model):
+        for insts in model.tuple_params.values():
+            for x, y in itertools.combinations(insts, 2):
+                values = list(row)
+                for a, b in zip(x, y):
+                    values[index[a]], values[index[b]] = row[index[b]], row[index[a]]
+                if tuple(values) != row:
+                    swapped += 1
+                    assert not check_assignment(model, tuple(values))
+                    with pytest.raises(CtError, match="violates the initial axioms"):
+                        realize_configuration(model, tuple(values))
+        for mutant in {row[:i] + (v,) + row[i + 1:]
+                       for i in comps for v in model.parameters[i].domain}:
+            try:
+                realize_configuration(model, mutant)
+            except CtError:
+                assert not check_assignment(model, mutant)
+                rejected += 1
+            else:
+                assert check_assignment(model, mutant)
+                realized += 1
+    assert swapped > 0 and realized > 0 and rejected > 0
 
 
 def test_realize_rejects_an_unknown_derivation(put_model, put_valid):

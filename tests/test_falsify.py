@@ -23,8 +23,8 @@ def single_problem(configs, kitchen, scn, pmap, *, pick, budget=30, seed=0):
     """The arguments of `falsify` for the first configuration whose task
     text `pick` accepts."""
     cfg = next(c for c in configs if pick(format_task(c.task)))
-    spec = synthesize(cfg, kitchen, pmap)
-    return cfg, spec, kitchen, scn, pmap, budget, seed
+    spec = synthesize(cfg, kitchen, pmap, {})
+    return cfg, spec, scn, budget, seed
 
 
 def test_budget_one_runs_one_evaluation(kitchen_configs, kitchen, scenario, pmap):
@@ -60,7 +60,7 @@ def test_true_spec_passes_with_its_evaluations(kitchen, kitchen_worlds, scenario
     every point.  The first feasible point is still the incumbent, so the
     search spends its budget and the configuration passes."""
     cfg = ctgen.Configuration(kitchen_worlds[0], parse_task("nil", kitchen), ())
-    assert isinstance(synthesize(cfg, kitchen, pmap).formula, STrue)
+    assert isinstance(synthesize(cfg, kitchen, pmap, {}).formula, STrue)
     (entry, res), = campaign([cfg], kitchen, scenario, pmap, 10, 0)
     assert (entry.status, entry.robustness, entry.evaluations) == (
         "passed-budget-exhausted", math.inf, 10)
@@ -78,7 +78,7 @@ def test_bad_budget_rejected(kitchen_configs, kitchen, scenario, pmap, monkeypat
     """A budget below one is rejected before any work."""
     prob = single_problem(kitchen_configs, kitchen, scenario, pmap,
                           pick=lambda t: "turn_on" in t, budget=0)
-    monkeypatch.setattr(falsify_module, "chi", lambda *a: pytest.fail("work done"))
+    monkeypatch.setattr(falsify_module, "instantiate", lambda *a: pytest.fail("work done"))
     with pytest.raises(FalsificationError, match="^budget must be at least 1$"):
         falsify(*prob)
 
@@ -121,8 +121,8 @@ def test_truncated_never_falsified(kitchen_configs, kitchen, fault_scenario, pma
     wide = PredicateMap(pmap.templates, 0.1)
     cfg = next(c for c in kitchen_configs
                if format_task(c.task).startswith("open"))
-    spec = synthesize(cfg, kitchen, wide)
-    res = falsify(cfg, spec, kitchen, fault_scenario, wide, 10, 0)
+    spec = synthesize(cfg, kitchen, wide, {})
+    res = falsify(cfg, spec, fault_scenario, 10, 0)
     assert robustness(spec.formula, res.best_trace).truncated
     assert res.status == "passed-budget-exhausted"
 
@@ -200,5 +200,6 @@ def test_synthesize_with_a_shared_memo_equals_a_fresh_one(frozen_configs, kitche
                                                           pmap):
     memo: dict = {}
     for cfg in frozen_configs + frozen_configs[::-1]:
-        assert synthesize(cfg, kitchen, pmap, memo) == synthesize(cfg, kitchen, pmap)
+        fresh = synthesize(cfg, kitchen, pmap, {})
+        assert synthesize(cfg, kitchen, pmap, memo) == fresh
     assert memo

@@ -54,6 +54,9 @@ BASES = {
     ("kitchen4.sc", "successor: IsOpen(o) plus: false minus: false"),
     ("kitchen4.sc", "grammar: r_act: T ::= A"),
     ("kitchen4.sc", "op: swap(o,o) pre: true"),
+    # alpha = f(...) belongs in successor axioms only
+    ("kitchen4.sc", "op: swap(o) pre: alpha = open(o)"),
+    ("kitchen4.sc", "init: alpha = open(o_m)"),
     # declarations that contradict the others name their own line
     ("kitchen4.sc", "fluent: Door/0 primitive"),
     ("kitchen4.sc", "successor: Door() plus: false minus: false"),
@@ -67,6 +70,7 @@ BASES = {
     ("kitchen4.pmap", "pmap: Foo"),
     ("kitchen4.pmap", "pmap: Foo := s > 1"),
     ("kitchen4.pmap", "pmap: IsOpen(a) := DoorAngle_{a} > 70"),
+    ("kitchen4.pmap", "pmap: Foo(a,a) := s_{a} > 1"),
     # a finite threshold, and placeholders that are the head's parameters
     ("kitchen4.pmap", "pmap: Foo(a) := s_{a} > nan"),
     ("kitchen4.pmap", "pmap: Foo(a) := s_{a} > inf"),
@@ -90,6 +94,20 @@ def test_bad_line_raises_typed_error(tmp_path, name, line):
         load(path)
     if name != "trace.csv":  # the line-oriented files name the bad line
         assert str(info.value).startswith("%s:%d: " % (path, text.count("\n")))
+
+
+@pytest.mark.parametrize("equality", ["alpha = opn(o)", "alpha = open(o,o)"])
+def test_successor_names_a_declared_operation(tmp_path, equality):
+    """Each alpha = f(...) of a successor axiom names a declared operation
+    with its arity; otherwise loading fails on the axiom's line."""
+    old = "successor: IsOpen(o) plus: alpha = open(o)"
+    assert old in KITCHEN
+    path = tmp_path / "kitchen4.sc"
+    path.write_text(KITCHEN.replace(old, "successor: IsOpen(o) plus: " + equality))
+    lineno = KITCHEN[:KITCHEN.index(old)].count("\n") + 1
+    with pytest.raises(TheoryError) as info:
+        load_model(path)
+    assert str(info.value).startswith("%s:%d: %s: " % (path, lineno, equality))
 
 
 def _without(key):

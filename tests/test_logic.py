@@ -7,9 +7,9 @@ import logic_oracle
 from logic_oracle import TotalityError, World
 from robovalid.logic import (
     And, Do, Eq, Exists, FALSE, Fluent, Forall, Iff, Implies, Not, Obj,
-    OpTerm, Or, P_FALSE, P_TRUE, PEq, Rigid, S0, SitVar,
+    OpTerm, Or, P_FALSE, P_TRUE, PEq, ParseError, Rigid, S0, SitVar,
     SubstitutionError, TRUE, Var, evaluate, fold, format_formula, ground,
-    parse_formula, peval, substitute, substitute_all,
+    parse_formula, peval, substitute, substitute_all, tokenize,
 )
 
 OBJECTS = ("o_b", "o_p", "o_m", "o_t")
@@ -284,3 +284,21 @@ def test_substitute_all_of_ground_values_is_sequential(phi, x, y, s):
     for var, value in (("x", x), ("y", y), ("s", s)):
         want = logic_oracle.substitute(want, var, value)
     assert substitute_all(phi, {"x": x, "y": y, "s": s}) == want
+
+
+def _tokens(lex, text):
+    """The tokens of `text`, or the raised ParseError's type and text."""
+    try:
+        return lex(text)
+    except ParseError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.text(alphabet="<->!=()&|.,@?;[]_ abxo01#$~\t\né", max_size=12),
+                 st.text(max_size=6)))
+def test_tokenize_matches_character_loop(text):
+    """The compiled pattern gives the tokens of the character loop it
+    replaced, or its ParseError with the same text: on formula
+    characters mixed with others that are not, and on any text."""
+    assert _tokens(tokenize, text) == _tokens(logic_oracle.tokenize, text)

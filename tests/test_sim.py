@@ -176,7 +176,8 @@ def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenar
     sample-driven loop's bit for bit, over every knob's legal range, dt values
     that do and do not divide the strokes, and horizons that cut an
     operation short.  Operations on objects without a door or zone raise
-    the same SimError in both."""
+    the same SimError in both.  The oracle computes the first row from q0,
+    which must still have the signals `instantiate` kept for it."""
     wide = Scenario(scenario.objects, scenario.workspace, dict(sim.KNOB_LEGAL))
     w = data.draw(st.sampled_from(kitchen_worlds))
     point = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(box_dimension(wide)))
@@ -189,6 +190,7 @@ def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenar
     horizon = data.draw(st.floats(0.0, 20.0))
     assert _outcome(run_policy, wide, s, ops, dt, horizon) == \
         _outcome(sim_oracle.run_policy, wide, s, ops, dt, horizon)
+    assert s.signals == signal_values(wide, s.q0)
 
 
 def _roundtrip_outcome(check, scn, chi_w0, state):

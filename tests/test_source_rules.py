@@ -1,7 +1,8 @@
 """Source rules for the package: formula and task nodes are dispatched by
 type, never by `hasattr`; no module keeps `global` mutable state; every
-import sits at module level, where the import graph is visible; every
-name a module imports is used there; and every module-level function or
+import sits at module level, where the import graph is visible; no module
+imports another's private (underscored) name; every name a module
+imports is used there; and every module-level function or
 class, and every method that is not a dunder, is named somewhere in the
 package, the tests or the benchmark.  A name loaded inside a function
 that binds it itself, as a parameter or a local variable, is not a use."""
@@ -114,6 +115,9 @@ def violations(source: str, elsewhere: frozenset[str] = frozenset()) -> list[str
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.extend("line %d: private import %s" % (node.lineno, alias.name)
+                       for alias in node.names if alias.name.startswith("_"))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
@@ -147,9 +151,12 @@ def test_rules_catch_each_violation():
         "    return [atoms(x) for x in phi]\n"
         "def worlds():\n"
         "    atoms = walk((), lambda atoms: atoms)\n"
-        "    return atoms\n")
+        "    return atoms\n"
+        "from .logic import _TokenStream\n"
+        "print(_TokenStream)\n")
     assert violations(source) == ["line 10: dead is named nowhere else",
                                   "line 12: atoms is named nowhere else",
+                                  "line 19: private import _TokenStream",
                                   "line 2: unused import p",
                                   "line 4: global statement",
                                   "line 5: import inside a function",

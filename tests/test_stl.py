@@ -348,7 +348,12 @@ def _signals(phi, out):
 
 @pytest.fixture(scope="module")
 def frozen_specs(frozen_configs, kitchen, pmap):
-    return [(cfg, synthesize(cfg, kitchen, pmap)) for cfg in frozen_configs]
+    return [(cfg, synthesize(cfg, kitchen, pmap, {})) for cfg in frozen_configs]
+
+
+def test_spec_carries_chi_of_the_initial_world(frozen_specs, kitchen, pmap):
+    for cfg, spec in frozen_specs:
+        assert spec.initial == chi(kitchen, cfg.initial_world, pmap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -474,7 +479,7 @@ def test_synthesize_single_op(kitchen, kitchen_grammar, pmap):
     model = ctgen.build_model(kitchen, kitchen_grammar, 4, 1)
     rows = sorted(ctgen.enumerate_valid(model))
     cfg = ctgen.realize_configuration(model, rows[0])
-    res = synthesize(cfg, kitchen, pmap)
+    res = synthesize(cfg, kitchen, pmap, {})
     assert len(res.branches) == 1
     assert isinstance(res.formula, Eventually)
     assert res.formula.lo == 0.0 and res.formula.hi == pmap.delta_t
@@ -486,7 +491,7 @@ def test_synthesize_checkpoints_match_progress(kitchen, kitchen_grammar, pmap):
     rows = sorted(ctgen.enumerate_valid(model))
     for row in rows[:10]:
         cfg = ctgen.realize_configuration(model, row)
-        res = synthesize(cfg, kitchen, pmap)
+        res = synthesize(cfg, kitchen, pmap, {})
         for br in res.branches:
             state = cfg.initial_world
             for (i, ck), op in zip(br.checkpoints, br.ops):
