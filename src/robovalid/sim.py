@@ -211,19 +211,19 @@ def _pair_signals(scn: Scenario, state: ConcreteState, lefts, rights,
 
 
 def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
-             written: tuple[list[str], list[str]]) -> None:
+             written: tuple) -> None:
     """Recompute in `row` the signals of what `_apply` wrote: every pair
-    signal of the objects it moved, and the door and running signals of
-    the objects whose door or switch it set.  Every other entry is
-    already `signal_values(scn, state)`'s."""
-    moved, switched = written
+    signal between an object it moved and any object, and the door and
+    running signals of the objects whose door or switch it set.  Every
+    other entry is already `signal_values(scn, state)`'s.  `row` holds
+    every key, so the order the pairs are written in does not matter."""
+    moved, unmoved, switched = written
     for n in switched:
         row["DoorAngle_%s" % n] = state.door_angles.get(n, 180.0)
         row["running_%s" % n] = state.running.get(n, 0.0)
     if moved:
-        names = sorted(scn.objects)
-        _pair_signals(scn, state, moved, names, row)
-        _pair_signals(scn, state, [n for n in names if n not in moved], moved, row)
+        _pair_signals(scn, state, moved, scn.objects, row)
+        _pair_signals(scn, state, unmoved, moved, row)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +389,13 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     The operations run in order.  Each one is captured from the state the
     previous one left, interpolated at the sample times inside its stroke
     and finalized once a sample time reaches its end.  The signals start
-    from `sample.signals`, which are read and never written; the samples of a stretch of constant state share one
-    dict, and a sample inside a stroke recomputes only the signals of
-    what the operation wrote, with the pair signals' keys and geometry
-    looked up in `scn.pairs`.  Returns the fixed-rate trace and a
-    truncation flag set when the horizon ends before the last operation
-    completes.
+    from `sample.signals`, which are read and never written.  The samples
+    of a stretch of constant state share one dict.  The samples inside a
+    stroke share one copy of the state, which each of them rewrites from
+    the captured start, and recompute only the signals of what the
+    operation wrote, with the pair signals' keys and geometry looked up
+    in `scn.pairs`.  Returns the fixed-rate trace and a truncation flag
+    set when the horizon ends before the last operation completes.
     """
     if dt <= 0 or horizon < 0:
         raise SimError("dt must be positive and horizon nonnegative")
@@ -422,8 +423,8 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
         if len(rows) == n:
             break
         cap = _capture(scn, state, parents, knobs, op)
+        snap = state.copy()  # each sample of the stroke rewrites the same entries
         while len(rows) < n and (now := len(rows) * dt) < end:
-            snap = state.copy()
             row = dict(held)
             _refresh(scn, snap, row, _apply(snap, op, cap, (now - start) / (end - start),
                                             parents, final=False))
@@ -440,12 +441,14 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
 def _capture(scn: Scenario, state: ConcreteState, parents: dict[str, Optional[str]],
              knobs: dict[str, float], op: GroundOp) -> dict:
     """What an operation reads at its start: the poses of everything a put
-    moves and its target, or a door's angle and target."""
+    moves, the objects it leaves in place, and its target; or a door's
+    angle and target."""
     cap: dict = {}
     if op.name == "put":
         obj, dest = op.args
         moved = [obj] + _descendants(parents, obj)
         cap["moved"] = {m: state.positions[m] for m in moved}
+        cap["unmoved"] = [n for n in scn.objects if n not in cap["moved"]]
         gd = scn.objects[dest]
         gm = scn.objects[obj]
         if gd.fixed:
@@ -470,13 +473,14 @@ def _capture(scn: Scenario, state: ConcreteState, parents: dict[str, Optional[st
 
 def _apply(st: ConcreteState, op: GroundOp, cap: dict, f: float,
            parents: dict[str, Optional[str]],
-           final: bool) -> tuple[list[str], list[str]]:
-    """Set `st` to fraction `f` of the operation's stroke.  Returns the
-    objects whose position it wrote and those whose door angle or running
-    flag it wrote."""
+           final: bool) -> tuple:
+    """Set `st` to fraction `f` of the operation's stroke; every value it
+    writes follows from `cap` and `f` alone.  Returns the objects whose
+    position it wrote, the objects whose position it left, and those
+    whose door angle or running flag it wrote."""
     if op.name == "put":
         if not cap["grasped"]:
-            return [], []
+            return (), (), ()
         obj = op.args[0]
         x0, y0, z0 = cap["moved"][obj]
         tx, ty, tz = cap["target"]
@@ -485,13 +489,13 @@ def _apply(st: ConcreteState, op: GroundOp, cap: dict, f: float,
             st.positions[m] = (mx + dx, my + dy, mz + dz)
         if final:
             parents[obj] = op.args[1]
-        return list(cap["moved"]), []
+        return cap["moved"], cap["unmoved"], ()
     if op.name in ("open", "close"):
         obj = op.args[0]
         a0, target = cap["angle0"], cap["target"]
         st.door_angles[obj] = a0 + f * (target - a0)
-        return [], [obj]
+        return (), (), (obj,)
     if op.name == "turn_on" and f >= 1.0:
         st.running[op.args[0]] = 1.0
-        return [], [op.args[0]]
-    return [], []
+        return (), (), (op.args[0],)
+    return (), (), ()

@@ -29,6 +29,8 @@ import io
 import math
 import string
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_
 from typing import Union
 
 from .ctgen import Configuration
@@ -250,8 +252,11 @@ class Monitor:
     body's list; for an atom, the sample row of each of its times.
     None of it depends on the signal values, so one monitor serves every
     trace with these times, and evaluating a trace fills one list of
-    values per node by position alone.  `robustness` takes a monitor in
-    place of a formula, as `re.search` takes a compiled pattern."""
+    values per node by position alone.  A node over signals the trace
+    holds constant costs one value, not one per time (see `_evaluate`),
+    so an evaluation pays for the signals the trace moves.  `robustness`
+    takes a monitor in place of a formula, as `re.search` takes a
+    compiled pattern."""
 
     def __init__(self, phi: StlFormula, times: tuple[float, ...], t: float = 0.0):
         if t > times[-1]:
@@ -397,39 +402,81 @@ def _evaluate(nodes: list[tuple], demand: list[list[float]], plans: list,
     """Bottom-up pass: every node's robustness at each of its demanded
     times, one list per node in the order of `demand`.  `min` and `max`
     keep the earlier of equal operands, as the recursive semantics does,
-    so signed zeros come out the same."""
+    so signed zeros come out the same.
+
+    A node whose list repeats one value is a constant run, and a parent
+    reads only its first entry.  An atom is one when its signal's column
+    holds one value from the first sample to the last (the same object,
+    where that value is a zero); a not or window node is one over a
+    constant operand, and an and or or node when all its operands are.
+    An and or or node that mixes the two folds its constant operands, in
+    order, into one operand that stands where the first of them stood.
+    A zero or NaN fold is not made: only then could moving an operand
+    change the result's bits.  So a trace costs time in
+    proportion to the signals it moves, plus one check per signal."""
     inf = float("inf")
     values: list[list[float]] = []
+    constant: list[bool] = []
     for node, asked, plan in zip(nodes, demand, plans):
         kind = node[0]
+        flat = True
         if kind == _ATOM:
             _, signal, comparator, threshold, _ = node
             samples = trace.signals.get(signal)
             if samples is None or plan is None:
                 raise StlError("atom on %r cannot be sampled" % signal)
-            if comparator in (">", ">="):  # Atom.margin, for all rows at once
-                vals = [samples[i] - threshold for i in plan]
+            s0 = samples[0]
+            if samples.count(s0) == len(samples) and (
+                    s0 != 0.0 or all(map(is_, samples, repeat(s0)))):
+                # Atom.margin, once for every row
+                vals = [s0 - threshold if comparator in (">", ">=")
+                        else threshold - s0] * len(plan)
             else:
-                vals = [threshold - samples[i] for i in plan]
+                flat = False
+                if comparator in (">", ">="):
+                    vals = [samples[i] - threshold for i in plan]
+                else:
+                    vals = [threshold - samples[i] for i in plan]
         elif kind == _NOT:
-            body, (idx,) = values[node[1][0]], plan
-            vals = [-v for v in body] if idx is None else [-body[j] for j in idx]
-        elif kind == _AND or kind == _OR:
-            parts = [values[c] if idx is None else [values[c][j] for j in idx]
-                     for c, idx in zip(node[1], plan)]
-            if not parts:
-                vals = [inf if kind == _AND else -inf] * len(asked)
-            elif len(parts) == 1:
-                vals = parts[0]
+            (c,), (idx,) = node[1], plan
+            body = values[c]
+            if constant[c]:
+                vals = [-body[0]] * len(asked)
             else:
-                vals = list(map(min if kind == _AND else max, *parts))
+                flat = False
+                vals = [-v for v in body] if idx is None else [-body[j] for j in idx]
+        elif kind == _AND or kind == _OR:
+            agg = min if kind == _AND else max
+            fixed = [values[c][0] for c in node[1] if constant[c]]
+            if len(fixed) == len(node[1]):
+                vals = [agg(fixed, default=inf if kind == _AND else -inf)] * len(asked)
+            else:
+                flat = False
+                folded = agg(fixed, default=0.0)
+                fold = folded == folded and folded != 0.0
+                parts, placed = [], False
+                for c, idx in zip(node[1], plan):
+                    col = values[c]
+                    if not constant[c]:
+                        parts.append(col if idx is None else [col[j] for j in idx])
+                    elif not fold:
+                        parts.append(repeat(col[0]))
+                    elif not placed:
+                        parts.append(repeat(folded))
+                        placed = True
+                vals = parts[0] if len(parts) == 1 else list(map(agg, *parts))
         elif kind == _EV or kind == _ALW:
             body = values[node[3]]
-            agg = max if kind == _EV else min
-            vals = [agg([body[j] for j in idx]) for idx in plan]
+            if constant[node[3]]:
+                vals = [body[0]] * len(plan)
+            else:
+                flat = False
+                agg = max if kind == _EV else min
+                vals = [agg([body[j] for j in idx]) for idx in plan]
         else:  # _TRUE
             vals = [inf] * len(asked)
         values.append(vals)
+        constant.append(flat)
     return values
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .logic import (
-    Formula, FormulaParser, ParseError, TokenStream, format_formula, peval,
-    tokenize,
+    Formula, FormulaParser, ModelError, ParseError, TokenStream, format_formula,
+    peval, tokenize,
 )
 from .theory import (
     ActionTheory, GrammarRule, GroundOp, PreconditionViolation, WorldState,
@@ -74,7 +74,12 @@ def format_task(tau: Task) -> str:
 
 
 class TaskParser:
-    """Parses the task text syntax: nil, op(a,b), phi ?, [t;t], [t|t]."""
+    """Parses the task text syntax: nil, op(a,b), phi ?, [t;t], [t|t].
+
+    A test is grounded as `run_branch` grounds it, so one that no state
+    could decide (a free variable, an operation equality, a fluent at a
+    `do(...)` situation, an undeclared atom) is a ParseError here, not an
+    error when a branch reaches it."""
 
     def __init__(self, theory: ActionTheory):
         self.theory = theory
@@ -116,6 +121,11 @@ class TaskParser:
             ts.pos = mark
         phi = self.fparser.formula(ts)
         ts.expect("?")
+        try:
+            ground_state_formula(self.theory, phi)
+        except ModelError as exc:
+            raise ParseError("test %s cannot be decided in a state: %s"
+                             % (format_formula(phi), exc)) from exc
         return Test(phi)
 
 

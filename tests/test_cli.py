@@ -108,6 +108,26 @@ def test_generate_writes_the_golden_configs(tmp_path, capsys, depth, strength):
     assert hashlib.sha256(data).hexdigest() == CONFIGS_SHA256[depth][strength]
 
 
+# sha256 of every file `falsify` writes for the 52 frozen depth-8
+# configurations over a door-torque range, as the CI step runs it
+FALSIFY_TORQUE_SHA256 = json.loads(
+    (ROOT / "tests" / "golden" / "kitchen4_falsify_d8_torque_sha256.json").read_text())
+
+
+def test_falsify_writes_the_golden_report_and_traces(tmp_path, capsys):
+    """The concrete layer's bytes are fixed: `report.json` and each
+    counterexample trace of the frozen configurations' torque run."""
+    assert main(["falsify", "--model", KITCHEN, "--configs",
+                 str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl"),
+                 "--pmap", PMAP, "--scenario", SCENARIO, "--budget", "25", "--seed", "0",
+                 "--knob", "doorTorqueLimit=0.4:2.0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "falsified 4 / passed 48 / errors 0 of 52 configurations"
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert written == FALSIFY_TORQUE_SHA256
+
+
 def test_knob_override_rejects_unknown(tmp_path):
     with pytest.raises(SystemExit):
         main(["validate", "--model", KITCHEN, "--depth", "4",
@@ -246,6 +266,26 @@ def test_task_that_cannot_run_is_an_error_row(tmp_path, capsys, kitchen_worlds):
     row, = json.loads((out / "report.json").read_text())["configurations"]
     assert row["status"] == "error"
     assert row["error"] == "StlError: no branch of the task can run from the initial world"
+
+
+@pytest.mark.parametrize("task", ["[alpha = open(o_m) ? ; open(o_m)]",
+                                  "[IsOpen(x)@s ? ; open(o_m)]"])
+def test_task_with_a_test_that_cannot_run_is_rejected_on_load(tmp_path, capsys,
+                                                              kitchen_worlds, task):
+    """A configs line whose test could never be decided, an operation
+    equality or a free variable, stops `falsify` before any configuration
+    runs, with a CtError naming the file and line; it is not an error
+    row."""
+    world = kitchen_worlds[0]
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps({
+        "fluents": sorted("%s(%s)" % (f, ",".join(args)) for f, args in world.true_atoms),
+        "task": task, "assignment": []}) + "\n")
+    out = tmp_path / "run"
+    with pytest.raises(ctgen.CtError, match="^%s:1: test " % configs):
+        main(["falsify", "--model", KITCHEN, "--configs", str(configs),
+              "--pmap", PMAP, "--scenario", SCENARIO, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_report_is_strict_json_with_an_infinite_robustness(tmp_path, capsys, kitchen_worlds):

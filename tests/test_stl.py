@@ -430,6 +430,149 @@ def test_signed_zero_ties_match_oracle(phi, tr):
             _outcome(stl_oracle.robustness, phi, tr, t)
 
 
+# few distinct values, so margins tie, zeros of both signs meet and NaN
+# stands among them
+_RUN_VALUES = st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0, math.nan))
+
+
+@st.composite
+def columns(draw, n):
+    """A column of `n` samples, most often wholly constant in one of the
+    ways the monitor must tell apart: one repeated object, one value in
+    distinct float objects, zeros of one sign or both, or NaN."""
+    kind = draw(st.sampled_from(("object", "objects", "zero", "negzero", "zeros",
+                                 "nans", "varying", "varying")))
+    if kind == "object":
+        return (draw(_RUN_VALUES),) * n
+    if kind == "objects":  # equal values, each sample its own float object
+        v = draw(_RUN_VALUES)
+        return tuple(float.fromhex(v.hex()) for _ in range(n))
+    if kind == "zero":
+        return tuple(float.fromhex("0x0p+0") for _ in range(n))
+    if kind == "negzero":
+        return (-0.0,) * n
+    if kind == "zeros":
+        return tuple(draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=n, max_size=n)))
+    if kind == "nans":  # NaN objects, none equal to another
+        return tuple(float("nan") for _ in range(n))
+    return tuple(draw(st.lists(_RUN_VALUES | st.floats(-4, 4, allow_nan=False, width=16),
+                               min_size=n, max_size=n)))
+
+
+@st.composite
+def constant_traces(draw):
+    """The sample times of `timed_traces`, with columns x, y, u, v and w
+    from `columns`."""
+    times = draw(timed_traces()).times
+    return Trace(times, {name: draw(columns(len(times))) for name in "xyuvw"})
+
+
+@st.composite
+def mixed_formulas(draw, trace):
+    """An and or or node over two to seven operands on the trace's columns:
+    atoms, their negations and windows over them, so constant and
+    varying operands meet in one node.  It may sit under a window, or
+    be an operand of a formula from `rich_formulas`."""
+    parts = []
+    for _ in range(draw(st.integers(2, 7))):
+        name = draw(st.sampled_from(sorted(trace.signals)))
+        threshold = draw(st.sampled_from((0.0, -0.0, 0.5)))
+        atom = Atom(name, draw(st.sampled_from((">", ">=", "<", "<="))), threshold)
+        wrap = draw(st.sampled_from((None, None, SNot, Eventually, Always)))
+        if wrap is SNot:
+            atom = SNot(atom)
+        elif wrap is not None:
+            atom = wrap(draw(st.sampled_from((0.0, 0.25))), 1.0, atom)
+        parts.append(atom)
+    phi = (SAnd if draw(st.booleans()) else SOr)(tuple(parts))
+    outer = draw(st.integers(0, 2))
+    if outer == 1:
+        phi = Eventually(0.0, 1.5, phi)
+    elif outer == 2:
+        phi = SOr((phi, draw(rich_formulas(trace, depth=2))))
+    return phi
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.data())
+def test_constant_runs_match_keyed_oracle(data):
+    """Traces whose columns are mostly constant runs: every node's values
+    equal the keyed oracle's bit for bit, whether the monitor takes a
+    column as constant or not, and where and and or nodes fold constant
+    operands among varying ones."""
+    tr = data.draw(constant_traces())
+    phi = data.draw(st.one_of(mixed_formulas(tr), rich_formulas(tr)))
+    t = data.draw(st.one_of(st.sampled_from(tr.times),
+                            st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
+    _node_tables_agree(phi, tr, t)
+
+
+# Operands whose constant ones, folded before the varying one, would
+# change the bits.  In the first conjunction a zero fold (-0.0, from 1.0
+# and -0.0) would win the tie with the varying 0.0 that comes first; in
+# the second, a NaN fold (from NaN and 0.5) would hide the 0.5 behind
+# the varying 1.0.  The disjunctions mirror them.
+FOLD_TRACE = Trace((0.0, 1.0), {"one": (1.0, 1.0), "negzero": (-0.0, -0.0),
+                                "nan": (math.nan, math.nan), "half": (0.5, 0.5),
+                                "x": (0.0, 2.0), "y": (1.0, 2.0)})
+FOLD_FORMULAS = [
+    SAnd((Atom("one", ">", 0.0), Atom("x", ">", 0.0), Atom("negzero", ">", 0.0))),
+    SOr((SNot(Atom("one", ">", 0.0)), SNot(Atom("x", "<", 0.0)),
+         Atom("negzero", "<", -0.0))),
+    SAnd((Atom("y", ">", 0.0), Atom("nan", ">", 0.0), Atom("half", ">", 0.0))),
+    SOr((SNot(Atom("y", ">", 0.0)), Atom("nan", ">", 0.0), SNot(Atom("half", ">", 0.0)))),
+]
+
+
+@pytest.mark.parametrize("phi", FOLD_FORMULAS, ids=format_stl)
+def test_zero_and_nan_folds_are_not_made(phi):
+    assert _node_tables_agree(Always(0.0, 1.0, phi), FOLD_TRACE, 0.0) is not None
+
+
+class _CountedColumn(tuple):
+    """A trace column that counts the samples read from it by index."""
+
+    def __getitem__(self, i):
+        self.reads = getattr(self, "reads", 0) + 1
+        return tuple.__getitem__(self, i)
+
+
+def test_constant_column_is_read_once():
+    """An atom over a constant column reads its first sample only, at any
+    number of demanded times; over a varying one it reads that sample and
+    then one per demanded time."""
+    times = tuple(i * 0.25 for i in range(41))
+    flat = _CountedColumn((0.5,) * len(times))
+    moving = _CountedColumn(float(i) for i in range(len(times)))
+    trace = Trace(times, {"x": flat, "y": moving})
+    phi = Always(0.0, 10.0, SAnd((Atom("x", ">", 0.0), Atom("y", ">", -1.0))))
+    assert robustness(stl.Monitor(phi, times), trace).value == 0.5
+    assert flat.reads == 1
+    assert moving.reads == 1 + len(times)
+
+
+def test_constant_operands_fold_into_one(monkeypatch):
+    """An and node over five constant atoms and a varying one takes its
+    minimum over two operands at each time, the folded constants and the
+    varying atom, and still gives the oracle's value."""
+    arities = []
+
+    def counted_min(*args, **kwargs):
+        arities.append(len(args))
+        return min(*args, **kwargs)
+
+    times = (0.0, 1.0, 2.0)
+    signals = {"s%d" % j: (float(j),) * 3 for j in range(5)}
+    signals["x"] = (3.0, 0.5, 2.0)
+    trace = Trace(times, signals)
+    phi = Always(0.0, 2.0, SAnd(tuple(Atom(name, ">", -1.0) for name in sorted(signals))))
+    monitor = stl.Monitor(phi, times)
+    monkeypatch.setattr(stl, "min", counted_min, raising=False)
+    got = robustness(monitor, trace)
+    assert got == stl_oracle.robustness(phi, trace) == RobustnessResult(1.0, False)
+    assert max(arities) == 2
+
+
 def test_nested_eventually_is_not_exponential():
     # Six nested checkpoints of 21 literals each, as `synthesize` builds them,
     # over a 121-sample ramp.  Re-walking every window would visit the

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from robovalid.logic import ParseError
 from robovalid.tasks import (
     Choice, Grammar, Op, Seq, enumerate_derivations, execute, format_task,
     normalize, parse_task, run_branch,
@@ -18,11 +19,29 @@ def test_parse_format_roundtrip(kitchen):
         "[open(o_m) ; close(o_m)]",
         "[open(o_m) | nil]",
         "[IsOpen(o_m)@s ? ; turn_on(o_m)]",
+        # closed tests over quantifiers, rigid atoms and derived fluents
+        "[exists x . IsOpen(x)@s ? ; open(o_m)]",
+        "[forall x . (Placeable(x,o_m) -> !In(x,o_m)@s) ? ; nil]",
         "[[open(o_m) ; put(o_b,o_m)] ; close(o_m)]",
     ]
     for t in texts:
         tau = parse_task(t, kitchen)
         assert parse_task(format_task(tau), kitchen) == tau
+
+
+@pytest.mark.parametrize("text", [
+    "[alpha = open(o_m) ? ; open(o_m)]",
+    "[IsOpen(x)@s ? ; open(o_m)]",
+    "[exists x . Loc(x,y)@s ? ; nil]",
+    "[IsOpen(o_m)@do(open(o_m),s) ? ; nil]",
+    "[Nope(o_m)@s ? ; nil]",
+])
+def test_test_that_cannot_run_is_a_parse_error(kitchen, text):
+    """A test is grounded when it is parsed, as running it grounds it, so an
+    operation equality, a free variable, a fluent at another situation or
+    an undeclared fluent fails here and not when a branch reaches it."""
+    with pytest.raises(ParseError, match="^test .* cannot be decided in a state: "):
+        parse_task(text, kitchen)
 
 
 def test_step_semantics(kitchen, kitchen_worlds):
