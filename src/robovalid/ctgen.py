@@ -6,8 +6,9 @@ for n-ary fluent families) and a bounded grammar derivation.  The valid
 rows are built, not searched for: each is the padded steps of an
 accomplishable derivation followed by the encoding of one enumerated
 initial world from which its task completes.  Forward execution
-(`tasks.run_branch`) decides that.  `encode_world` is the one codec of
-a row's world part; `realize_configuration` looks a row's steps, its
+(`tasks.walk`, over a branch's `transitions`) decides that.
+`encode_world` is the one codec of a row's world part;
+`realize_configuration` looks a row's steps, its
 world and their pairing up in the model's tables.  The
 constraints (initial axioms, symmetry breaking, grammar validity and
 per-derivation WPs) describe the same set independently;
@@ -30,8 +31,8 @@ from .logic import (
     ground, peval,
 )
 from .tasks import (
-    EPSILON, Grammar, Task, enumerate_derivations, normalize,
-    run_branch,
+    EPSILON, Grammar, Task, enumerate_derivations, normalize, transitions,
+    walk,
 )
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
@@ -225,13 +226,14 @@ def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
     empty.
 
     The tasks are run forward; one memo serves the whole pass, since
-    derivations share their prefixes and reach the same states."""
+    derivations share their prefixes and reach the same states.  Each
+    branch's transition tables are looked up once for all the worlds."""
     memo: dict = {}
     for steps, task in enumerate_derivations(grammar, depth, theory):
-        branches = normalize(task)
+        branches = [transitions(b, memo) for b in normalize(task)]
         yield steps, task, [w for w in worlds
-                            if any(run_branch(theory, w, b, memo) is not None
-                                   for b in branches)]
+                            if any(walk(theory, w, tables, memo) is not None
+                                   for tables in branches)]
 
 
 def _check_strength(strength: Union[int, str]) -> None:

@@ -398,7 +398,9 @@ def peval(phi: PFormula, assignment: dict) -> Optional[bool]:
 
 def ground(phi: Formula, objects,
            atom: Callable[[Formula, tuple[str, ...]], PFormula],
-           env: Optional[Mapping[str, str]] = None) -> PFormula:
+           env: Optional[Mapping[str, str]] = None,
+           op_atom: Optional[Callable[[str, tuple[str, ...]], PFormula]] = None
+           ) -> PFormula:
     """The propositional form of phi over the finite domain `objects`.
 
     `env` binds free object variables of phi to object names, as
@@ -406,10 +408,12 @@ def ground(phi: Formula, objects,
     POr / PAnd over `objects` in their order, binding the variable in
     the environment over any outer binding; Implies and Iff become their
     PNot / PAnd / POr definitions; equalities and true / false become
-    constants; and each rigid or fluent atom becomes atom(node, argument
-    names).  Every atom is visited, so an atom that `atom` rejects raises
-    even where the connectives would not need its value.  Situation terms
-    reach `atom` as written.
+    constants; each rigid or fluent atom becomes atom(node, argument
+    names); and an operation equality alpha = f(args) becomes op_atom(f,
+    argument names), or is a ModelError without `op_atom`.  Every atom is
+    visited, so an atom that `atom` rejects raises even where the
+    connectives would not need its value.  Situation terms reach `atom`
+    as written.
     """
     def names(args: tuple[Term, ...], env: dict[str, str]) -> tuple[str, ...]:
         out = []
@@ -447,6 +451,8 @@ def ground(phi: Formula, objects,
         if isinstance(f, FalseF):
             return P_FALSE
         if isinstance(f, OpEq):
+            if op_atom is not None:
+                return op_atom(f.name, names(f.args, env))
             raise ModelError("operation-equality atom reached the evaluator "
                              "(missing gamma instantiation)")
         raise ModelError("unknown formula node: %r" % (f,))

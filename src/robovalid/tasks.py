@@ -22,8 +22,9 @@ from .logic import (
     peval, tokenize,
 )
 from .theory import (
-    ActionTheory, GrammarRule, GroundOp, PreconditionViolation, WorldState,
-    apply_op, ground_op, ground_state_formula, state_truth,
+    ActionTheory, GrammarRule, GroundOp, PreconditionViolation, TheoryError,
+    WorldState, apply_op, check_ground_op, ground_op, ground_state_formula,
+    state_truth,
 )
 
 
@@ -76,10 +77,12 @@ def format_task(tau: Task) -> str:
 class TaskParser:
     """Parses the task text syntax: nil, op(a,b), phi ?, [t;t], [t|t].
 
-    A test is grounded as `run_branch` grounds it, so one that no state
-    could decide (a free variable, an operation equality, a fluent at a
-    `do(...)` situation, an undeclared atom) is a ParseError here, not an
-    error when a branch reaches it."""
+    An operation must name a declared operation, with its arity, over
+    declared objects, and a test is grounded as `run_branch` grounds it,
+    so an operation no state could run or a test no state could decide
+    (a free variable, an operation equality, a fluent at a `do(...)`
+    situation, an undeclared atom) is a ParseError here, not an error
+    when a branch reaches it."""
 
     def __init__(self, theory: ActionTheory):
         self.theory = theory
@@ -117,7 +120,12 @@ class TaskParser:
                 args.append(ts.next())
             ts.expect(")")
             if ts.peek() != "?":  # a fluent named like an op would carry @/?
-                return Op(GroundOp(tok, tuple(args)))
+                op = GroundOp(tok, tuple(args))
+                try:
+                    check_ground_op(self.theory, op)
+                except TheoryError as exc:
+                    raise ParseError("operation %s: %s" % (op, exc)) from exc
+                return Op(op)
             ts.pos = mark
         phi = self.fparser.formula(ts)
         ts.expect("?")
@@ -163,34 +171,56 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
     """Run a choice-free branch of `normalize` forward from `state`.
 
     Returns the state after each operation, or None when a test fails or
-    an operation is not possible on the way.  `memo` maps (state, atom)
-    to the state after the atom, or to None when it is stuck there; it
-    also keeps each operation grounded once (`theory.ground_op`, keyed by
-    its GroundOp), each test's formula grounded once (keyed by the Test)
-    and each state's `theory.state_truth` computed once (keyed by the
-    WorldState).  The caller owns it and shares it across the branches
-    and worlds of a run, whose branches share most of their prefixes and
-    reach the same states.
+    an operation is not possible on the way.  `memo` keeps one
+    transition table per branch atom (`transitions`), each operation
+    grounded once (`theory.ground_op`, keyed by its GroundOp), each
+    test's formula grounded once (keyed by the formula) and each state's
+    `theory.state_truth` computed once (keyed by its `true_atoms`).  The
+    caller owns it and shares it across the branches and worlds of a run,
+    whose branches share most of their prefixes and reach the same
+    states.
     """
-    states = []
+    return walk(theory, state, transitions(branch, memo), memo)
+
+
+def transitions(branch: list[Task], memo: dict) -> list[tuple[bool, Task, dict]]:
+    """(is an operation, atom, transition table) for each atom of
+    `branch`.  An atom's table, kept in `memo` under the atom, maps a
+    state's `true_atoms`, whose hash the frozenset caches, to the state
+    after the atom, or to None when the atom is stuck there.  A caller
+    that runs one branch from many states looks its tables up once."""
+    out = []
     for atom in branch:
-        key = (state, atom)
-        if key in memo:
-            state = memo[key]
+        table = memo.get(atom)
+        if table is None:
+            table = memo[atom] = {}
+        out.append((isinstance(atom, Op), atom, table))
+    return out
+
+
+def walk(theory: ActionTheory, state: WorldState,
+         tables: list[tuple[bool, Task, dict]], memo: dict) -> Optional[list[WorldState]]:
+    """`run_branch` over the branch's `transitions`: each step is a table
+    lookup, and a state's first visit runs the atom and fills its entry."""
+    states = []
+    for is_op, atom, table in tables:
+        key = state.true_atoms
+        if key in table:
+            state = table[key]
         else:
-            state = memo[key] = _run_atom(theory, state, atom, memo)
+            state = table[key] = _run_atom(theory, state, atom, memo)
         if state is None:
             return None
-        if isinstance(atom, Op):
+        if is_op:
             states.append(state)
     return states
 
 
 def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
               memo: dict) -> Optional[WorldState]:
-    truth = memo.get(state)
+    truth = memo.get(state.true_atoms)
     if truth is None:
-        truth = memo[state] = state_truth(theory, state)
+        truth = memo[state.true_atoms] = state_truth(theory, state)
     if isinstance(atom, Op):
         step = memo.get(atom.op)
         if step is None:
@@ -200,9 +230,9 @@ def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
         except PreconditionViolation:
             return None
     if isinstance(atom, Test):
-        phi = memo.get(atom)
+        phi = memo.get(atom.formula)
         if phi is None:
-            phi = memo[atom] = ground_state_formula(theory, atom.formula)
+            phi = memo[atom.formula] = ground_state_formula(theory, atom.formula)
         return state if peval(phi, truth) else None
     raise TypeError("branch atom %r is neither an operation nor a test" % (atom,))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .logic import (
     FALSE, And, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm,
@@ -173,6 +173,30 @@ class ActionTheory:
         Built on first read."""
         return [ground_primitive(self, f, S0) for f in initial_formulas(self)]
 
+    @cached_property
+    def effect_conditions(self) -> dict[GroundOp, list[tuple[GroundAtom, PFormula, PFormula]]]:
+        """For each ground operation, (atom, gamma+, gamma-) of the
+        primitive atoms it can change, in `all_primitive_atoms` order:
+        those whose conditions mention it, and those whose conditions are
+        not constant false when every operation atom is false.  Each
+        successor axiom's conditions are anchored once and grounded once
+        per atom, by `ground_effect_condition`, for every operation;
+        `ground_op` binds the operation in.  Built on first read."""
+        out: dict[GroundOp, list] = {op: [] for op in self.ground_ops()}
+        for fname in self.primitive_fluents():
+            sa = self.successor[fname]
+            gammas = [anchor(g, S0) for g in (sa.gamma_plus, sa.gamma_minus)]
+            for atom in self.ground_atoms(fname):
+                env = dict(zip(sa.params, atom[1]))
+                plus, minus = (ground_effect_condition(self, g, env) for g in gammas)
+                ops = {p for p in _mentioned_atoms(PAnd((plus, minus)))
+                       if isinstance(p, GroundOp)}
+                no_op = dict.fromkeys(ops, False)
+                always = peval(plus, no_op) is not False or peval(minus, no_op) is not False
+                for op in (out if always else ops):
+                    out[op].append((atom, plus, minus))
+        return out
+
 
 # ---------------------------------------------------------------------------
 # World states
@@ -303,9 +327,9 @@ def instantiate_op_equalities(phi: Formula, op: GroundOp) -> Formula:
     return map_atoms(phi, fold_op_eq)
 
 
-def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
-    """The precondition of a ground operation, at the situation variable
-    of its declaration."""
+def check_ground_op(theory: ActionTheory, op: GroundOp) -> OperationDecl:
+    """The declaration of `op`, which must name a declared operation,
+    with its arity, over declared objects; else a TheoryError."""
     decl = theory.operations.get(op.name)
     if decl is None:
         raise TheoryError("undeclared operation %s" % op.name)
@@ -315,6 +339,13 @@ def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
     for a in op.args:
         if a not in theory.objects:
             raise TheoryError("undeclared object %s" % a)
+    return decl
+
+
+def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
+    """The precondition of a ground operation, at the situation variable
+    of its declaration."""
+    decl = check_ground_op(theory, op)
     return substitute_all(decl.precondition, dict(zip(decl.params, map(Obj, op.args))))
 
 
@@ -333,26 +364,55 @@ class GroundedOp:
 
 
 def ground_op(theory: ActionTheory, op: GroundOp) -> GroundedOp:
-    """Ground `op`'s precondition and the 2 x |primitive atoms| effect
-    conditions once.  Each successor axiom's gamma+ and gamma- have `op`
-    folded into their operation equalities and are anchored at s0 once;
-    each atom of the fluent is then grounded in one walk, with the
-    axiom's parameters bound to the atom's arguments.  Every atom is
-    grounded, so an atom the theory does not declare, or a fluent at
-    another situation, is a ModelError here, whatever the state."""
+    """Ground `op`'s precondition, and bind `op` into the effect
+    conditions of the atoms `theory.effect_conditions` lists for it: the
+    only ones it can change.  The effects equal grounding every atom's
+    gamma+ and gamma- with `op` folded into their operation equalities,
+    and dropping the atoms whose two conditions are constant false.  An
+    undeclared operation is a TheoryError; an atom the theory does not
+    declare, or a fluent at another situation, in any effect condition is
+    a ModelError here, whatever the state."""
+    pre = ground_state_formula(theory, instantiate_precondition(theory, op))
     effects = {}
-    for fname in theory.primitive_fluents():
-        sa = theory.successor[fname]
-        gammas = [anchor(instantiate_op_equalities(g, op), S0)
-                  for g in (sa.gamma_plus, sa.gamma_minus)]
-        for atom in theory.ground_atoms(fname):
-            env = dict(zip(sa.params, atom[1]))
-            plus, minus = (ground_primitive(theory, g, S0, derived=True, env=env)
-                           for g in gammas)
-            if peval(plus, {}) is not False or peval(minus, {}) is not False:
-                effects[atom] = (plus, minus)
-    return GroundedOp(op, ground_state_formula(theory, instantiate_precondition(theory, op)),
-                      effects)
+    bound: dict[GroundOp, PFormula] = {}
+    for atom, plus, minus in theory.effect_conditions[op]:
+        plus, minus = _bind_op(theory, plus, op, bound), _bind_op(theory, minus, op, bound)
+        if peval(plus, {}) is not False or peval(minus, {}) is not False:
+            effects[atom] = (plus, minus)
+    return GroundedOp(op, pre, effects)
+
+
+def ground_effect_condition(theory: ActionTheory, gamma: Formula,
+                            env: dict[str, str]) -> PFormula:
+    """An effect condition anchored at s0, grounded as
+    `ground_state_formula` grounds with its successor axiom's parameters
+    bound by `env`, and with each alpha = f(t...) kept as the atom
+    PEq(GroundOp(f, t...), True)."""
+    return ground_primitive(theory, gamma, S0, derived=True, env=env,
+                            op_atom=lambda name, args: PEq(GroundOp(name, args), True))
+
+
+def _bind_op(theory: ActionTheory, phi: PFormula, op: GroundOp,
+             bound: dict[GroundOp, PFormula]) -> PFormula:
+    """phi with each operation atom g replaced by what grounding
+    alpha = g with `op` folded in gives: P_FALSE when g names another
+    operation, else the grounded conjunction of their argument
+    equalities.  Nothing is folded, so the result is the formula that
+    folding `op` in before grounding yields.  `bound` keeps each g's
+    replacement for `op`."""
+    if isinstance(phi, PEq):
+        g = phi.param
+        if not isinstance(g, GroundOp):
+            return phi
+        if g not in bound:
+            bound[g] = P_FALSE if g.name != op.name else ground_primitive(
+                theory, conj([Eq(Obj(a), Obj(b)) for a, b in zip(g.args, op.args)]), S0)
+        return bound[g]
+    if isinstance(phi, PNot):
+        return PNot(_bind_op(theory, phi.body, op, bound))
+    if isinstance(phi, (PAnd, POr)):
+        return type(phi)(tuple(_bind_op(theory, p, op, bound) for p in phi.parts))
+    return phi
 
 
 def ground_state_formula(theory: ActionTheory, phi: Formula) -> PFormula:
@@ -409,10 +469,13 @@ def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldStat
 
 def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm,
                      derived: bool = False,
-                     env: Optional[dict[str, str]] = None) -> PFormula:
+                     env: Optional[dict[str, str]] = None,
+                     op_atom: Optional[Callable[[str, tuple[str, ...]], PFormula]] = None
+                     ) -> PFormula:
     """phi, over rigid atoms and primitive fluents at `sit`, grounded over
     the theory's objects, with the free object variables in `env` bound
-    as `logic.ground` binds them.
+    and operation equalities grounded by `op_atom`, as `logic.ground`
+    does.
 
     Each fluent atom F(args)@sit becomes PEq((F, args), True) and each
     rigid atom its truth value, so `peval` decides the result over a dict
@@ -433,7 +496,7 @@ def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm,
             raise ModelError("fluent %s at %s, expected %s" % (node.name, node.sit, sit))
         return PEq((node.name, args), True)
 
-    return ground(phi, theory.objects, atom, env)
+    return ground(phi, theory.objects, atom, env, op_atom)
 
 
 def initial_formulas(theory: ActionTheory) -> list[Formula]:

@@ -40,9 +40,33 @@ grammar: r_b: O ::= b
 """
 
 
+# Two lamps.  Pressing a lamp lights it, and any other operation puts it
+# out: Lit's gamma- negates an operation equality, so it may hold whatever
+# the operation.  The room is warm after a step from a state with a lamp
+# lit; Warm's effect conditions mention no operation at all.  Only tapping
+# a lamp marks it Used, so every other operation leaves Used unchanged.
+SWITCH_MODEL = """\
+objects: a b
+fluent: Lit/1 primitive
+fluent: Used/1 primitive
+fluent: Warm/0 primitive
+op: press(x) pre: !Lit(x)@s
+op: tap(x) pre: true
+successor: Lit(x) plus: alpha = press(x) minus: Lit(x)@s & !(alpha = press(x))
+successor: Used(x) plus: alpha = tap(x) minus: false
+successor: Warm() plus: exists x . Lit(x)@s minus: !(exists x . Lit(x)@s)
+init: !Warm()@s0
+"""
+
+
 @pytest.fixture(scope="session")
 def kitchen():
     return load_model(MODELS / "kitchen4.sc")
+
+
+@pytest.fixture(scope="session")
+def kitchen7():
+    return load_model(MODELS / "kitchen7.sc")
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +115,13 @@ def putfrag_grammar(putfrag):
 def tiny(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiny") / "tiny.sc"
     path.write_text(TINY_MODEL)
+    return load_model(path)
+
+
+@pytest.fixture(scope="session")
+def switch(tmp_path_factory):
+    path = tmp_path_factory.mktemp("switch") / "switch.sc"
+    path.write_text(SWITCH_MODEL)
     return load_model(path)
 
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from robovalid import ctgen
+from robovalid import ctgen, theory
 from robovalid.cli import main
 
 from conftest import MODELS, ROOT
@@ -77,6 +77,12 @@ def test_generate_putfrag_one_way(tmp_path, capsys):
         assert rec["task"].startswith("put(")
 
 
+# sha256 of kitchen7's configs.jsonl at depth 4, strength 2, as written
+# when every operation grounded every atom's effect conditions
+KITCHEN7_CONFIGS_SHA256 = json.loads(
+    (ROOT / "tests" / "golden" / "kitchen7_configs_sha256.json").read_text())
+
+
 def test_generate_seven_object_kitchen_computes_no_wp(tmp_path, capsys, monkeypatch):
     """On the seven-object kitchen, whose closure In chains over seven
     objects, `generate` runs the tasks forward and decodes the array
@@ -88,7 +94,23 @@ def test_generate_seven_object_kitchen_computes_no_wp(tmp_path, capsys, monkeypa
     assert wp_calls == []
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split() == ["4", "70", "14", "24", "2"]
-    assert len((tmp_path / "configs.jsonl").read_text().splitlines()) == 24
+    data = (tmp_path / "configs.jsonl").read_bytes()
+    assert len(data.splitlines()) == 24
+    assert hashlib.sha256(data).hexdigest() == KITCHEN7_CONFIGS_SHA256["4"]["2"]
+
+
+def test_generate_grounds_each_effect_condition_once(tmp_path, capsys, monkeypatch,
+                                                     kitchen):
+    """A run grounds gamma+ and gamma- once per primitive atom, whatever
+    the number of operations; each operation only binds itself in."""
+    grounded = []
+    real = theory.ground_effect_condition
+    monkeypatch.setattr(theory, "ground_effect_condition",
+                        lambda *a: grounded.append(a) or real(*a))
+    assert main(["generate", "--model", KITCHEN, "--depth", "6",
+                 "--strength", "1", "--out", str(tmp_path)]) == 0
+    assert len(kitchen.all_primitive_atoms()) == 24
+    assert len(grounded) == 2 * 24
 
 
 # sha256 of kitchen4's configs.jsonl, by depth and strength, as written
@@ -283,6 +305,25 @@ def test_task_with_a_test_that_cannot_run_is_rejected_on_load(tmp_path, capsys,
         "task": task, "assignment": []}) + "\n")
     out = tmp_path / "run"
     with pytest.raises(ctgen.CtError, match="^%s:1: test " % configs):
+        main(["falsify", "--model", KITCHEN, "--configs", str(configs),
+              "--pmap", PMAP, "--scenario", SCENARIO, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["[open(o_zz) ; nil]", "open(o_m,o_m)"])
+def test_task_with_an_operation_that_cannot_run_is_rejected_on_load(tmp_path, capsys,
+                                                                    kitchen_worlds, task):
+    """A configs line whose operation names an undeclared object, or has
+    the wrong number of arguments, stops `falsify` before any configuration
+    runs, with a CtError naming the file and line; it is not an error
+    row."""
+    world = kitchen_worlds[0]
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps({
+        "fluents": sorted("%s(%s)" % (f, ",".join(args)) for f, args in world.true_atoms),
+        "task": task, "assignment": []}) + "\n")
+    out = tmp_path / "run"
+    with pytest.raises(ctgen.CtError, match="^%s:1: operation open\\(" % configs):
         main(["falsify", "--model", KITCHEN, "--configs", str(configs),
               "--pmap", PMAP, "--scenario", SCENARIO, "--out", str(out)])
     assert not out.exists()

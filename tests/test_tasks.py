@@ -44,6 +44,14 @@ def test_test_that_cannot_run_is_a_parse_error(kitchen, text):
         parse_task(text, kitchen)
 
 
+@pytest.mark.parametrize("text", ["[open(o_zz) ; nil]", "open(o_m,o_m)"])
+def test_operation_that_cannot_run_is_a_parse_error(kitchen, text):
+    """An operation over an undeclared object or with the wrong number of
+    arguments fails when it is parsed, not when a branch reaches it."""
+    with pytest.raises(ParseError, match="^operation open\\(.*\\): "):
+        parse_task(text, kitchen)
+
+
 def test_step_semantics(kitchen, kitchen_worlds):
     w = next(w for w in kitchen_worlds
              if ("IsOpen", ("o_m",)) not in w.true_atoms)
@@ -53,8 +61,8 @@ def test_step_semantics(kitchen, kitchen_worlds):
     [branch] = normalize(parse_task("[open(o_m) ; turn_on(o_m)]", kitchen))
     assert run_branch(kitchen, w, branch, memo) is None
     opened = progress(kitchen, w, open_m)
-    assert memo[(w, Op(open_m))] == opened
-    assert memo[(opened, Op(turn_on_m))] is None
+    assert memo[Op(open_m)][w.true_atoms] == opened
+    assert memo[Op(turn_on_m)][opened.true_atoms] is None
 
     # open, close, then turn_on runs where bread, which needs heat, is
     # inside; there is one state per operation, none for the test

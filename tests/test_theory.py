@@ -181,7 +181,7 @@ init: Ready()
 
 
 @pytest.fixture(scope="module")
-def oracle_theories(kitchen, tiny, putfrag, derived_init_path, derived_gamma_path,
+def oracle_theories(kitchen, tiny, putfrag, switch, derived_init_path, derived_gamma_path,
                     tmp_path_factory):
     """The models the grounded paths are checked on, by name: a constant
     false axiom leaves no world, with primitive atoms or without, and the
@@ -190,7 +190,7 @@ def oracle_theories(kitchen, tiny, putfrag, derived_init_path, derived_gamma_pat
     texts = {"constant-false": TINY_MODEL + "init: false\n",
              "no-atoms": NO_ATOMS_MODEL,
              "no-atoms-false": NO_ATOMS_MODEL + "init: false\n"}
-    out = {"kitchen": kitchen, "tiny": tiny, "putfrag": putfrag,
+    out = {"kitchen": kitchen, "tiny": tiny, "putfrag": putfrag, "switch": switch,
            "derived-init": load_model(derived_init_path),
            "derived-gamma": load_model(derived_gamma_path)}
     for name, text in texts.items():
@@ -231,7 +231,7 @@ def test_axioms_grounded_once_agree_with_satisfies_init(oracle_theories, data):
     assert theory.grounded_init is theory.grounded_init
 
 
-@pytest.mark.parametrize("name", ["kitchen", "putfrag"])
+@pytest.mark.parametrize("name", ["kitchen", "putfrag", "switch", "kitchen7"])
 def test_ground_op_effects_match_per_atom_oracle(request, name):
     """Every effect `ground_op` keeps equals the effect conditions grounded
     atom by atom after substituting the atom's arguments, and every atom
@@ -255,7 +255,8 @@ def test_ground_op_effects_match_per_atom_oracle(request, name):
 _TESTS = {"kitchen": ["IsOpen(o_m)@s", "exists x . In(x,o_m)@s"],
           "derived-gamma": ["!IsOpen(o_m)@s", "In(o_b,o_m)@s"],
           "tiny": ["On()@s", "exists x . Up(x)@s & !R(x,x)@s"],
-          "putfrag": ["In(o_b,o_m)@s", "!Loc(o_p,o_t)@s"]}
+          "putfrag": ["In(o_b,o_m)@s", "!Loc(o_p,o_t)@s"],
+          "switch": ["Warm()@s", "exists x . Lit(x)@s & !Used(x)@s"]}
 
 
 def _outcome(step, theory, state, op):
