@@ -141,7 +141,7 @@ def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
 def cmd_enumerate(args) -> int:
     theory = load_model(args.model)
     worlds = list(enumerate_initial_worlds(theory))
-    table = _count_table(theory, Grammar(theory.grammar), args.depth, worlds)
+    table = _count_table(theory, Grammar(theory), args.depth, worlds)
     print("depth  syntax-valid  accomplishable")
     for k, (syntax_valid, accomplishable) in enumerate(table, 1):
         print("%5d  %12d  %14d" % (k, syntax_valid, accomplishable))
@@ -156,7 +156,7 @@ def cmd_wp(args) -> int:
 
 
 def _generate(theory, depth: int, strength):
-    grammar = Grammar(theory.grammar)
+    grammar = Grammar(theory)
     model = ctgen.build_model(theory, grammar, depth, strength)
     valid = list(ctgen.enumerate_valid(model))
     rows = ctgen.generate_covering_array(model, strength, valid)

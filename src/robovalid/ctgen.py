@@ -5,8 +5,9 @@ parameters for unary and 0-ary fluents, symmetry-broken tuple parameters
 for n-ary fluent families) and a bounded grammar derivation.  The valid
 rows are built, not searched for: each is the padded steps of an
 accomplishable derivation followed by the encoding of one enumerated
-initial world from which its task completes.  Forward execution
-(`tasks.walk`, over a branch's `transitions`) decides that.
+initial world from which its task completes.  Forward execution,
+carried down the derivation tree as the derivations are enumerated
+(`tasks.enumerate_derivations`), decides that.
 `encode_world` is the one codec of a row's world part;
 `realize_configuration` looks a row's steps, its
 world and their pairing up in the model's tables.  The
@@ -30,10 +31,7 @@ from .logic import (
     Formula, P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, Rigid, TRUE,
     ground, peval,
 )
-from .tasks import (
-    EPSILON, Grammar, Task, enumerate_derivations, normalize, transitions,
-    walk,
-)
+from .tasks import EPSILON, Grammar, Task, enumerate_derivations
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
     initial_formulas,
@@ -225,15 +223,10 @@ def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
     their order.  The derivation is accomplishable when that list is not
     empty.
 
-    The tasks are run forward; one memo serves the whole pass, since
-    derivations share their prefixes and reach the same states.  Each
-    branch's transition tables are looked up once for all the worlds."""
-    memo: dict = {}
-    for steps, task in enumerate_derivations(grammar, depth, theory):
-        branches = [transitions(b, memo) for b in normalize(task)]
-        yield steps, task, [w for w in worlds
-                            if any(walk(theory, w, tables, memo) is not None
-                                   for tables in branches)]
+    The tasks are run forward while they are derived: each world's state
+    is carried down the derivation tree, so an atom runs once for all the
+    derivations that share it (`tasks.enumerate_derivations`)."""
+    yield from enumerate_derivations(grammar, depth, theory, worlds)
 
 
 def _check_strength(strength: Union[int, str]) -> None:

@@ -317,6 +317,60 @@ def substitute_all(phi: Formula, values: Mapping[str, Union[Term, SitTerm]]) -> 
 
 
 # ---------------------------------------------------------------------------
+# Fragments
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Hole:
+    """The `index`-th nonterminal of a grammar rule's right side, in a
+    fragment compiled from it: it stands for one object term, one whole
+    formula or one whole task, as its position says."""
+    name: str
+    index: int
+
+    def __str__(self) -> str:
+        return self.name
+
+
+def fill_holes(phi: Formula, fn: Callable[[Hole], Union[Term, Formula]]) -> Formula:
+    """phi, a formula fragment, with each `Hole` h replaced by fn(h): an
+    object term where h stands for a term, a formula where it stands for
+    a whole formula.  Nothing is renamed, so a quantifier of phi binds a
+    variable put in, as it would in the text with the variable written
+    there.  The holes are visited in text order."""
+    def term(t):
+        return fn(t) if isinstance(t, Hole) else t
+
+    def sit(s: SitTerm) -> SitTerm:
+        if isinstance(s, Do):
+            return Do(OpTerm(s.op.name, tuple(map(term, s.op.args))), sit(s.prev))
+        return s
+
+    def walk(f):
+        if isinstance(f, Hole):
+            return fn(f)
+        if isinstance(f, Not):
+            return Not(walk(f.body))
+        if isinstance(f, _BINARY):
+            return type(f)(walk(f.left), walk(f.right))
+        if isinstance(f, _QUANT):
+            return type(f)(f.var, walk(f.body))
+        if isinstance(f, Rigid):
+            return Rigid(f.name, tuple(map(term, f.args)))
+        if isinstance(f, Fluent):
+            return Fluent(f.name, tuple(map(term, f.args)), sit(f.sit))
+        if isinstance(f, Eq):
+            return Eq(term(f.left), term(f.right))
+        if isinstance(f, OpEq):
+            return OpEq(f.name, tuple(map(term, f.args)))
+        if isinstance(f, (TrueF, FalseF)):
+            return f
+        raise ModelError("unknown formula node: %r" % (f,))
+
+    return walk(phi)
+
+
+# ---------------------------------------------------------------------------
 # Propositional form
 # ---------------------------------------------------------------------------
 
@@ -410,10 +464,13 @@ def ground(phi: Formula, objects,
     PNot / PAnd / POr definitions; equalities and true / false become
     constants; each rigid or fluent atom becomes atom(node, argument
     names); and an operation equality alpha = f(args) becomes op_atom(f,
-    argument names), or is a ModelError without `op_atom`.  Every atom is
-    visited, so an atom that `atom` rejects raises even where the
-    connectives would not need its value.  Situation terms reach `atom`
-    as written.
+    argument names), or is a ModelError without `op_atom`.  Constants
+    fold as each node is built: a negated constant flips, a neutral part
+    drops out of a PAnd or POr, and an absorbing one is the node, so
+    every assignment gives the form the Kleene value the unfolded form
+    has.  Every atom is visited, so an atom that `atom` rejects raises
+    even where the connectives would not need its value.  Situation
+    terms reach `atom` as written.
     """
     def names(args: tuple[Term, ...], env: dict[str, str]) -> tuple[str, ...]:
         out = []
@@ -430,19 +487,19 @@ def ground(phi: Formula, objects,
         if isinstance(f, (Rigid, Fluent)):
             return atom(f, names(f.args, env))
         if isinstance(f, Not):
-            return PNot(g(f.body, env))
+            return _pnot(g(f.body, env))
         if isinstance(f, And):
-            return PAnd((g(f.left, env), g(f.right, env)))
+            return _pjoin(PAnd, (g(f.left, env), g(f.right, env)))
         if isinstance(f, Or):
-            return POr((g(f.left, env), g(f.right, env)))
+            return _pjoin(POr, (g(f.left, env), g(f.right, env)))
         if isinstance(f, Implies):
-            return POr((PNot(g(f.left, env)), g(f.right, env)))
+            return _pjoin(POr, (_pnot(g(f.left, env)), g(f.right, env)))
         if isinstance(f, Iff):
             l, r = g(f.left, env), g(f.right, env)
-            return POr((PAnd((l, r)), PAnd((PNot(l), PNot(r)))))
+            return _pjoin(POr, (_pjoin(PAnd, (l, r)), _pjoin(PAnd, (_pnot(l), _pnot(r)))))
         if isinstance(f, _QUANT):
             parts = tuple(g(f.body, {**env, f.var: o}) for o in objects)
-            return POr(parts) if isinstance(f, Exists) else PAnd(parts)
+            return _pjoin(POr if isinstance(f, Exists) else PAnd, parts)
         if isinstance(f, Eq):
             l, r = names((f.left, f.right), env)
             return P_TRUE if l == r else P_FALSE
@@ -458,6 +515,32 @@ def ground(phi: Formula, objects,
         raise ModelError("unknown formula node: %r" % (f,))
 
     return g(phi, env or {})
+
+
+def _pnot(p: PFormula) -> PFormula:
+    """PNot(p), or the other constant when p is one."""
+    if isinstance(p, PTrue):
+        return P_FALSE
+    if isinstance(p, PFalse):
+        return P_TRUE
+    return PNot(p)
+
+
+def _pjoin(node: type, parts: tuple) -> PFormula:
+    """node(parts), a PAnd or a POr, less its neutral constants (true in a
+    conjunction, false in a disjunction); its absorbing constant, a lone
+    part, or no part left is the result itself.  Every assignment gives
+    the result the Kleene value it gives node(parts)."""
+    absorbing, neutral = (PFalse, PTrue) if node is PAnd else (PTrue, PFalse)
+    kept = []
+    for p in parts:
+        if isinstance(p, absorbing):
+            return p
+        if not isinstance(p, neutral):
+            kept.append(p)
+    if len(kept) == 1:
+        return kept[0]
+    return node(tuple(kept)) if kept else (P_TRUE if node is PAnd else P_FALSE)
 
 
 def evaluate(world, phi: Formula) -> bool:
@@ -631,19 +714,34 @@ def tokenize(text: str) -> list[str]:
 
 
 class TokenStream:
-    def __init__(self, toks: list[str]):
+    """Tokens of a text, or of a grammar rule's right side, whose
+    nonterminals are `Hole`s.  A parser takes a hole with `hole` where a
+    term, a whole formula or a whole task may stand, and `kinds` records
+    which one each hole stood for; anywhere else a hole is a ParseError."""
+
+    def __init__(self, toks: list):
         self.toks = toks
         self.pos = 0
+        self.kinds: dict[Hole, str] = {}
 
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek(self, ahead: int = 0):
+        i = self.pos + ahead
+        return self.toks[i] if i < len(self.toks) else None
 
     def next(self) -> str:
         if self.pos >= len(self.toks):
             raise ParseError("unexpected end of input")
         t = self.toks[self.pos]
+        if isinstance(t, Hole):
+            raise ParseError("nonterminal %s cannot stand here" % t.name)
         self.pos += 1
         return t
+
+    def hole(self, kind: str) -> Hole:
+        h = self.toks[self.pos]
+        self.pos += 1
+        self.kinds[h] = kind
+        return h
 
     def expect(self, tok: str) -> None:
         t = self.next()
@@ -672,6 +770,8 @@ class FormulaParser:
         return phi
 
     def formula(self, ts: TokenStream) -> Formula:
+        if isinstance(ts.peek(), Hole) and ts.peek(1) in ("?", ")", None):
+            return ts.hole("formula")
         return self.iff(ts)
 
     def iff(self, ts: TokenStream) -> Formula:
@@ -727,6 +827,8 @@ class FormulaParser:
         return self.atom(ts)
 
     def term(self, ts: TokenStream) -> Term:
+        if isinstance(ts.peek(), Hole):
+            return ts.hole("object")
         name = ts.next()
         if not name or not (name[0].isalpha() or name[0] == "_"):
             raise ParseError("expected a term, got %r" % name)
@@ -759,6 +861,8 @@ class FormulaParser:
         return tuple(args)
 
     def atom(self, ts: TokenStream) -> Formula:
+        if isinstance(ts.peek(), Hole):
+            return self.equality(self.term(ts), ts)
         name = ts.next()
         if name == "alpha":
             ts.expect("=")
@@ -776,8 +880,10 @@ class FormulaParser:
                 sit = self.sit_term(ts)
                 return Fluent(name, args, sit)
             return Rigid(name, args)
-        # bare term: equality or inequality
-        left = Obj(name) if name in self.objects else Var(name)
+        return self.equality(Obj(name) if name in self.objects else Var(name), ts)
+
+    def equality(self, left: Term, ts: TokenStream) -> Formula:
+        """A bare term's equality or inequality with the next term."""
         nxt = ts.peek()
         if nxt == "=":
             ts.next()
@@ -785,7 +891,7 @@ class FormulaParser:
         if nxt == "!=":
             ts.next()
             return Not(Eq(left, self.term(ts)))
-        raise ParseError("expected atom at %r" % name)
+        raise ParseError("expected atom at %r" % str(left))
 
 
 def parse_formula(text: str, objects) -> Formula:

@@ -3,7 +3,7 @@ derivation.
 
 Tasks are the five-construct core (nil, operation, test, sequence,
 nondeterministic choice); grammar-level sugar is expanded away by the
-grammar itself, which produces core task text.
+grammar itself, whose rules are fragments of the core task syntax.
 
 Forward execution decides accomplishability: a task can complete from a
 world iff some choice-free branch of `normalize` runs there, test by
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .logic import (
-    Formula, FormulaParser, ModelError, ParseError, TokenStream, format_formula,
-    peval, tokenize,
+    Formula, FormulaParser, Hole, ModelError, Obj, ParseError, TokenStream, Var,
+    fill_holes, format_formula, peval, tokenize,
 )
 from .theory import (
     ActionTheory, GrammarRule, GroundOp, PreconditionViolation, TheoryError,
@@ -75,28 +75,75 @@ def format_task(tau: Task) -> str:
 
 
 class TaskParser:
-    """Parses the task text syntax: nil, op(a,b), phi ?, [t;t], [t|t].
+    """Parses the task text syntax: nil, op(a,b), op(), phi ?, [t;t], [t|t].
 
-    An operation must name a declared operation, with its arity, over
-    declared objects, and a test is grounded as `run_branch` grounds it,
-    so an operation no state could run or a test no state could decide
-    (a free variable, an operation equality, a fluent at a `do(...)`
-    situation, an undeclared atom) is a ParseError here, not an error
-    when a branch reaches it."""
+    `parse` checks each atom of the task, in text order, as `operation`
+    and `test` do: an operation must name a declared operation, with its
+    arity, over declared objects, and a test is grounded as `run_branch`
+    grounds it.  So an operation no state could run or a test no state
+    could decide (a free variable, an operation equality, a fluent at a
+    `do(...)` situation, an undeclared atom) is a ParseError here, not an
+    error when a branch reaches it.  `task` reads the structure alone, so
+    it also reads a grammar rule's right side, whose nonterminals are
+    `Hole`s, as a fragment (`Grammar`).
 
-    def __init__(self, theory: ActionTheory):
+    Each operation is checked once and each test grounded once per
+    parser.  `grounded` keeps the grounded tests, keyed by formula as
+    `run_branch`'s memo keeps them, so a parser can share that memo."""
+
+    def __init__(self, theory: ActionTheory, grounded: Optional[dict] = None):
         self.theory = theory
         self.fparser = FormulaParser(theory.objects)
+        self.grounded = {} if grounded is None else grounded
+        self.checked: dict[GroundOp, Op] = {}
 
     def parse(self, text: str) -> Task:
         ts = TokenStream(tokenize(text))
         tau = self.task(ts)
         if not ts.at_end():
             raise ParseError("trailing tokens after task: %r" % ts.toks[ts.pos:])
+        self.check(tau)
         return tau
 
+    def check(self, tau: Task) -> None:
+        """Check each atom of `tau` in text order."""
+        if isinstance(tau, Seq):
+            self.check(tau.first)
+            self.check(tau.second)
+        elif isinstance(tau, Choice):
+            self.check(tau.left)
+            self.check(tau.right)
+        elif isinstance(tau, Op):
+            self.operation(tau.op)
+        elif isinstance(tau, Test):
+            self.test(tau.formula)
+
+    def operation(self, op: GroundOp) -> Op:
+        """The atom running `op`, once `op` is checked."""
+        atom = self.checked.get(op)
+        if atom is None:
+            try:
+                check_ground_op(self.theory, op)
+            except TheoryError as exc:
+                raise ParseError("operation %s: %s" % (op, exc)) from exc
+            atom = self.checked[op] = Op(op)
+        return atom
+
+    def test(self, phi: Formula) -> Test:
+        """The atom testing `phi`, once `phi` is grounded."""
+        if phi not in self.grounded:
+            try:
+                self.grounded[phi] = ground_state_formula(self.theory, phi)
+            except ModelError as exc:
+                raise ParseError("test %s cannot be decided in a state: %s"
+                                 % (format_formula(phi), exc)) from exc
+        return Test(phi)
+
     def task(self, ts: TokenStream) -> Task:
-        if ts.peek() == "[":
+        tok = ts.peek()
+        if isinstance(tok, Hole) and ts.peek(1) in (";", "|", "]", None):
+            return ts.hole("task")
+        if tok == "[":
             ts.next()
             first = self.task(ts)
             sep = ts.next()
@@ -105,36 +152,31 @@ class TaskParser:
             second = self.task(ts)
             ts.expect("]")
             return Seq(first, second) if sep == ";" else Choice(first, second)
-        if ts.peek() == "nil":
+        if tok == "nil":
             ts.next()
             return NIL
         # operation instance or a test formula terminated by '?'
         mark = ts.pos
-        tok = ts.peek()
         if tok in self.theory.operations:
             ts.next()
             ts.expect("(")
-            args = [ts.next()]
-            while ts.peek() == ",":
-                ts.next()
-                args.append(ts.next())
+            args = []
+            if ts.peek() != ")":
+                args.append(self.argument(ts))
+                while ts.peek() == ",":
+                    ts.next()
+                    args.append(self.argument(ts))
             ts.expect(")")
             if ts.peek() != "?":  # a fluent named like an op would carry @/?
-                op = GroundOp(tok, tuple(args))
-                try:
-                    check_ground_op(self.theory, op)
-                except TheoryError as exc:
-                    raise ParseError("operation %s: %s" % (op, exc)) from exc
-                return Op(op)
+                return Op(GroundOp(tok, tuple(args)))
             ts.pos = mark
         phi = self.fparser.formula(ts)
         ts.expect("?")
-        try:
-            ground_state_formula(self.theory, phi)
-        except ModelError as exc:
-            raise ParseError("test %s cannot be decided in a state: %s"
-                             % (format_formula(phi), exc)) from exc
         return Test(phi)
+
+    def argument(self, ts: TokenStream):
+        """An operation argument: an object name, or a hole for one."""
+        return ts.hole("object") if isinstance(ts.peek(), Hole) else ts.next()
 
 
 def parse_task(text: str, theory: ActionTheory) -> Task:
@@ -204,16 +246,23 @@ def walk(theory: ActionTheory, state: WorldState,
     lookup, and a state's first visit runs the atom and fills its entry."""
     states = []
     for is_op, atom, table in tables:
-        key = state.true_atoms
-        if key in table:
-            state = table[key]
-        else:
-            state = table[key] = _run_atom(theory, state, atom, memo)
+        state = _step(theory, state, atom, table, memo)
         if state is None:
             return None
         if is_op:
             states.append(state)
     return states
+
+
+def _step(theory: ActionTheory, state: WorldState, atom: Task, table: dict,
+          memo: dict) -> Optional[WorldState]:
+    """The state after `atom` from `state`, or None when it is stuck there,
+    looked up in the atom's transition `table` and filled on a miss."""
+    key = state.true_atoms
+    if key in table:
+        return table[key]
+    nxt = table[key] = _run_atom(theory, state, atom, memo)
+    return nxt
 
 
 def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
@@ -251,21 +300,51 @@ def execute(theory: ActionTheory, w0: WorldState, tau: Task) -> bool:
 
 EPSILON = "eps"
 
+# A rule's program, run left to right as a leftmost derivation reaches
+# it: a nonterminal (str) to expand, whose value is pushed once its own
+# program has run; a (make, n) pair, which replaces the top n values by
+# make(values, parser); or _CHOICE, which marks where a choice opens.
+_CHOICE = object()
+
 
 class Grammar:
-    """A set of rules with distinct ids, as `theory.load_model` checks, plus
-    the start symbol (the first rule's left side)."""
+    """A theory's grammar rules, with distinct ids as `theory.load_model`
+    checks, and the start symbol (the first rule's left side), each rule's
+    right side compiled once into a fragment: a task, an object term or a
+    whole test formula, according to what its left side stands for, whose
+    nonterminals are holes.
 
-    def __init__(self, rules: list[GrammarRule]):
+    The start symbol stands for a task; every other nonterminal stands
+    for what its place in the fragments that reach it says: a task where
+    a task may stand, an object where an operation argument or a term of
+    a test may, a test formula where a whole formula may (before '?', in
+    parentheses or as a quantifier's body).  A rule whose right side is
+    not one such fragment, whose left side the start symbol does not
+    reach, or that makes a nonterminal stand for two kinds, is a
+    TheoryError naming the rule's model line.  A fragment is then what
+    the rule's text means wherever its left side occurs, so a derivation
+    builds the task its text parses to."""
+
+    def __init__(self, theory: ActionTheory):
+        rules = list(theory.grammar)
         if not rules:
             raise ValueError("empty grammar")
-        self.rules = list(rules)
+        self.rules = rules
         self.start = rules[0].lhs
         self.nonterminals = {r.lhs for r in rules}
         self.by_lhs: dict[str, list[GrammarRule]] = {}
         for r in sorted(rules, key=lambda r: r.id):
             self.by_lhs.setdefault(r.lhs, []).append(r)
-        self._min_cost = self._compute_min_costs()
+        self.min_cost = self._compute_min_costs()
+        programs = self._compile(theory)
+        # per nonterminal, (rule id, program, least applications to
+        # eliminate the rule's nonterminals) of each of its rules, in
+        # `by_lhs` order
+        self.expansions: dict[str, list[tuple[str, tuple, int]]] = {
+            nt: [(r.id, programs[r.id],
+                  sum(self.min_cost[t] for t in r.rhs if t in self.nonterminals))
+                 for r in rs]
+            for nt, rs in self.by_lhs.items()}
 
     def _compute_min_costs(self) -> dict[str, int]:
         # least number of rule applications to eliminate each nonterminal
@@ -286,32 +365,184 @@ class Grammar:
             raise ValueError("nonterminals cannot terminate: %s" % ", ".join(sorted(dead)))
         return cost
 
-    def min_completion(self, form: tuple[str, ...]) -> int:
-        return sum(self._min_cost[t] for t in form if t in self.nonterminals)
+    def _compile(self, theory: ActionTheory) -> dict[str, tuple]:
+        """The program of each rule, by rule id.  Rules are compiled in
+        file order, over and over, as the kinds of their left sides become
+        known; a rule whose left side the start symbol never reaches is a
+        TheoryError, as its kind is unknown."""
+        kinds = {self.start: "task"}
+        parser = TaskParser(theory)
+        programs: dict[str, tuple] = {}
+        changed = True
+        while changed:
+            changed = False
+            for rule in self.rules:
+                if rule.id in programs or rule.lhs not in kinds:
+                    continue
+                changed = True
+                kind = kinds[rule.lhs]
+                try:
+                    ts = TokenStream(self._tokens(rule))
+                    if kind == "task":
+                        node = parser.task(ts)
+                    elif kind == "formula":
+                        node = parser.fparser.formula(ts)
+                    else:
+                        node = parser.fparser.term(ts)
+                    if not ts.at_end():
+                        raise ParseError("trailing tokens %r"
+                                         % [str(t) for t in ts.toks[ts.pos:]])
+                except ParseError as exc:
+                    raise TheoryError("%s: %s ::= %s does not read as %s: %s"
+                                      % (_where(rule), rule.lhs, " ".join(rule.rhs), _KINDS[kind],
+                                         exc)) from exc
+                for hole, k in ts.kinds.items():
+                    if kinds.setdefault(hole.name, k) != k:
+                        raise TheoryError("%s: nonterminal %s stands for both %s and %s"
+                                          % (_where(rule), hole.name, _KINDS[kinds[hole.name]],
+                                             _KINDS[k]))
+                programs[rule.id] = tuple(_program(node, kind))
+        for rule in self.rules:
+            if rule.id not in programs:
+                raise TheoryError("%s: %s is not reached from the start symbol %s"
+                                  % (_where(rule), rule.lhs, self.start))
+        return programs
+
+    def _tokens(self, rule: GrammarRule) -> list:
+        """The rule's right side as tokens, each nonterminal a `Hole`."""
+        toks: list = []
+        for sym in rule.rhs:
+            if sym in self.nonterminals:
+                toks.append(Hole(sym, sum(isinstance(t, Hole) for t in toks)))
+            else:
+                toks.extend(tokenize(sym))
+        return toks
 
 
-def enumerate_derivations(grammar: Grammar, depth: int,
-                          theory: ActionTheory) -> Iterator[tuple[tuple[str, ...], Task]]:
+_KINDS = {"task": "a task", "object": "an object", "formula": "a test formula"}
+
+
+def _where(rule: GrammarRule) -> str:
+    return "%s: grammar rule %s" % (rule.where, rule.id) if rule.where \
+        else "grammar rule %s" % rule.id
+
+
+def _program(node, kind: str) -> list:
+    """The program of a fragment of `kind`: each hole and each node in
+    text order, a node after its parts, so an atom's make runs as soon as
+    the atom is complete."""
+    if isinstance(node, Hole):
+        return [node.name]
+    if kind == "object":
+        name = node.name
+        return [(lambda values, parser: name, 0)]
+    if kind == "formula":
+        return _formula_program(node, lambda phi, parser: phi)
+    if isinstance(node, Seq):
+        return (_program(node.first, kind) + _program(node.second, kind)
+                + [(lambda values, parser: Seq(*values), 2)])
+    if isinstance(node, Choice):
+        return ([_CHOICE] + _program(node.left, kind) + _program(node.right, kind)
+                + [(lambda values, parser: Choice(*values), 2)])
+    if isinstance(node, Op):
+        name, args = node.op.name, node.op.args
+        holes = [a.name for a in args if isinstance(a, Hole)]
+
+        def make_op(values, parser):
+            it = iter(values)
+            return parser.operation(GroundOp(name, tuple(
+                next(it) if isinstance(a, Hole) else a for a in args)))
+        return holes + [(make_op, len(holes))]
+    if isinstance(node, Test):
+        return _formula_program(node.formula, lambda phi, parser: parser.test(phi))
+    return [(lambda values, parser: NIL, 0)]
+
+
+def _formula_program(phi: Formula, finish) -> list:
+    """The holes of a formula fragment, then finish(the filled formula,
+    parser).  An object hole's value, a name, becomes the term the
+    formula parser reads for it."""
+    holes: list[Hole] = []
+    fill_holes(phi, holes.append)  # visits the holes in text order
+    first = holes[0].index if holes else 0
+
+    def make(values, parser):
+        objects = parser.fparser.objects
+
+        def value(h: Hole):
+            v = values[h.index - first]
+            if isinstance(v, str):
+                return Obj(v) if v in objects else Var(v)
+            return v
+        return finish(fill_holes(phi, value), parser)
+    return [h.name for h in holes] + [(make, len(holes))]
+
+
+def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
+                          worlds: Optional[list[WorldState]] = None) -> Iterator[tuple]:
     """Every leftmost derivation with at most `depth` rule applications,
-    as its applied rule ids (without epsilon padding) paired with the task
-    it generates, in deterministic order.
+    in deterministic order, as its applied rule ids (without epsilon
+    padding) and the task it generates.  The task is built from the
+    rules' compiled fragments, a node as soon as its parts are complete:
+    no text is printed or parsed, and each distinct operation and test is
+    checked once (`TaskParser.operation` and `TaskParser.test`).
+
+    With `worlds`, each derivation comes as (steps, task, the worlds of
+    `worlds`, in their order, from which the task can complete).  Each
+    world's state after the derivation's completed atoms is carried down
+    the derivation tree: an atom, once complete, runs once from its
+    parent's live states, through `run_branch`'s transition tables and
+    memo.  When no state is live, the subtree is dead: it is still
+    enumerated, with no worlds, and runs nothing.  Once a choice opens,
+    the atoms completed inside it are not a prefix of every branch, so
+    the leaf runs the task by `normalize` and `walk` from the worlds
+    still live where the choice opened.
     """
     if depth < 1:
         return
-    parser = TaskParser(theory)
+    memo: dict = {}
+    parser = TaskParser(theory, memo)
+    expansions, min_cost = grammar.expansions, grammar.min_cost
 
-    def rec(form: tuple[str, ...],
-            steps: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], Task]]:
-        idx = next((i for i, t in enumerate(form) if t in grammar.nonterminals), None)
-        if idx is None:
-            yield steps, parser.parse(" ".join(form))
+    def rec(program: tuple, values: tuple, steps: tuple[str, ...],
+            live: tuple, choice: bool, pending: int) -> Iterator[tuple]:
+        # `values` are the completed parts, `live` each world's state or
+        # None, `pending` the least applications left for `program`
+        for i, ins in enumerate(program):
+            if ins.__class__ is str:
+                break
+            if ins is _CHOICE:
+                choice = True
+                continue
+            make, n = ins
+            k = len(values) - n
+            value = make(values[k:], parser)
+            values = values[:k] + (value,)
+            if not choice and isinstance(value, (Op, Test)) and any(live):
+                table = memo.get(value)
+                if table is None:
+                    table = memo[value] = {}
+                live = tuple(None if s is None else _step(theory, s, value, table, memo)
+                             for s in live)
+        else:
+            (task,) = values
+            if worlds is None:
+                yield steps, task
+                return
+            sat = [w for w, s in zip(worlds, live) if s is not None]
+            if choice and sat:
+                branches = [transitions(b, memo) for b in normalize(task)]
+                sat = [w for w in sat
+                       if any(walk(theory, w, tables, memo) is not None for tables in branches)]
+            yield steps, task, sat
             return
         if len(steps) >= depth:
             return
-        for rule in grammar.by_lhs.get(form[idx], ()):
-            new_form = form[:idx] + rule.rhs + form[idx + 1:]
-            if len(steps) + 1 + grammar.min_completion(new_form) > depth:
-                continue
-            yield from rec(new_form, steps + (rule.id,))
+        nt, rest = program[i], program[i + 1:]
+        left = pending - min_cost[nt]
+        for rid, prog, cost in expansions[nt]:
+            if len(steps) + 1 + left + cost <= depth:
+                yield from rec(prog + rest, values, steps + (rid,), live, choice, left + cost)
 
-    yield from rec((grammar.start,), ())
+    yield from rec((grammar.start,), (), (), tuple(worlds or ()), False,
+                   min_cost[grammar.start])

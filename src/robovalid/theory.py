@@ -104,6 +104,7 @@ class GrammarRule:
     id: str
     lhs: str
     rhs: tuple[str, ...]
+    where: str = field(default="", compare=False)  # "path:line" of a loaded rule
 
 
 @dataclass
@@ -174,14 +175,22 @@ class ActionTheory:
         return [ground_primitive(self, f, S0) for f in initial_formulas(self)]
 
     @cached_property
-    def effect_conditions(self) -> dict[GroundOp, list[tuple[GroundAtom, PFormula, PFormula]]]:
-        """For each ground operation, (atom, gamma+, gamma-) of the
-        primitive atoms it can change, in `all_primitive_atoms` order:
-        those whose conditions mention it, and those whose conditions are
-        not constant false when every operation atom is false.  Each
-        successor axiom's conditions are anchored once and grounded once
-        per atom, by `ground_effect_condition`, for every operation;
-        `ground_op` binds the operation in.  Built on first read."""
+    def preconditions(self) -> dict[str, Formula]:
+        """Each operation's precondition anchored at s0, by name; `ground_op`
+        grounds it with the operation's arguments bound.  Built on first
+        read."""
+        return {name: anchor(d.precondition, S0) for name, d in self.operations.items()}
+
+    @cached_property
+    def effect_conditions(self) -> dict[GroundOp, list[tuple[GroundAtom, PFormula, PFormula,
+                                                          frozenset[GroundOp]]]]:
+        """For each ground operation, (atom, gamma+, gamma-, the operation
+        atoms the two mention) of the primitive atoms it can change, in
+        `all_primitive_atoms` order: those whose conditions mention it, and
+        those whose conditions are not constant false when every operation
+        atom is false.  Each successor axiom's conditions are anchored once
+        and grounded once per atom, by `ground_effect_condition`, for every
+        operation.  Built on first read."""
         out: dict[GroundOp, list] = {op: [] for op in self.ground_ops()}
         for fname in self.primitive_fluents():
             sa = self.successor[fname]
@@ -189,12 +198,12 @@ class ActionTheory:
             for atom in self.ground_atoms(fname):
                 env = dict(zip(sa.params, atom[1]))
                 plus, minus = (ground_effect_condition(self, g, env) for g in gammas)
-                ops = {p for p in _mentioned_atoms(PAnd((plus, minus)))
-                       if isinstance(p, GroundOp)}
+                ops = frozenset(p for p in _mentioned_atoms(PAnd((plus, minus)))
+                                if isinstance(p, GroundOp))
                 no_op = dict.fromkeys(ops, False)
                 always = peval(plus, no_op) is not False or peval(minus, no_op) is not False
                 for op in (out if always else ops):
-                    out[op].append((atom, plus, minus))
+                    out[op].append((atom, plus, minus, ops))
         return out
 
 
@@ -354,32 +363,36 @@ class GroundedOp:
     """A ground operation with its precondition and the effect conditions
     of the atoms it may change, grounded at s0 by `ground_primitive` with
     derived atoms as their own keys.  `effects` maps each primitive atom
-    whose gamma+ or gamma- is not constant false to (gamma+, gamma-), in
-    `all_primitive_atoms` order; every other atom keeps its truth across
-    the operation.  `apply_op` decides a step by `peval` over a state's
-    `state_truth`."""
+    whose gamma+ or gamma- is not constant false for this operation to
+    (gamma+, gamma-), in `all_primitive_atoms` order; every other atom
+    keeps its truth across the operation.  The conditions keep each
+    alpha = g as the atom PEq(g, True), and `overlay` decides those atoms
+    for this operation: g is true exactly when it is the operation, which
+    is what grounding alpha = g with the operation folded in gives.
+    `apply_op` decides a step by `peval` over a state's `state_truth` with
+    the overlay merged in."""
     op: GroundOp
     pre: PFormula
     effects: dict[GroundAtom, tuple[PFormula, PFormula]]
+    overlay: dict[GroundOp, bool]
 
 
 def ground_op(theory: ActionTheory, op: GroundOp) -> GroundedOp:
-    """Ground `op`'s precondition, and bind `op` into the effect
-    conditions of the atoms `theory.effect_conditions` lists for it: the
-    only ones it can change.  The effects equal grounding every atom's
-    gamma+ and gamma- with `op` folded into their operation equalities,
-    and dropping the atoms whose two conditions are constant false.  An
-    undeclared operation is a TheoryError; an atom the theory does not
-    declare, or a fluent at another situation, in any effect condition is
-    a ModelError here, whatever the state."""
-    pre = ground_state_formula(theory, instantiate_precondition(theory, op))
-    effects = {}
-    bound: dict[GroundOp, PFormula] = {}
-    for atom, plus, minus in theory.effect_conditions[op]:
-        plus, minus = _bind_op(theory, plus, op, bound), _bind_op(theory, minus, op, bound)
-        if peval(plus, {}) is not False or peval(minus, {}) is not False:
-            effects[atom] = (plus, minus)
-    return GroundedOp(op, pre, effects)
+    """Ground `op`'s precondition, anchored once per declaration, with the
+    arguments bound in `ground`'s environment, and keep the effect
+    conditions of the atoms `theory.effect_conditions` lists for it (the
+    only ones it can change) that are not constant false under its
+    overlay.  An undeclared operation is a TheoryError; an atom the theory
+    does not declare, or a fluent at another situation, in any effect
+    condition is a ModelError here, whatever the state."""
+    decl = check_ground_op(theory, op)
+    pre = ground_primitive(theory, theory.preconditions[op.name], S0, derived=True,
+                           env=dict(zip(decl.params, op.args)))
+    entries = theory.effect_conditions[op]
+    overlay = {g: g == op for *_, ops in entries for g in ops}
+    effects = {atom: (plus, minus) for atom, plus, minus, _ in entries
+               if peval(plus, overlay) is not False or peval(minus, overlay) is not False}
+    return GroundedOp(op, pre, effects, overlay)
 
 
 def ground_effect_condition(theory: ActionTheory, gamma: Formula,
@@ -390,29 +403,6 @@ def ground_effect_condition(theory: ActionTheory, gamma: Formula,
     PEq(GroundOp(f, t...), True)."""
     return ground_primitive(theory, gamma, S0, derived=True, env=env,
                             op_atom=lambda name, args: PEq(GroundOp(name, args), True))
-
-
-def _bind_op(theory: ActionTheory, phi: PFormula, op: GroundOp,
-             bound: dict[GroundOp, PFormula]) -> PFormula:
-    """phi with each operation atom g replaced by what grounding
-    alpha = g with `op` folded in gives: P_FALSE when g names another
-    operation, else the grounded conjunction of their argument
-    equalities.  Nothing is folded, so the result is the formula that
-    folding `op` in before grounding yields.  `bound` keeps each g's
-    replacement for `op`."""
-    if isinstance(phi, PEq):
-        g = phi.param
-        if not isinstance(g, GroundOp):
-            return phi
-        if g not in bound:
-            bound[g] = P_FALSE if g.name != op.name else ground_primitive(
-                theory, conj([Eq(Obj(a), Obj(b)) for a, b in zip(g.args, op.args)]), S0)
-        return bound[g]
-    if isinstance(phi, PNot):
-        return PNot(_bind_op(theory, phi.body, op, bound))
-    if isinstance(phi, (PAnd, POr)):
-        return type(phi)(tuple(_bind_op(theory, p, op, bound) for p in phi.parts))
-    return phi
 
 
 def ground_state_formula(theory: ActionTheory, phi: Formula) -> PFormula:
@@ -436,11 +426,13 @@ def apply_op(step: GroundedOp, state: WorldState,
              truth: dict[GroundAtom, bool]) -> WorldState:
     """The state after `step` from `state`, whose `state_truth` is
     `truth`.  An atom of `step.effects` is true after it when gamma+
-    holds, or when it held and gamma- does not; every other atom is
-    carried over from `state`."""
+    holds, or when it held and gamma- does not, over `truth` with the
+    step's overlay merged in; every other atom is carried over from
+    `state`."""
     if not peval(step.pre, truth):
         raise PreconditionViolation("%s is not possible here" % step.op)
     effects = step.effects
+    truth = {**truth, **step.overlay}
     return WorldState(frozenset(
         [atom for atom in state.true_atoms if atom not in effects]
         + [atom for atom, (plus, minus) in effects.items()
@@ -451,8 +443,7 @@ def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
     """Whether `op` is executable in `state` (its precondition holds).
     No production path calls it; it serves the acceptance criteria and the
     test oracles."""
-    pre = ground_state_formula(theory, instantiate_precondition(theory, op))
-    return peval(pre, state_truth(theory, state)) is True
+    return peval(ground_op(theory, op).pre, state_truth(theory, state)) is True
 
 
 def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldState:
@@ -677,7 +668,8 @@ def load_model(path) -> ActionTheory:
                 rid, rule = rest.split(":", 1)
                 lhs, rhs = rule.split("::=", 1)
                 declare("grammar rule", rid.strip(), lineno)
-                grammar.append(GrammarRule(rid.strip(), lhs.strip(), tuple(rhs.split())))
+                grammar.append(GrammarRule(rid.strip(), lhs.strip(), tuple(rhs.split()),
+                                           "%s:%d" % (path, lineno)))
         except (ValueError, ParseError, TheoryError) as exc:
             raise TheoryError("%s:%d: %s" % (path, lineno, exc)) from exc
 

@@ -59,6 +59,16 @@ init: !Warm()@s0
 """
 
 
+# One operation without arguments, which makes the 0-ary fluent Done true.
+WAIT_MODEL = """\
+objects: a
+fluent: Done/0 primitive
+op: wait() pre: true
+successor: Done() plus: alpha = wait() minus: false
+grammar: r_w: T ::= wait ( )
+"""
+
+
 @pytest.fixture(scope="session")
 def kitchen():
     return load_model(MODELS / "kitchen4.sc")
@@ -71,7 +81,7 @@ def kitchen7():
 
 @pytest.fixture(scope="session")
 def kitchen_grammar(kitchen):
-    return Grammar(kitchen.grammar)
+    return Grammar(kitchen)
 
 
 @pytest.fixture(scope="session")
@@ -108,7 +118,7 @@ def putfrag():
 
 @pytest.fixture(scope="session")
 def putfrag_grammar(putfrag):
-    return Grammar(putfrag.grammar)
+    return Grammar(putfrag)
 
 
 @pytest.fixture(scope="session")
@@ -127,7 +137,7 @@ def switch(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def tiny_grammar(tiny):
-    return Grammar(tiny.grammar)
+    return Grammar(tiny)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ its own copy of `pparams`, which the package no longer needs.
 `derivation_wps` is the grounded-WP test of accomplishability that
 `robovalid.ctgen.accomplishing_worlds` replaced: it computes the weakest
 precondition of every derivation, grounds it once and evaluates it with
-`peval` on every world, where the package runs the task forward.
+`peval` on every world, where the package runs the task forward.  It
+takes the derivations from the text-parsing path of `tasks_oracle`.
 
 `generate_covering_array` is the greedy that `robovalid.ctgen.
 generate_covering_array` replaced: every round it rescans every valid row
@@ -26,9 +27,10 @@ from typing import Iterator, Optional, Union
 
 from robovalid.ctgen import CtError, CtModel
 from robovalid.logic import TRUE, Formula, PAnd, PEq, PFormula, PNot, POr, peval
-from robovalid.tasks import Grammar, Task, enumerate_derivations
+from robovalid.tasks import Grammar, Task
 from robovalid.theory import ActionTheory, WorldState, ground_primitive
 from robovalid.wp import SIT, wp
+from tasks_oracle import enumerate_derivations
 
 
 def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,

@@ -7,6 +7,12 @@ and collects the operation sequences of all completing executions.
 against it through `branch_to_task`.  `replay_derivation` rebuilds a
 task from its rule ids, to check `tasks.enumerate_derivations`.
 
+`enumerate_derivations` and `accomplishing_worlds` are the derivation
+path the package used before it built tasks from the rules' compiled
+fragments and carried live states down the derivation tree: every
+derivation's sentential form is printed and parsed again, and each task
+is run at its leaf, branch by branch of `normalize`, from every world.
+
 `possible` and `progress` are the per-step semantics the package used
 before it grounded each operation once: every call instantiates the
 precondition and each atom's effect conditions afresh and evaluates
@@ -15,9 +21,12 @@ closures.  `traces` steps with them, so it shares no progression code
 with `theory.progress` or `tasks.run_branch`.
 """
 
+from typing import Iterator
+
 from robovalid.logic import S0, anchor, evaluate
 from robovalid.tasks import (
     EPSILON, NIL, Choice, Grammar, Nil, Op, Seq, Task, TaskParser, Test,
+    normalize, transitions, walk,
 )
 from robovalid.theory import (
     ActionTheory, GroundAtom, GroundOp, PreconditionViolation, StateView,
@@ -115,3 +124,44 @@ def replay_derivation(grammar: Grammar, steps: tuple[str, ...],
     if any(t in grammar.nonterminals for t in form):
         raise ValueError("derivation %r does not terminate" % (steps,))
     return TaskParser(theory).parse(" ".join(form))
+
+
+def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory
+                          ) -> Iterator[tuple[tuple[str, ...], Task]]:
+    """Every leftmost derivation with at most `depth` rule applications,
+    as its rule ids and the task its sentential form parses to, in the
+    package's order."""
+    if depth < 1:
+        return
+    parser = TaskParser(theory)
+
+    def min_completion(form: tuple[str, ...]) -> int:
+        return sum(grammar.min_cost[t] for t in form if t in grammar.nonterminals)
+
+    def rec(form: tuple[str, ...], steps: tuple[str, ...]):
+        idx = next((i for i, t in enumerate(form) if t in grammar.nonterminals), None)
+        if idx is None:
+            yield steps, parser.parse(" ".join(form))
+            return
+        if len(steps) >= depth:
+            return
+        for rule in grammar.by_lhs.get(form[idx], ()):
+            new_form = form[:idx] + rule.rhs + form[idx + 1:]
+            if len(steps) + 1 + min_completion(new_form) > depth:
+                continue
+            yield from rec(new_form, steps + (rule.id,))
+
+    yield from rec((grammar.start,), ())
+
+
+def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
+                         worlds: list[WorldState]
+                         ) -> Iterator[tuple[tuple[str, ...], Task, list[WorldState]]]:
+    """Each derivation of `enumerate_derivations` with the worlds of
+    `worlds` from which some branch of its task runs to the end."""
+    memo: dict = {}
+    for steps, task in enumerate_derivations(grammar, depth, theory):
+        branches = [transitions(b, memo) for b in normalize(task)]
+        yield steps, task, [w for w in worlds
+                            if any(walk(theory, w, tables, memo) is not None
+                                   for tables in branches)]

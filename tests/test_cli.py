@@ -8,7 +8,7 @@ import pytest
 from robovalid import ctgen, theory
 from robovalid.cli import main
 
-from conftest import MODELS, ROOT
+from conftest import MODELS, ROOT, WAIT_MODEL
 
 KITCHEN = str(MODELS / "kitchen4.sc")
 KITCHEN7 = str(MODELS / "kitchen7.sc")
@@ -97,6 +97,22 @@ def test_generate_seven_object_kitchen_computes_no_wp(tmp_path, capsys, monkeypa
     data = (tmp_path / "configs.jsonl").read_bytes()
     assert len(data.splitlines()) == 24
     assert hashlib.sha256(data).hexdigest() == KITCHEN7_CONFIGS_SHA256["4"]["2"]
+
+
+def test_zero_ary_operation_enumerates_and_generates(tmp_path, capsys):
+    """An operation without arguments parses, derives and runs: `wait()`
+    completes from both initial worlds (Done false or true)."""
+    path = tmp_path / "wait.sc"
+    path.write_text(WAIT_MODEL)
+    assert main(["enumerate", "--model", str(path), "--depth", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["1", "1", "1"]
+    assert main(["generate", "--model", str(path), "--depth", "1", "--strength", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["1", "1", "1", "2", "1"]
+    records = [json.loads(line)
+               for line in (tmp_path / "configs.jsonl").read_text().splitlines()]
+    assert [(r["task"], r["fluents"]) for r in records] == [("wait()", []),
+                                                            ("wait()", ["Done()"])]
 
 
 def test_generate_grounds_each_effect_condition_once(tmp_path, capsys, monkeypatch,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -267,7 +268,8 @@ def test_realize_accepts_exactly_the_worlds_its_grounded_wp_holds_in(
 def kitchen_choice_grammar(kitchen):
     """The kitchen grammar plus a choice between two actions, so tasks
     have more than one branch."""
-    return Grammar(kitchen.grammar + [GrammarRule("r_or", "T", ("[", "A", "|", "A", "]"))])
+    return Grammar(dataclasses.replace(
+        kitchen, grammar=kitchen.grammar + [GrammarRule("r_or", "T", ("[", "A", "|", "A", "]"))]))
 
 
 @pytest.mark.parametrize("name,grammar,depth",

@@ -1,15 +1,24 @@
+import dataclasses
 import random
 
 import pytest
 
+import tasks_oracle
+from robovalid import logic, tasks
+from robovalid.ctgen import build_model
 from robovalid.logic import ParseError
 from robovalid.tasks import (
-    Choice, Grammar, Op, Seq, enumerate_derivations, execute, format_task,
-    normalize, parse_task, run_branch,
+    Choice, Grammar, Op, Seq, TaskParser, enumerate_derivations, execute,
+    format_task, normalize, parse_task, run_branch,
 )
 from robovalid.tasks import Test as TaskTest
-from robovalid.theory import GrammarRule, GroundOp, progress
+from robovalid.theory import (
+    GrammarRule, GroundOp, TheoryError, enumerate_initial_worlds, load_model,
+    progress,
+)
 from tasks_oracle import branch_to_task, replay_derivation, traces
+
+from conftest import MODELS, WAIT_MODEL
 
 
 def test_parse_format_roundtrip(kitchen):
@@ -147,6 +156,123 @@ def test_putfrag_syntactic_tasks(putfrag, putfrag_grammar):
     assert len(set(tasks)) == 16
 
 
-def test_grammar_rejects_nonterminating():
+def test_grammar_rejects_nonterminating(kitchen):
     with pytest.raises(ValueError):
-        Grammar([GrammarRule("r1", "T", ("T",))])
+        Grammar(dataclasses.replace(kitchen, grammar=[GrammarRule("r1", "T", ("T",))]))
+
+
+# Two choices over the kitchen grammar: one between two actions, and one
+# between an action and nil, followed by a test and the rest of the task.
+CHOICE_RULES = [GrammarRule("r_or", "T", ("[", "A", "|", "A", "]")),
+                GrammarRule("r_orx", "T", tuple("[ [ A | nil ] ; [ G ? ; T ] ]".split()))]
+
+
+@pytest.fixture(scope="module")
+def choice_grammar(kitchen):
+    return Grammar(dataclasses.replace(kitchen, grammar=kitchen.grammar + CHOICE_RULES))
+
+
+@pytest.fixture(scope="module")
+def kitchen7_grammar(kitchen7):
+    return Grammar(kitchen7)
+
+
+@pytest.mark.parametrize("name,grammar,depths", [
+    ("kitchen", "kitchen_grammar", range(1, 9)),
+    ("kitchen7", "kitchen7_grammar", range(1, 7)),
+    ("putfrag", "putfrag_grammar", (1, 2, 3)),
+    ("tiny", "tiny_grammar", (6,)),
+    ("kitchen", "choice_grammar", (8,)),
+])
+def test_live_state_derivations_match_the_text_oracle(request, name, grammar, depths):
+    """Tasks built from the rules' fragments, with live states carried
+    down the derivation tree, give the oracle's (steps, task, worlds)
+    stream: every derivation's text parsed again and its task run at the
+    leaf from every world.  Without worlds the stream is its (steps,
+    task) pairs."""
+    theory = request.getfixturevalue(name)
+    grammar = request.getfixturevalue(grammar)
+    worlds = list(enumerate_initial_worlds(theory))
+    for depth in depths:
+        got = list(enumerate_derivations(grammar, depth, theory, worlds))
+        assert got == list(tasks_oracle.accomplishing_worlds(theory, grammar, depth, worlds))
+        assert list(enumerate_derivations(grammar, depth, theory)) == [
+            (steps, task) for steps, task, _ in got]
+
+
+def test_choice_grammar_runs_tests_after_choices(kitchen, kitchen_worlds, choice_grammar):
+    """The choice grammar's derivations reach choices, and tests after
+    choices, whose task completes in some worlds only, and choices after
+    the test `!IsOpen(o_b)@s`, which no world passes."""
+    sizes = {"r_or": set(), "r_orx": set()}
+    after_dead_test = []
+    for steps, _, sat in enumerate_derivations(choice_grammar, 8, kitchen, kitchen_worlds):
+        for rid in sizes:
+            if rid in steps:
+                sizes[rid].add(len(sat))
+        if steps[:4] == ("r_tst", "r_g2", "r_o1", "r_or"):
+            after_dead_test.append(sat)
+    assert all(any(0 < n < len(kitchen_worlds) for n in s) for s in sizes.values())
+    assert after_dead_test and not any(after_dead_test)
+
+
+def test_build_model_prints_and_parses_no_text(kitchen, monkeypatch):
+    """Generating builds every task from the compiled fragments: neither
+    the task parser nor the tokenizer runs once the grammar is compiled."""
+    grammar = Grammar(kitchen)
+
+    def refuse(*args):
+        raise AssertionError("text parsed while generating")
+    monkeypatch.setattr(TaskParser, "parse", refuse)
+    monkeypatch.setattr(logic, "tokenize", refuse)
+    monkeypatch.setattr(tasks, "tokenize", refuse)
+    model = build_model(kitchen, grammar, 6, 3)
+    assert (len(model.derivations), len(model.wp_worlds)) == (268, 24)
+
+
+@pytest.mark.parametrize("rules,message", [
+    # a right side that is only part of a task, finished by another rule
+    (["r_p: A ::= put ( O Z", "r_z: Z ::= , O )"],
+     r":\d+: grammar rule r_p: A ::= put \( O Z does not read as a task: "
+     r"nonterminal Z cannot stand here"),
+    (["r_p: A ::= put ( O , O"],
+     r":\d+: grammar rule r_p: A ::= put \( O , O does not read as a task: "
+     r"unexpected end of input"),
+    # O is an operation argument in r_open, and a task here
+    (["r_x: T ::= [ O ; T ]"],
+     r":\d+: grammar rule r_x: nonterminal O stands for both an object and a task"),
+    (["r_x: G ::= O"],
+     r":\d+: grammar rule r_x: nonterminal O stands for both an object and a test formula"),
+    # a test formula may stand only where a whole formula does: `! ( G )`
+    # is one, but in `! G` the text of G would bind to `!` alone
+    (["r_x: G ::= ! G"],
+     r":\d+: grammar rule r_x: G ::= ! G does not read as a test formula: "
+     r"expected atom at 'G'"),
+    # no kind, so no fragment, for a nonterminal the start symbol never reaches
+    (["r_x: Q ::= put ( O"],
+     r":\d+: grammar rule r_x: Q is not reached from the start symbol T"),
+])
+def test_a_rule_that_is_not_a_fragment_names_its_line(tmp_path, rules, message):
+    """The grammar compiles each rule's right side into one fragment; a
+    rule that is not one, or a nonterminal that stands for two kinds, is
+    a TheoryError naming the model line it compiles."""
+    text = (MODELS / "kitchen4.sc").read_text().replace(
+        "grammar: r_put: A ::= put ( O , O )\n", "")
+    path = tmp_path / "bad.sc"
+    path.write_text(text + "".join("grammar: %s\n" % r for r in rules))
+    theory = load_model(path)
+    with pytest.raises(TheoryError, match=message) as exc:
+        Grammar(theory)
+    line = int(str(exc.value).split(":")[1])
+    assert path.read_text().splitlines()[line - 1].startswith("grammar: ")
+
+
+def test_zero_ary_operation_parses(tmp_path):
+    path = tmp_path / "wait.sc"
+    path.write_text(WAIT_MODEL)
+    theory = load_model(path)
+    assert parse_task("wait()", theory) == Op(GroundOp("wait", ()))
+    assert parse_task("[wait() ; wait()]", theory) == Seq(Op(GroundOp("wait", ())),
+                                                          Op(GroundOp("wait", ())))
+    with pytest.raises(ParseError, match="^operation wait\\(a\\): "):
+        parse_task("wait(a)", theory)

@@ -1,17 +1,21 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tasks_oracle
 import theory_oracle
 from conftest import TINY_MODEL
-from robovalid.logic import Do, S0, anchor, evaluate, parse_formula, peval
+from robovalid.logic import (
+    Do, PAnd, PEq, PNot, POr, S0, anchor, evaluate, parse_formula, peval,
+)
 from robovalid.tasks import Op, run_branch
 from robovalid.tasks import Test as TaskTest
 from robovalid.theory import (
     GroundOp, GroundedOp, ModelError, PreconditionViolation, StateView,
-    WorldState, compute_derived, enumerate_initial_worlds, ground_op,
+    WorldState, apply_op, compute_derived, enumerate_initial_worlds, ground_op,
     ground_primitive, load_model, parse_ground_atom, possible, progress,
-    satisfies_init,
+    satisfies_init, state_truth,
 )
 
 
@@ -233,23 +237,92 @@ def test_axioms_grounded_once_agree_with_satisfies_init(oracle_theories, data):
 
 @pytest.mark.parametrize("name", ["kitchen", "putfrag", "switch", "kitchen7"])
 def test_ground_op_effects_match_per_atom_oracle(request, name):
-    """Every effect `ground_op` keeps equals the effect conditions grounded
-    atom by atom after substituting the atom's arguments, and every atom
-    it leaves out has a gamma+ and a gamma- that ground to constant
-    false, so the operation cannot change it."""
+    """`ground_op` keeps exactly the atoms whose effect conditions, grounded
+    atom by atom after substituting the atom's arguments and folding the
+    operation in, are not both constant false, in the oracle's order.
+    Under the step's overlay each kept condition has the oracle's value
+    on every assignment of the state atoms the two mention."""
     theory = request.getfixturevalue(name)
     dropped = 0
     for op in theory.ground_ops():
-        got = ground_op(theory, op).effects
+        step = ground_op(theory, op)
+        got = step.effects
         want = theory_oracle.ground_effects(theory, op)
         assert list(got) == [atom for atom in want if atom in got]
         for atom, gammas in want.items():
             constant_false = all(peval(g, {}) is False for g in gammas)
             assert (atom not in got) == constant_false, (op, atom)
-            if atom in got:
-                assert got[atom] == gammas, (op, atom)
+            if atom not in got:
+                continue
+            atoms = sorted({p for g in gammas + got[atom] for p in _params(g)
+                            if not isinstance(p, GroundOp)})
+            for values in itertools.product((False, True), repeat=len(atoms)):
+                truth = dict(zip(atoms, values))
+                assert ([peval(g, {**truth, **step.overlay}) for g in got[atom]]
+                        == [peval(g, truth) for g in gammas]), (op, atom, truth)
         dropped += len(want) - len(got)
     assert dropped > 0
+
+
+def _params(phi):
+    """The atoms a grounded formula reads."""
+    if isinstance(phi, PEq):
+        return {phi.param}
+    if isinstance(phi, PNot):
+        return _params(phi.body)
+    if isinstance(phi, (PAnd, POr)):
+        return set().union(*map(_params, phi.parts))
+    return set()
+
+
+def _states(theory, neighbours: bool):
+    """The states reachable from the initial worlds by any operations, in
+    a fixed order, and with `neighbours` every state one atom away from
+    one of them too."""
+    seen = {w: None for w in enumerate_initial_worlds(theory)}
+    frontier = list(seen)
+    while frontier:
+        state = frontier.pop()
+        for op in theory.ground_ops():
+            if possible(theory, state, op):
+                nxt = progress(theory, state, op)
+                if nxt not in seen:
+                    seen[nxt] = None
+                    frontier.append(nxt)
+    if neighbours:
+        for state in list(seen):
+            for atom in theory.all_primitive_atoms():
+                seen.setdefault(WorldState(state.true_atoms ^ {atom}))
+    return list(seen)
+
+
+@pytest.mark.parametrize("name", ["kitchen", "kitchen7", "switch"])
+def test_grounded_steps_match_the_per_atom_oracle_on_every_state(request, name):
+    """Each grounded operation, applied over a state's truth with its
+    overlay, gives the state the per-atom oracle gives, or is not possible
+    where the oracle's precondition fails.  The switch theory is checked
+    on every state; kitchen4 on its reachable states and every state one
+    atom away from them; kitchen7 on its reachable states."""
+    theory = request.getfixturevalue(name)
+    atoms = theory.all_primitive_atoms()
+    if name == "switch":
+        states = [WorldState(frozenset(a for a, v in zip(atoms, values) if v))
+                  for values in itertools.product((False, True), repeat=len(atoms))]
+    else:
+        states = _states(theory, neighbours=name == "kitchen")
+    steps = [ground_op(theory, op) for op in theory.ground_ops()]
+    ran = 0
+    for state in states:
+        truth = state_truth(theory, state)
+        for step in steps:
+            want = _outcome(tasks_oracle.progress, theory, state, step.op)
+            try:
+                got = apply_op(step, state, truth)
+            except PreconditionViolation:
+                got = PreconditionViolation
+            assert got == want, (state, step.op)
+            ran += want is not PreconditionViolation
+    assert ran > len(states)
 
 
 _TESTS = {"kitchen": ["IsOpen(o_m)@s", "exists x . In(x,o_m)@s"],

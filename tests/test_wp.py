@@ -198,7 +198,7 @@ def test_wp_equals_execution_with_a_derived_effect_condition(derived_gamma_path,
     tau = parse_task(DERIVED_GAMMA_TASK, theory)
     phi = wp(TRUE, tau, theory).formula
     assert any(holds_at(phi, theory, w) for w in kitchen_worlds)
-    tasks = [tau] + [t for _, t in enumerate_derivations(Grammar(theory.grammar), 5, theory)]
+    tasks = [tau] + [t for _, t in enumerate_derivations(Grammar(theory), 5, theory)]
     for task in tasks:
         phi = wp(TRUE, task, theory).formula
         assert ([holds_at(phi, theory, w) for w in kitchen_worlds]
