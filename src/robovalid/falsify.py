@@ -5,6 +5,10 @@ hypercube batch seeds the incumbent, then (1+1)-style local perturbation
 with an adaptive step (halved on failure, doubled on success) and
 restarts on stagnation.  Everything is driven by one seeded RNG, so runs
 are reproducible.
+
+A sample that cannot beat the incumbent costs no trace and no monitor
+pass: a lower bound on its robustness, from the state after each
+operation, already shows it (see `falsify`).
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from .ctgen import Configuration, CtError
 from .logic import LogicError
 from .sim import (
     InstantiationError, Scenario, ScenarioSample, SimError, box_dimension,
-    instantiate, run_policy,
+    checkpoint_rows, instantiate, run_policy,
 )
 from .stl import (
-    Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, robustness,
-    synthesize,
+    Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, checkpoint_bound,
+    robustness, synthesize,
 )
 from .tasks import format_task
 from .theory import ActionTheory, TheoryError
@@ -68,11 +72,30 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     unit box, with at most `budget` evaluations and an RNG seeded by `seed`.
 
     Stops early at the first strictly negative, non-truncated robustness.
-    Truncated traces are evaluated but can never count as falsified.
+    A result the monitor reports truncated, because some window ends
+    past the horizon, is clamped at zero, so it never counts as
+    falsified; a run the horizon cuts short while the monitor sees every
+    sample it needs is a missed deadline, and counts.
 
     Every instantiation is checked against `spec.initial`, chi of the
     initial world.  The spec's monitor is built once, from the first
     trace, since every trace has the same sample times.
+
+    Once there is an incumbent, a sample is first bounded from below:
+    `sim.checkpoint_rows` runs each operation of the first branch to
+    completion and `stl.checkpoint_bound` takes the least chi margin at
+    those rows.  A sample whose bound is at least the incumbent's
+    robustness returns the bound, counted as an evaluation, and its
+    trace is neither simulated nor monitored.  Its exact robustness, or
+    the clamped value, is at least the bound, or NaN.  The incumbent's
+    robustness is at least 0 while the search runs, so either value
+    fails every comparison the search makes with it (`< best_rho`,
+    `< before`, `< 0`), as the bound does: the points, the RNG draws,
+    the counts and the result are those of evaluating every sample in
+    full.  So are the errors: the monitor's depend only on the spec and
+    the sample times, and surface at the first feasible evaluation, which
+    always runs in full, and `checkpoint_rows` raises only what
+    `run_policy` would raise on the same sample.
     """
     if budget < 1:
         raise FalsificationError("budget must be at least 1")
@@ -91,7 +114,8 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     best_trace: Optional[Trace] = None
 
     def evaluate(point: tuple[float, ...]) -> float:
-        """The point's robustness, or infinity if it cannot be instantiated."""
+        """The point's robustness, a lower bound on it that cannot beat the
+        incumbent, or infinity if the point cannot be instantiated."""
         nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
@@ -99,11 +123,16 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
         except InstantiationError:
             infeasible += 1
             return math.inf
-        trace, truncated = run_policy(scn, sample, ops, _SAMPLE_DT, horizon)
+        if best_sample is not None:
+            rows = checkpoint_rows(scn, sample, ops, _SAMPLE_DT, horizon)
+            bound = None if rows is None else checkpoint_bound(spec, monitor.times, rows)
+            if bound is not None and bound >= best_rho:
+                return bound
+        trace, _ = run_policy(scn, sample, ops, _SAMPLE_DT, horizon)
         if monitor is None:
             monitor = Monitor(spec.formula, trace.times)
         r = robustness(monitor, trace)
-        effective = r.value if not (truncated or r.truncated) else max(r.value, 0.0)
+        effective = max(r.value, 0.0) if r.truncated else r.value
         # the first feasible point is the incumbent even at +inf, the
         # robustness of a `true` spec
         if effective < best_rho or best_sample is None:

@@ -397,24 +397,12 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     in `scn.pairs`.  Returns the fixed-rate trace and a truncation flag
     set when the horizon ends before the last operation completes.
     """
-    if dt <= 0 or horizon < 0:
-        raise SimError("dt must be positive and horizon nonnegative")
     knobs = sample.q0.knobs
-    ts = knobs["timingScale"]
-
-    schedule: list[tuple[GroundOp, float, float]] = []
-    start = 0.0
-    for op in ops:
-        if op.name not in _OP_DURATION:
-            raise SimError("no controller for operation %s" % op.name)
-        dur = _OP_DURATION[op.name] * ts
-        schedule.append((op, start, start + dur))
-        start += dur + _DWELL * ts
+    schedule, n = _schedule(ops, knobs["timingScale"], dt, horizon)
     truncated = bool(schedule) and horizon < schedule[-1][2]
 
     state = sample.q0.copy()
     parents = dict(sample.parents)
-    n = int(math.floor(horizon / dt + 1e-9)) + 1
     rows: list[dict[str, float]] = []  # len(rows) is the next sample's index
     held = sample.signals  # the signals of `state`
     for op, start, end in schedule:
@@ -436,6 +424,52 @@ def run_policy(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
     rows.extend([held] * (n - len(rows)))
     columns = zip(*[row.values() for row in rows])
     return Trace(tuple(i * dt for i in range(n)), dict(zip(rows[0], columns))), truncated
+
+
+def _schedule(ops: list[GroundOp], ts: float, dt: float,
+              horizon: float) -> tuple[list[tuple[GroundOp, float, float]], int]:
+    """Each operation with the start and end of its stroke, at timing
+    scale `ts`, and the number of samples up to the horizon.  The strokes
+    run in order, each followed by a dwell."""
+    if dt <= 0 or horizon < 0:
+        raise SimError("dt must be positive and horizon nonnegative")
+    schedule: list[tuple[GroundOp, float, float]] = []
+    start = 0.0
+    for op in ops:
+        if op.name not in _OP_DURATION:
+            raise SimError("no controller for operation %s" % op.name)
+        dur = _OP_DURATION[op.name] * ts
+        schedule.append((op, start, start + dur))
+        start += dur + _DWELL * ts
+    return schedule, int(math.floor(horizon / dt + 1e-9)) + 1
+
+
+def checkpoint_rows(scn: Scenario, sample: ScenarioSample, ops: list[GroundOp],
+                    dt: float, horizon: float) -> Optional[list[tuple[int, dict[str, float]]]]:
+    """For each operation, the index of the first sample at or after the
+    end of its stroke and the signals `run_policy`'s trace holds there:
+    each operation runs straight to completion from the state the
+    previous one left, with the calls `run_policy` makes to finalize it.
+    None when some such index is past the horizon or not before the next
+    stroke starts, where the trace holds no finalized row for it.  Raises
+    only errors `run_policy` raises on the same arguments."""
+    knobs = sample.q0.knobs
+    schedule, n = _schedule(ops, knobs["timingScale"], dt, horizon)
+    state = sample.q0.copy()
+    parents = dict(sample.parents)
+    held = sample.signals
+    out: list[tuple[int, dict[str, float]]] = []
+    i = 0
+    for k, (op, _, end) in enumerate(schedule):
+        while i < n and i * dt < end:
+            i += 1
+        if i == n or (k + 1 < len(schedule) and not i * dt < schedule[k + 1][1]):
+            return None
+        cap = _capture(scn, state, parents, knobs, op)
+        held = dict(held)
+        _refresh(scn, state, held, _apply(state, op, cap, 1.0, parents, final=True))
+        out.append((i, held))
+    return out
 
 
 def _capture(scn: Scenario, state: ConcreteState, parents: dict[str, Optional[str]],

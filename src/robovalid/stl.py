@@ -31,7 +31,7 @@ import string
 from dataclasses import dataclass
 from itertools import repeat
 from operator import is_
-from typing import Union
+from typing import Optional, Union
 
 from .ctgen import Configuration
 from .tasks import Op, normalize, run_branch
@@ -685,3 +685,39 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
     top = specs[0].formula if len(specs) == 1 else SOr(tuple(s.formula for s in specs))
     return SpecSynthesisResult(top, tuple(specs), delta_t,
                                chi(theory, config.initial_world, pmap))
+
+
+def checkpoint_bound(spec: SpecSynthesisResult, times: tuple[float, ...],
+                     rows: list[tuple[int, dict[str, float]]]) -> Optional[float]:
+    """A lower bound on the robustness of `spec.formula` at time 0 over any
+    trace sampled at `times` whose row at each index of `rows`, one per
+    checkpoint of the first branch, holds that row's signals; or None.
+
+    The bound is the least margin of the checkpoints' chi literals at
+    their rows, an `SNot` negating its atom's.  It holds because an
+    Eventually is at least its body at any point of its window, an And
+    is the least of its operands and the disjunction of the branches is
+    at least its first.  So each checkpoint's time must lie in the window
+    its enclosing Eventually opens at the previous one's time, computed
+    as `_window_times` computes it; otherwise there is no bound.  Nor is
+    there one when some margin is NaN, which `min` and `max` do not
+    order."""
+    branch = spec.branches[0]
+    bound, t, ev = math.inf, 0.0, branch.formula
+    for k, ((_, ck), (i, signals)) in enumerate(zip(branch.checkpoints, rows)):
+        if k:
+            ev = ev.body.parts[1]  # the Eventually `synthesize` nests after ck
+        u = times[i]
+        if not t + ev.lo <= u <= t + ev.hi:
+            return None
+        for lit in ck.parts:
+            if isinstance(lit, SNot):
+                m = -lit.body.margin(signals[lit.body.signal])
+            else:
+                m = lit.margin(signals[lit.signal])
+            if m != m:
+                return None
+            if m < bound:
+                bound = m
+        t = u
+    return bound

@@ -147,23 +147,40 @@ def test_generate_writes_the_golden_configs(tmp_path, capsys, depth, strength):
 
 
 # sha256 of every file `falsify` writes for the 52 frozen depth-8
-# configurations over a door-torque range, as the CI step runs it
+# configurations over a door-torque range, as the CI steps run it at
+# seeds 0 and 7
 FALSIFY_TORQUE_SHA256 = json.loads(
     (ROOT / "tests" / "golden" / "kitchen4_falsify_d8_torque_sha256.json").read_text())
+FALSIFY_TORQUE_SEED7_SHA256 = json.loads(
+    (ROOT / "tests" / "golden" / "kitchen4_falsify_d8_torque_seed7_sha256.json").read_text())
+
+
+def _falsify_torque_run(tmp_path, capsys, seed: int) -> tuple[str, dict[str, str]]:
+    """The summary line and the sha256 of each written file of the frozen
+    configurations' torque run at `seed`."""
+    assert main(["falsify", "--model", KITCHEN, "--configs",
+                 str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl"),
+                 "--pmap", PMAP, "--scenario", SCENARIO, "--budget", "25",
+                 "--seed", str(seed), "--knob", "doorTorqueLimit=0.4:2.0",
+                 "--out", str(tmp_path)]) == 0
+    return (capsys.readouterr().out.splitlines()[0],
+            {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(tmp_path.iterdir())})
 
 
 def test_falsify_writes_the_golden_report_and_traces(tmp_path, capsys):
     """The concrete layer's bytes are fixed: `report.json` and each
     counterexample trace of the frozen configurations' torque run."""
-    assert main(["falsify", "--model", KITCHEN, "--configs",
-                 str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl"),
-                 "--pmap", PMAP, "--scenario", SCENARIO, "--budget", "25", "--seed", "0",
-                 "--knob", "doorTorqueLimit=0.4:2.0", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == \
-        "falsified 4 / passed 48 / errors 0 of 52 configurations"
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.iterdir())}
-    assert written == FALSIFY_TORQUE_SHA256
+    assert _falsify_torque_run(tmp_path, capsys, 0) == (
+        "falsified 4 / passed 48 / errors 0 of 52 configurations", FALSIFY_TORQUE_SHA256)
+
+
+def test_falsify_at_seed_7_writes_the_golden_report_and_traces(tmp_path, capsys):
+    """The same run at seed 7, whose searches improve their incumbents
+    mid-search, so the incumbent that bounds each sample changes."""
+    assert _falsify_torque_run(tmp_path, capsys, 7) == (
+        "falsified 8 / passed 44 / errors 0 of 52 configurations",
+        FALSIFY_TORQUE_SEED7_SHA256)
 
 
 def test_knob_override_rejects_unknown(tmp_path):

@@ -4,11 +4,14 @@ import math
 
 import pytest
 
+import falsify_oracle
 from robovalid import ctgen, falsify as falsify_module, sim, tasks
 from robovalid.falsify import (
     FalsificationError, FalsificationResult, campaign, falsify, summarize,
 )
-from robovalid.stl import PredicateMap, PredicateTemplate, STrue, robustness, synthesize
+from robovalid.stl import (
+    PredicateMap, PredicateTemplate, STrue, StlError, robustness, synthesize,
+)
 from robovalid.tasks import Op, format_task, normalize, parse_task
 
 
@@ -125,6 +128,97 @@ def test_truncated_never_falsified(kitchen_configs, kitchen, fault_scenario, pma
     res = falsify(cfg, spec, fault_scenario, 10, 0)
     assert robustness(spec.formula, res.best_trace).truncated
     assert res.status == "passed-budget-exhausted"
+
+
+def test_missed_deadline_is_falsified(kitchen, kitchen_worlds, scenario, pmap):
+    """At timingScale 2.0 a put takes 6 s against a 5 s window.  The
+    horizon cuts the run short, yet the monitor sees every sample its
+    window needs, so the result is not truncated: the deadline is
+    missed, and the robustness is reported as it is, not clamped at 0."""
+    slow = sim.Scenario(scenario.objects, scenario.workspace,
+                        dict(scenario.policy_ranges, timingScale=(2.0, 2.0)))
+    task = parse_task("put(o_p,o_t)", kitchen)
+    cfg = next(c for c in (ctgen.Configuration(w, task, ()) for w in kitchen_worlds)
+               if {("Loc", ("o_p", "o_m")), ("Loc", ("o_b", "o_t")), ("IsOpen", ("o_m",))}
+               <= c.initial_world.true_atoms)
+    spec = synthesize(cfg, kitchen, pmap, {})
+    assert spec.delta_t == 5.0
+    res = falsify(cfg, spec, slow, 25, 0)
+    _, cut = sim.run_policy(slow, res.best_sample, list(spec.branches[0].ops), 0.25, 5.0)
+    r = robustness(spec.formula, res.best_trace)
+    assert cut and not r.truncated
+    assert res.status == "falsified"
+    assert res.best_robustness == r.value == pytest.approx(-0.015)
+
+
+def _fields(run, cfg, spec, scn, budget, seed):
+    """Every field of the `FalsificationResult`, with floats in hex, which
+    tells 0.0 from -0.0; or the domain error's type and text."""
+    try:
+        res = run(cfg, spec, scn, budget, seed)
+    except (FalsificationError, sim.SimError, StlError) as e:
+        return type(e), str(e)
+    trace = res.best_trace
+    return (res.status, res.best_robustness.hex(), res.best_sample.sample_point,
+            res.evaluations, res.infeasible,
+            [t.hex() for t in trace.times],
+            {name: [v.hex() for v in col] for name, col in trace.signals.items()})
+
+
+def _ranges(scn, **ranges):
+    return sim.Scenario(scn.objects, scn.workspace, dict(scn.policy_ranges, **ranges))
+
+
+@pytest.mark.parametrize("configs, scn, seed", [
+    ("frozen", "healthy", 0), ("frozen", "healthy", 7),
+    ("frozen", "torque", 0), ("frozen", "torque", 7),
+    ("frozen", "timing", 0), ("frozen", "threshold", 0), ("frozen", "threshold", 7),
+    ("depth4", "fault", 0), ("depth4", "fault", 7),
+])
+def test_falsify_matches_the_full_evaluation_oracle(frozen_configs, kitchen_configs,
+                                                    kitchen, scenario, fault_scenario,
+                                                    pmap, configs, scn, seed):
+    """Skipping the trace and the monitor for samples whose lower bound
+    cannot beat the incumbent changes no field of any result against
+    the loop that evaluates every sample in full: on the 52 frozen
+    depth-8 configurations, healthy, over a door-torque range (which
+    finds improvements mid-search), over the whole timingScale range
+    (where horizons cut runs short) and over a door-torque range whose
+    doors all open to within 0.01 degrees above the 80-degree threshold
+    (so the robustness varies with the sample and the incumbent improves
+    while staying at least 0), and on kitchen4's depth-4 configurations
+    under the door fault.  Seeds per configuration follow `campaign`."""
+    scn = {"healthy": scenario, "fault": fault_scenario,
+           "torque": _ranges(scenario, doorTorqueLimit=(0.4, 2.0)),
+           "timing": _ranges(scenario, timingScale=(0.5, 2.0)),
+           "threshold": _ranges(scenario, doorTorqueLimit=(0.44445, 0.4445))}[scn]
+    memo: dict = {}
+    for i, cfg in enumerate(frozen_configs if configs == "frozen" else kitchen_configs):
+        spec = synthesize(cfg, kitchen, pmap, memo)
+        assert _fields(falsify, cfg, spec, scn, 25, seed + i) == \
+            _fields(falsify_oracle.falsify, cfg, spec, scn, 25, seed + i)
+
+
+def test_samples_that_cannot_beat_the_incumbent_are_not_simulated(
+        frozen_configs, kitchen, scenario, pmap, monkeypatch):
+    """On every fourth frozen configuration, healthy at seed 0, the policy
+    runs and the monitor evaluates only for the samples that improve the
+    incumbent: 13 of the 325 evaluations."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(falsify_module, "run_policy",
+                        counted("run_policy", falsify_module.run_policy))
+    monkeypatch.setattr(falsify_module, "robustness",
+                        counted("robustness", falsify_module.robustness))
+    entries = [e for e, _ in campaign(frozen_configs[::4], kitchen, scenario, pmap, 25, 0)]
+    assert sum(e.evaluations for e in entries) == 325
+    assert calls == {"run_policy": 13, "robustness": 13}
 
 
 def test_campaign_survives_and_summarizes(kitchen_configs, kitchen,

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import sim_oracle
 from robovalid import sim
 from robovalid.sim import (
-    InstantiationError, Scenario, box_dimension, instantiate, run_policy,
-    signal_values,
+    InstantiationError, Scenario, box_dimension, checkpoint_rows, instantiate,
+    run_policy, signal_values,
 )
 from robovalid.stl import Atom, SAnd, SNot, StlError, Trace, bool_sat, chi
 from robovalid.theory import GroundOp, WorldState
@@ -191,6 +191,81 @@ def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenar
     assert _outcome(run_policy, wide, s, ops, dt, horizon) == \
         _outcome(sim_oracle.run_policy, wide, s, ops, dt, horizon)
     assert s.signals == signal_values(wide, s.q0)
+
+
+def _finalized_rows(times, ops, ts):
+    """Per operation, the index of the first sample at or after its
+    stroke's end, with the schedule's float expressions; None when some
+    operation has no such sample before the next stroke starts."""
+    out, start = [], 0.0
+    for k, op in enumerate(ops):
+        dur = sim._OP_DURATION[op.name] * ts
+        end = start + dur
+        start += dur + sim._DWELL * ts
+        i = next((i for i, t in enumerate(times) if t >= end), None)
+        if i is None or (k + 1 < len(ops) and not times[i] < start):
+            return None
+        out.append(i)
+    return out
+
+
+CHECKPOINT_TASKS = [
+    [GroundOp("open", ("o_m",))],
+    [GroundOp("put", ("o_p", "o_t"))],  # carries the bread where it starts on the plate
+    [GroundOp("turn_on", ("o_m",))],
+    [GroundOp("open", ("o_m",)), GroundOp("put", ("o_p", "o_m"))],
+    [GroundOp("put", ("o_b", "o_p")), GroundOp("put", ("o_p", "o_t"))],
+    [GroundOp("put", ("o_b", "o_t")), GroundOp("open", ("o_t",))],  # o_t has no door
+]
+
+
+@pytest.mark.parametrize("ts", [0.5, 2.0])
+def test_checkpoint_rows_are_the_trace_rows(kitchen, kitchen_worlds, scenario, pmap, ts):
+    """At seeded random points, on 1- and 2-operation tasks, each returned
+    (index, signals) is the trace row at that index bit for bit, and the
+    result is None exactly when the trace holds no finalized row for some
+    operation: past the horizon, which is the task's as `falsify` sets it
+    or a random one, or, with a sample period longer than the dwell, at
+    or after the next stroke's start.  An operation the controllers
+    cannot run raises the SimError `run_policy` raises, or gives None
+    where `run_policy` never reaches it."""
+    scn = Scenario(scenario.objects, scenario.workspace,
+                   dict(scenario.policy_ranges, timingScale=(ts, ts)))
+    rng = random.Random(int(ts * 10))
+    seen = {"rows": 0, "none": 0, "carried": 0, "error": 0}
+    for ops in CHECKPOINT_TASKS:
+        for _ in range(60):
+            w = rng.choice(kitchen_worlds)
+            point = tuple(rng.random() for _ in range(box_dimension(scn)))
+            try:
+                s = instantiate(w, scn, chi(kitchen, w, pmap), point)
+            except InstantiationError:
+                continue
+            horizon = rng.choice([len(ops) * 5.0, rng.uniform(0.0, 12.0)])
+            dt = rng.choice([0.25, 0.25, 0.7, 1.0])
+            try:
+                rows = checkpoint_rows(scn, s, ops, dt, horizon)
+            except sim.SimError as e:
+                rows = str(e)
+            try:
+                trace, _ = run_policy(scn, s, ops, dt, horizon)
+            except sim.SimError as e:
+                assert rows in (None, str(e))
+                seen["error"] += 1
+                continue
+            want = _finalized_rows(trace.times, ops, ts)
+            if want is None:
+                assert rows is None
+                seen["none"] += 1
+                continue
+            assert [i for i, _ in rows] == want
+            for i, signals in rows:
+                assert {n: v.hex() for n, v in signals.items()} == \
+                    {n: col[i].hex() for n, col in trace.signals.items()}
+            seen["rows"] += 1
+            seen["carried"] += any(op.name == "put" and s.parents.get("o_b") == op.args[0]
+                                   for op in ops)
+    assert min(seen.values()) > 0, seen
 
 
 def _roundtrip_outcome(check, scn, chi_w0, state):

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stl_oracle
-from robovalid import sim, stl
+from robovalid import ctgen, sim, stl
 from robovalid.stl import (
-    Always, Atom, Eventually, RobustnessResult, SAnd, SNot, SOr, STrue,
-    StlError, Trace, TruncationError, bool_sat, chi, format_stl,
-    load_pmap, robustness, synthesize,
+    Always, Atom, Eventually, PredicateMap, RobustnessResult, SAnd, SNot, SOr,
+    STrue, StlError, Trace, TruncationError, bool_sat, checkpoint_bound, chi,
+    format_stl, load_pmap, robustness, synthesize,
 )
-from robovalid.tasks import format_task
+from robovalid.tasks import format_task, parse_task
 from robovalid.theory import WorldState, progress
 
 
@@ -640,6 +641,73 @@ def test_synthesize_checkpoints_match_progress(kitchen, kitchen_grammar, pmap):
             for (i, ck), op in zip(br.checkpoints, br.ops):
                 state = progress(kitchen, state, op)
                 assert ck == chi(kitchen, state, pmap)
+
+
+BOUND_TASKS = ["open(o_m)", "put(o_p,o_t)", "[close(o_m) ; turn_on(o_m)]",
+               "[put(o_b,o_p) ; put(o_p,o_t)]", "[open(o_m) | put(o_b,o_p)]"]
+
+
+@pytest.mark.parametrize("delta_t", [5.0, 1.9, 0.1])
+def test_checkpoint_bound_never_exceeds_the_monitor(kitchen, kitchen_worlds, scenario,
+                                                    pmap, delta_t):
+    """At seeded random points, with timingScale 0.5, 1.0 and 2.0, the
+    bound from `sim.checkpoint_rows` never exceeds the robustness of the
+    whole spec, over 1- and 2-operation tasks, a put that carries an
+    object and a task with a choice, whose spec is an `SOr`.  At 1.9 s
+    the monitor truncates and a 2 s close overruns its window, where
+    there is no bound; at 0.1 s, as in `test_truncated_never_falsified`,
+    no operation ends within the horizon."""
+    rng = random.Random(delta_t)
+    seen = collections.Counter()
+    for text in BOUND_TASKS:
+        task = parse_task(text, kitchen)
+        for w in kitchen_worlds:
+            try:
+                spec = synthesize(ctgen.Configuration(w, task, ()), kitchen,
+                                  PredicateMap(pmap.templates, delta_t), {})
+            except StlError:
+                continue
+            ops = list(spec.branches[0].ops)
+            horizon = max(len(ops), 1) * delta_t
+            for ts in (0.5, 1.0, 2.0):
+                scn = sim.Scenario(scenario.objects, scenario.workspace,
+                                   dict(scenario.policy_ranges, timingScale=(ts, ts)))
+                for _ in range(4):
+                    point = tuple(rng.random() for _ in range(sim.box_dimension(scn)))
+                    try:
+                        sample = sim.instantiate(w, scn, spec.initial, point)
+                    except sim.InstantiationError:
+                        continue
+                    trace, _ = sim.run_policy(scn, sample, ops, 0.25, horizon)
+                    r = robustness(spec.formula, trace)
+                    rows = sim.checkpoint_rows(scn, sample, ops, 0.25, horizon)
+                    bound = None if rows is None else checkpoint_bound(spec, trace.times, rows)
+                    if bound is None:
+                        seen["no rows" if rows is None else "no bound"] += 1
+                        continue
+                    assert bound <= r.value
+                    seen["bound"] += 1
+                    seen["or"] += isinstance(spec.formula, SOr)
+                    seen["truncated"] += r.truncated
+    want = {5.0: ("bound", "or"), 1.9: ("bound", "truncated", "no bound"),
+            0.1: ("no rows",)}[delta_t]
+    assert all(seen[k] for k in want), seen
+    assert delta_t != 0.1 or set(seen) == {"no rows"}, seen
+
+
+def test_checkpoint_bound_of_a_nan_margin_is_none(kitchen, kitchen_worlds, scenario, pmap):
+    """`min` and `max` do not order NaN, so a NaN margin gives no bound."""
+    w = next(w for w in kitchen_worlds if ("IsOpen", ("o_m",)) not in w.true_atoms)
+    spec = synthesize(ctgen.Configuration(w, parse_task("open(o_m)", kitchen), ()),
+                      kitchen, pmap, {})
+    sample = sim.instantiate(w, scenario, spec.initial, (0.5,) * sim.box_dimension(scenario))
+    ops = list(spec.branches[0].ops)
+    trace, _ = sim.run_policy(scenario, sample, ops, 0.25, 5.0)
+    rows = sim.checkpoint_rows(scenario, sample, ops, 0.25, 5.0)
+    assert checkpoint_bound(spec, trace.times, rows) > 0
+    (i, signals), = rows
+    assert checkpoint_bound(spec, trace.times, [(i, dict(signals, running_o_b=math.nan))]) \
+        is None
 
 
 def test_pmap_parse_errors(tmp_path):
