@@ -55,8 +55,10 @@ def _write_configs(out_dir, configs) -> str:
 def _load_configs(path, theory) -> list[ctgen.Configuration]:
     """The configurations of a configs.jsonl file; a malformed line, or a
     world that is not an initial world of the model, is a CtError naming
-    its path and line."""
+    its path and line.  Each distinct world is checked against the
+    initial axioms once."""
     primitive = frozenset(theory.all_primitive_atoms())
+    initial: dict[frozenset, bool] = {}  # satisfies_init per world
     out = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -69,7 +71,10 @@ def _load_configs(path, theory) -> list[ctgen.Configuration]:
                 if unknown:
                     raise ValueError("%s is not a primitive fluent atom of the model"
                                      % _atom_str(unknown[0]))
-                if not satisfies_init(theory, w0):
+                ok = initial.get(w0.true_atoms)
+                if ok is None:
+                    ok = initial[w0.true_atoms] = satisfies_init(theory, w0)
+                if not ok:
                     raise ValueError("the world does not satisfy the initial axioms")
                 task = parse_task(rec["task"], theory)
                 out.append(ctgen.Configuration(w0, task, tuple(rec["assignment"])))

@@ -21,7 +21,7 @@ from typing import Optional
 from .ctgen import Configuration, CtError
 from .logic import LogicError
 from .sim import (
-    InstantiationError, Scenario, ScenarioSample, SimError, box_dimension,
+    InstantiationError, InstantiationPlan, Scenario, ScenarioSample, SimError,
     checkpoint_rows, instantiate, run_policy,
 )
 from .stl import (
@@ -77,9 +77,11 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     falsified; a run the horizon cuts short while the monitor sees every
     sample it needs is a missed deadline, and counts.
 
-    Every instantiation is checked against `spec.initial`, chi of the
-    initial world.  The spec's monitor is built once, from the first
-    trace, since every trace has the same sample times.
+    What the configuration fixes is built once per call: the
+    instantiation plan of its initial world (`sim.InstantiationPlan`),
+    and the spec's monitor, from the first trace, since every trace has
+    the same sample times.  Every instantiation is checked against
+    `spec.initial_table`, chi of the initial world as a literal table.
 
     Once there is an incumbent, a sample is first bounded from below:
     `sim.checkpoint_rows` runs each operation of the first branch to
@@ -103,7 +105,8 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     # the spec is their disjunction, so a violation is still a violation
     ops = list(spec.branches[0].ops)
     horizon = max(len(ops), 1) * spec.delta_t
-    d = box_dimension(scn)
+    plan = InstantiationPlan(config.initial_world, scn)
+    d = plan.dimension
     rng = random.Random(seed)
     monitor: Optional[Monitor] = None
 
@@ -119,7 +122,7 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
         nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
-            sample = instantiate(config.initial_world, scn, spec.initial, point)
+            sample = instantiate(plan, spec.initial_table, point)
         except InstantiationError:
             infeasible += 1
             return math.inf

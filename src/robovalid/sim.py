@@ -12,9 +12,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import le
 from typing import Optional
 
-from .stl import SAnd, SNot, StlError, Trace, format_stl
+from .stl import LiteralTable, SNot, StlError, Trace, format_stl
 from .theory import GroundOp, WorldState
 
 
@@ -91,8 +93,9 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """The scenario of a JSON file; bad JSON, a missing key or a value of
-    the wrong type is a SimError naming the file."""
+    """The scenario of a JSON file; bad JSON, a missing or unknown key, a
+    value of the wrong type or a zone for an object that is not movable
+    is a SimError naming the file."""
     try:
         with open(path) as f:
             return _scenario(json.load(f))
@@ -114,36 +117,63 @@ def _numbers(value, n: int) -> tuple[float, ...]:
     return tuple(_number(v) for v in value)
 
 
+def _known(raw: dict, keys: tuple[str, ...], where: str) -> dict:
+    """`raw`, whose keys must be among `keys`: a misspelt optional key
+    would otherwise read as its default."""
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise SimError("unknown key %r in %s" % (unknown[0], where))
+    return raw
+
+
+_OBJECT_KEYS = ("fixed", "position", "height", "support", "region", "zones",
+                "zone_radius", "door")
+
+
 def _scenario(raw: dict) -> Scenario:
+    _known(raw, ("workspace", "objects", "policy"), "the scenario")
     objects = {}
     for name, o in raw["objects"].items():
+        where = "object %s" % name
+        _known(o, _OBJECT_KEYS, where)
+        support = _known(o["support"], ("radius", "dz"), "the support of " + where)
+        region = _known(o["region"], ("radius", "dzlo", "dzhi"), "the region of " + where)
         door = o.get("door")
+        if door is not None:
+            _known(door, ("closed", "open"), "the door of " + where)
         if not isinstance(o["fixed"], bool):
             raise SimError("fixed of %s must be true or false" % name)
         objects[name] = ObjectGeometry(
             name=name,
             fixed=o["fixed"],
             height=_number(o["height"]),
-            support_radius=_number(o["support"]["radius"]),
-            support_dz=_number(o["support"]["dz"]),
-            region_radius=_number(o["region"]["radius"]),
-            region_dzlo=_number(o["region"]["dzlo"]),
-            region_dzhi=_number(o["region"]["dzhi"]),
+            support_radius=_number(support["radius"]),
+            support_dz=_number(support["dz"]),
+            region_radius=_number(region["radius"]),
+            region_dzlo=_number(region["dzlo"]),
+            region_dzhi=_number(region["dzhi"]),
             position=_numbers(o["position"], 3) if "position" in o else None,
             zones={k: _numbers(v, 2) for k, v in o.get("zones", {}).items()},
             zone_radius=_number(o.get("zone_radius", 0.0)),
-            door_closed=_numbers(door["closed"], 2) if door else None,
-            door_open=_numbers(door["open"], 2) if door else None,
+            door_closed=_numbers(door["closed"], 2) if door is not None else None,
+            door_open=_numbers(door["open"], 2) if door is not None else None,
         )
         if objects[name].fixed and objects[name].position is None:
             raise SimError("fixed object %s needs a position" % name)
+    for name, g in objects.items():
+        for m in sorted(g.zones):
+            if m not in objects or objects[m].fixed:
+                raise SimError("zone of %s for %s, which is not a movable object"
+                               % (name, m))
     ranges = {}
+    policy = _known(raw["policy"], KNOB_NAMES, "the policy")
     for knob in KNOB_NAMES:
-        lo, hi = _numbers(raw["policy"][knob], 2)
+        lo, hi = _numbers(policy[knob], 2)
         check_knob_range(knob, lo, hi)
         ranges[knob] = (lo, hi)
-    workspace = {axis: _numbers(raw["workspace"][axis], 2) for axis in "xyz"}
-    return Scenario(objects, workspace, ranges)
+    workspace = _known(raw["workspace"], ("x", "y", "z"), "the workspace")
+    return Scenario(objects, {axis: _numbers(workspace[axis], 2) for axis in "xyz"},
+                    ranges)
 
 
 def check_knob_range(knob: str, lo: float, hi: float) -> None:
@@ -188,15 +218,15 @@ def _pair_signals(scn: Scenario, state: ConcreteState, lefts, rights,
                   out: dict[str, float]) -> None:
     """Write `dist_a_b` and `contain_a_b` into `out` for every a in
     `lefts` and b in `rights`, with the keys and geometry of `scn.pairs`."""
-    pairs = scn.pairs
+    pairs, positions, hypot = scn.pairs, state.positions, math.hypot
     for a in lefts:
-        ax, ay, az = state.positions[a]
+        ax, ay, az = positions[a]
         half, row = pairs[a]
         bottom = az - half
         for b in rights:
             dist, contain, support_radius, support_dz, region_radius, dzlo, dzhi = row[b]
-            bx, by, bz = state.positions[b]
-            horiz = math.hypot(ax - bx, ay - by)
+            bx, by, bz = positions[b]
+            horiz = hypot(ax - bx, ay - by)
             # max(x, y) is `y if y > x else x`, bit for bit: the earlier of
             # equal operands wins and a NaN later operand never does
             gap = horiz - support_radius
@@ -250,108 +280,173 @@ def _loc_parent(w0: WorldState, obj: str) -> Optional[str]:
     return None
 
 
-def instantiate(w0: WorldState, scn: Scenario, chi_w0: SAnd,
+class InstantiationPlan:
+    """What an initial world `w0` and a scenario fix of every instantiation
+    (see `instantiate`), found once: the box dimension, each movable's
+    parent, the support-first order with each movable's anchor, the door
+    intervals, the running flags, the fixed positions, and a template of
+    the signal row in `signal_values`' key order.  The template holds the
+    signals no point moves: the pair signals of two fixed objects, and
+    the door and running signals of the objects without a door.
+
+    An error that `w0` alone decides (a cycle of Loc atoms, a movable
+    without a location, a surface without a placement zone, a fixed
+    object outside the workspace) is kept as `error`, and `instantiate`
+    raises it on every point, where the point-by-point loop met it."""
+
+    def __init__(self, w0: WorldState, scn: Scenario):
+        self.scn = scn
+        self.dimension = box_dimension(scn)
+        self.bounds = tuple(scn.workspace[axis] for axis in "xyz")
+        movable = scn.movable()
+        self.parents = {m: _loc_parent(w0, m) for m in movable}
+        self.fixed = {n: g.position for n, g in scn.objects.items() if g.fixed}
+        self.error: Optional[str] = None
+        self.placements: list[tuple] = []
+        try:
+            self.placements = self._placements(movable)
+            for n, position in self.fixed.items():
+                _check_inside(scn, n, position)
+        except InstantiationError as exc:
+            self.error = str(exc)
+        opened = {args for (f, args) in w0.true_atoms if f == "IsOpen"}
+        k = 2 * len(movable)
+        self.doors = [(n, k + j, *(scn.objects[n].door_open if (n,) in opened
+                                   else scn.objects[n].door_closed))
+                      for j, n in enumerate(scn.doors())]
+        k += len(self.doors)
+        self.knobs = [(knob, k + j, *scn.policy_ranges[knob])
+                      for j, knob in enumerate(KNOB_NAMES)]
+        # abstract worlds cannot start with anything running; a running
+        # object would contradict a Running atom absent from every initial
+        # world
+        self.running = {n: 0.0 for n in scn.objects}
+        for (f, args) in w0.true_atoms:
+            if f == "Running":
+                self.running[args[0]] = 1.0
+        unmoved = list(self.fixed)
+        self.written = (movable, unmoved, [n for n, *_ in self.doors])
+        names = sorted(scn.objects)
+        template: dict[str, float] = {}
+        for n in names:
+            template["DoorAngle_%s" % n] = 180.0
+            template["running_%s" % n] = self.running[n]
+        for a in names:
+            keys = scn.pairs[a][1]
+            for b in names:  # every point writes these but the fixed pairs
+                dist, contain = keys[b][:2]
+                template[dist] = math.nan
+                template[contain] = math.nan
+        _pair_signals(scn, ConcreteState(self.fixed, {}, {}, {}), unmoved, unmoved,
+                      template)
+        self.template = template
+
+    def _placements(self, movable: list[str]) -> list[tuple]:
+        """(movable, index of its first coordinate in the point, carrier,
+        radius, anchor, half height) per movable, carriers before the
+        objects they carry.  The anchor is the zone's centre and the
+        support height of a fixed surface, with no carrier; on a movable
+        carrier it is the carrier's support offset.  A chain of carriers
+        longer than the movables is a cycle."""
+        scn, parents = self.scn, self.parents
+
+        def depth(m: str) -> int:
+            k, cur = 0, parents[m]
+            while cur in parents:
+                if k == len(parents):
+                    raise InstantiationError(
+                        "the Loc atoms of w0 form a cycle through %s" % m)
+                k, cur = k + 1, parents[cur]
+            return k
+
+        index = {m: 2 * j for j, m in enumerate(movable)}
+        out = []
+        for m in sorted(movable, key=lambda m: (depth(m), m)):
+            p = parents[m]
+            if p is None:
+                raise InstantiationError("movable object %s has no location in w0" % m)
+            gp = scn.objects[p]
+            half = scn.objects[m].height / 2.0
+            if gp.fixed:
+                zone = gp.zones.get(m)
+                if zone is None:
+                    raise InstantiationError("surface %s has no placement zone for %s"
+                                             % (p, m))
+                anchor = (*zone, gp.position[2] + gp.support_dz)
+                out.append((m, index[m], None, gp.zone_radius, anchor, half))
+            else:
+                out.append((m, index[m], p, _JITTER_RADIUS, gp.support_dz, half))
+        return out
+
+
+def instantiate(plan: InstantiationPlan, chi_w0: LiteralTable,
                 sample: tuple[float, ...]) -> ScenarioSample:
-    """Map a unit-box point to a concrete initial state consistent with w0.
+    """Map a unit-box point to a concrete initial state consistent with the
+    plan's initial world w0.
 
     Movable objects are placed support-first: on a fixed surface inside
     the object's own zone, or on a movable carrier with a small jitter
     around its top anchor.  Door angles come from the closed or open
-    interval chosen by IsOpen, knobs from the scenario ranges.  The state
-    must satisfy every literal of `chi_w0`, which is `stl.chi` of w0; the
-    signals computed for that check are kept on the sample.
+    interval chosen by IsOpen, knobs from the scenario ranges.  The
+    signals of the state are the plan's template with the signals of the
+    movables and the doors written in, by `_refresh`.  The state must
+    satisfy every literal of `chi_w0`, the table of `stl.chi` of w0; the
+    signals are kept on the sample.
     """
-    d = box_dimension(scn)
-    if len(sample) != d:
-        raise SimError("sample has dimension %d, expected %d" % (len(sample), d))
-    if any(not (0.0 <= u <= 1.0) for u in sample):
+    if len(sample) != plan.dimension:
+        raise SimError("sample has dimension %d, expected %d"
+                       % (len(sample), plan.dimension))
+    # 0.0 <= u <= 1.0 for every coordinate u
+    if not (all(map(le, repeat(0.0), sample)) and all(map(le, sample, repeat(1.0)))):
         raise SimError("sample point outside the unit box")
-    it = iter(sample)
-
-    positions: dict[str, tuple[float, float, float]] = {
-        n: g.position for n, g in scn.objects.items() if g.fixed}
-    parents = {m: _loc_parent(w0, m) for m in scn.movable()}
-
-    # support-first order: carriers before the objects they carry; a chain
-    # of carriers longer than the movables is a cycle
-    def depth(m: str) -> int:
-        k, cur = 0, parents[m]
-        while cur in parents:
-            if k == len(parents):
-                raise InstantiationError("the Loc atoms of w0 form a cycle through %s" % m)
-            k, cur = k + 1, parents[cur]
-        return k
-
-    placement = {m: (next(it), next(it)) for m in scn.movable()}
-    for m in sorted(scn.movable(), key=lambda m: (depth(m), m)):
-        u1, u2 = placement[m]
-        p = parents[m]
-        if p is None:
-            raise InstantiationError("movable object %s has no location in w0" % m)
-        gp = scn.objects[p]
-        gm = scn.objects[m]
-        if gp.fixed:
-            zone = gp.zones.get(m)
-            if zone is None:
-                raise InstantiationError("surface %s has no placement zone for %s"
-                                         % (p, m))
-            r = gp.zone_radius * math.sqrt(u2)
-            cx, cy = zone
-            sz = gp.position[2] + gp.support_dz
+    if plan.error is not None:
+        raise InstantiationError(plan.error)
+    scn = plan.scn
+    (xlo, xhi), (ylo, yhi), (zlo, zhi) = plan.bounds
+    positions = dict(plan.fixed)
+    for m, k, carrier, radius, anchor, half in plan.placements:
+        r = radius * math.sqrt(sample[k + 1])
+        if carrier is None:
+            cx, cy, sz = anchor
         else:
-            r = _JITTER_RADIUS * math.sqrt(u2)
-            cx, cy, pz = positions[p]
-            sz = pz + gp.support_dz
-        ang = 2.0 * math.pi * u1
-        positions[m] = (cx + r * math.cos(ang), cy + r * math.sin(ang),
-                        sz + gm.height / 2.0)
-
+            cx, cy, pz = positions[carrier]
+            sz = pz + anchor
+        ang = 2.0 * math.pi * sample[k]
+        x, y, z = positions[m] = (cx + r * math.cos(ang), cy + r * math.sin(ang), sz + half)
+        if not (xlo <= x <= xhi and ylo <= y <= yhi and zlo <= z <= zhi):
+            _check_inside(scn, m, positions[m])
     door_angles: dict[str, float] = {}
-    for dname in scn.doors():
-        u = next(it)
-        g = scn.objects[dname]
-        is_open = (dname, ) in {args for (f, args) in w0.true_atoms if f == "IsOpen"}
-        lo, hi = g.door_open if is_open else g.door_closed
-        door_angles[dname] = lo + u * (hi - lo)
-
-    knobs: dict[str, float] = {}
-    for knob in KNOB_NAMES:
-        u = next(it)
-        lo, hi = scn.policy_ranges[knob]
-        knobs[knob] = lo + u * (hi - lo)
-
-    running = {n: 0.0 for n in scn.objects}
-    # abstract worlds cannot start with anything running; a running object
-    # would contradict a Running atom absent from every initial world
-    for (f, args) in w0.true_atoms:
-        if f == "Running":
-            running[args[0]] = 1.0
-
-    q0 = ConcreteState(positions, door_angles, running, knobs)
-    _check_workspace(scn, q0)
-    return ScenarioSample(q0, tuple(sample), parents, _check_roundtrip(scn, chi_w0, q0))
-
-
-def _check_workspace(scn: Scenario, state: ConcreteState) -> None:
-    for n, (x, y, z) in state.positions.items():
-        for axis, v in (("x", x), ("y", y), ("z", z)):
-            lo, hi = scn.workspace[axis]
-            if not (lo <= v <= hi):
-                raise InstantiationError("%s is outside the workspace on %s (%g)"
-                                         % (n, axis, v))
-    for n, ang in state.door_angles.items():
+    for n, k, lo, hi in plan.doors:
+        ang = door_angles[n] = lo + sample[k] * (hi - lo)
         if not (0.0 <= ang <= 180.0):
             raise InstantiationError("door angle of %s out of range: %g" % (n, ang))
+    knobs = {knob: lo + sample[k] * (hi - lo) for knob, k, lo, hi in plan.knobs}
+    q0 = ConcreteState(positions, door_angles, dict(plan.running), knobs)
+    signals = dict(plan.template)
+    _refresh(scn, q0, signals, plan.written)
+    return ScenarioSample(q0, tuple(sample), dict(plan.parents),
+                          _check_roundtrip(chi_w0, signals))
 
 
-def _check_roundtrip(scn: Scenario, chi_w0: SAnd,
-                     state: ConcreteState) -> dict[str, float]:
-    """Every literal of `chi_w0`, an atom or a negated atom, must hold of
-    the state's signals, which are returned; an atom on a signal the
-    state lacks is an StlError."""
-    values = signal_values(scn, state)
+def _check_inside(scn: Scenario, name: str, position: tuple[float, float, float]) -> None:
+    for axis, v in zip("xyz", position):
+        lo, hi = scn.workspace[axis]
+        if not (lo <= v <= hi):
+            raise InstantiationError("%s is outside the workspace on %s (%g)"
+                                     % (name, axis, v))
+
+
+def _check_roundtrip(chi_w0: LiteralTable, values: dict[str, float]) -> dict[str, float]:
+    """Every literal of chi(w0), an atom or a negated atom, must hold of
+    the state's signal `values`, which are returned.  The table decides;
+    when it finds a literal that fails or a signal the state lacks, the
+    literals are walked in order to word the error: an atom on a signal
+    the state lacks is an StlError, and otherwise every literal that
+    fails is named in one InstantiationError."""
+    if chi_w0.holds(values):
+        return values
     violated = []
-    for lit in chi_w0.parts:
+    for lit in chi_w0.formula.parts:
         negated = isinstance(lit, SNot)
         atom = lit.body if negated else lit
         value = values.get(atom.signal)
@@ -359,11 +454,8 @@ def _check_roundtrip(scn: Scenario, chi_w0: SAnd,
             raise StlError("unknown signal %r" % atom.signal)
         if atom.holds(value) == negated:
             violated.append(format_stl(lit))
-    if violated:
-        raise InstantiationError(
-            "concrete state inconsistent with the abstract world: "
-            + "; ".join(violated))
-    return values
+    raise InstantiationError(
+        "concrete state inconsistent with the abstract world: " + "; ".join(violated))
 
 
 # ---------------------------------------------------------------------------

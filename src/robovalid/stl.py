@@ -28,9 +28,9 @@ import bisect
 import io
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
-from operator import is_
+from operator import ge, gt, is_, le, lt, neg, sub
 from typing import Optional, Union
 
 from .ctgen import Configuration
@@ -353,9 +353,11 @@ def _plan(nodes: list[tuple], times: tuple[float, ...],
     the order they are first asked for; a window operator maps each of
     its times to the points `_window_times` gives it.  Every parent of a
     node comes later in post-order, so a node's times are complete when
-    the pass reaches it.  The plans then look up positions in those
-    lists.  An atom whose times include one before the first sample has
-    no rows (None); evaluating it raises.
+    the pass reaches it.  Nodes asked for the same times, in the same
+    order, share one list and one map from time to position, so two
+    lists are equal exactly when they are the same object.  The plans
+    then look up positions in those maps.  An atom whose times include
+    one before the first sample has no rows (None); evaluating it raises.
     """
     demand: list[dict] = [{} for _ in nodes]
     demand[-1][root_time] = None
@@ -373,22 +375,30 @@ def _plan(nodes: list[tuple], times: tuple[float, ...],
                 pts = asked[t] = _window_times(times, t + lo, t + hi)
                 truncated = truncated or t + hi > end
                 inner.update(dict.fromkeys(pts))
-    lists = [list(asked) for asked in demand]
-    position = [{u: j for j, u in enumerate(asked)} for asked in demand]
-    rows_at: dict[tuple, list[int]] = {}  # sample rows per demanded time list
+    # nodes demanded at the same times share one list and one position map
+    lists: list[list[float]] = []
+    position: list[dict[float, int]] = []
+    shared: dict[tuple, tuple[list[float], dict[float, int]]] = {}
+    for asked in demand:
+        key = tuple(asked)
+        entry = shared.get(key)
+        if entry is None:
+            entry = shared[key] = (list(key), {u: j for j, u in enumerate(key)})
+        lists.append(entry[0])
+        position.append(entry[1])
+    rows_at: dict[int, list[int]] = {}  # sample rows per shared list, by id
     plans: list = []
     for node, asked, own in zip(nodes, demand, lists):
         kind = node[0]
         plan = None
         if kind == _ATOM:
-            key = tuple(own)
-            plan = rows_at.get(key)
+            plan = rows_at.get(id(own))
             if plan is None:
-                plan = rows_at[key] = [bisect.bisect_right(times, u) - 1 for u in key]
+                plan = rows_at[id(own)] = [bisect.bisect_right(times, u) - 1 for u in own]
             if min(plan) < 0:
                 plan = None
         elif kind == _NOT or kind == _AND or kind == _OR:
-            plan = tuple(None if lists[c] == own else [position[c][u] for u in own]
+            plan = tuple(None if lists[c] is own else [position[c][u] for u in own]
                          for c in node[1])
         elif kind == _EV or kind == _ALW:
             at = position[node[3]]
@@ -629,11 +639,97 @@ def chi(theory: ActionTheory, state: WorldState, pmap: PredicateMap) -> StlFormu
     return SAnd(tuple(literals))
 
 
+_HOLDS = {">": gt, ">=": ge, "<": lt, "<=": le}  # Atom.holds, per comparator
+
+
+class LiteralTable:
+    """A conjunction of literals, as `chi` builds it, as one flat table:
+    `rows` holds (signal, threshold, comparator, negated) per literal, in
+    the conjunction's order.  The literals are also grouped, by
+    comparator and sign for `holds` and by direction and sign for
+    `least_margin`, so that each group is decided in one pass over its
+    signals, with the float expressions of `Atom.holds` and
+    `Atom.margin`.  To word a violation, walk `formula`'s literals."""
+
+    def __init__(self, formula: SAnd):
+        self.formula = formula
+        rows = []
+        for lit in formula.parts:
+            negated = isinstance(lit, SNot)
+            atom = lit.body if negated else lit
+            rows.append((atom.signal, atom.threshold, atom.comparator, negated))
+        self.rows = tuple(rows)
+        checks: dict[tuple, tuple[list, list]] = {}
+        margins: dict[tuple, tuple[list, list]] = {}
+        for signal, threshold, comparator, negated in rows:
+            for names, thresholds in (
+                    checks.setdefault((comparator, negated), ([], [])),
+                    margins.setdefault((comparator in (">", ">="), negated), ([], []))):
+                names.append(signal)
+                thresholds.append(threshold)
+        self.checks = tuple((_HOLDS[comparator], negated, tuple(n), tuple(t))
+                            for (comparator, negated), (n, t) in checks.items())
+        self.margins = tuple((up, negated, tuple(n), tuple(t))
+                             for (up, negated), (n, t) in margins.items())
+
+    def holds(self, values: dict[str, float]) -> bool:
+        """Whether every literal holds of the signal `values`; False also
+        when `values` lacks one of their signals."""
+        get = values.__getitem__
+        try:
+            for decide, negated, names, thresholds in self.checks:
+                decided = map(decide, map(get, names), thresholds)
+                if any(decided) if negated else not all(decided):
+                    return False
+        except KeyError:
+            return False
+        return True
+
+    def least_margin(self, values: dict[str, float]) -> Optional[float]:
+        """The least margin of the literals over the signal `values`, a
+        negated literal's its atom's negated, as `min` over the literals
+        in order gives it; None when a margin is NaN, which `min` does
+        not order, and +inf when there is no literal.  Equal floats are
+        equal bits except for zeros, so only a least margin of zero needs
+        the literals' order: the first zero margin, 0.0 or -0.0, is it."""
+        get = values.__getitem__
+        found: list[float] = []
+        for up, negated, names, thresholds in self.margins:
+            vals = map(get, names)
+            ms = map(sub, vals, thresholds) if up else map(sub, thresholds, vals)
+            found.extend(map(neg, ms) if negated else ms)
+        if any(map(math.isnan, found)):
+            return None
+        least = min(found, default=math.inf)
+        if least == 0.0:
+            for signal, threshold, comparator, negated in self.rows:
+                v = values[signal]
+                m = v - threshold if comparator in (">", ">=") else threshold - v
+                if negated:
+                    m = -m
+                if m == 0.0:
+                    return m
+        return least
+
+
+def _chi_table(theory: ActionTheory, state: WorldState, pmap: PredicateMap,
+               memo: dict) -> LiteralTable:
+    """chi of `state` as a literal table, built once per memo, state and
+    pmap: an entry built for another PredicateMap object is rebuilt."""
+    key = ("chi", state.true_atoms)  # no key `run_branch` uses is a tuple
+    entry = memo.get(key)
+    if entry is None or entry[0] is not pmap:
+        entry = memo[key] = (pmap, LiteralTable(chi(theory, state, pmap)))
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class BranchSpec:
     ops: tuple  # GroundOp sequence after stripping tests
     checkpoints: tuple[tuple[int, StlFormula], ...]  # (situation index, chi)
     formula: StlFormula
+    # chi of each checkpoint as a literal table, for `checkpoint_bound`
+    tables: tuple[LiteralTable, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -642,6 +738,8 @@ class SpecSynthesisResult:
     branches: tuple[BranchSpec, ...]
     delta_t: float
     initial: SAnd  # chi of the initial world
+    # `initial` as a literal table, for the check of each instantiation
+    initial_table: LiteralTable = field(compare=False, repr=False)
 
 
 def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
@@ -658,9 +756,11 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
     branches; a task none of whose branches can run from the initial world
     is an StlError.
 
-    `memo` is `run_branch`'s.  It holds only what the theory determines,
-    so a caller may share one across configurations of the same theory,
-    as `falsify.campaign` does.
+    `memo` is `run_branch`'s, and also keeps chi of each state it is
+    built for, with its literal table, for the PredicateMap it was built
+    with.  It holds only what the theory and that map determine, so a
+    caller may share one across configurations of the same theory, as
+    `falsify.campaign` does: chi of each distinct state is built once.
     """
     delta_t = pmap.delta_t
     if delta_t <= 0:
@@ -671,20 +771,21 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
         if states is None:
             continue
         ops = tuple(a.op for a in branch if isinstance(a, Op))
-        checkpoints = [(i, chi(theory, state, pmap))
-                       for i, state in enumerate(states, 1)]
+        tables = tuple(_chi_table(theory, state, pmap, memo) for state in states)
         formula: StlFormula = None
-        for _, ck in reversed(checkpoints):
+        for table in reversed(tables):
+            ck = table.formula
             inner = ck if formula is None else SAnd((ck, formula))
             formula = Eventually(0.0, delta_t, inner)
         if formula is None:
             formula = STrue()
-        specs.append(BranchSpec(ops, tuple(checkpoints), formula))
+        checkpoints = tuple((i, table.formula) for i, table in enumerate(tables, 1))
+        specs.append(BranchSpec(ops, checkpoints, formula, tables))
     if not specs:
         raise StlError("no branch of the task can run from the initial world")
     top = specs[0].formula if len(specs) == 1 else SOr(tuple(s.formula for s in specs))
-    return SpecSynthesisResult(top, tuple(specs), delta_t,
-                               chi(theory, config.initial_world, pmap))
+    initial = _chi_table(theory, config.initial_world, pmap, memo)
+    return SpecSynthesisResult(top, tuple(specs), delta_t, initial.formula, initial)
 
 
 def checkpoint_bound(spec: SpecSynthesisResult, times: tuple[float, ...],
@@ -694,7 +795,8 @@ def checkpoint_bound(spec: SpecSynthesisResult, times: tuple[float, ...],
     checkpoint of the first branch, holds that row's signals; or None.
 
     The bound is the least margin of the checkpoints' chi literals at
-    their rows, an `SNot` negating its atom's.  It holds because an
+    their rows, an `SNot` negating its atom's, read from the checkpoints'
+    literal tables (`LiteralTable.least_margin`).  It holds because an
     Eventually is at least its body at any point of its window, an And
     is the least of its operands and the disjunction of the branches is
     at least its first.  So each checkpoint's time must lie in the window
@@ -704,20 +806,16 @@ def checkpoint_bound(spec: SpecSynthesisResult, times: tuple[float, ...],
     order."""
     branch = spec.branches[0]
     bound, t, ev = math.inf, 0.0, branch.formula
-    for k, ((_, ck), (i, signals)) in enumerate(zip(branch.checkpoints, rows)):
+    for k, (table, (i, signals)) in enumerate(zip(branch.tables, rows)):
         if k:
-            ev = ev.body.parts[1]  # the Eventually `synthesize` nests after ck
+            ev = ev.body.parts[1]  # the Eventually `synthesize` nests after chi
         u = times[i]
         if not t + ev.lo <= u <= t + ev.hi:
             return None
-        for lit in ck.parts:
-            if isinstance(lit, SNot):
-                m = -lit.body.margin(signals[lit.body.signal])
-            else:
-                m = lit.margin(signals[lit.signal])
-            if m != m:
-                return None
-            if m < bound:
-                bound = m
+        m = table.least_margin(signals)
+        if m is None:
+            return None
+        if m < bound:
+            bound = m
         t = u
     return bound

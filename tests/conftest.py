@@ -140,6 +140,12 @@ def tiny_grammar(tiny):
     return Grammar(tiny)
 
 
+def place(w0, scn, chi_w0, point):
+    """`sim.instantiate` at `point`, with the plan of `w0` in `scn` and the
+    literal table of `chi_w0`."""
+    return sim.instantiate(sim.InstantiationPlan(w0, scn), stl.LiteralTable(chi_w0), point)
+
+
 @pytest.fixture(scope="session")
 def pmap():
     return stl.load_pmap(MODELS / "kitchen4.pmap")

@@ -2,7 +2,8 @@
 
 `falsify` is the loop that `robovalid.falsify.falsify` replaced: it
 evaluates every sample in full, running the policy and the monitor even
-when the sample cannot beat the incumbent.  It clamps a result at zero
+when the sample cannot beat the incumbent.  It instantiates each point
+with `sim_oracle.instantiate`, which plans nothing ahead.  It clamps a result at zero
 only when the monitor reports it truncated, as `robovalid.falsify.falsify`
 does.
 """
@@ -15,9 +16,10 @@ from robovalid.falsify import (
     _INIT_BATCH, _INIT_STEP, _MIN_STEP, _SAMPLE_DT, _STAGNATION,
     FalsificationError, FalsificationResult, _latin_hypercube,
 )
-from robovalid.sim import InstantiationError, box_dimension, instantiate, run_policy
+from robovalid.sim import InstantiationError, box_dimension, run_policy
 from robovalid.stl import Monitor, robustness
 from robovalid.tasks import format_task
+from sim_oracle import instantiate
 
 
 def falsify(config, spec, scn, budget, seed):

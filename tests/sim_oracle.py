@@ -13,6 +13,13 @@ expressions.
 `robovalid.sim.instantiate` made before it decided each literal
 directly: it builds a one-sample trace of the state's signals and asks
 `bool_sat` about every literal.
+
+`instantiate` is the loop that `robovalid.sim.instantiate` replaced
+when it took a plan of what the initial world and the scenario fix:
+every call finds the parents, the support-first order, the door
+intervals and the running flags again, computes every signal of q0 with
+`signal_values`, and checks each literal of chi(w0) in turn
+(`decide_literals`).
 """
 
 import math
@@ -20,10 +27,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from robovalid.sim import (
-    _DWELL, _GRASP_MIN_MARGIN, _OP_DURATION, _OPEN_TARGET_CAP, _CLOSE_TARGET,
-    InstantiationError, SimError, _descendants, signal_values,
+    _DWELL, _GRASP_MIN_MARGIN, _JITTER_RADIUS, _OP_DURATION, _OPEN_TARGET_CAP,
+    _CLOSE_TARGET, KNOB_NAMES, ConcreteState, InstantiationError, ScenarioSample,
+    SimError, _descendants, box_dimension, signal_values,
 )
-from robovalid.stl import Trace, bool_sat, format_stl
+from robovalid.stl import SNot, StlError, Trace, bool_sat, format_stl
 
 
 def pair_signals(scn, state):
@@ -50,6 +58,110 @@ def check_roundtrip(scn, chi_w0, state):
         raise InstantiationError(
             "concrete state inconsistent with the abstract world: "
             + "; ".join(violated))
+
+
+def _loc_parent(w0, obj):
+    for (f, args) in w0.true_atoms:
+        if f == "Loc" and args[0] == obj:
+            return args[1]
+    return None
+
+
+def instantiate(w0, scn, chi_w0, sample):
+    d = box_dimension(scn)
+    if len(sample) != d:
+        raise SimError("sample has dimension %d, expected %d" % (len(sample), d))
+    if any(not (0.0 <= u <= 1.0) for u in sample):
+        raise SimError("sample point outside the unit box")
+    it = iter(sample)
+
+    positions = {n: g.position for n, g in scn.objects.items() if g.fixed}
+    parents = {m: _loc_parent(w0, m) for m in scn.movable()}
+
+    def depth(m):
+        k, cur = 0, parents[m]
+        while cur in parents:
+            if k == len(parents):
+                raise InstantiationError("the Loc atoms of w0 form a cycle through %s" % m)
+            k, cur = k + 1, parents[cur]
+        return k
+
+    placement = {m: (next(it), next(it)) for m in scn.movable()}
+    for m in sorted(scn.movable(), key=lambda m: (depth(m), m)):
+        u1, u2 = placement[m]
+        p = parents[m]
+        if p is None:
+            raise InstantiationError("movable object %s has no location in w0" % m)
+        gp = scn.objects[p]
+        gm = scn.objects[m]
+        if gp.fixed:
+            zone = gp.zones.get(m)
+            if zone is None:
+                raise InstantiationError("surface %s has no placement zone for %s"
+                                         % (p, m))
+            r = gp.zone_radius * math.sqrt(u2)
+            cx, cy = zone
+            sz = gp.position[2] + gp.support_dz
+        else:
+            r = _JITTER_RADIUS * math.sqrt(u2)
+            cx, cy, pz = positions[p]
+            sz = pz + gp.support_dz
+        ang = 2.0 * math.pi * u1
+        positions[m] = (cx + r * math.cos(ang), cy + r * math.sin(ang),
+                        sz + gm.height / 2.0)
+
+    door_angles = {}
+    for dname in scn.doors():
+        u = next(it)
+        g = scn.objects[dname]
+        is_open = (dname, ) in {args for (f, args) in w0.true_atoms if f == "IsOpen"}
+        lo, hi = g.door_open if is_open else g.door_closed
+        door_angles[dname] = lo + u * (hi - lo)
+
+    knobs = {}
+    for knob in KNOB_NAMES:
+        u = next(it)
+        lo, hi = scn.policy_ranges[knob]
+        knobs[knob] = lo + u * (hi - lo)
+
+    running = {n: 0.0 for n in scn.objects}
+    for (f, args) in w0.true_atoms:
+        if f == "Running":
+            running[args[0]] = 1.0
+
+    q0 = ConcreteState(positions, door_angles, running, knobs)
+    _check_workspace(scn, q0)
+    return ScenarioSample(q0, tuple(sample), parents, decide_literals(scn, chi_w0, q0))
+
+
+def _check_workspace(scn, state):
+    for n, (x, y, z) in state.positions.items():
+        for axis, v in (("x", x), ("y", y), ("z", z)):
+            lo, hi = scn.workspace[axis]
+            if not (lo <= v <= hi):
+                raise InstantiationError("%s is outside the workspace on %s (%g)"
+                                         % (n, axis, v))
+    for n, ang in state.door_angles.items():
+        if not (0.0 <= ang <= 180.0):
+            raise InstantiationError("door angle of %s out of range: %g" % (n, ang))
+
+
+def decide_literals(scn, chi_w0, state):
+    values = signal_values(scn, state)
+    violated = []
+    for lit in chi_w0.parts:
+        negated = isinstance(lit, SNot)
+        atom = lit.body if negated else lit
+        value = values.get(atom.signal)
+        if value is None:
+            raise StlError("unknown signal %r" % atom.signal)
+        if atom.holds(value) == negated:
+            violated.append(format_stl(lit))
+    if violated:
+        raise InstantiationError(
+            "concrete state inconsistent with the abstract world: "
+            + "; ".join(violated))
+    return values
 
 
 @dataclass

@@ -11,15 +11,87 @@ also evaluates each node of the formula's DAG once per demanded time,
 but keeps one dict per node from time to value and looks every operand
 value up by its time.  It stays linear, so it checks the positional
 monitor on the nested specs `synthesize` builds.
+
+`plan` is the planning pass `robovalid.stl.Monitor` ran before it
+shared one list and one position map among the nodes demanded at the
+same times: it builds both for every node.
+
+`checkpoint_bound` is the bound `robovalid.stl.checkpoint_bound`
+computed before it read flat literal tables: it walks each checkpoint's
+chi literal by literal.
 """
 
 import bisect
+import math
 
 from robovalid import stl
 from robovalid.stl import (
     Always, Atom, Eventually, RobustnessResult, SAnd, SNot, SOr, STrue,
     StlError, StlFormula, Trace, TruncationError,
 )
+
+
+def plan(nodes, times, root_time):
+    demand = [{} for _ in nodes]
+    demand[-1][root_time] = None
+    end = times[-1]
+    truncated = False
+    for node, asked in zip(reversed(nodes), reversed(demand)):
+        kind = node[0]
+        if kind == stl._NOT or kind == stl._AND or kind == stl._OR:
+            for c in node[1]:
+                demand[c].update(asked)
+        elif kind == stl._EV or kind == stl._ALW:
+            _, lo, hi, body = node
+            inner = demand[body]
+            for t in asked:
+                pts = asked[t] = stl._window_times(times, t + lo, t + hi)
+                truncated = truncated or t + hi > end
+                inner.update(dict.fromkeys(pts))
+    lists = [list(asked) for asked in demand]
+    position = [{u: j for j, u in enumerate(asked)} for asked in demand]
+    rows_at = {}
+    plans = []
+    for node, asked, own in zip(nodes, demand, lists):
+        kind = node[0]
+        p = None
+        if kind == stl._ATOM:
+            key = tuple(own)
+            p = rows_at.get(key)
+            if p is None:
+                p = rows_at[key] = [bisect.bisect_right(times, u) - 1 for u in key]
+            if min(p) < 0:
+                p = None
+        elif kind == stl._NOT or kind == stl._AND or kind == stl._OR:
+            p = tuple(None if lists[c] == own else [position[c][u] for u in own]
+                      for c in node[1])
+        elif kind == stl._EV or kind == stl._ALW:
+            at = position[node[3]]
+            p = [[at[u] for u in pts] for pts in asked.values()]
+        plans.append(p)
+    return lists, plans, truncated
+
+
+def checkpoint_bound(spec, times, rows):
+    branch = spec.branches[0]
+    bound, t, ev = math.inf, 0.0, branch.formula
+    for k, ((_, ck), (i, signals)) in enumerate(zip(branch.checkpoints, rows)):
+        if k:
+            ev = ev.body.parts[1]
+        u = times[i]
+        if not t + ev.lo <= u <= t + ev.hi:
+            return None
+        for lit in ck.parts:
+            if isinstance(lit, SNot):
+                m = -lit.body.margin(signals[lit.body.signal])
+            else:
+                m = lit.margin(signals[lit.signal])
+            if m != m:
+                return None
+            if m < bound:
+                bound = m
+        t = u
+    return bound
 
 
 def robustness(phi: StlFormula, trace: Trace, t: float = 0.0) -> RobustnessResult:

@@ -148,24 +148,34 @@ def test_generate_writes_the_golden_configs(tmp_path, capsys, depth, strength):
 
 # sha256 of every file `falsify` writes for the 52 frozen depth-8
 # configurations over a door-torque range, as the CI steps run it at
-# seeds 0 and 7
+# seeds 0 and 7, and with grasps and timing that vary per sample
 FALSIFY_TORQUE_SHA256 = json.loads(
     (ROOT / "tests" / "golden" / "kitchen4_falsify_d8_torque_sha256.json").read_text())
 FALSIFY_TORQUE_SEED7_SHA256 = json.loads(
     (ROOT / "tests" / "golden" / "kitchen4_falsify_d8_torque_seed7_sha256.json").read_text())
+FALSIFY_GRASP_TIMING_SHA256 = json.loads(
+    (ROOT / "tests" / "golden" / "kitchen4_falsify_d8_grasp_timing_sha256.json").read_text())
+
+
+def _falsify_frozen_run(tmp_path, capsys, seed: int, *knobs: str) -> tuple[str, dict[str, str]]:
+    """The summary line and the sha256 of each written file of the frozen
+    configurations' run at `seed` with the `--knob` overrides `knobs`."""
+    argv = ["falsify", "--model", KITCHEN, "--configs",
+            str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl"),
+            "--pmap", PMAP, "--scenario", SCENARIO, "--budget", "25",
+            "--seed", str(seed), "--out", str(tmp_path)]
+    for knob in knobs:
+        argv += ["--knob", knob]
+    assert main(argv) == 0
+    return (capsys.readouterr().out.splitlines()[0],
+            {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(tmp_path.iterdir())})
 
 
 def _falsify_torque_run(tmp_path, capsys, seed: int) -> tuple[str, dict[str, str]]:
     """The summary line and the sha256 of each written file of the frozen
     configurations' torque run at `seed`."""
-    assert main(["falsify", "--model", KITCHEN, "--configs",
-                 str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl"),
-                 "--pmap", PMAP, "--scenario", SCENARIO, "--budget", "25",
-                 "--seed", str(seed), "--knob", "doorTorqueLimit=0.4:2.0",
-                 "--out", str(tmp_path)]) == 0
-    return (capsys.readouterr().out.splitlines()[0],
-            {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-             for p in sorted(tmp_path.iterdir())})
+    return _falsify_frozen_run(tmp_path, capsys, seed, "doorTorqueLimit=0.4:2.0")
 
 
 def test_falsify_writes_the_golden_report_and_traces(tmp_path, capsys):
@@ -181,6 +191,18 @@ def test_falsify_at_seed_7_writes_the_golden_report_and_traces(tmp_path, capsys)
     assert _falsify_torque_run(tmp_path, capsys, 7) == (
         "falsified 8 / passed 44 / errors 0 of 52 configurations",
         FALSIFY_TORQUE_SEED7_SHA256)
+
+
+def test_falsify_with_grasps_and_timing_varying_writes_the_golden_report_and_traces(
+        tmp_path, capsys):
+    """The frozen configurations with the grasp margin and the timing
+    scale drawn per sample: puts that drop their object, strokes the
+    horizon cuts short, and 31 counterexamples."""
+    got = _falsify_frozen_run(tmp_path, capsys, 0, "graspSuccessMargin=0.0:0.05",
+                              "timingScale=0.5:2.0")
+    assert got == ("falsified 31 / passed 21 / errors 0 of 52 configurations",
+                   FALSIFY_GRASP_TIMING_SHA256)
+    assert len(got[1]) == 32
 
 
 def test_knob_override_rejects_unknown(tmp_path):

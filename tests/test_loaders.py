@@ -8,6 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robovalid import cli
 from robovalid.cli import _load_configs, main
 from robovalid.ctgen import CtError
 from robovalid.logic import ParseError
@@ -124,24 +125,70 @@ def _set(value, *keys):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    _without("policy"),
-    _without("workspace"),
-    _set("tall", "objects", "o_b", "height"),
-    _set(float("nan"), "objects", "o_b", "height"),
-    _set([0.0, 0.0], "objects", "o_t", "position"),
-    _set(["a", 1.0], "policy", "timingScale"),
-    _set("false", "objects", "o_t", "fixed"),
-    _set([], "objects"),
+@pytest.mark.parametrize("edit, text", [
+    (_without("policy"), "missing key 'policy'"),
+    (_without("workspace"), "missing key 'workspace'"),
+    (_set("tall", "objects", "o_b", "height"), "expected a finite number, got 'tall'"),
+    (_set(float("nan"), "objects", "o_b", "height"), "expected a finite number, got nan"),
+    (_set([0.0, 0.0], "objects", "o_t", "position"), "expected a list of 3 numbers"),
+    (_set(["a", 1.0], "policy", "timingScale"), "expected a finite number, got 'a'"),
+    (_set("false", "objects", "o_t", "fixed"), "fixed of o_t must be true or false"),
+    (_set([], "objects"), "'list' object has no attribute 'items'"),
+    (_set(0.25, "objects", "o_t", "zone_raduis"), "unknown key 'zone_raduis' in object o_t"),
+    (_set(1, "workspaces"), "unknown key 'workspaces' in the scenario"),
+    (_set(0.1, "objects", "o_m", "support", "raduis"),
+     "unknown key 'raduis' in the support of object o_m"),
+    (_set(0.1, "objects", "o_b", "region", "dz_hi"),
+     "unknown key 'dz_hi' in the region of object o_b"),
+    (_set([0.0, 1.0], "objects", "o_m", "door", "ajar"),
+     "unknown key 'ajar' in the door of object o_m"),
+    (_set({}, "objects", "o_m", "door"), "missing key 'closed'"),
+    (_set([0.0, 1.0], "policy", "gripForce"), "unknown key 'gripForce' in the policy"),
+    (_set([0.0, 1.0], "workspace", "w"), "unknown key 'w' in the workspace"),
+    (_set([0.4, 0.0], "objects", "o_t", "zones", "o_x"),
+     "zone of o_t for o_x, which is not a movable object"),
+    (_set([0.4, 0.0], "objects", "o_t", "zones", "o_m"),
+     "zone of o_t for o_m, which is not a movable object"),
 ], ids=["no-policy", "no-workspace", "text-height", "nan-height", "short-position",
-        "text-range", "text-fixed", "objects-list"])
-def test_bad_scenario_raises_sim_error(tmp_path, edit):
+        "text-range", "text-fixed", "objects-list", "object-key", "top-level-key",
+        "support-key", "region-key", "door-key", "empty-door", "policy-key", "workspace-key",
+        "zone-of-no-object", "zone-of-a-fixed-object"])
+def test_bad_scenario_raises_sim_error(tmp_path, edit, text):
+    """A bad value, or a misspelt key that would otherwise read as its
+    default, is a SimError that names the file and the key."""
     raw = json.loads(SCENARIO.read_text())
     edit(raw)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(SimError, match="^%s: " % path):
+    with pytest.raises(SimError) as info:
         load_scenario(path)
+    assert str(info.value).startswith("%s: " % path) and text in str(info.value)
+
+
+def test_each_distinct_world_is_checked_once(tmp_path, monkeypatch):
+    """The 52 frozen configurations have 12 distinct initial worlds, and
+    every fourth of them 9: each is checked against the initial axioms
+    once.  A bad world is still reported at its first line."""
+    calls = []
+    real = cli.satisfies_init
+
+    def counting(theory, w0):
+        calls.append(w0)
+        return real(theory, w0)
+
+    monkeypatch.setattr(cli, "satisfies_init", counting)
+    for name, worlds in (("kitchen4_d8_t2", 12), ("kitchen4_d8_t2_every4th", 9)):
+        calls.clear()
+        configs = _load_configs(ROOT / "perfbench" / "inputs" / (name + ".configs.jsonl"),
+                                THEORY)
+        assert len(calls) == len({c.initial_world for c in configs}) == worlds
+    bad = CONFIG.replace('"Loc(o_b,o_p)",', "")  # the bread is nowhere
+    path = tmp_path / "configs.jsonl"
+    path.write_text(CONFIG + bad + CONFIG + bad)
+    calls.clear()
+    with pytest.raises(CtError, match="^%s:2: the world does not satisfy" % path):
+        _load_configs(path, THEORY)
+    assert len(calls) == 2
 
 
 def test_scenario_that_is_not_json_raises_sim_error(tmp_path):

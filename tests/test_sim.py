@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sim_oracle
+from conftest import place
 from robovalid import sim
 from robovalid.sim import (
-    InstantiationError, Scenario, box_dimension, checkpoint_rows, instantiate,
-    run_policy, signal_values,
+    InstantiationError, Scenario, box_dimension, checkpoint_rows, run_policy,
+    signal_values,
 )
-from robovalid.stl import Atom, SAnd, SNot, StlError, Trace, bool_sat, chi
+from robovalid.stl import Atom, LiteralTable, SAnd, SNot, StlError, Trace, bool_sat, chi
 from robovalid.theory import GroundOp, WorldState
 
 
@@ -30,14 +31,14 @@ def test_box_dimension(scenario):
 
 def test_closed_door_angle_below_one_degree(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     assert s.q0.door_angles["o_m"] < 1.0
     assert s.q0.door_angles["o_m"] > 0.0
 
 
 def test_open_door_angle_above_threshold(kitchen, kitchen_worlds, scenario, pmap):
     w = next(w for w in kitchen_worlds if ("IsOpen", ("o_m",)) in w.true_atoms)
-    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     assert s.q0.door_angles["o_m"] > 80.0
 
 
@@ -48,7 +49,7 @@ def test_roundtrip_consistency_100_samples(kitchen, kitchen_worlds, scenario, pm
     for _ in range(100):
         w = rng.choice(kitchen_worlds)
         pt = tuple(rng.random() for _ in range(box_dimension(scenario)))
-        s = instantiate(w, scenario, chi(kitchen, w, pmap), pt)
+        s = place(w, scenario, chi(kitchen, w, pmap), pt)
         tr = Trace((0.0,), {k: (v,) for k, v in
                             signal_values(scenario, s.q0).items()})
         assert bool_sat(chi(kitchen, w, pmap), tr, 0.0)
@@ -57,9 +58,9 @@ def test_roundtrip_consistency_100_samples(kitchen, kitchen_worlds, scenario, pm
 def test_bad_sample_rejected(kitchen, kitchen_worlds, scenario, pmap):
     w = kitchen_worlds[0]
     with pytest.raises(sim.SimError):
-        instantiate(w, scenario, chi(kitchen, w, pmap), (0.5,))
+        place(w, scenario, chi(kitchen, w, pmap), (0.5,))
     with pytest.raises(sim.SimError):
-        instantiate(w, scenario, chi(kitchen, w, pmap),
+        place(w, scenario, chi(kitchen, w, pmap),
                     tuple([1.5] * box_dimension(scenario)))
 
 
@@ -67,12 +68,12 @@ def test_unlocated_world_is_instantiation_error(kitchen, scenario, pmap):
     ghost = WorldState(frozenset({("IsOpen", ("o_b",)), ("IsOpen", ("o_p",)),
                                   ("IsOpen", ("o_t",)), ("IsOpen", ("o_m",))}))
     with pytest.raises(InstantiationError):
-        instantiate(ghost, scenario, chi(kitchen, ghost, pmap), midpoint(scenario))
+        place(ghost, scenario, chi(kitchen, ghost, pmap), midpoint(scenario))
 
 
 def test_zero_length_task(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, truncated = run_policy(scenario, s, [], 0.25, 0.0)
     assert not truncated
     assert len(tr.times) == 1
@@ -80,7 +81,7 @@ def test_zero_length_task(kitchen, kitchen_worlds, scenario, pmap):
 
 def test_healthy_open_crosses_threshold(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, truncated = run_policy(scenario, s, [GroundOp("open", ("o_m",))], 0.25, 5.0)
     assert not truncated
     angles = tr.signals["DoorAngle_o_m"]
@@ -93,7 +94,7 @@ def test_healthy_open_crosses_threshold(kitchen, kitchen_worlds, scenario, pmap)
 
 def test_door_fault_plateaus(kitchen, kitchen_worlds, fault_scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(w, fault_scenario, chi(kitchen, w, pmap), midpoint(fault_scenario))
+    s = place(w, fault_scenario, chi(kitchen, w, pmap), midpoint(fault_scenario))
     tr, _ = run_policy(fault_scenario, s, [GroundOp("open", ("o_m",))], 0.25, 5.0)
     assert max(tr.signals["DoorAngle_o_m"]) < 80.0
 
@@ -103,7 +104,7 @@ def test_grasp_fault_drops_put(kitchen, kitchen_worlds, scenario, pmap):
                    dict(scenario.policy_ranges, graspSuccessMargin=(0.001, 0.001)))
     w = next(w for w in kitchen_worlds if ("Loc", ("o_b", "o_t")) in w.true_atoms
              and ("Loc", ("o_p", "o_t")) in w.true_atoms)
-    s = instantiate(w, bad, chi(kitchen, w, pmap), midpoint(bad))
+    s = place(w, bad, chi(kitchen, w, pmap), midpoint(bad))
     tr, _ = run_policy(bad, s, [GroundOp("put", ("o_b", "o_p"))], 0.25, 5.0)
     assert tr.signals["dist_o_b_o_p"][-1] > 0.05  # never arrived
 
@@ -113,7 +114,7 @@ def test_carried_object_tracks_carrier(kitchen, kitchen_worlds, scenario, pmap):
     w = next(w for w in kitchen_worlds if ("Loc", ("o_b", "o_p")) in w.true_atoms
              and ("Loc", ("o_p", "o_t")) in w.true_atoms
              and ("IsOpen", ("o_m",)) in w.true_atoms)
-    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, _ = run_policy(scenario, s, [GroundOp("put", ("o_p", "o_m"))], 0.25, 5.0)
     assert tr.signals["dist_o_p_o_m"][-1] <= 0.01
     assert tr.signals["contain_o_b_o_m"][-1] <= 0.0  # bread rode along
@@ -124,17 +125,17 @@ def test_carried_object_tracks_carrier(kitchen, kitchen_worlds, scenario, pmap):
 
 def test_truncation_flag(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     tr, truncated = run_policy(scenario, s, [GroundOp("open", ("o_m",))], 0.25, 1.0)
     assert truncated  # horizon shorter than the 2 s stroke
 
 
 def test_trace_determinism(kitchen, kitchen_worlds, scenario, pmap):
     w = closed_world(kitchen_worlds)
-    s = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     ops = [GroundOp("open", ("o_m",)), GroundOp("turn_on", ("o_m",))]
     a, _ = run_policy(scenario, s, ops, 0.25, 10.0)
-    s2 = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
+    s2 = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario))
     b, _ = run_policy(scenario, s2, ops, 0.25, 10.0)
     assert a.to_csv() == b.to_csv()
 
@@ -145,7 +146,7 @@ def test_loc_cycle_is_instantiation_error(kitchen, scenario, pmap):
                                    ("IsOpen", ("o_b",)), ("IsOpen", ("o_p",)),
                                    ("IsOpen", ("o_t",))}))
     with pytest.raises(InstantiationError, match="cycle"):
-        instantiate(cyclic, scenario, chi(kitchen, cyclic, pmap), midpoint(scenario))
+        place(cyclic, scenario, chi(kitchen, cyclic, pmap), midpoint(scenario))
 
 
 # the puts kitchen4.sc allows, and every door and switch operation
@@ -182,7 +183,7 @@ def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenar
     w = data.draw(st.sampled_from(kitchen_worlds))
     point = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(box_dimension(wide)))
     try:
-        s = instantiate(w, wide, chi(kitchen, w, pmap), point)
+        s = place(w, wide, chi(kitchen, w, pmap), point)
     except InstantiationError:
         return
     ops = data.draw(st.lists(st.sampled_from(OPS), max_size=4))
@@ -238,7 +239,7 @@ def test_checkpoint_rows_are_the_trace_rows(kitchen, kitchen_worlds, scenario, p
             w = rng.choice(kitchen_worlds)
             point = tuple(rng.random() for _ in range(box_dimension(scn)))
             try:
-                s = instantiate(w, scn, chi(kitchen, w, pmap), point)
+                s = place(w, scn, chi(kitchen, w, pmap), point)
             except InstantiationError:
                 continue
             horizon = rng.choice([len(ops) * 5.0, rng.uniform(0.0, 12.0)])
@@ -268,6 +269,12 @@ def test_checkpoint_rows_are_the_trace_rows(kitchen, kitchen_worlds, scenario, p
     assert min(seen.values()) > 0, seen
 
 
+def _table_check(scn, chi_w0, state):
+    """`sim._check_roundtrip` of the state's signals against the table of
+    `chi_w0`."""
+    return sim._check_roundtrip(LiteralTable(chi_w0), signal_values(scn, state))
+
+
 def _roundtrip_outcome(check, scn, chi_w0, state):
     try:
         check(scn, chi_w0, state)
@@ -279,8 +286,9 @@ def _roundtrip_outcome(check, scn, chi_w0, state):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_roundtrip_check_matches_bool_sat(kitchen, kitchen_worlds, scenario, pmap, data):
-    """Deciding each literal of chi(w0) directly gives the verdict and the
-    message that `bool_sat` over a one-sample trace gives, for random
+    """Deciding the literals of chi(w0) by its literal table, and wording a
+    failure literal by literal, gives the verdict and the message that
+    `bool_sat` over a one-sample trace gives, for random
     concrete kitchen states checked against the chi of their own or of
     another initial world: states placed as `instantiate` places them,
     then some objects moved anywhere in the workspace, doors set to any
@@ -288,7 +296,7 @@ def test_roundtrip_check_matches_bool_sat(kitchen, kitchen_worlds, scenario, pma
     chi_w0 = chi(kitchen, data.draw(st.sampled_from(kitchen_worlds)), pmap)
     w = data.draw(st.sampled_from(kitchen_worlds))
     point = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(box_dimension(scenario)))
-    state = instantiate(w, scenario, SAnd(()), point).q0
+    state = place(w, scenario, SAnd(()), point).q0
     for m in data.draw(st.lists(st.sampled_from(scenario.movable()), unique=True)):
         state.positions[m] = tuple(data.draw(st.floats(lo, hi))
                                    for lo, hi in scenario.workspace.values())
@@ -296,18 +304,18 @@ def test_roundtrip_check_matches_bool_sat(kitchen, kitchen_worlds, scenario, pma
         state.door_angles[d] = data.draw(st.sampled_from((0.0, 80.0, 80.5, 180.0)))
     for n in data.draw(st.lists(st.sampled_from(sorted(scenario.objects)), unique=True)):
         state.running[n] = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
-    got = _roundtrip_outcome(sim._check_roundtrip, scenario, chi_w0, state)
+    got = _roundtrip_outcome(_table_check, scenario, chi_w0, state)
     assert got == _roundtrip_outcome(sim_oracle.check_roundtrip, scenario, chi_w0, state)
 
 
 def test_roundtrip_check_on_an_unknown_signal_is_stl_error(kitchen, kitchen_worlds,
                                                            scenario, pmap):
     w = closed_world(kitchen_worlds)
-    state = instantiate(w, scenario, chi(kitchen, w, pmap), midpoint(scenario)).q0
+    state = place(w, scenario, chi(kitchen, w, pmap), midpoint(scenario)).q0
     chi_w0 = SAnd((Atom("DoorAngle_o_m", "<", 80.0), SNot(Atom("Door_o_m", ">", 80.0))))
     want = _roundtrip_outcome(sim_oracle.check_roundtrip, scenario, chi_w0, state)
     assert want == (StlError, "unknown signal 'Door_o_m'")
-    assert _roundtrip_outcome(sim._check_roundtrip, scenario, chi_w0, state) == want
+    assert _roundtrip_outcome(_table_check, scenario, chi_w0, state) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -333,9 +341,128 @@ def test_pair_signals_match_nested_max(kitchen, kitchen_worlds, scenario, data):
                            "region_dzlo", "region_dzhi")}
         objects[name] = dataclasses.replace(g, **sizes)
     scn = Scenario(objects, scenario.workspace, scenario.policy_ranges)
-    state = instantiate(kitchen_worlds[0], scenario, SAnd(()), midpoint(scenario)).q0
+    state = place(kitchen_worlds[0], scenario, SAnd(()), midpoint(scenario)).q0
     for name in scn.objects:
         state.positions[name] = data.draw(st.tuples(coords, coords, coords))
     got = signal_values(scn, state)
     want = sim_oracle.pair_signals(scn, state)
     assert {k: got[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}
+
+
+def _hexed(values: dict) -> list:
+    """The items of `values` in order, floats and coordinates in hex."""
+    return [(k, tuple(x.hex() for x in v) if isinstance(v, tuple) else v.hex())
+            for k, v in values.items()]
+
+
+def _instantiation(run, *args):
+    """Every field of the ScenarioSample, floats in hex and dicts in their
+    key order, or the raised error's type and text."""
+    try:
+        s = run(*args)
+    except (sim.SimError, StlError) as e:
+        return type(e), str(e)
+    q0 = s.q0
+    return (_hexed(q0.positions), _hexed(q0.door_angles), _hexed(q0.running),
+            _hexed(q0.knobs), s.sample_point, list(s.parents.items()), _hexed(s.signals))
+
+
+def _planned(plan, table):
+    def run(point):
+        return sim.instantiate(plan, table, point)
+    return run
+
+
+@pytest.mark.parametrize("ranges", ["healthy", "knobs", "narrow"])
+def test_planned_instantiation_matches_the_oracle(frozen_configs, kitchen, scenario, pmap,
+                                                  ranges):
+    """At seeded random points and at the box's corners, for the initial
+    world of each of the 52 frozen configurations, `instantiate` with the
+    world's plan gives what the loop that plans nothing gives: q0, the
+    parents and every signal, bit for bit and in the same key order, or
+    the same error.  The scenario is the healthy one, one whose knobs
+    vary over their legal ranges, or one whose workspace cuts through the
+    table's zones, so some points are infeasible."""
+    scn = {"healthy": scenario,
+           "knobs": Scenario(scenario.objects, scenario.workspace, dict(sim.KNOB_LEGAL)),
+           "narrow": Scenario(scenario.objects, dict(scenario.workspace, y=(-0.2, 1.5)),
+                              scenario.policy_ranges)}[ranges]
+    rng = random.Random(11)
+    d = box_dimension(scn)
+    seen = {"feasible": 0, "infeasible": 0}
+    for cfg in frozen_configs:
+        w = cfg.initial_world
+        chi_w0 = chi(kitchen, w, pmap)
+        plan, table = sim.InstantiationPlan(w, scn), LiteralTable(chi_w0)
+        points = [(0.0,) * d, (1.0,) * d] + [tuple(rng.random() for _ in range(d))
+                                             for _ in range(6)]
+        for point in points:
+            got = _instantiation(_planned(plan, table), point)
+            assert got == _instantiation(sim_oracle.instantiate, w, scn, chi_w0, point)
+            seen["infeasible" if got[0] is InstantiationError else "feasible"] += 1
+    assert seen["feasible"] and (ranges != "narrow" or seen["infeasible"]), seen
+
+
+def _ghost_world(*atoms):
+    return WorldState(frozenset(atoms) | {("IsOpen", ("o_b",)), ("IsOpen", ("o_p",)),
+                                          ("IsOpen", ("o_t",))})
+
+
+def _geometry(scn, name, **fields):
+    objects = dict(scn.objects)
+    objects[name] = dataclasses.replace(objects[name], **fields)
+    return Scenario(objects, scn.workspace, scn.policy_ranges)
+
+
+ON_TABLE = (("Loc", ("o_b", "o_t")), ("Loc", ("o_p", "o_t")))
+INSTANTIATION_ERRORS = {
+    "cycle": (lambda scn: scn, (("Loc", ("o_b", "o_p")), ("Loc", ("o_p", "o_b"))), None,
+              InstantiationError, "the Loc atoms of w0 form a cycle through o_b"),
+    "no location": (lambda scn: scn, (("Loc", ("o_p", "o_t")),), None,
+                    InstantiationError, "movable object o_b has no location in w0"),
+    "no zone": (lambda scn: _geometry(scn, "o_t", zones={"o_p": (-0.4, 0.0)}), ON_TABLE,
+                None, InstantiationError, "surface o_t has no placement zone for o_b"),
+    "fixed outside": (lambda scn: _geometry(scn, "o_m", position=(4.0, 0.0, 0.6)),
+                      ON_TABLE, None, InstantiationError,
+                      "o_m is outside the workspace on x (4)"),
+    "movable outside": (lambda scn: Scenario(scn.objects, dict(scn.workspace, y=(-0.1, 0.1)),
+                                             scn.policy_ranges),
+                        ON_TABLE, None, InstantiationError,
+                        "o_b is outside the workspace on y (0.25)"),
+    "movable above": (lambda scn: Scenario(scn.objects, dict(scn.workspace, z=(0.0, 0.77)),
+                                           scn.policy_ranges),
+                      ON_TABLE, None, InstantiationError,
+                      "o_b is outside the workspace on z (0.78)"),
+    "door angle": (lambda scn: _geometry(scn, "o_m", door_closed=(179.0, 181.0)), ON_TABLE,
+                   None, InstantiationError, "door angle of o_m out of range: 181"),
+    "inconsistent": (lambda scn: scn, ON_TABLE,
+                     SAnd((SNot(Atom("dist_o_b_o_t", "<=", 0.01)),
+                           Atom("DoorAngle_o_m", ">", 80.0))),
+                     InstantiationError,
+                     "concrete state inconsistent with the abstract world: "
+                     "(not (<= dist_o_b_o_t 0.01)); (> DoorAngle_o_m 80)"),
+    "unknown signal": (lambda scn: scn, ON_TABLE,
+                       SAnd((SNot(Atom("dist_o_b_o_t", "<=", 0.01)),
+                             Atom("Door_o_m", ">", 80.0))),
+                       StlError, "unknown signal 'Door_o_m'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANTIATION_ERRORS))
+def test_each_instantiation_error_is_raised_on_every_point(kitchen, scenario, pmap, case):
+    """A hand-built world and scenario for each error `instantiate` raises
+    past the point's own checks.  Errors that the world alone decides
+    are raised on every point, and each error has the oracle's type and
+    text.  The points put o_b at the edge of its zone, 90 degrees round,
+    with the door at the top of its interval."""
+    edit, atoms, chi_w0, kind, text = INSTANTIATION_ERRORS[case]
+    scn = edit(scenario)
+    w = _ghost_world(*atoms)
+    if chi_w0 is None:
+        chi_w0 = SAnd(())
+    plan, table = sim.InstantiationPlan(w, scn), LiteralTable(chi_w0)
+    for point in [(0.25, 1.0, 0.0, 0.0, 1.0, 0.5, 0.5, 0.5),
+                  (0.25, 1.0, 0.5, 0.0, 1.0, 0.1, 0.9, 0.3)]:
+        got = _instantiation(_planned(plan, table), point)
+        assert got == (kind, text)
+        assert got == _instantiation(sim_oracle.instantiate, w, scn, chi_w0, point)

@@ -375,8 +375,8 @@ def test_monitor_matches_keyed_oracle_on_synthesized_specs(frozen_specs, kitchen
     if data.draw(st.booleans()):
         point = data.draw(st.tuples(*[st.floats(0, 1)] * sim.box_dimension(scenario)))
         try:
-            sample = sim.instantiate(cfg.initial_world, scenario,
-                                     chi(kitchen, cfg.initial_world, pmap), point)
+            sample = sim.instantiate(sim.InstantiationPlan(cfg.initial_world, scenario),
+                                     spec.initial_table, point)
         except sim.InstantiationError:
             pass
         else:
@@ -675,7 +675,8 @@ def test_checkpoint_bound_never_exceeds_the_monitor(kitchen, kitchen_worlds, sce
                 for _ in range(4):
                     point = tuple(rng.random() for _ in range(sim.box_dimension(scn)))
                     try:
-                        sample = sim.instantiate(w, scn, spec.initial, point)
+                        sample = sim.instantiate(sim.InstantiationPlan(w, scn),
+                                                 spec.initial_table, point)
                     except sim.InstantiationError:
                         continue
                     trace, _ = sim.run_policy(scn, sample, ops, 0.25, horizon)
@@ -700,7 +701,8 @@ def test_checkpoint_bound_of_a_nan_margin_is_none(kitchen, kitchen_worlds, scena
     w = next(w for w in kitchen_worlds if ("IsOpen", ("o_m",)) not in w.true_atoms)
     spec = synthesize(ctgen.Configuration(w, parse_task("open(o_m)", kitchen), ()),
                       kitchen, pmap, {})
-    sample = sim.instantiate(w, scenario, spec.initial, (0.5,) * sim.box_dimension(scenario))
+    sample = sim.instantiate(sim.InstantiationPlan(w, scenario), spec.initial_table,
+                             (0.5,) * sim.box_dimension(scenario))
     ops = list(spec.branches[0].ops)
     trace, _ = sim.run_policy(scenario, sample, ops, 0.25, 5.0)
     rows = sim.checkpoint_rows(scenario, sample, ops, 0.25, 5.0)
@@ -718,3 +720,151 @@ def test_pmap_parse_errors(tmp_path):
     p.write_text("deltat: 1\npmap: F(a) := sig_{a} ~ 1\n")
     with pytest.raises(StlError):
         load_pmap(p)
+
+
+def _hex_or_none(x):
+    return None if x is None else x.hex()
+
+
+@pytest.mark.parametrize("ranges", ["healthy", "knobs"])
+def test_checkpoint_bound_matches_the_literal_walk_oracle(frozen_configs, kitchen, scenario,
+                                                          pmap, ranges):
+    """The bound read from the checkpoints' literal tables equals the one
+    that walks each checkpoint's chi literal by literal, bit for bit, or
+    both are None: for the 52 frozen configurations at seeded random
+    points, healthy or with every knob over its legal range, at the
+    checkpoint rows as `falsify` takes them; with some signals set to
+    their literals' thresholds, so that margins of 0.0 and -0.0 tie and
+    only the literals' order decides the sign of the bound; and with a
+    NaN signal."""
+    scn = scenario if ranges == "healthy" else sim.Scenario(
+        scenario.objects, scenario.workspace, dict(sim.KNOB_LEGAL))
+    rng = random.Random(17)
+    memo: dict = {}
+    seen = collections.Counter()
+    for cfg in frozen_configs:
+        spec = synthesize(cfg, kitchen, pmap, memo)
+        ops = list(spec.branches[0].ops)
+        horizon = max(len(ops), 1) * spec.delta_t
+        plan = sim.InstantiationPlan(cfg.initial_world, scn)
+        for _ in range(4):
+            point = tuple(rng.random() for _ in range(plan.dimension))
+            try:
+                sample = sim.instantiate(plan, spec.initial_table, point)
+            except sim.InstantiationError:
+                continue
+            rows = sim.checkpoint_rows(scn, sample, ops, 0.25, horizon)
+            if rows is None:
+                seen["no rows"] += 1
+                continue
+            times = sim.run_policy(scn, sample, ops, 0.25, horizon)[0].times
+            tied = []
+            for table, (i, signals) in zip(spec.branches[0].tables, rows):
+                signals = dict(signals)
+                for signal, threshold, _, _ in rng.sample(table.rows, 3):
+                    signals[signal] = threshold
+                tied.append((i, signals))
+            i, signals = rows[-1]
+            nan = rows[:-1] + [(i, dict(signals, **{rng.choice(list(signals)): math.nan}))]
+            for case in (rows, tied, nan):
+                got = _hex_or_none(checkpoint_bound(spec, times, case))
+                assert got == _hex_or_none(stl_oracle.checkpoint_bound(spec, times, case))
+                seen[got if got in (None, "0x0.0p+0", "-0x0.0p+0") else "bound"] += 1
+    assert set(seen) >= {"bound", None, "0x0.0p+0", "-0x0.0p+0"}, seen
+
+
+def _plan_outcome(plan, phi, times, t):
+    """The demanded times, plans and truncation flag of `plan`, or the
+    error it raises."""
+    try:
+        return plan(stl._compile(phi), times, t)
+    except StlError as e:
+        return type(e), str(e)
+
+
+def _monitor_plan(nodes, times, t):
+    """The monitor's demanded times, plans and truncation flag; lists of
+    equal times must be one object."""
+    lists, plans, truncated = stl._plan(nodes, times, t)
+    assert len({id(own) for own in lists}) == len({tuple(own) for own in lists})
+    return lists, plans, truncated
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_monitor_plans_match_the_per_node_oracle(data):
+    """Sharing one list and one position map among the nodes demanded at
+    the same times changes no demanded time, no plan and no truncation
+    flag, and raises the same error, over the random formulas and
+    traces of `test_monitor_matches_keyed_oracle`."""
+    tr = data.draw(timed_traces())
+    phi = data.draw(rich_formulas(tr))
+    if data.draw(st.booleans()):
+        phi = _shared(phi, data.draw(st.sampled_from((0.0, 0.25, 0.5))),
+                      data.draw(st.sampled_from((0.5, 1.0, 2.0))))
+    t = data.draw(st.one_of(st.sampled_from(tr.times),
+                            st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
+    assert _plan_outcome(_monitor_plan, phi, tr.times, t) == \
+        _plan_outcome(stl_oracle.plan, phi, tr.times, t)
+
+
+@pytest.mark.parametrize("delta_t", [5.0, 1.9, 0.1])
+def test_monitor_plans_of_synthesized_specs_match_the_per_node_oracle(
+        frozen_configs, kitchen, pmap, delta_t):
+    """The same on the nested specs of the 52 frozen configurations, at the
+    sample times `falsify` monitors them at, with windows that end past
+    the trace at the shorter `deltat`s.  Nodes share far fewer lists
+    than there are nodes."""
+    wide = PredicateMap(pmap.templates, delta_t)
+    memo: dict = {}
+    for cfg in frozen_configs:
+        spec = synthesize(cfg, kitchen, wide, memo)
+        horizon = max(len(spec.branches[0].ops), 1) * delta_t
+        times = tuple(i * 0.25 for i in range(int(math.floor(horizon / 0.25 + 1e-9)) + 1))
+        monitor = stl.Monitor(spec.formula, times)
+        want = stl_oracle.plan(monitor.nodes, times, 0.0)
+        assert (monitor.demand, monitor.plans, monitor.truncated) == want
+        assert len({id(own) for own in monitor.demand}) <= len(monitor.nodes) // 4
+
+
+def test_synthesize_builds_chi_of_each_state_once_per_memo(frozen_configs, kitchen, pmap,
+                                                          monkeypatch):
+    """A memo shared by the configurations of a campaign builds chi of
+    each distinct state once, and its literal table with it.  Each
+    spec's tables are those of its checkpoints' and initial world's
+    chi."""
+    built = collections.Counter()
+    real = stl.chi
+
+    def counting(theory, state, pmap):
+        built[state.true_atoms] += 1
+        return real(theory, state, pmap)
+
+    monkeypatch.setattr(stl, "chi", counting)
+    memo: dict = {}
+    for cfg in frozen_configs:
+        spec = synthesize(cfg, kitchen, pmap, memo)
+        assert spec.initial_table.formula is spec.initial
+        for br in spec.branches:
+            assert [t.formula for t in br.tables] == [ck for _, ck in br.checkpoints]
+    assert len(built) > 12 and set(built.values()) == {1}
+
+
+def test_chi_built_for_another_pmap_is_never_served(frozen_configs, kitchen, pmap):
+    """A memo shared between two predicate maps, here two thresholds for
+    Loc, serves each map only the chi built for it: every spec, with its
+    literal tables, equals one synthesized with a fresh memo."""
+    loc = pmap.templates["Loc"]
+    other = PredicateMap(dict(pmap.templates, Loc=stl.PredicateTemplate(
+        loc.family, loc.params, loc.signal_template, loc.comparator, 0.02)), pmap.delta_t)
+    memo: dict = {}
+    for cfg in frozen_configs[:13]:
+        for m in (pmap, other, pmap):
+            spec = synthesize(cfg, kitchen, m, memo)
+            fresh = synthesize(cfg, kitchen, m, {})
+            assert spec == fresh
+            assert spec.initial_table.rows == fresh.initial_table.rows
+            assert [[t.rows for t in br.tables] for br in spec.branches] == \
+                [[t.rows for t in br.tables] for br in fresh.branches]
+            assert any(row[1] == loc.threshold * (2 if m is other else 1)
+                       for row in spec.initial_table.rows)
