@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from . import ctgen, falsify as fz, sim, stl
 from .logic import ParseError, format_formula, TRUE
-from .tasks import Grammar, format_task, parse_task
+from .tasks import Grammar, enumerate_derivations, format_task, parse_task
 from .theory import (
     TheoryError, WorldState, enumerate_initial_worlds, load_model,
     parse_ground_atom, satisfies_init,
@@ -130,7 +130,7 @@ def _count_table(theory, grammar, depth: int, worlds) -> list[tuple[int, int]]:
     length."""
     syntax_valid = [0] * (depth + 1)
     accomplishable = [0] * (depth + 1)
-    for steps, _, sat in ctgen.accomplishing_worlds(theory, grammar, depth, worlds):
+    for steps, _, sat in enumerate_derivations(grammar, depth, theory, worlds):
         syntax_valid[len(steps)] += 1
         accomplishable[len(steps)] += bool(sat)
     return [(sum(syntax_valid[:k + 1]), sum(accomplishable[:k + 1]))

@@ -74,9 +74,6 @@ class CtModel:
     unary_params: dict[str, GroundAtom] = field(default_factory=dict)
     tuple_params: dict[str, list[list[str]]] = field(default_factory=dict)  # family -> [instance][component]
 
-    def param_index(self) -> dict[str, int]:
-        return {p.name: i for i, p in enumerate(self.parameters)}
-
     @cached_property
     def world_codes(self) -> dict[tuple[str, ...], WorldState]:
         """Each initial world by its `encode_world` values, built on first read."""
@@ -207,26 +204,12 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
     model.parameters.extend(CtParameter(name, ("false", "true"))
                             for name in model.unary_params)
 
-    for steps, task, sat in accomplishing_worlds(theory, grammar, depth, worlds):
+    for steps, task, sat in enumerate_derivations(grammar, depth, theory, worlds):
         padded = _pad(steps, depth)
         model.derivations[padded] = task
         if sat:
             model.wp_worlds[padded] = frozenset(sat)
     return model
-
-
-def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
-                         worlds: list[WorldState]
-                         ) -> Iterator[tuple[tuple[str, ...], Task, list[WorldState]]]:
-    """Every derivation of at most `depth` steps, as its rule ids, with its
-    task and the worlds of `worlds` from which the task can complete, in
-    their order.  The derivation is accomplishable when that list is not
-    empty.
-
-    The tasks are run forward while they are derived: each world's state
-    is carried down the derivation tree, so an atom runs once for all the
-    derivations that share it (`tasks.enumerate_derivations`)."""
-    yield from enumerate_derivations(grammar, depth, theory, worlds)
 
 
 def _check_strength(strength: Union[int, str]) -> None:
@@ -321,15 +304,6 @@ def _tuple_masks(model: CtModel, rows: list[tuple[str, ...]], t: int,
             buf[i >> 3] |= 1 << (i & 7)
         masks.append(int.from_bytes(buf, "little"))
     return masks
-
-
-def coverable_tuples(model: CtModel, t: int,
-                     valid: list[tuple[str, ...]]) -> set[tuple]:
-    """Every t-tuple of (parameter index, value) pairs extendable to a
-    valid full assignment; `valid` is `enumerate_valid(model)`'s rows."""
-    bits: dict[tuple, int] = {}
-    _tuple_masks(model, valid, t, bits)
-    return set(bits)
 
 
 def generate_covering_array(model: CtModel, t: Union[int, str],

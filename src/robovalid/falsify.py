@@ -81,7 +81,7 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     instantiation plan of its initial world (`sim.InstantiationPlan`),
     and the spec's monitor, from the first trace, since every trace has
     the same sample times.  Every instantiation is checked against
-    `spec.initial_table`, chi of the initial world as a literal table.
+    `spec.initial`, chi of the initial world as a literal table.
 
     Once there is an incumbent, a sample is first bounded from below:
     `sim.checkpoint_rows` runs each operation of the first branch to
@@ -122,7 +122,7 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
         nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
-            sample = instantiate(plan, spec.initial_table, point)
+            sample = instantiate(plan, spec.initial, point)
         except InstantiationError:
             infeasible += 1
             return math.inf

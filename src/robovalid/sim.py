@@ -94,8 +94,9 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     """The scenario of a JSON file; bad JSON, a missing or unknown key, a
-    value of the wrong type or a zone for an object that is not movable
-    is a SimError naming the file."""
+    value of the wrong type, a door range outside [0, 180] degrees or a
+    zone for an object that is not movable is a SimError naming the
+    file."""
     try:
         with open(path) as f:
             return _scenario(json.load(f))
@@ -155,8 +156,8 @@ def _scenario(raw: dict) -> Scenario:
             position=_numbers(o["position"], 3) if "position" in o else None,
             zones={k: _numbers(v, 2) for k, v in o.get("zones", {}).items()},
             zone_radius=_number(o.get("zone_radius", 0.0)),
-            door_closed=_numbers(door["closed"], 2) if door is not None else None,
-            door_open=_numbers(door["open"], 2) if door is not None else None,
+            door_closed=_door_range(door, "closed", where) if door is not None else None,
+            door_open=_door_range(door, "open", where) if door is not None else None,
         )
         if objects[name].fixed and objects[name].position is None:
             raise SimError("fixed object %s needs a position" % name)
@@ -174,6 +175,16 @@ def _scenario(raw: dict) -> Scenario:
     workspace = _known(raw["workspace"], ("x", "y", "z"), "the workspace")
     return Scenario(objects, {axis: _numbers(workspace[axis], 2) for axis in "xyz"},
                     ranges)
+
+
+def _door_range(door: dict, key: str, where: str) -> tuple[float, float]:
+    """A door's `closed` or `open` angles, an ordered range within [0, 180]
+    degrees: `instantiate` finds every angle outside it infeasible."""
+    lo, hi = _numbers(door[key], 2)
+    if not 0.0 <= lo <= hi <= 180.0:
+        raise SimError("door %s of %s [%g, %g] is not an ordered range within [0, 180]"
+                       % (key, where, lo, hi))
+    return lo, hi
 
 
 def check_knob_range(knob: str, lo: float, hi: float) -> None:

@@ -28,7 +28,7 @@ import bisect
 import io
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import ge, gt, is_, le, lt, neg, sub
 from typing import Optional, Union
@@ -645,7 +645,8 @@ _HOLDS = {">": gt, ">=": ge, "<": lt, "<=": le}  # Atom.holds, per comparator
 class LiteralTable:
     """A conjunction of literals, as `chi` builds it, as one flat table:
     `rows` holds (signal, threshold, comparator, negated) per literal, in
-    the conjunction's order.  The literals are also grouped, by
+    the conjunction's order.  Two tables are equal, and hash alike, when
+    their formulas are.  The literals are also grouped, by
     comparator and sign for `holds` and by direction and sign for
     `least_margin`, so that each group is decided in one pass over its
     signals, with the float expressions of `Atom.holds` and
@@ -671,6 +672,12 @@ class LiteralTable:
                             for (comparator, negated), (n, t) in checks.items())
         self.margins = tuple((up, negated, tuple(n), tuple(t))
                              for (up, negated), (n, t) in margins.items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LiteralTable) and self.formula == other.formula
+
+    def __hash__(self) -> int:
+        return hash(self.formula)
 
     def holds(self, values: dict[str, float]) -> bool:
         """Whether every literal holds of the signal `values`; False also
@@ -726,10 +733,8 @@ def _chi_table(theory: ActionTheory, state: WorldState, pmap: PredicateMap,
 @dataclass(frozen=True)
 class BranchSpec:
     ops: tuple  # GroundOp sequence after stripping tests
-    checkpoints: tuple[tuple[int, StlFormula], ...]  # (situation index, chi)
     formula: StlFormula
-    # chi of each checkpoint as a literal table, for `checkpoint_bound`
-    tables: tuple[LiteralTable, ...] = field(compare=False, repr=False)
+    checkpoints: tuple[LiteralTable, ...]  # chi after each op; situation index k+1
 
 
 @dataclass(frozen=True)
@@ -737,9 +742,7 @@ class SpecSynthesisResult:
     formula: StlFormula
     branches: tuple[BranchSpec, ...]
     delta_t: float
-    initial: SAnd  # chi of the initial world
-    # `initial` as a literal table, for the check of each instantiation
-    initial_table: LiteralTable = field(compare=False, repr=False)
+    initial: LiteralTable  # chi of the initial world
 
 
 def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
@@ -771,21 +774,17 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
         if states is None:
             continue
         ops = tuple(a.op for a in branch if isinstance(a, Op))
-        tables = tuple(_chi_table(theory, state, pmap, memo) for state in states)
+        checkpoints = tuple(_chi_table(theory, state, pmap, memo) for state in states)
         formula: StlFormula = None
-        for table in reversed(tables):
+        for table in reversed(checkpoints):
             ck = table.formula
-            inner = ck if formula is None else SAnd((ck, formula))
-            formula = Eventually(0.0, delta_t, inner)
-        if formula is None:
-            formula = STrue()
-        checkpoints = tuple((i, table.formula) for i, table in enumerate(tables, 1))
-        specs.append(BranchSpec(ops, checkpoints, formula, tables))
+            formula = Eventually(0.0, delta_t, ck if formula is None else SAnd((ck, formula)))
+        specs.append(BranchSpec(ops, formula or STrue(), checkpoints))
     if not specs:
         raise StlError("no branch of the task can run from the initial world")
     top = specs[0].formula if len(specs) == 1 else SOr(tuple(s.formula for s in specs))
-    initial = _chi_table(theory, config.initial_world, pmap, memo)
-    return SpecSynthesisResult(top, tuple(specs), delta_t, initial.formula, initial)
+    return SpecSynthesisResult(top, tuple(specs), delta_t,
+                               _chi_table(theory, config.initial_world, pmap, memo))
 
 
 def checkpoint_bound(spec: SpecSynthesisResult, times: tuple[float, ...],
@@ -800,17 +799,15 @@ def checkpoint_bound(spec: SpecSynthesisResult, times: tuple[float, ...],
     Eventually is at least its body at any point of its window, an And
     is the least of its operands and the disjunction of the branches is
     at least its first.  So each checkpoint's time must lie in the window
-    its enclosing Eventually opens at the previous one's time, computed
-    as `_window_times` computes it; otherwise there is no bound.  Nor is
+    its enclosing Eventually opens at the previous one's time t: every
+    window `synthesize` builds is [t, t + delta_t], compared as
+    `_window_times` compares it; otherwise there is no bound.  Nor is
     there one when some margin is NaN, which `min` and `max` do not
     order."""
-    branch = spec.branches[0]
-    bound, t, ev = math.inf, 0.0, branch.formula
-    for k, (table, (i, signals)) in enumerate(zip(branch.tables, rows)):
-        if k:
-            ev = ev.body.parts[1]  # the Eventually `synthesize` nests after chi
+    bound, t = math.inf, 0.0
+    for table, (i, signals) in zip(spec.branches[0].checkpoints, rows):
         u = times[i]
-        if not t + ev.lo <= u <= t + ev.hi:
+        if not t <= u <= t + spec.delta_t:
             return None
         m = table.least_margin(signals)
         if m is None:

@@ -214,44 +214,32 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
 
     Returns the state after each operation, or None when a test fails or
     an operation is not possible on the way.  `memo` keeps one
-    transition table per branch atom (`transitions`), each operation
-    grounded once (`theory.ground_op`, keyed by its GroundOp), each
-    test's formula grounded once (keyed by the formula) and each state's
+    transition table per atom (`_table`), each operation grounded once
+    (`theory.ground_op`, keyed by its GroundOp), each test's formula
+    grounded once (keyed by the formula) and each state's
     `theory.state_truth` computed once (keyed by its `true_atoms`).  The
     caller owns it and shares it across the branches and worlds of a run,
     whose branches share most of their prefixes and reach the same
     states.
     """
-    return walk(theory, state, transitions(branch, memo), memo)
-
-
-def transitions(branch: list[Task], memo: dict) -> list[tuple[bool, Task, dict]]:
-    """(is an operation, atom, transition table) for each atom of
-    `branch`.  An atom's table, kept in `memo` under the atom, maps a
-    state's `true_atoms`, whose hash the frozenset caches, to the state
-    after the atom, or to None when the atom is stuck there.  A caller
-    that runs one branch from many states looks its tables up once."""
-    out = []
-    for atom in branch:
-        table = memo.get(atom)
-        if table is None:
-            table = memo[atom] = {}
-        out.append((isinstance(atom, Op), atom, table))
-    return out
-
-
-def walk(theory: ActionTheory, state: WorldState,
-         tables: list[tuple[bool, Task, dict]], memo: dict) -> Optional[list[WorldState]]:
-    """`run_branch` over the branch's `transitions`: each step is a table
-    lookup, and a state's first visit runs the atom and fills its entry."""
     states = []
-    for is_op, atom, table in tables:
-        state = _step(theory, state, atom, table, memo)
+    for atom in branch:
+        state = _step(theory, state, atom, _table(atom, memo), memo)
         if state is None:
             return None
-        if is_op:
+        if isinstance(atom, Op):
             states.append(state)
     return states
+
+
+def _table(atom: Task, memo: dict) -> dict:
+    """`atom`'s transition table, kept in `memo` under the atom: it maps a
+    state's `true_atoms` to the state after the atom, or to None when the
+    atom is stuck there."""
+    table = memo.get(atom)
+    if table is None:
+        table = memo[atom] = {}
+    return table
 
 
 def _step(theory: ActionTheory, state: WorldState, atom: Task, table: dict,
@@ -259,10 +247,9 @@ def _step(theory: ActionTheory, state: WorldState, atom: Task, table: dict,
     """The state after `atom` from `state`, or None when it is stuck there,
     looked up in the atom's transition `table` and filled on a miss."""
     key = state.true_atoms
-    if key in table:
-        return table[key]
-    nxt = table[key] = _run_atom(theory, state, atom, memo)
-    return nxt
+    if key not in table:
+        table[key] = _run_atom(theory, state, atom, memo)
+    return table[key]
 
 
 def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
@@ -323,12 +310,14 @@ class Grammar:
     reach, or that makes a nonterminal stand for two kinds, is a
     TheoryError naming the rule's model line.  A fragment is then what
     the rule's text means wherever its left side occurs, so a derivation
-    builds the task its text parses to."""
+    builds the task its text parses to.  An empty grammar, or a
+    nonterminal no derivation can eliminate, is a TheoryError too, the
+    latter naming the model line of the first rule that expands one."""
 
     def __init__(self, theory: ActionTheory):
         rules = list(theory.grammar)
         if not rules:
-            raise ValueError("empty grammar")
+            raise TheoryError("empty grammar: the model has no grammar rules")
         self.rules = rules
         self.start = rules[0].lhs
         self.nonterminals = {r.lhs for r in rules}
@@ -360,9 +349,11 @@ class Grammar:
                 if cost[r.lhs] is None or c < cost[r.lhs]:
                     cost[r.lhs] = c
                     changed = True
-        dead = [nt for nt, c in cost.items() if c is None]
+        dead = sorted(nt for nt, c in cost.items() if c is None)
         if dead:
-            raise ValueError("nonterminals cannot terminate: %s" % ", ".join(sorted(dead)))
+            first = next(r for r in self.rules if r.lhs in dead)
+            raise TheoryError("%s: nonterminals cannot terminate: %s"
+                              % (_where(first), ", ".join(dead)))
         return cost
 
     def _compile(self, theory: ActionTheory) -> dict[str, tuple]:
@@ -495,8 +486,8 @@ def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
     memo.  When no state is live, the subtree is dead: it is still
     enumerated, with no worlds, and runs nothing.  Once a choice opens,
     the atoms completed inside it are not a prefix of every branch, so
-    the leaf runs the task by `normalize` and `walk` from the worlds
-    still live where the choice opened.
+    the leaf runs each branch of the task's `normalize` by `run_branch`
+    from the worlds still live where the choice opened.
     """
     if depth < 1:
         return
@@ -519,9 +510,7 @@ def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
             value = make(values[k:], parser)
             values = values[:k] + (value,)
             if not choice and isinstance(value, (Op, Test)) and any(live):
-                table = memo.get(value)
-                if table is None:
-                    table = memo[value] = {}
+                table = _table(value, memo)
                 live = tuple(None if s is None else _step(theory, s, value, table, memo)
                              for s in live)
         else:
@@ -531,9 +520,9 @@ def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
                 return
             sat = [w for w, s in zip(worlds, live) if s is not None]
             if choice and sat:
-                branches = [transitions(b, memo) for b in normalize(task)]
+                branches = normalize(task)
                 sat = [w for w in sat
-                       if any(walk(theory, w, tables, memo) is not None for tables in branches)]
+                       if any(run_branch(theory, w, b, memo) is not None for b in branches)]
             yield steps, task, sat
             return
         if len(steps) >= depth:

@@ -7,7 +7,7 @@ using only the model's constraints and its derivation table.  It keeps
 its own copy of `pparams`, which the package no longer needs.
 
 `derivation_wps` is the grounded-WP test of accomplishability that
-`robovalid.ctgen.accomplishing_worlds` replaced: it computes the weakest
+the forward runs of `robovalid.tasks.enumerate_derivations` replaced: it computes the weakest
 precondition of every derivation, grounds it once and evaluates it with
 `peval` on every world, where the package runs the task forward.  It
 takes the derivations from the text-parsing path of `tasks_oracle`.
@@ -20,6 +20,10 @@ take the row of highest gain, the lowest index in sorted order among
 ties, so they must return the same rows.  Called without valid rows, it
 takes them from this module's solver.  It builds the tuple sets with its
 own `_row_tuples`, not with the package's mask builder.
+
+`param_index` and `coverable_tuples` are lookups over a model that only
+the tests read: each parameter's position by name, and every t-tuple a
+valid row holds.
 """
 
 import itertools
@@ -51,6 +55,10 @@ def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
                                  if peval(grounded, a)]
 
 
+def param_index(model: CtModel) -> dict[str, int]:
+    return {p.name: i for i, p in enumerate(model.parameters)}
+
+
 def pparams(phi: PFormula) -> frozenset:
     """The parameters phi mentions."""
     if isinstance(phi, PEq):
@@ -75,7 +83,7 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
     (every other derivation's implication) are dropped for the subtree.
     """
     params = model.parameters
-    index = model.param_index()
+    index = param_index(model)
     depth = model.depth
     assert all(params[k].name == "d%d" % (k + 1) for k in range(depth))
 
@@ -143,6 +151,13 @@ def _row_tuples(model: CtModel, rows: list[tuple[str, ...]],
     t = min(t, len(model.parameters))
     return [frozenset(itertools.combinations(tuple(enumerate(row)), t))
             for row in rows]
+
+
+def coverable_tuples(model: CtModel, t: int,
+                     valid: list[tuple[str, ...]]) -> set[tuple]:
+    """Every t-tuple of (parameter index, value) pairs extendable to a
+    valid full assignment; `valid` is `enumerate_valid(model)`'s rows."""
+    return set().union(*_row_tuples(model, valid, t))
 
 
 def generate_covering_array(model: CtModel, t: Union[int, str],

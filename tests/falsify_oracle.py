@@ -41,7 +41,7 @@ def falsify(config, spec, scn, budget, seed):
         nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
         evaluations += 1
         try:
-            sample = instantiate(config.initial_world, scn, spec.initial, point)
+            sample = instantiate(config.initial_world, scn, spec.initial.formula, point)
         except InstantiationError:
             infeasible += 1
             return math.inf

@@ -75,7 +75,8 @@ def plan(nodes, times, root_time):
 def checkpoint_bound(spec, times, rows):
     branch = spec.branches[0]
     bound, t, ev = math.inf, 0.0, branch.formula
-    for k, ((_, ck), (i, signals)) in enumerate(zip(branch.checkpoints, rows)):
+    for k, (table, (i, signals)) in enumerate(zip(branch.checkpoints, rows)):
+        ck = table.formula
         if k:
             ev = ev.body.parts[1]
         u = times[i]

@@ -26,7 +26,7 @@ from typing import Iterator
 from robovalid.logic import S0, anchor, evaluate
 from robovalid.tasks import (
     EPSILON, NIL, Choice, Grammar, Nil, Op, Seq, Task, TaskParser, Test,
-    normalize, transitions, walk,
+    normalize, run_branch,
 )
 from robovalid.theory import (
     ActionTheory, GroundAtom, GroundOp, PreconditionViolation, StateView,
@@ -161,7 +161,7 @@ def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
     `worlds` from which some branch of its task runs to the end."""
     memo: dict = {}
     for steps, task in enumerate_derivations(grammar, depth, theory):
-        branches = [transitions(b, memo) for b in normalize(task)]
+        branches = normalize(task)
         yield steps, task, [w for w in worlds
-                            if any(walk(theory, w, tables, memo) is not None
-                                   for tables in branches)]
+                            if any(run_branch(theory, w, b, memo) is not None
+                                   for b in branches)]

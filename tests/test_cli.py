@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from robovalid import ctgen, theory
+from robovalid import cli, ctgen, theory
 from robovalid.cli import main
 
 from conftest import MODELS, ROOT, WAIT_MODEL
@@ -34,9 +34,9 @@ def test_enumerate_counts(capsys, monkeypatch):
     """The table comes from one pass at the largest depth, which runs the
     tasks forward and computes no weakest precondition."""
     wp_calls, passes = [], []
-    enumerate_derivations = ctgen.enumerate_derivations
+    enumerate_derivations = cli.enumerate_derivations
     monkeypatch.setattr(ctgen, "compute_wp", lambda *a: wp_calls.append(a))
-    monkeypatch.setattr(ctgen, "enumerate_derivations",
+    monkeypatch.setattr(cli, "enumerate_derivations",
                         lambda *a: passes.append(a) or enumerate_derivations(*a))
     assert main(["enumerate", "--model", KITCHEN, "--depth", "4"]) == 0
     assert wp_calls == []

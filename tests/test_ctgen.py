@@ -9,7 +9,7 @@ import ctgen_oracle
 from robovalid import cli, ctgen
 from robovalid.ctgen import (
     CtError, CtModel, CtParameter, build_model, check_assignment,
-    coverable_tuples, enumerate_valid, generate_covering_array,
+    enumerate_valid, generate_covering_array,
     realize_configuration, verify_covering_array,
 )
 from robovalid.logic import (
@@ -50,7 +50,7 @@ def test_put_fragment_parameters(put_model):
 def test_put_fragment_symmetry_forces_sources(put_model, put_valid):
     """Only bread and plate are placeable, so after symmetry breaking the
     first tuple carries o_b and the second o_p."""
-    idx = put_model.param_index()
+    idx = ctgen_oracle.param_index(put_model)
     for row in put_valid:
         assert row[idx["Loc_1_1"]] == "o_b"
         assert row[idx["Loc_2_1"]] == "o_p"
@@ -123,8 +123,8 @@ def test_kitchen_arrays_sound_covered_monotone(kitchen, kitchen_grammar):
 
 
 def test_coverable_tuples_only_from_valid_rows(put_model, put_valid):
-    tuples = coverable_tuples(put_model, 1, put_valid)
-    idx = put_model.param_index()
+    tuples = ctgen_oracle.coverable_tuples(put_model, 1, put_valid)
+    idx = ctgen_oracle.param_index(put_model)
     # d1 can only ever be the single task rule
     d1_vals = {pair[0][1] for pair in tuples if pair[0][0] == idx["d1"]}
     assert d1_vals == {"r_t1"}
@@ -284,7 +284,7 @@ def test_accomplishing_worlds_match_grounded_wp_oracle(request, name, grammar,
     theory = request.getfixturevalue(name)
     grammar = request.getfixturevalue(grammar)
     worlds = list(enumerate_initial_worlds(theory))
-    got = list(ctgen.accomplishing_worlds(theory, grammar, depth, worlds))
+    got = list(enumerate_derivations(grammar, depth, theory, worlds))
     want = [(steps, task, sat) for steps, task, _, sat
             in ctgen_oracle.derivation_wps(theory, grammar, depth, worlds)]
     assert got == want
@@ -313,7 +313,7 @@ def test_realize_rejects_a_flipped_world(kitchen, kitchen_grammar, kitchen_world
     or another initial world, which realizes exactly when the task's WP
     holds there."""
     model = build_model(kitchen, kitchen_grammar, 4, 2)
-    index = model.param_index()
+    index = ctgen_oracle.param_index(model)
     worlds = {w.true_atoms for w in kitchen_worlds}
     violations = 0
     for row in enumerate_valid(model):
@@ -341,7 +341,7 @@ def test_realize_agrees_with_check_assignment(kitchen, kitchen_grammar):
     any value of its domain, epsilon included, realizes exactly when it
     satisfies the constraints."""
     model = build_model(kitchen, kitchen_grammar, 4, 2)
-    index = model.param_index()
+    index = ctgen_oracle.param_index(model)
     comps = [index[c] for insts in model.tuple_params.values()
              for inst in insts for c in inst]
     swapped = realized = rejected = 0

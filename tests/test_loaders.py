@@ -143,6 +143,10 @@ def _set(value, *keys):
     (_set([0.0, 1.0], "objects", "o_m", "door", "ajar"),
      "unknown key 'ajar' in the door of object o_m"),
     (_set({}, "objects", "o_m", "door"), "missing key 'closed'"),
+    (_set([81.0, 400.0], "objects", "o_m", "door", "open"),
+     "door open of object o_m [81, 400] is not an ordered range within [0, 180]"),
+    (_set([0.9, 0.0], "objects", "o_m", "door", "closed"),
+     "door closed of object o_m [0.9, 0] is not an ordered range within [0, 180]"),
     (_set([0.0, 1.0], "policy", "gripForce"), "unknown key 'gripForce' in the policy"),
     (_set([0.0, 1.0], "workspace", "w"), "unknown key 'w' in the workspace"),
     (_set([0.4, 0.0], "objects", "o_t", "zones", "o_x"),
@@ -151,7 +155,8 @@ def _set(value, *keys):
      "zone of o_t for o_m, which is not a movable object"),
 ], ids=["no-policy", "no-workspace", "text-height", "nan-height", "short-position",
         "text-range", "text-fixed", "objects-list", "object-key", "top-level-key",
-        "support-key", "region-key", "door-key", "empty-door", "policy-key", "workspace-key",
+        "support-key", "region-key", "door-key", "empty-door", "door-open-past-180",
+        "door-closed-unordered", "policy-key", "workspace-key",
         "zone-of-no-object", "zone-of-a-fixed-object"])
 def test_bad_scenario_raises_sim_error(tmp_path, edit, text):
     """A bad value, or a misspelt key that would otherwise read as its

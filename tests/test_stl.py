@@ -354,7 +354,7 @@ def frozen_specs(frozen_configs, kitchen, pmap):
 
 def test_spec_carries_chi_of_the_initial_world(frozen_specs, kitchen, pmap):
     for cfg, spec in frozen_specs:
-        assert spec.initial == chi(kitchen, cfg.initial_world, pmap)
+        assert spec.initial.formula == chi(kitchen, cfg.initial_world, pmap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -376,7 +376,7 @@ def test_monitor_matches_keyed_oracle_on_synthesized_specs(frozen_specs, kitchen
         point = data.draw(st.tuples(*[st.floats(0, 1)] * sim.box_dimension(scenario)))
         try:
             sample = sim.instantiate(sim.InstantiationPlan(cfg.initial_world, scenario),
-                                     spec.initial_table, point)
+                                     spec.initial, point)
         except sim.InstantiationError:
             pass
         else:
@@ -638,9 +638,9 @@ def test_synthesize_checkpoints_match_progress(kitchen, kitchen_grammar, pmap):
         res = synthesize(cfg, kitchen, pmap, {})
         for br in res.branches:
             state = cfg.initial_world
-            for (i, ck), op in zip(br.checkpoints, br.ops):
+            for ck, op in zip(br.checkpoints, br.ops):
                 state = progress(kitchen, state, op)
-                assert ck == chi(kitchen, state, pmap)
+                assert ck.formula == chi(kitchen, state, pmap)
 
 
 BOUND_TASKS = ["open(o_m)", "put(o_p,o_t)", "[close(o_m) ; turn_on(o_m)]",
@@ -676,7 +676,7 @@ def test_checkpoint_bound_never_exceeds_the_monitor(kitchen, kitchen_worlds, sce
                     point = tuple(rng.random() for _ in range(sim.box_dimension(scn)))
                     try:
                         sample = sim.instantiate(sim.InstantiationPlan(w, scn),
-                                                 spec.initial_table, point)
+                                                 spec.initial, point)
                     except sim.InstantiationError:
                         continue
                     trace, _ = sim.run_policy(scn, sample, ops, 0.25, horizon)
@@ -701,7 +701,7 @@ def test_checkpoint_bound_of_a_nan_margin_is_none(kitchen, kitchen_worlds, scena
     w = next(w for w in kitchen_worlds if ("IsOpen", ("o_m",)) not in w.true_atoms)
     spec = synthesize(ctgen.Configuration(w, parse_task("open(o_m)", kitchen), ()),
                       kitchen, pmap, {})
-    sample = sim.instantiate(sim.InstantiationPlan(w, scenario), spec.initial_table,
+    sample = sim.instantiate(sim.InstantiationPlan(w, scenario), spec.initial,
                              (0.5,) * sim.box_dimension(scenario))
     ops = list(spec.branches[0].ops)
     trace, _ = sim.run_policy(scenario, sample, ops, 0.25, 5.0)
@@ -750,7 +750,7 @@ def test_checkpoint_bound_matches_the_literal_walk_oracle(frozen_configs, kitche
         for _ in range(4):
             point = tuple(rng.random() for _ in range(plan.dimension))
             try:
-                sample = sim.instantiate(plan, spec.initial_table, point)
+                sample = sim.instantiate(plan, spec.initial, point)
             except sim.InstantiationError:
                 continue
             rows = sim.checkpoint_rows(scn, sample, ops, 0.25, horizon)
@@ -759,7 +759,7 @@ def test_checkpoint_bound_matches_the_literal_walk_oracle(frozen_configs, kitche
                 continue
             times = sim.run_policy(scn, sample, ops, 0.25, horizon)[0].times
             tied = []
-            for table, (i, signals) in zip(spec.branches[0].tables, rows):
+            for table, (i, signals) in zip(spec.branches[0].checkpoints, rows):
                 signals = dict(signals)
                 for signal, threshold, _, _ in rng.sample(table.rows, 3):
                     signals[signal] = threshold
@@ -830,9 +830,8 @@ def test_monitor_plans_of_synthesized_specs_match_the_per_node_oracle(
 def test_synthesize_builds_chi_of_each_state_once_per_memo(frozen_configs, kitchen, pmap,
                                                           monkeypatch):
     """A memo shared by the configurations of a campaign builds chi of
-    each distinct state once, and its literal table with it.  Each
-    spec's tables are those of its checkpoints' and initial world's
-    chi."""
+    each distinct state once, and its literal table with it: equal
+    tables of the specs are one object."""
     built = collections.Counter()
     real = stl.chi
 
@@ -842,11 +841,11 @@ def test_synthesize_builds_chi_of_each_state_once_per_memo(frozen_configs, kitch
 
     monkeypatch.setattr(stl, "chi", counting)
     memo: dict = {}
+    tables: dict = {}
     for cfg in frozen_configs:
         spec = synthesize(cfg, kitchen, pmap, memo)
-        assert spec.initial_table.formula is spec.initial
-        for br in spec.branches:
-            assert [t.formula for t in br.tables] == [ck for _, ck in br.checkpoints]
+        for table in (spec.initial,) + tuple(t for br in spec.branches for t in br.checkpoints):
+            assert tables.setdefault(table, table) is table
     assert len(built) > 12 and set(built.values()) == {1}
 
 
@@ -863,8 +862,8 @@ def test_chi_built_for_another_pmap_is_never_served(frozen_configs, kitchen, pma
             spec = synthesize(cfg, kitchen, m, memo)
             fresh = synthesize(cfg, kitchen, m, {})
             assert spec == fresh
-            assert spec.initial_table.rows == fresh.initial_table.rows
-            assert [[t.rows for t in br.tables] for br in spec.branches] == \
-                [[t.rows for t in br.tables] for br in fresh.branches]
+            assert spec.initial.rows == fresh.initial.rows
+            assert [[t.rows for t in br.checkpoints] for br in spec.branches] == \
+                [[t.rows for t in br.checkpoints] for br in fresh.branches]
             assert any(row[1] == loc.threshold * (2 if m is other else 1)
-                       for row in spec.initial_table.rows)
+                       for row in spec.initial.rows)

@@ -157,8 +157,15 @@ def test_putfrag_syntactic_tasks(putfrag, putfrag_grammar):
 
 
 def test_grammar_rejects_nonterminating(kitchen):
-    with pytest.raises(ValueError):
-        Grammar(dataclasses.replace(kitchen, grammar=[GrammarRule("r1", "T", ("T",))]))
+    rules = [GrammarRule("r1", "T", ("T",), "m.sc:7")]
+    with pytest.raises(TheoryError, match=r"^m\.sc:7: grammar rule r1: nonterminals cannot "
+                                          r"terminate: T$"):
+        Grammar(dataclasses.replace(kitchen, grammar=rules))
+
+
+def test_grammar_rejects_an_empty_grammar(kitchen):
+    with pytest.raises(TheoryError, match="empty grammar"):
+        Grammar(dataclasses.replace(kitchen, grammar=[]))
 
 
 # Two choices over the kitchen grammar: one between two actions, and one
