@@ -6,11 +6,12 @@ ctgen.enumerate_valid` replaced: it searches the parameter space of a
 using only the model's constraints and its derivation table.  It keeps
 its own copy of `pparams`, which the package no longer needs.
 
-`derivation_wps` is the grounded-WP test of accomplishability that
-the forward runs of `robovalid.tasks.enumerate_derivations` replaced: it computes the weakest
-precondition of every derivation, grounds it once and evaluates it with
-`peval` on every world, where the package runs the task forward.  It
-takes the derivations from the text-parsing path of `tasks_oracle`.
+`derivation_wps` is the grounded-WP test of accomplishability that the
+forward runs of `robovalid.tasks.enumerate_derivations` replaced: it
+computes the weakest precondition of every derivation, grounds it once
+and evaluates it with `peval` on every world, where the package runs
+the task forward.  It takes the derivations from the text-parsing path
+of `tasks_oracle`.
 
 `generate_covering_array` is the greedy that `robovalid.ctgen.
 generate_covering_array` replaced: every round it rescans every valid row
