@@ -24,7 +24,6 @@ from .theory import (
 from .wp import wp
 
 MODEL_FORMAT_VERSION = "1"
-OUT_ENV_VAR = "ROBOVALID_OUT"
 
 
 def _atom_str(atom) -> str:
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version",
                    version="model-format %s" % MODEL_FORMAT_VERSION)
     sub = p.add_subparsers(dest="command", required=True)
-    default_out = os.environ.get(OUT_ENV_VAR, "out")
 
     def common(sp):
         sp.add_argument("--model", required=True)
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=_positive_int, required=True)
     sp.add_argument("--strength", type=_strength, default="2",
                     help="coverage strength: 1, 2, 3, ... or 'full'")
-    sp.add_argument("--out", default=default_out)
+    sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_generate)
 
     def falsify_flags(sp):
@@ -281,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME=LO[:HI]",
                         help="override a policy knob range, e.g. "
                              "doorTorqueLimit=0.3")
-        sp.add_argument("--out", default=default_out)
+        sp.add_argument("--out", default="out")
 
     sp = sub.add_parser("falsify", help="falsify configurations from a file")
     common(sp)

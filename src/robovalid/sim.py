@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import le
 from typing import Optional
 
 from .stl import LiteralTable, SNot, StlError, Trace, format_stl
@@ -407,8 +405,7 @@ def instantiate(plan: InstantiationPlan, chi_w0: LiteralTable,
     if len(sample) != plan.dimension:
         raise SimError("sample has dimension %d, expected %d"
                        % (len(sample), plan.dimension))
-    # 0.0 <= u <= 1.0 for every coordinate u
-    if not (all(map(le, repeat(0.0), sample)) and all(map(le, sample, repeat(1.0)))):
+    if not all(0.0 <= u <= 1.0 for u in sample):
         raise SimError("sample point outside the unit box")
     if plan.error is not None:
         raise InstantiationError(plan.error)

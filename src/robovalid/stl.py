@@ -30,7 +30,7 @@ import math
 import string
 from dataclasses import dataclass
 from itertools import repeat
-from operator import ge, gt, is_, le, lt, neg, sub
+from operator import ge, gt, is_, le, lt
 from typing import Optional, Union
 
 from .ctgen import Configuration
@@ -56,7 +56,7 @@ class SynthesisError(StlError):
 # Formulas
 # ---------------------------------------------------------------------------
 
-_COMPARATORS = (">", ">=", "<", "<=")
+_HOLDS = {">": gt, ">=": ge, "<": lt, "<=": le}  # each comparator's test
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class Atom:
     threshold: float
 
     def __post_init__(self):
-        if self.comparator not in _COMPARATORS:
+        if self.comparator not in _HOLDS:
             raise StlError("unknown comparator %r" % self.comparator)
 
     def margin(self, value: float) -> float:
@@ -80,13 +80,7 @@ class Atom:
         return self.threshold - value
 
     def holds(self, value: float) -> bool:
-        if self.comparator == ">":
-            return value > self.threshold
-        if self.comparator == ">=":
-            return value >= self.threshold
-        if self.comparator == "<":
-            return value < self.threshold
-        return value <= self.threshold
+        return _HOLDS[self.comparator](value, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -601,7 +595,7 @@ def load_pmap(path) -> PredicateMap:
                     if name in templates:
                         raise StlError("second pmap line for %s" % name)
                     toks = expr.split()
-                    if len(toks) != 3 or toks[1] not in _COMPARATORS:
+                    if len(toks) != 3 or toks[1] not in _HOLDS:
                         raise StlError("expected '<signal> <cmp> <threshold>'")
                     threshold = float(toks[2])
                     if not math.isfinite(threshold):
@@ -639,18 +633,13 @@ def chi(theory: ActionTheory, state: WorldState, pmap: PredicateMap) -> StlFormu
     return SAnd(tuple(literals))
 
 
-_HOLDS = {">": gt, ">=": ge, "<": lt, "<=": le}  # Atom.holds, per comparator
-
-
 class LiteralTable:
     """A conjunction of literals, as `chi` builds it, as one flat table:
     `rows` holds (signal, threshold, comparator, negated) per literal, in
-    the conjunction's order.  Two tables are equal, and hash alike, when
-    their formulas are.  The literals are also grouped, by
-    comparator and sign for `holds` and by direction and sign for
-    `least_margin`, so that each group is decided in one pass over its
-    signals, with the float expressions of `Atom.holds` and
-    `Atom.margin`.  To word a violation, walk `formula`'s literals."""
+    the conjunction's order, which `holds` and `least_margin` read with
+    the float expressions of `Atom.holds` and `Atom.margin`.  Two tables
+    are equal, and hash alike, when their formulas are.  To word a
+    violation, walk `formula`'s literals."""
 
     def __init__(self, formula: SAnd):
         self.formula = formula
@@ -660,18 +649,6 @@ class LiteralTable:
             atom = lit.body if negated else lit
             rows.append((atom.signal, atom.threshold, atom.comparator, negated))
         self.rows = tuple(rows)
-        checks: dict[tuple, tuple[list, list]] = {}
-        margins: dict[tuple, tuple[list, list]] = {}
-        for signal, threshold, comparator, negated in rows:
-            for names, thresholds in (
-                    checks.setdefault((comparator, negated), ([], [])),
-                    margins.setdefault((comparator in (">", ">="), negated), ([], []))):
-                names.append(signal)
-                thresholds.append(threshold)
-        self.checks = tuple((_HOLDS[comparator], negated, tuple(n), tuple(t))
-                            for (comparator, negated), (n, t) in checks.items())
-        self.margins = tuple((up, negated, tuple(n), tuple(t))
-                             for (up, negated), (n, t) in margins.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LiteralTable) and self.formula == other.formula
@@ -682,11 +659,9 @@ class LiteralTable:
     def holds(self, values: dict[str, float]) -> bool:
         """Whether every literal holds of the signal `values`; False also
         when `values` lacks one of their signals."""
-        get = values.__getitem__
         try:
-            for decide, negated, names, thresholds in self.checks:
-                decided = map(decide, map(get, names), thresholds)
-                if any(decided) if negated else not all(decided):
+            for signal, threshold, comparator, negated in self.rows:
+                if _HOLDS[comparator](values[signal], threshold) == negated:
                     return False
         except KeyError:
             return False
@@ -695,27 +670,19 @@ class LiteralTable:
     def least_margin(self, values: dict[str, float]) -> Optional[float]:
         """The least margin of the literals over the signal `values`, a
         negated literal's its atom's negated, as `min` over the literals
-        in order gives it; None when a margin is NaN, which `min` does
-        not order, and +inf when there is no literal.  Equal floats are
-        equal bits except for zeros, so only a least margin of zero needs
-        the literals' order: the first zero margin, 0.0 or -0.0, is it."""
-        get = values.__getitem__
-        found: list[float] = []
-        for up, negated, names, thresholds in self.margins:
-            vals = map(get, names)
-            ms = map(sub, vals, thresholds) if up else map(sub, thresholds, vals)
-            found.extend(map(neg, ms) if negated else ms)
-        if any(map(math.isnan, found)):
-            return None
-        least = min(found, default=math.inf)
-        if least == 0.0:
-            for signal, threshold, comparator, negated in self.rows:
-                v = values[signal]
-                m = v - threshold if comparator in (">", ">=") else threshold - v
-                if negated:
-                    m = -m
-                if m == 0.0:
-                    return m
+        in order gives it, zero's sign included; None when a margin is
+        NaN, which `min` does not order, and +inf when there is no
+        literal."""
+        least = math.inf
+        for signal, threshold, comparator, negated in self.rows:
+            v = values[signal]
+            m = v - threshold if comparator in (">", ">=") else threshold - v
+            if negated:
+                m = -m
+            if m < least:
+                least = m
+            elif m != m:  # NaN
+                return None
         return least
 
 

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stl_oracle
 from robovalid import ctgen, sim, stl
@@ -867,3 +867,45 @@ def test_chi_built_for_another_pmap_is_never_served(frozen_configs, kitchen, pma
                 [[t.rows for t in br.checkpoints] for br in fresh.branches]
             assert any(row[1] == loc.threshold * (2 if m is other else 1)
                        for row in spec.initial.rows)
+
+
+_TABLE_SIGNALS = ("a", "b", "c")
+_TABLE_THRESHOLDS = (0.0, -0.0, 0.5, -1.25)
+_table_literals = st.tuples(
+    st.sampled_from(_TABLE_SIGNALS), st.sampled_from((">", ">=", "<", "<=")),
+    st.one_of(st.sampled_from(_TABLE_THRESHOLDS),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.booleans())
+_table_values = st.one_of(st.sampled_from(_TABLE_THRESHOLDS + (math.nan,)),
+                          st.floats(allow_nan=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_table_literals, max_size=8),
+       st.fixed_dictionaries({s: _table_values for s in _TABLE_SIGNALS}),
+       st.sampled_from(_TABLE_SIGNALS))
+@example([], {"a": 0.0, "b": 0.0, "c": 0.0}, "a")
+@example([("a", ">=", 0.0, False), ("b", "<", -0.0, True)],
+         {"a": 0.0, "b": -0.0, "c": 0.0}, "c")
+@example([("a", "<", 0.5, False), ("b", ">", 0.0, True)],
+         {"a": 0.0, "b": math.nan, "c": 0.0}, "b")
+def test_literal_table_decides_in_literal_order(literals, values, dropped):
+    """A literal table reads its literals in order: its least margin is
+    `min` over each literal's `Atom.margin`, negated for an `SNot`, in
+    the conjunction's order, bit for bit and zero's sign included, or
+    None when some margin is NaN, and +inf for the empty table; it holds
+    exactly when every literal's `Atom.holds` differs from its negation,
+    and not when `values` lacks one of its signals.  Over every
+    comparator and sign, thresholds and values of 0.0 and -0.0, values
+    equal to the thresholds, and NaN."""
+    atoms = [(Atom(signal, comparator, threshold), negated)
+             for signal, comparator, threshold, negated in literals]
+    table = stl.LiteralTable(SAnd(tuple(SNot(a) if n else a for a, n in atoms)))
+    margins = [-a.margin(values[a.signal]) if n else a.margin(values[a.signal])
+               for a, n in atoms]
+    least = None if any(map(math.isnan, margins)) else min(margins, default=math.inf)
+    assert _hex_or_none(table.least_margin(values)) == _hex_or_none(least)
+    assert table.holds(values) == all(a.holds(values[a.signal]) != n for a, n in atoms)
+    partial = {s: v for s, v in values.items() if s != dropped}
+    lacks = any(a.signal == dropped for a, _ in atoms)
+    assert table.holds(partial) == (not lacks and table.holds(values))
