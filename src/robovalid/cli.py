@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Union
 
 from . import ctgen, falsify as fz, sim, stl
-from .logic import ParseError, format_formula, TRUE
+from .logic import LogicError, ParseError, format_formula, TRUE
 from .tasks import Grammar, enumerate_derivations, format_task, parse_task
 from .theory import (
     TheoryError, WorldState, enumerate_initial_worlds, load_model,
@@ -301,5 +301,22 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+# What bad input raises: a malformed or inconsistent file, or one that
+# cannot be opened.
+_INPUT_ERRORS = (TheoryError, sim.SimError, stl.StlError, ctgen.CtError,
+                 LogicError, OSError)
+
+
+def run(argv=None) -> int:
+    """The console entry: `main`, with bad input reported as one stderr
+    line, `robovalid: error: <message>`, and exit status 2, as argparse
+    reports a bad flag.  Any other exception keeps its traceback."""
+    try:
+        return main(argv)
+    except _INPUT_ERRORS as exc:
+        print("robovalid: error: %s" % exc, file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -31,6 +31,7 @@ from .logic import (
     Formula, P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, Rigid, TRUE,
     ground, peval,
 )
+from .record import Record
 from .tasks import EPSILON, Grammar, Task, enumerate_derivations
 from .theory import (
     ActionTheory, GroundAtom, WorldState, enumerate_initial_worlds,
@@ -43,8 +44,7 @@ class CtError(Exception):
     """Inconsistent combinatorial model or assignment."""
 
 
-@dataclass(frozen=True)
-class CtParameter:
+class CtParameter(Record):
     name: str
     domain: tuple[str, ...]
 
@@ -53,13 +53,12 @@ class CtParameter:
             raise CtError("parameter %s has an empty domain" % self.name)
 
 
-@dataclass(frozen=True)
-class CtConstraint:
+class CtConstraint(Record):
     label: str
     formula: PFormula
 
 
-@dataclass
+@dataclass  # mutable, so not a Record
 class CtModel:
     parameters: list[CtParameter]
     # decode metadata
@@ -150,8 +149,7 @@ class CtModel:
         return constraints
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """An accomplishable world-task pair decoded from a valid assignment."""
     initial_world: WorldState
     task: Task

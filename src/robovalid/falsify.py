@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .ctgen import Configuration, CtError
 from .logic import LogicError
+from .record import Record
 from .sim import (
     InstantiationError, InstantiationPlan, Scenario, ScenarioSample, SimError,
     checkpoint_rows, instantiate, run_policy,
@@ -43,8 +43,7 @@ _MIN_STEP = 1e-3
 _SAMPLE_DT = 0.25  # simulation sample period, seconds
 
 
-@dataclass(frozen=True)
-class FalsificationResult:
+class FalsificationResult(Record):
     status: str  # "falsified" | "passed-budget-exhausted"
     best_robustness: float
     best_sample: Optional[ScenarioSample]
@@ -178,14 +177,13 @@ _DOMAIN_ERRORS = (StlError, SimError, FalsificationError, TheoryError, CtError,
                   LogicError)
 
 
-@dataclass(frozen=True)
-class CampaignEntry:
+class CampaignEntry(Record):
     index: int
     task_text: str
     status: str  # falsify status or "error"
     robustness: Optional[float]
     evaluations: int
-    error: Optional[str] = None
+    error: Optional[str]
 
 
 def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
@@ -205,7 +203,7 @@ def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
             spec = synthesize(config, theory, pmap, memo)
             res = falsify(config, spec, scn, budget, seed + i)
             out.append((CampaignEntry(i, task_text, res.status,
-                                      res.best_robustness, res.evaluations), res))
+                                      res.best_robustness, res.evaluations, None), res))
         except _DOMAIN_ERRORS as e:
             out.append((CampaignEntry(i, task_text, "error", None, 0,
                                       "%s: %s" % (type(e).__name__, e)), None))

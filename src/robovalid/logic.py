@@ -12,8 +12,9 @@ three-valued logic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Union
+
+from .record import Record
 
 
 class LogicError(Exception):
@@ -36,8 +37,7 @@ class ParseError(LogicError):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Obj:
+class Obj(Record):
     """An object constant, element of the finite object set."""
     name: str
 
@@ -45,8 +45,7 @@ class Obj:
         return self.name
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """An object variable."""
     name: str
 
@@ -57,8 +56,7 @@ class Var:
 Term = Union[Obj, Var]
 
 
-@dataclass(frozen=True)
-class SitConst:
+class SitConst(Record):
     """A named situation constant (in practice only the initial one, s0)."""
     name: str
 
@@ -66,8 +64,7 @@ class SitConst:
         return self.name
 
 
-@dataclass(frozen=True)
-class SitVar:
+class SitVar(Record):
     """A situation variable."""
     name: str
 
@@ -75,8 +72,7 @@ class SitVar:
         return self.name
 
 
-@dataclass(frozen=True)
-class OpTerm:
+class OpTerm(Record):
     """An operation instance, possibly with variable arguments."""
     name: str
     args: tuple[Term, ...]
@@ -85,8 +81,7 @@ class OpTerm:
         return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
 
 
-@dataclass(frozen=True)
-class Do:
+class Do(Record):
     """The successor situation do(op, s)."""
     op: OpTerm
     prev: "SitTerm"
@@ -104,38 +99,32 @@ S0 = SitConst("s0")
 # Formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrueF:
+class TrueF(Record):
     pass
 
 
-@dataclass(frozen=True)
-class FalseF:
+class FalseF(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Rigid:
+class Rigid(Record):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Fluent:
+class Fluent(Record):
     name: str
     args: tuple[Term, ...]
     sit: SitTerm
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     """Equality between two object terms."""
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class OpEq:
+class OpEq(Record):
     """Equality between the operation variable alpha and op(args).
 
     Only meaningful inside successor-axiom effect conditions; it is folded
@@ -146,43 +135,36 @@ class OpEq:
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
     var: str
     body: "Formula"
 
@@ -320,8 +302,7 @@ def substitute_all(phi: Formula, values: Mapping[str, Union[Term, SitTerm]]) -> 
 # Fragments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hole:
+class Hole(Record):
     """The `index`-th nonterminal of a grammar rule's right side, in a
     fragment compiled from it: it stands for one object term, one whole
     formula or one whole task, as its position says."""
@@ -374,36 +355,30 @@ def fill_holes(phi: Formula, fn: Callable[[Hole], Union[Term, Formula]]) -> Form
 # Propositional form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PTrue:
+class PTrue(Record):
     pass
 
 
-@dataclass(frozen=True)
-class PFalse:
+class PFalse(Record):
     pass
 
 
-@dataclass(frozen=True)
-class PEq:
+class PEq(Record):
     """`param` has the value `value`: a combinatorial-model parameter and
     one of its values, or a ground atom and its truth value."""
     param: Hashable
     value: Hashable
 
 
-@dataclass(frozen=True)
-class PNot:
+class PNot(Record):
     body: "PFormula"
 
 
-@dataclass(frozen=True)
-class PAnd:
+class PAnd(Record):
     parts: tuple["PFormula", ...]
 
 
-@dataclass(frozen=True)
-class POr:
+class POr(Record):
     parts: tuple["PFormula", ...]
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from .record import Record
 from .stl import LiteralTable, SNot, StlError, Trace, format_stl
 from .theory import GroundOp, WorldState
 
@@ -44,7 +45,7 @@ _JITTER_RADIUS = 0.008
 # Scenario geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: its fields have defaults
 class ObjectGeometry:
     name: str
     fixed: bool
@@ -65,8 +66,7 @@ class ObjectGeometry:
         return self.door_closed is not None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     objects: dict[str, ObjectGeometry]
     workspace: dict[str, tuple[float, float]]
     policy_ranges: dict[str, tuple[float, float]]
@@ -200,7 +200,7 @@ def check_knob_range(knob: str, lo: float, hi: float) -> None:
 # Concrete state and signals
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass  # mutable, so not a Record
 class ConcreteState:
     positions: dict[str, tuple[float, float, float]]
     door_angles: dict[str, float]  # door-bearing objects only
@@ -269,8 +269,7 @@ def _refresh(scn: Scenario, state: ConcreteState, row: dict[str, float],
 # Instantiation: unit box -> concrete initial state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioSample:
+class ScenarioSample(Record):
     q0: ConcreteState
     sample_point: tuple[float, ...]
     parents: dict[str, Optional[str]]  # initial support object per movable

@@ -34,6 +34,7 @@ from operator import ge, gt, is_, le, lt
 from typing import Optional, Union
 
 from .ctgen import Configuration
+from .record import Record
 from .tasks import Op, normalize, run_branch
 from .theory import (
     ActionTheory, TheoryError, WorldState, compute_derived, parse_head,
@@ -59,6 +60,7 @@ class SynthesisError(StlError):
 _HOLDS = {">": gt, ">=": ge, "<": lt, "<=": le}  # each comparator's test
 
 
+# Formula nodes stay dataclasses: the benchmark counts them by `dataclasses.fields`.
 @dataclass(frozen=True)
 class STrue:
     pass
@@ -144,8 +146,7 @@ def format_stl(phi: StlFormula) -> str:
 # Traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     times: tuple[float, ...]
     signals: dict[str, tuple[float, ...]]
 
@@ -230,8 +231,7 @@ def _window_times(times: tuple[float, ...], lo: float, hi: float) -> list[float]
 # Robustness and boolean satisfaction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RobustnessResult:
+class RobustnessResult(Record):
     value: float
     truncated: bool
 
@@ -534,8 +534,7 @@ def bool_sat(phi: StlFormula, trace: Trace, t: float = 0.0) -> bool:
 # Predicate map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PredicateTemplate:
+class PredicateTemplate(Record):
     family: str
     params: tuple[str, ...]
     signal_template: str  # with {param} placeholders
@@ -550,8 +549,7 @@ class PredicateTemplate:
         return Atom(signal, self.comparator, self.threshold)
 
 
-@dataclass(frozen=True)
-class PredicateMap:
+class PredicateMap(Record):
     templates: dict[str, PredicateTemplate]
     delta_t: float
 
@@ -697,15 +695,13 @@ def _chi_table(theory: ActionTheory, state: WorldState, pmap: PredicateMap,
     return entry[1]
 
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(Record):
     ops: tuple  # GroundOp sequence after stripping tests
     formula: StlFormula
     checkpoints: tuple[LiteralTable, ...]  # chi after each op; situation index k+1
 
 
-@dataclass(frozen=True)
-class SpecSynthesisResult:
+class SpecSynthesisResult(Record):
     formula: StlFormula
     branches: tuple[BranchSpec, ...]
     delta_t: float

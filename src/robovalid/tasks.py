@@ -14,13 +14,13 @@ of the combinatorial model, which check its rows independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .logic import (
     Formula, FormulaParser, Hole, ModelError, Obj, ParseError, TokenStream, Var,
     fill_holes, format_formula, peval, tokenize,
 )
+from .record import Record
 from .theory import (
     ActionTheory, GrammarRule, GroundOp, PreconditionViolation, TheoryError,
     WorldState, apply_op, check_ground_op, ground_op, ground_state_formula,
@@ -28,29 +28,24 @@ from .theory import (
 )
 
 
-@dataclass(frozen=True)
-class Nil:
+class Nil(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(Record):
     op: GroundOp
 
 
-@dataclass(frozen=True)
-class Test:
+class Test(Record):
     formula: Formula
 
 
-@dataclass(frozen=True)
-class Seq:
+class Seq(Record):
     first: "Task"
     second: "Task"
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Record):
     left: "Task"
     right: "Task"
 

@@ -18,6 +18,7 @@ from .logic import (
     SitTerm, FormulaParser, Var, anchor, conj, disj, format_formula, ground,
     map_atoms, peval, substitute_all,
 )
+from .record import Record
 
 
 class TheoryError(Exception):
@@ -40,8 +41,7 @@ class PreconditionViolation(Exception):
 GroundAtom = tuple[str, tuple[str, ...]]  # (fluent name, object names)
 
 
-@dataclass(frozen=True)
-class GroundOp:
+class GroundOp(Record):
     name: str
     args: tuple[str, ...]
 
@@ -52,8 +52,7 @@ class GroundOp:
         return OpTerm(self.name, tuple(Obj(a) for a in self.args))
 
 
-@dataclass(frozen=True)
-class PredicateDecl:
+class PredicateDecl(Record):
     name: str
     arity: int
     kind: str  # rigid | primitive | derived
@@ -65,23 +64,20 @@ class PredicateDecl:
             raise TheoryError("bad predicate kind %r" % self.kind)
 
 
-@dataclass(frozen=True)
-class OperationDecl:
+class OperationDecl(Record):
     name: str
     params: tuple[str, ...]
     precondition: Formula  # free vars: params plus situation variable s
 
 
-@dataclass(frozen=True)
-class SuccessorAxiom:
+class SuccessorAxiom(Record):
     fluent: str
     params: tuple[str, ...]
     gamma_plus: Formula
     gamma_minus: Formula
 
 
-@dataclass(frozen=True)
-class DerivedFluentDef:
+class DerivedFluentDef(Record):
     fluent: str
     arity: int
     closure_of: str  # transitive closure of this primitive fluent
@@ -99,7 +95,7 @@ class DerivedFluentDef:
                                    "binary primitive fluent" % (self.fluent, self.closure_of))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: `where` is left out of equality
 class GrammarRule:
     id: str
     lhs: str
@@ -107,7 +103,7 @@ class GrammarRule:
     where: str = field(default="", compare=False)  # "path:line" of a loaded rule
 
 
-@dataclass
+@dataclass  # mutable, so not a Record
 class ActionTheory:
     objects: tuple[str, ...]
     predicates: dict[str, PredicateDecl]
@@ -211,8 +207,7 @@ class ActionTheory:
 # World states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(Record):
     """Truth over all ground primitive-fluent atoms at one situation.
 
     Only the true atoms are stored; the theory's declarations make the
@@ -358,8 +353,7 @@ def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
     return substitute_all(decl.precondition, dict(zip(decl.params, map(Obj, op.args))))
 
 
-@dataclass(frozen=True)
-class GroundedOp:
+class GroundedOp(Record):
     """A ground operation with its precondition and the effect conditions
     of the atoms it may change, grounded at s0 by `ground_primitive` with
     derived atoms as their own keys.  `effects` maps each primitive atom

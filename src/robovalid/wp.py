@@ -9,13 +9,12 @@ formula over one situation variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .logic import (
     And, Do, Exists, Fluent, Forall, Formula, Iff, Implies, Not, Obj, Or, S0,
     SitVar, Var, LogicError, anchor, evaluate, fold, map_atoms, substitute,
     substitute_all,
 )
+from .record import Record
 from .theory import (
     ActionTheory, GroundOp, StateView, WorldState, instantiate_op_equalities,
     instantiate_precondition, unfold_derived,
@@ -101,8 +100,7 @@ def poss_formula(theory: ActionTheory, op: GroundOp) -> Formula:
     return unfold_derived(anchor(instantiate_precondition(theory, op), SIT), theory)
 
 
-@dataclass(frozen=True)
-class WpResult:
+class WpResult(Record):
     formula: Formula
 
 

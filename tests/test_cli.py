@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -405,3 +407,56 @@ def test_report_is_strict_json_with_an_infinite_robustness(tmp_path, capsys, kit
     row, = report["configurations"]
     assert row["status"] == "passed-budget-exhausted"
     assert row["robustness"] == "inf" and float(row["robustness"]) == math.inf
+
+
+def _bad_inputs(tmp):
+    """(argv, start of the message) for bad input of each kind."""
+    model = tmp / "no_grammar.sc"
+    model.write_text("".join(ln for ln in (MODELS / "kitchen4.sc").read_text()
+                             .splitlines(keepends=True) if not ln.startswith("grammar:")))
+    scenario = tmp / "door_past_180.json"
+    scenario.write_text(open(SCENARIO).read().replace('"open": [81.0, 180.0]',
+                                                      '"open": [81.0, 400.0]'))
+    configs = str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2_every4th.configs.jsonl")
+    out = ["--out", str(tmp / "out")]
+    return [
+        (["enumerate", "--model", str(model), "--depth", "2"], "empty grammar"),
+        (["enumerate", "--model", str(tmp / "missing.sc"), "--depth", "2"],
+         "[Errno 2] No such file or directory"),
+        (["falsify", "--model", KITCHEN, "--configs", configs, "--pmap", PMAP,
+          "--scenario", str(scenario)] + out,
+         "%s: door open of object o_m [81, 400] is not an ordered range" % scenario),
+        (["wp", "--model", KITCHEN, "--task", "open(o_m"], "unexpected end of input"),
+    ]
+
+
+def test_bad_input_is_one_stderr_line_with_exit_status_2(tmp_path, capsys):
+    """`run`, the console entry, reports each typed load error and an
+    input that cannot be opened as argparse reports a bad flag; `main`
+    still raises them."""
+    for argv, start in _bad_inputs(tmp_path):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("robovalid: error: " + start)
+        with pytest.raises(cli._INPUT_ERRORS):
+            main(argv)
+
+
+def test_module_entry_reports_bad_input_in_one_line(tmp_path):
+    argv, start = _bad_inputs(tmp_path)[0]
+    proc = subprocess.run([sys.executable, "-m", "robovalid.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "robovalid: error: empty grammar: the model has no grammar rules\n"
+
+
+def test_other_errors_keep_their_traceback(monkeypatch):
+    def broken(args):
+        raise KeyError("a programming error")
+
+    monkeypatch.setattr(cli, "cmd_enumerate", broken)
+    with pytest.raises(KeyError):
+        cli.run(["enumerate", "--model", KITCHEN, "--depth", "1"])
