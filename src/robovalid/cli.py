@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Union
 
 from . import ctgen, falsify as fz, sim, stl
-from .logic import LogicError, ParseError, format_formula, TRUE
+from .logic import ParseError, format_formula, TRUE
 from .tasks import Grammar, enumerate_derivations, format_task, parse_task
 from .theory import (
     TheoryError, WorldState, enumerate_initial_worlds, load_model,
@@ -24,6 +24,19 @@ from .theory import (
 from .wp import wp
 
 MODEL_FORMAT_VERSION = "1"
+
+
+class InputError(Exception):
+    """An input file that cannot be opened or read."""
+
+
+def _load(load, path, *args):
+    """`load(path, *args)`, a loader that reads the input file `path`; an
+    OSError from reading it is an InputError."""
+    try:
+        return load(path, *args)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _atom_str(atom) -> str:
@@ -100,7 +113,7 @@ def _knob_override(text: str) -> tuple[str, tuple[float, float]]:
 def _load_scenario(path, theory, overrides) -> sim.Scenario:
     """The scenario file with the `--knob` overrides applied; it must
     describe the model's objects."""
-    scn = sim.load_scenario(path)
+    scn = _load(sim.load_scenario, path)
     if sorted(scn.objects) != sorted(theory.objects):
         raise sim.SimError("%s: scenario objects %s differ from the model's %s"
                            % (path, " ".join(sorted(scn.objects)),
@@ -143,7 +156,7 @@ def _counts_for_depth(theory, grammar, depth: int, worlds) -> tuple[int, int]:
 
 
 def cmd_enumerate(args) -> int:
-    theory = load_model(args.model)
+    theory = _load(load_model, args.model)
     worlds = list(enumerate_initial_worlds(theory))
     table = _count_table(theory, Grammar(theory), args.depth, worlds)
     print("depth  syntax-valid  accomplishable")
@@ -153,7 +166,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_wp(args) -> int:
-    theory = load_model(args.model)
+    theory = _load(load_model, args.model)
     task = parse_task(args.task, theory)
     print(format_formula(wp(TRUE, task, theory).formula))
     return 0
@@ -169,7 +182,7 @@ def _generate(theory, depth: int, strength):
 
 
 def cmd_generate(args) -> int:
-    theory = load_model(args.model)
+    theory = _load(load_model, args.model)
     model, _, rows, configs = _generate(theory, args.depth, args.strength)
     path = _write_configs(args.out, configs)
     print("depth  syntax-valid  accomplishable  configurations  strength")
@@ -208,10 +221,10 @@ def _write_report(out_dir, outcomes, summary) -> str:
 
 
 def cmd_falsify(args) -> int:
-    theory = load_model(args.model)
-    pmap = stl.load_pmap(args.pmap)
+    theory = _load(load_model, args.model)
+    pmap = _load(stl.load_pmap, args.pmap)
     scn = _load_scenario(args.scenario, theory, args.knob)
-    configs = _load_configs(args.configs, theory)
+    configs = _load(_load_configs, args.configs, theory)
     outcomes = fz.campaign(configs, theory, scn, pmap, args.budget, args.seed)
     summary = fz.summarize([e for e, _ in outcomes])
     path = _write_report(args.out, outcomes, summary)
@@ -223,8 +236,8 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    theory = load_model(args.model)
-    pmap = stl.load_pmap(args.pmap)
+    theory = _load(load_model, args.model)
+    pmap = _load(stl.load_pmap, args.pmap)
     scn = _load_scenario(args.scenario, theory, args.knob)
     _, valid, rows, configs = _generate(theory, args.depth, args.strength)
     cpath = _write_configs(args.out, configs)
@@ -301,10 +314,10 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
-# What bad input raises: a malformed or inconsistent file, or one that
-# cannot be opened.
+# What bad input raises: a malformed or inconsistent file or task, or an
+# input file that cannot be opened.
 _INPUT_ERRORS = (TheoryError, sim.SimError, stl.StlError, ctgen.CtError,
-                 LogicError, OSError)
+                 ParseError, InputError)
 
 
 def run(argv=None) -> int:

@@ -9,6 +9,7 @@ import pytest
 
 from robovalid import cli, ctgen, theory
 from robovalid.cli import main
+from robovalid.logic import ModelError
 
 from conftest import MODELS, ROOT, WAIT_MODEL
 
@@ -453,10 +454,24 @@ def test_module_entry_reports_bad_input_in_one_line(tmp_path):
     assert proc.stderr == "robovalid: error: empty grammar: the model has no grammar rules\n"
 
 
-def test_other_errors_keep_their_traceback(monkeypatch):
+@pytest.mark.parametrize("error", [KeyError("a programming error"),
+                                   ModelError("unknown formula node: None"),
+                                   OSError("not an input file")])
+def test_other_errors_keep_their_traceback(monkeypatch, error):
+    """Only bad input is one line: a programming error, an internal
+    invariant of the formula layer (a ModelError) and an OSError that is
+    not from opening an input propagate out of `run`."""
     def broken(args):
-        raise KeyError("a programming error")
+        raise error
 
     monkeypatch.setattr(cli, "cmd_enumerate", broken)
-    with pytest.raises(KeyError):
+    with pytest.raises(type(error)):
         cli.run(["enumerate", "--model", KITCHEN, "--depth", "1"])
+
+
+def test_an_output_that_cannot_be_written_keeps_its_traceback(tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    with pytest.raises(OSError):
+        cli.run(["generate", "--model", KITCHEN, "--depth", "1",
+                 "--out", str(blocker / "out")])
