@@ -455,12 +455,10 @@ def test_module_entry_reports_bad_input_in_one_line(tmp_path):
 
 
 @pytest.mark.parametrize("error", [KeyError("a programming error"),
-                                   ModelError("unknown formula node: None"),
-                                   OSError("not an input file")])
+                                   ModelError("unknown formula node: None")])
 def test_other_errors_keep_their_traceback(monkeypatch, error):
-    """Only bad input is one line: a programming error, an internal
-    invariant of the formula layer (a ModelError) and an OSError that is
-    not from opening an input propagate out of `run`."""
+    """Only bad input is one line: a programming error and an internal
+    invariant of the formula layer (a ModelError) propagate out of `run`."""
     def broken(args):
         raise error
 
@@ -470,6 +468,8 @@ def test_other_errors_keep_their_traceback(monkeypatch, error):
 
 
 def test_an_output_that_cannot_be_written_keeps_its_traceback(tmp_path):
+    """An OSError that is not from opening an input propagates out of
+    `run`."""
     blocker = tmp_path / "a_file"
     blocker.write_text("")
     with pytest.raises(OSError):
