@@ -193,14 +193,15 @@ def campaign(configs: list[Configuration], theory: ActionTheory, scn: Scenario,
     error is recorded as an "error" entry, with the error's type name, and
     the campaign continues.  Any other exception is a programming error and
     propagates.  Per-config seeds are derived from the base seed.  The
-    configurations share one forward-execution memo, so each operation
-    is grounded once per campaign."""
+    configurations share the theory's forward-execution caches, so each
+    operation is grounded once per theory, and one dict of chi tables
+    (`synthesize`), so chi of each state is built once per campaign."""
     out = []
-    memo: dict = {}
+    tables: dict = {}
     for i, config in enumerate(configs):
         task_text = format_task(config.task)
         try:
-            spec = synthesize(config, theory, pmap, memo)
+            spec = synthesize(config, theory, pmap, tables)
             res = falsify(config, spec, scn, budget, seed + i)
             out.append((CampaignEntry(i, task_text, res.status,
                                       res.best_robustness, res.evaluations, None), res))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from .record import Record
@@ -77,17 +76,22 @@ class Scenario(Record):
     def doors(self) -> list[str]:
         return sorted(n for n, g in self.objects.items() if g.has_door)
 
-    @cached_property
-    def pairs(self) -> dict[str, tuple[float, dict[str, tuple]]]:
-        """For each object a: half its height, and for each object b the
-        keys of `dist_a_b` and `contain_a_b` with b's support and region
-        geometry.  Built on first read."""
-        return {a: (ga.height / 2.0,
-                    {b: ("dist_%s_%s" % (a, b), "contain_%s_%s" % (a, b),
-                         gb.support_radius, gb.support_dz, gb.region_radius,
-                         gb.region_dzlo, gb.region_dzhi)
-                     for b, gb in self.objects.items()})
-                for a, ga in self.objects.items()}
+    def __post_init__(self):
+        # not a field, so equality, hash and repr ignore it; stored here,
+        # with the fields, so reading a field stays a plain attribute load
+        object.__setattr__(self, "pairs", _pair_table(self.objects))
+
+
+def _pair_table(objects: dict[str, ObjectGeometry]) -> dict[str, tuple[float, dict[str, tuple]]]:
+    """A scenario's `pairs`: for each object a, half its height, and for
+    each object b the keys of `dist_a_b` and `contain_a_b` with b's
+    support and region geometry."""
+    return {a: (ga.height / 2.0,
+                {b: ("dist_%s_%s" % (a, b), "contain_%s_%s" % (a, b),
+                     gb.support_radius, gb.support_dz, gb.region_radius,
+                     gb.region_dzlo, gb.region_dzhi)
+                 for b, gb in objects.items()})
+            for a, ga in objects.items()}
 
 
 def load_scenario(path) -> Scenario:

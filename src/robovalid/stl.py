@@ -685,14 +685,13 @@ class LiteralTable:
 
 
 def _chi_table(theory: ActionTheory, state: WorldState, pmap: PredicateMap,
-               memo: dict) -> LiteralTable:
-    """chi of `state` as a literal table, built once per memo, state and
-    pmap: an entry built for another PredicateMap object is rebuilt."""
-    key = ("chi", state.true_atoms)  # no key `run_branch` uses is a tuple
-    entry = memo.get(key)
-    if entry is None or entry[0] is not pmap:
-        entry = memo[key] = (pmap, LiteralTable(chi(theory, state, pmap)))
-    return entry[1]
+               tables: dict[frozenset, LiteralTable]) -> LiteralTable:
+    """chi of `state` as a literal table, kept in `tables`, the tables of
+    `pmap`, under the state's `true_atoms`."""
+    table = tables.get(state.true_atoms)
+    if table is None:
+        table = tables[state.true_atoms] = LiteralTable(chi(theory, state, pmap))
+    return table
 
 
 class BranchSpec(Record):
@@ -709,7 +708,7 @@ class SpecSynthesisResult(Record):
 
 
 def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
-               memo: dict) -> SpecSynthesisResult:
+               tables: dict[frozenset, LiteralTable]) -> SpecSynthesisResult:
     """Nested-Eventually specification for an accomplishable configuration,
     with chi of its initial world, which every instantiation of it must
     satisfy.
@@ -722,22 +721,22 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
     branches; a task none of whose branches can run from the initial world
     is an StlError.
 
-    `memo` is `run_branch`'s, and also keeps chi of each state it is
-    built for, with its literal table, for the PredicateMap it was built
-    with.  It holds only what the theory and that map determine, so a
-    caller may share one across configurations of the same theory, as
-    `falsify.campaign` does: chi of each distinct state is built once.
+    `tables` keeps chi of each state as a literal table, by the state's
+    `true_atoms`.  It holds only what the theory and `pmap` determine, so
+    a caller may share one across configurations of the same theory and
+    map, as `falsify.campaign` does: chi of each distinct state is built
+    once.  A caller with another map passes another dict.
     """
     delta_t = pmap.delta_t
     if delta_t <= 0:
         raise StlError("delta_t must be positive")
     specs: list[BranchSpec] = []
     for branch in normalize(config.task):
-        states = run_branch(theory, config.initial_world, branch, memo)
+        states = run_branch(theory, config.initial_world, branch)
         if states is None:
             continue
         ops = tuple(a.op for a in branch if isinstance(a, Op))
-        checkpoints = tuple(_chi_table(theory, state, pmap, memo) for state in states)
+        checkpoints = tuple(_chi_table(theory, state, pmap, tables) for state in states)
         formula: StlFormula = None
         for table in reversed(checkpoints):
             ck = table.formula
@@ -747,7 +746,7 @@ def synthesize(config: Configuration, theory: ActionTheory, pmap: PredicateMap,
         raise StlError("no branch of the task can run from the initial world")
     top = specs[0].formula if len(specs) == 1 else SOr(tuple(s.formula for s in specs))
     return SpecSynthesisResult(top, tuple(specs), delta_t,
-                               _chi_table(theory, config.initial_world, pmap, memo))
+                               _chi_table(theory, config.initial_world, pmap, tables))
 
 
 def checkpoint_bound(spec: SpecSynthesisResult, times: tuple[float, ...],

@@ -22,9 +22,7 @@ from .logic import (
 )
 from .record import Record
 from .theory import (
-    ActionTheory, GrammarRule, GroundOp, PreconditionViolation, TheoryError,
-    WorldState, apply_op, check_ground_op, ground_op, ground_state_formula,
-    state_truth,
+    ActionTheory, GrammarRule, GroundOp, TheoryError, WorldState, check_ground_op,
 )
 
 
@@ -82,14 +80,13 @@ class TaskParser:
     it also reads a grammar rule's right side, whose nonterminals are
     `Hole`s, as a fragment (`Grammar`).
 
-    Each operation is checked once and each test grounded once per
-    parser.  `grounded` keeps the grounded tests, keyed by formula as
-    `run_branch`'s memo keeps them, so a parser can share that memo."""
+    Each operation is checked once per parser.  A test is grounded by
+    `ActionTheory.test`, once per theory, so a run of the parsed task
+    grounds it no further."""
 
-    def __init__(self, theory: ActionTheory, grounded: Optional[dict] = None):
+    def __init__(self, theory: ActionTheory):
         self.theory = theory
         self.fparser = FormulaParser(theory.objects)
-        self.grounded = {} if grounded is None else grounded
         self.checked: dict[GroundOp, Op] = {}
 
     def parse(self, text: str) -> Task:
@@ -126,12 +123,11 @@ class TaskParser:
 
     def test(self, phi: Formula) -> Test:
         """The atom testing `phi`, once `phi` is grounded."""
-        if phi not in self.grounded:
-            try:
-                self.grounded[phi] = ground_state_formula(self.theory, phi)
-            except ModelError as exc:
-                raise ParseError("test %s cannot be decided in a state: %s"
-                                 % (format_formula(phi), exc)) from exc
+        try:
+            self.theory.test(phi)
+        except ModelError as exc:
+            raise ParseError("test %s cannot be decided in a state: %s"
+                             % (format_formula(phi), exc)) from exc
         return Test(phi)
 
     def task(self, ts: TokenStream) -> Task:
@@ -203,23 +199,19 @@ def normalize(tau: Task) -> list[list[Task]]:
 # Forward execution
 # ---------------------------------------------------------------------------
 
-def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
-               memo: dict) -> Optional[list[WorldState]]:
+def run_branch(theory: ActionTheory, state: WorldState,
+               branch: list[Task]) -> Optional[list[WorldState]]:
     """Run a choice-free branch of `normalize` forward from `state`.
 
     Returns the state after each operation, or None when a test fails or
-    an operation is not possible on the way.  `memo` keeps one
-    transition table per atom (`_table`), each operation grounded once
-    (`theory.ground_op`, keyed by its GroundOp), each test's formula
-    grounded once (keyed by the formula) and each state's
-    `theory.state_truth` computed once (keyed by its `true_atoms`).  The
-    caller owns it and shares it across the branches and worlds of a run,
-    whose branches share most of their prefixes and reach the same
-    states.
+    an operation is not possible on the way.  Each step reads the
+    theory's caches (`ActionTheory.after`, `test` and `truth`), which
+    every branch and world of the theory shares: the branches of a run
+    share most of their prefixes and reach the same states.
     """
     states = []
     for atom in branch:
-        state = _step(theory, state, atom, _table(atom, memo), memo)
+        state = _step(theory, state, atom)
         if state is None:
             return None
         if isinstance(atom, Op):
@@ -227,44 +219,12 @@ def run_branch(theory: ActionTheory, state: WorldState, branch: list[Task],
     return states
 
 
-def _table(atom: Task, memo: dict) -> dict:
-    """`atom`'s transition table, kept in `memo` under the atom: it maps a
-    state's `true_atoms` to the state after the atom, or to None when the
-    atom is stuck there."""
-    table = memo.get(atom)
-    if table is None:
-        table = memo[atom] = {}
-    return table
-
-
-def _step(theory: ActionTheory, state: WorldState, atom: Task, table: dict,
-          memo: dict) -> Optional[WorldState]:
-    """The state after `atom` from `state`, or None when it is stuck there,
-    looked up in the atom's transition `table` and filled on a miss."""
-    key = state.true_atoms
-    if key not in table:
-        table[key] = _run_atom(theory, state, atom, memo)
-    return table[key]
-
-
-def _run_atom(theory: ActionTheory, state: WorldState, atom: Task,
-              memo: dict) -> Optional[WorldState]:
-    truth = memo.get(state.true_atoms)
-    if truth is None:
-        truth = memo[state.true_atoms] = state_truth(theory, state)
+def _step(theory: ActionTheory, state: WorldState, atom: Task) -> Optional[WorldState]:
+    """The state after `atom` from `state`, or None when it is stuck there."""
     if isinstance(atom, Op):
-        step = memo.get(atom.op)
-        if step is None:
-            step = memo[atom.op] = ground_op(theory, atom.op)
-        try:
-            return apply_op(step, state, truth)
-        except PreconditionViolation:
-            return None
+        return theory.after(atom.op, state)
     if isinstance(atom, Test):
-        phi = memo.get(atom.formula)
-        if phi is None:
-            phi = memo[atom.formula] = ground_state_formula(theory, atom.formula)
-        return state if peval(phi, truth) else None
+        return state if peval(theory.test(atom.formula), theory.truth(state)) else None
     raise TypeError("branch atom %r is neither an operation nor a test" % (atom,))
 
 
@@ -272,8 +232,7 @@ def execute(theory: ActionTheory, w0: WorldState, tau: Task) -> bool:
     """Whether `tau` can complete from `w0`: some branch of its normal
     form runs to the end.  No production path calls it; it serves the
     acceptance criteria and the test oracles."""
-    memo: dict = {}
-    return any(run_branch(theory, w0, b, memo) is not None for b in normalize(tau))
+    return any(run_branch(theory, w0, b) is not None for b in normalize(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +436,8 @@ def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
     `worlds`, in their order, from which the task can complete).  Each
     world's state after the derivation's completed atoms is carried down
     the derivation tree: an atom, once complete, runs once from its
-    parent's live states, through `run_branch`'s transition tables and
-    memo.  When no state is live, the subtree is dead: it is still
+    parent's live states, through the theory's caches, as `run_branch`
+    runs it.  When no state is live, the subtree is dead: it is still
     enumerated, with no worlds, and runs nothing.  Once a choice opens,
     the atoms completed inside it are not a prefix of every branch, so
     the leaf runs each branch of the task's `normalize` by `run_branch`
@@ -486,8 +445,7 @@ def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
     """
     if depth < 1:
         return
-    memo: dict = {}
-    parser = TaskParser(theory, memo)
+    parser = TaskParser(theory)
     expansions, min_cost = grammar.expansions, grammar.min_cost
 
     def rec(program: tuple, values: tuple, steps: tuple[str, ...],
@@ -505,9 +463,7 @@ def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
             value = make(values[k:], parser)
             values = values[:k] + (value,)
             if not choice and isinstance(value, (Op, Test)) and any(live):
-                table = _table(value, memo)
-                live = tuple(None if s is None else _step(theory, s, value, table, memo)
-                             for s in live)
+                live = tuple(None if s is None else _step(theory, s, value) for s in live)
         else:
             (task,) = values
             if worlds is None:
@@ -517,7 +473,7 @@ def enumerate_derivations(grammar: Grammar, depth: int, theory: ActionTheory,
             if choice and sat:
                 branches = normalize(task)
                 sat = [w for w in sat
-                       if any(run_branch(theory, w, b, memo) is not None for b in branches)]
+                       if any(run_branch(theory, w, b) is not None for b in branches)]
             yield steps, task, sat
             return
         if len(steps) >= depth:

@@ -15,8 +15,8 @@ from typing import Callable, Iterator, Optional
 from .logic import (
     FALSE, And, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm,
     P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, ParseError, Rigid, S0,
-    SitTerm, FormulaParser, Var, anchor, conj, disj, format_formula, ground,
-    map_atoms, peval, substitute_all,
+    SitTerm, SitVar, FormulaParser, Var, anchor, conj, disj, format_formula,
+    ground, map_atoms, peval, substitute_all,
 )
 from .record import Record
 
@@ -105,6 +105,10 @@ class GrammarRule:
 
 @dataclass  # mutable, so not a Record
 class ActionTheory:
+    """An action theory and the caches that `after`, `test` and `truth`
+    fill as it runs forward, so each operation and test is grounded once
+    per theory.  The caches are not fields: `==`, `repr` and
+    `dataclasses.replace` ignore them."""
     objects: tuple[str, ...]
     predicates: dict[str, PredicateDecl]
     operations: dict[str, OperationDecl]
@@ -132,6 +136,41 @@ class ActionTheory:
                 _check_op_equalities(And(ax.gamma_plus, ax.gamma_minus), arities)
             except TheoryError as exc:
                 raise DeclarationError(("successor", ax.fluent), str(exc)) from exc
+        self._steps: dict[GroundOp, tuple[GroundedOp,
+                                          dict[frozenset, Optional[WorldState]]]] = {}
+        self._tests: dict[Formula, PFormula] = {}
+        self._truths: dict[frozenset, dict[GroundAtom, bool]] = {}
+
+    def after(self, op: GroundOp, state: WorldState) -> Optional[WorldState]:
+        """The state after `op` from `state`, or None when `op` is not
+        possible there: `op` is grounded once, and kept with its
+        transition table, which maps a state's `true_atoms` to the state
+        after `op` or to None."""
+        entry = self._steps.get(op)
+        if entry is None:
+            entry = self._steps[op] = (ground_op(self, op), {})
+        step, table = entry
+        key = state.true_atoms
+        if key not in table:
+            try:
+                table[key] = apply_op(step, state, self.truth(state))
+            except PreconditionViolation:
+                table[key] = None
+        return table[key]
+
+    def test(self, phi: Formula) -> PFormula:
+        """phi grounded by `ground_state_formula`, once per formula."""
+        grounded = self._tests.get(phi)
+        if grounded is None:
+            grounded = self._tests[phi] = ground_state_formula(self, phi)
+        return grounded
+
+    def truth(self, state: WorldState) -> dict[GroundAtom, bool]:
+        """`state_truth` of `state`, once per state."""
+        truth = self._truths.get(state.true_atoms)
+        if truth is None:
+            truth = self._truths[state.true_atoms] = state_truth(self, state)
+        return truth
 
     def primitive_fluents(self) -> list[str]:
         return sorted(n for n, d in self.predicates.items() if d.kind == "primitive")
@@ -437,15 +476,17 @@ def possible(theory: ActionTheory, state: WorldState, op: GroundOp) -> bool:
     """Whether `op` is executable in `state` (its precondition holds).
     No production path calls it; it serves the acceptance criteria and the
     test oracles."""
-    return peval(ground_op(theory, op).pre, state_truth(theory, state)) is True
+    return theory.after(op, state) is not None
 
 
 def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldState:
     """The state after `op`, or PreconditionViolation when it is not
-    possible.  `op` is grounded for this one step; `tasks.run_branch`
-    keeps each grounded operation for a whole run.  No production path
-    calls it; it serves the acceptance criteria and the test oracles."""
-    return apply_op(ground_op(theory, op), state, state_truth(theory, state))
+    possible.  No production path calls it; it serves the acceptance
+    criteria and the test oracles."""
+    after = theory.after(op, state)
+    if after is None:
+        raise PreconditionViolation("%s is not possible here" % op)
+    return after
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +688,19 @@ def load_model(path) -> ActionTheory:
                 head, pre = rest.split("pre:", 1)
                 name, params = parse_head(head)
                 declare("op", name, lineno)
-                operations[name] = OperationDecl(
-                    name, params, _check_op_equalities(parser.parse(pre), {}))
+                operations[name] = OperationDecl(name, params, _check_formula(
+                    _check_op_equalities(parser.parse(pre), {}), predicates, objects, params))
             elif key == "successor":
                 head, tail = rest.split("plus:", 1)
                 plus_text, minus_text = tail.split("minus:", 1)
                 name, params = parse_head(head)
                 declare("successor", name, lineno)
-                successor[name] = SuccessorAxiom(
-                    name, params, parser.parse(plus_text), parser.parse(minus_text))
+                plus, minus = (_check_formula(parser.parse(text), predicates, objects, params)
+                               for text in (plus_text, minus_text))
+                successor[name] = SuccessorAxiom(name, params, plus, minus)
             elif key == "init":
-                init_axioms.append(_check_op_equalities(parser.parse(rest), {}))
+                init_axioms.append(_check_formula(
+                    _check_op_equalities(parser.parse(rest), {}), predicates, objects, ()))
             elif key == "grammar":
                 rid, rule = rest.split(":", 1)
                 lhs, rhs = rule.split("::=", 1)
@@ -683,6 +726,34 @@ def load_model(path) -> ActionTheory:
         )
     except DeclarationError as exc:
         raise TheoryError("%s:%d: %s" % (path, lines[exc.key], exc)) from exc
+
+
+def _check_formula(phi: Formula, predicates: dict[str, PredicateDecl],
+                   objects: list[str], params: tuple[str, ...]) -> Formula:
+    """phi, if each of its atoms names a declared predicate with its arity
+    (a rigid one without a situation, a fluent at the situation variable
+    or s0), and each object variable in it is bound by a quantifier or is
+    one of `params`; else a TheoryError.  That is what grounding phi
+    checks, so phi is grounded once, over the first object alone, which
+    keeps the cost linear in its size."""
+    def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
+        decl = predicates.get(node.name)
+        rigid = isinstance(node, Rigid)
+        if decl is None or (decl.kind == "rigid") != rigid or decl.arity != len(args):
+            raise TheoryError("%s is not a declared %s predicate with %d arguments"
+                              % (format_formula(node), "rigid" if rigid else "fluent",
+                                 len(args)))
+        if not (rigid or isinstance(node.sit, SitVar) or node.sit == S0):
+            raise TheoryError("%s is not at the situation variable or s0"
+                              % format_formula(node))
+        return P_TRUE
+
+    try:
+        ground(phi, objects[:1], atom, dict.fromkeys(params, objects[0]),
+               lambda name, args: P_TRUE)
+    except ModelError as exc:
+        raise TheoryError(str(exc)) from exc
+    return phi
 
 
 def _check_op_equalities(phi: Formula, arities: dict[str, int]) -> Formula:

@@ -14,7 +14,9 @@ atom it does not know; with partial=False that is a TotalityError, which
 gives classical two-valued evaluation.
 
 `World` is an explicit truth table over ground atoms that both evaluators
-can read; the package reads world states through `theory.StateView`.
+can read, as `theory.StateView` presents a world state to the acceptance
+criteria and the oracles; the package itself decides a formula over a
+state by `logic.peval` on the state's `ActionTheory.truth`.
 
 `tokenize` is the character loop that the compiled pattern of
 `robovalid.logic.tokenize` replaced: at each character it tries every

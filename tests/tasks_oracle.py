@@ -12,6 +12,9 @@ path the package used before it built tasks from the rules' compiled
 fragments and carried live states down the derivation tree: every
 derivation's sentential form is printed and parsed again, and each task
 is run at its leaf, branch by branch of `normalize`, from every world.
+`branch_states` runs a branch without the theory's caches, so the
+forward-execution caches of `ActionTheory` are not on both sides of a
+comparison with it.
 
 `possible` and `progress` are the per-step semantics the package used
 before it grounded each operation once: every call instantiates the
@@ -21,16 +24,17 @@ closures.  `traces` steps with them, so it shares no progression code
 with `theory.progress` or `tasks.run_branch`.
 """
 
-from typing import Iterator
+from typing import Iterator, Optional
 
-from robovalid.logic import S0, anchor, evaluate
+from robovalid.logic import S0, anchor, evaluate, peval
 from robovalid.tasks import (
     EPSILON, NIL, Choice, Grammar, Nil, Op, Seq, Task, TaskParser, Test,
-    normalize, run_branch,
+    normalize,
 )
 from robovalid.theory import (
     ActionTheory, GroundAtom, GroundOp, PreconditionViolation, StateView,
-    WorldState, instantiate_precondition,
+    WorldState, apply_op, ground_op, ground_state_formula, instantiate_precondition,
+    state_truth,
 )
 from theory_oracle import instantiate_gamma
 
@@ -158,10 +162,36 @@ def accomplishing_worlds(theory: ActionTheory, grammar: Grammar, depth: int,
                          worlds: list[WorldState]
                          ) -> Iterator[tuple[tuple[str, ...], Task, list[WorldState]]]:
     """Each derivation of `enumerate_derivations` with the worlds of
-    `worlds` from which some branch of its task runs to the end."""
-    memo: dict = {}
+    `worlds` from which some branch of its task runs to the end
+    (`branch_states`).  Pass a theory object of its own: the parser
+    grounds each test through the theory's cache."""
+    grounded: dict = {}
     for steps, task in enumerate_derivations(grammar, depth, theory):
         branches = normalize(task)
         yield steps, task, [w for w in worlds
-                            if any(run_branch(theory, w, b, memo) is not None
+                            if any(branch_states(theory, w, b, grounded) is not None
                                    for b in branches)]
+
+
+def branch_states(theory: ActionTheory, state: WorldState, branch: list[Task],
+                  grounded: dict) -> Optional[list[WorldState]]:
+    """`tasks.run_branch` without the theory's caches: each step reads the
+    state's `state_truth` afresh, and `grounded` keeps each operation's
+    `ground_op` and each test's `ground_state_formula`."""
+    states = []
+    for atom in branch:
+        truth = state_truth(theory, state)
+        if isinstance(atom, Op):
+            if atom.op not in grounded:
+                grounded[atom.op] = ground_op(theory, atom.op)
+            try:
+                state = apply_op(grounded[atom.op], state, truth)
+            except PreconditionViolation:
+                return None
+            states.append(state)
+        else:
+            if atom.formula not in grounded:
+                grounded[atom.formula] = ground_state_formula(theory, atom.formula)
+            if not peval(grounded[atom.formula], truth):
+                return None
+    return states

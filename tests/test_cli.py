@@ -420,6 +420,11 @@ def _bad_inputs(tmp):
                                                       '"open": [81.0, 400.0]'))
     configs = str(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2_every4th.configs.jsonl")
     out = ["--out", str(tmp / "out")]
+    # open's precondition with a rigid atom of the wrong arity
+    lines = (MODELS / "kitchen4.sc").read_text().splitlines(keepends=True)
+    pre = next(ln for ln in lines if ln.startswith("op: open(o) pre: HasDoor(o) &"))
+    arity = tmp / "open_arity.sc"
+    arity.write_text("".join(lines).replace(pre, pre.replace("HasDoor(o)", "HasDoor(o,o)")))
     return [
         (["enumerate", "--model", str(model), "--depth", "2"], "empty grammar"),
         (["enumerate", "--model", str(tmp / "missing.sc"), "--depth", "2"],
@@ -428,6 +433,9 @@ def _bad_inputs(tmp):
           "--scenario", str(scenario)] + out,
          "%s: door open of object o_m [81, 400] is not an ordered range" % scenario),
         (["wp", "--model", KITCHEN, "--task", "open(o_m"], "unexpected end of input"),
+        (["enumerate", "--model", str(arity), "--depth", "2"],
+         "%s:%d: HasDoor(o,o) is not a declared rigid predicate with 2 arguments"
+         % (arity, lines.index(pre) + 1)),
     ]
 
 

@@ -1,11 +1,13 @@
 import collections
-import functools
+import dataclasses
 import math
 
 import pytest
 
 import falsify_oracle
-from robovalid import ctgen, falsify as falsify_module, sim, tasks
+from conftest import MODELS, ROOT
+from robovalid import ctgen, falsify as falsify_module, sim, theory as theory_module
+from robovalid.cli import _load_configs
 from robovalid.falsify import (
     FalsificationError, FalsificationResult, campaign, falsify, summarize,
 )
@@ -13,6 +15,8 @@ from robovalid.stl import (
     PredicateMap, PredicateTemplate, STrue, StlError, robustness, synthesize,
 )
 from robovalid.tasks import Op, format_task, normalize, parse_task
+from robovalid.tasks import Test as TaskTest
+from robovalid.theory import load_model
 
 
 @pytest.fixture(scope="module")
@@ -40,22 +44,20 @@ def test_budget_one_runs_one_evaluation(kitchen_configs, kitchen, scenario, pmap
 
 def test_falsify_builds_one_pair_table(kitchen_configs, kitchen, scenario, pmap,
                                        monkeypatch):
-    """A scenario builds its pair-signal table once, on first read, and
-    every `instantiate` and `run_policy` call of a second `falsify` on it
+    """A scenario builds its pair-signal table once, when it is made, and
+    every `instantiate` and `run_policy` call of two `falsify` runs on it
     reads that same table."""
     built = []
-    real = sim.Scenario.pairs.func
-    counted = functools.cached_property(lambda scn: built.append(scn) or real(scn))
-    counted.__set_name__(sim.Scenario, "pairs")
-    monkeypatch.setattr(sim.Scenario, "pairs", counted)
+    real = sim._pair_table
+    monkeypatch.setattr(sim, "_pair_table", lambda objects: built.append(objects) or real(objects))
     scn = sim.Scenario(scenario.objects, scenario.workspace, scenario.policy_ranges)
+    table = scn.pairs
+    assert built == [scenario.objects] and table == scenario.pairs
     prob = single_problem(kitchen_configs, kitchen, scn, pmap,
                           pick=lambda t: "put" in t, budget=6)
     assert falsify(*prob).evaluations == 6
-    table = scn.pairs
     assert falsify(*prob).evaluations == 6
-    assert scn.pairs is table
-    assert len(built) == 1 and built[0] is scn
+    assert scn.pairs is table and len(built) == 1
 
 
 def test_true_spec_passes_with_its_evaluations(kitchen, kitchen_worlds, scenario, pmap):
@@ -192,9 +194,9 @@ def test_falsify_matches_the_full_evaluation_oracle(frozen_configs, kitchen_conf
            "torque": _ranges(scenario, doorTorqueLimit=(0.4, 2.0)),
            "timing": _ranges(scenario, timingScale=(0.5, 2.0)),
            "threshold": _ranges(scenario, doorTorqueLimit=(0.44445, 0.4445))}[scn]
-    memo: dict = {}
+    tables: dict = {}
     for i, cfg in enumerate(frozen_configs if configs == "frozen" else kitchen_configs):
-        spec = synthesize(cfg, kitchen, pmap, memo)
+        spec = synthesize(cfg, kitchen, pmap, tables)
         assert _fields(falsify, cfg, spec, scn, 25, seed + i) == \
             _fields(falsify_oracle.falsify, cfg, spec, scn, 25, seed + i)
 
@@ -271,18 +273,26 @@ def test_unknown_signal_in_the_pmap_is_an_error_row(kitchen_configs, kitchen, sc
     assert entry.error == "StlError: unknown signal 'Door_o_b'"
 
 
-def test_campaign_grounds_each_operation_once(frozen_configs, kitchen, scenario, pmap,
+def _count_calls(monkeypatch, module, name: str, key) -> collections.Counter:
+    """The calls of `module.name`, counted by key(*args)."""
+    calls = collections.Counter()
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls[key(*args)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_campaign_grounds_each_operation_once(frozen_configs, scenario, pmap,
                                               monkeypatch):
-    """The configurations of a campaign share one forward-execution memo:
-    each operation any of their branches runs is grounded once."""
-    grounded = collections.Counter()
-    real = tasks.ground_op
-
-    def counting(theory, op):
-        grounded[op] += 1
-        return real(theory, op)
-
-    monkeypatch.setattr(tasks, "ground_op", counting)
+    """The configurations of a campaign share the theory's forward-execution
+    caches: each operation any of their branches runs is grounded once,
+    on a freshly loaded theory."""
+    kitchen = load_model(MODELS / "kitchen4.sc")
+    grounded = _count_calls(monkeypatch, theory_module, "ground_op", lambda theory, op: op)
     campaign(frozen_configs, kitchen, scenario, pmap, budget=1, seed=0)
     ops = {a.op for cfg in frozen_configs
            for branch in normalize(cfg.task) for a in branch if isinstance(a, Op)}
@@ -290,10 +300,31 @@ def test_campaign_grounds_each_operation_once(frozen_configs, kitchen, scenario,
     assert len(grounded) > 1 and set(grounded.values()) == {1}
 
 
-def test_synthesize_with_a_shared_memo_equals_a_fresh_one(frozen_configs, kitchen,
-                                                          pmap):
-    memo: dict = {}
+def test_loading_and_falsifying_configs_grounds_each_atom_once(scenario, pmap,
+                                                               monkeypatch):
+    """Reading a configs file and falsifying its configurations grounds
+    each distinct test formula and each operation of their branches
+    exactly once: the parser and the runs share the theory's caches."""
+    kitchen = load_model(MODELS / "kitchen4.sc")
+    tests = _count_calls(monkeypatch, theory_module, "ground_state_formula",
+                         lambda theory, phi: phi)
+    ops = _count_calls(monkeypatch, theory_module, "ground_op", lambda theory, op: op)
+    configs = _load_configs(ROOT / "perfbench" / "inputs" / "kitchen4_d8_t2.configs.jsonl",
+                            kitchen)
+    campaign(configs, kitchen, scenario, pmap, budget=1, seed=0)
+    atoms = {a for cfg in configs for branch in normalize(cfg.task) for a in branch}
+    assert set(tests) == {a.formula for a in atoms if isinstance(a, TaskTest)}
+    assert set(ops) == {a.op for a in atoms if isinstance(a, Op)}
+    assert len(tests) > 1 and set(tests.values()) == {1}
+    assert len(ops) > 1 and set(ops.values()) == {1}
+
+
+def test_synthesize_with_shared_caches_equals_a_fresh_run(frozen_configs, kitchen, pmap):
+    """A spec synthesized with the theory's caches and one dict of chi
+    tables shared by every configuration equals one synthesized on a
+    theory object of its own, with tables of its own."""
+    tables: dict = {}
     for cfg in frozen_configs + frozen_configs[::-1]:
-        fresh = synthesize(cfg, kitchen, pmap, {})
-        assert synthesize(cfg, kitchen, pmap, memo) == fresh
-    assert memo
+        fresh = synthesize(cfg, dataclasses.replace(kitchen), pmap, {})
+        assert synthesize(cfg, kitchen, pmap, tables) == fresh
+    assert tables

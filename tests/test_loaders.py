@@ -58,6 +58,17 @@ BASES = {
     # alpha = f(...) belongs in successor axioms only
     ("kitchen4.sc", "op: swap(o) pre: alpha = open(o)"),
     ("kitchen4.sc", "init: alpha = open(o_m)"),
+    # each atom of a formula names a declared predicate, with its arity and
+    # kind, at the situation variable or s0, and each free variable is a
+    # parameter: what grounding the formula would check later
+    ("kitchen4.sc", "op: swap(o) pre: HasDoor(o,o)"),
+    ("kitchen4.sc", "op: swap(o) pre: IsOpen(o)"),
+    ("kitchen4.sc", "op: swap(o) pre: HasDoor(o)@s"),
+    ("kitchen4.sc", "op: swap(o) pre: IsOpen(p)@s"),
+    ("kitchen4.sc", "op: swap(o) pre: IsOpen(o)@do(open(o),s)"),
+    ("kitchen4.sc", "init: !Running(o_b,o_b)@s0"),
+    ("kitchen4.sc", "init: !Running(x)@s0"),
+    ("kitchen4.sc", "init: exists x . Nope(x)@s0"),
     # declarations that contradict the others name their own line
     ("kitchen4.sc", "fluent: Door/0 primitive"),
     ("kitchen4.sc", "successor: Door() plus: false minus: false"),

@@ -740,10 +740,10 @@ def test_checkpoint_bound_matches_the_literal_walk_oracle(frozen_configs, kitche
     scn = scenario if ranges == "healthy" else sim.Scenario(
         scenario.objects, scenario.workspace, dict(sim.KNOB_LEGAL))
     rng = random.Random(17)
-    memo: dict = {}
+    tables: dict = {}
     seen = collections.Counter()
     for cfg in frozen_configs:
-        spec = synthesize(cfg, kitchen, pmap, memo)
+        spec = synthesize(cfg, kitchen, pmap, tables)
         ops = list(spec.branches[0].ops)
         horizon = max(len(ops), 1) * spec.delta_t
         plan = sim.InstantiationPlan(cfg.initial_world, scn)
@@ -816,9 +816,9 @@ def test_monitor_plans_of_synthesized_specs_match_the_per_node_oracle(
     the trace at the shorter `deltat`s.  Nodes share far fewer lists
     than there are nodes."""
     wide = PredicateMap(pmap.templates, delta_t)
-    memo: dict = {}
+    tables: dict = {}
     for cfg in frozen_configs:
-        spec = synthesize(cfg, kitchen, wide, memo)
+        spec = synthesize(cfg, kitchen, wide, tables)
         horizon = max(len(spec.branches[0].ops), 1) * delta_t
         times = tuple(i * 0.25 for i in range(int(math.floor(horizon / 0.25 + 1e-9)) + 1))
         monitor = stl.Monitor(spec.formula, times)
@@ -827,11 +827,11 @@ def test_monitor_plans_of_synthesized_specs_match_the_per_node_oracle(
         assert len({id(own) for own in monitor.demand}) <= len(monitor.nodes) // 4
 
 
-def test_synthesize_builds_chi_of_each_state_once_per_memo(frozen_configs, kitchen, pmap,
-                                                          monkeypatch):
-    """A memo shared by the configurations of a campaign builds chi of
-    each distinct state once, and its literal table with it: equal
-    tables of the specs are one object."""
+def test_synthesize_builds_chi_of_each_state_once_per_table_dict(frozen_configs, kitchen,
+                                                                pmap, monkeypatch):
+    """A dict of chi tables shared by the configurations of a campaign
+    builds chi of each distinct state once, and its literal table with
+    it: equal tables of the specs are one object."""
     built = collections.Counter()
     real = stl.chi
 
@@ -840,26 +840,28 @@ def test_synthesize_builds_chi_of_each_state_once_per_memo(frozen_configs, kitch
         return real(theory, state, pmap)
 
     monkeypatch.setattr(stl, "chi", counting)
-    memo: dict = {}
     tables: dict = {}
+    seen: dict = {}
     for cfg in frozen_configs:
-        spec = synthesize(cfg, kitchen, pmap, memo)
+        spec = synthesize(cfg, kitchen, pmap, tables)
         for table in (spec.initial,) + tuple(t for br in spec.branches for t in br.checkpoints):
-            assert tables.setdefault(table, table) is table
+            assert seen.setdefault(table, table) is table
     assert len(built) > 12 and set(built.values()) == {1}
+    assert set(built) == set(tables)
 
 
 def test_chi_built_for_another_pmap_is_never_served(frozen_configs, kitchen, pmap):
-    """A memo shared between two predicate maps, here two thresholds for
-    Loc, serves each map only the chi built for it: every spec, with its
-    literal tables, equals one synthesized with a fresh memo."""
+    """Two predicate maps, here two thresholds for Loc, each with its own
+    dict of chi tables, share the theory's forward-execution caches: every
+    spec, with its literal tables, equals one synthesized with fresh
+    tables, and reads its own map's threshold."""
     loc = pmap.templates["Loc"]
     other = PredicateMap(dict(pmap.templates, Loc=stl.PredicateTemplate(
         loc.family, loc.params, loc.signal_template, loc.comparator, 0.02)), pmap.delta_t)
-    memo: dict = {}
+    own, others = {}, {}
     for cfg in frozen_configs[:13]:
-        for m in (pmap, other, pmap):
-            spec = synthesize(cfg, kitchen, m, memo)
+        for m, tables in ((pmap, own), (other, others), (pmap, own)):
+            spec = synthesize(cfg, kitchen, m, tables)
             fresh = synthesize(cfg, kitchen, m, {})
             assert spec == fresh
             assert spec.initial.rows == fresh.initial.rows

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +9,15 @@ import tasks_oracle
 import theory_oracle
 from conftest import TINY_MODEL
 from robovalid.logic import (
-    Do, PAnd, PEq, PNot, POr, S0, anchor, evaluate, parse_formula, peval,
+    FALSE, Do, PAnd, PEq, PNot, POr, S0, anchor, evaluate, parse_formula, peval,
 )
 from robovalid.tasks import Op, run_branch
 from robovalid.tasks import Test as TaskTest
 from robovalid.theory import (
     GroundOp, GroundedOp, ModelError, PreconditionViolation, StateView,
-    WorldState, apply_op, compute_derived, enumerate_initial_worlds, ground_op,
-    ground_primitive, load_model, parse_ground_atom, possible, progress,
-    satisfies_init, state_truth,
+    SuccessorAxiom, TheoryError, WorldState, apply_op, compute_derived,
+    enumerate_initial_worlds, ground_op, ground_primitive, load_model,
+    parse_ground_atom, possible, progress, satisfies_init, state_truth,
 )
 
 
@@ -359,41 +361,48 @@ def _branch_by_view(theory, state, branch):
 @given(st.data())
 def test_progress_matches_view_oracle(oracle_theories, data):
     """From any primitive state, not only initial worlds, each ground
-    operation grounded once gives the per-atom oracle's state or the same
-    exception type, alone or inside a branch with tests, with one memo
-    shared by the whole example."""
+    operation gives the per-atom oracle's state or the same exception
+    type, alone or inside a branch with tests, through the theory's
+    caches, which every example shares and which keep each operation
+    grounded once."""
     name = data.draw(st.sampled_from(sorted(_TESTS)))
     theory = oracle_theories[name]
     state = WorldState(frozenset(data.draw(st.sets(st.sampled_from(
         theory.all_primitive_atoms())))))
-    memo: dict = {}
     for op in theory.ground_ops():
         want = _outcome(tasks_oracle.progress, theory, state, op)
         assert _outcome(progress, theory, state, op) == want, op
-        stepped = run_branch(theory, state, [Op(op)], memo)
+        stepped = run_branch(theory, state, [Op(op)])
         assert stepped == (None if want is PreconditionViolation else [want]), op
-        assert isinstance(memo[op], GroundedOp)
+        assert isinstance(theory._steps[op][0], GroundedOp)
     tests = [TaskTest(parse_formula(t, theory.objects)) for t in _TESTS[name]]
     for test in tests:
-        assert run_branch(theory, state, [test], memo) == _branch_by_view(theory, state, [test])
+        assert run_branch(theory, state, [test]) == _branch_by_view(theory, state, [test])
     atom = st.one_of(st.sampled_from([Op(op) for op in theory.ground_ops()]),
                      st.sampled_from(tests))
     branch = data.draw(st.lists(atom, max_size=4))
-    assert run_branch(theory, state, branch, memo) == _branch_by_view(theory, state, branch)
+    assert run_branch(theory, state, branch) == _branch_by_view(theory, state, branch)
 
 
-def test_a_bad_effect_atom_is_a_model_error(tmp_path):
-    """An effect condition over an undeclared fluent is a ModelError at the
-    operation's first step, whether or not the step is possible."""
+def test_a_bad_effect_atom_fails_at_load(tmp_path, tiny):
+    """An effect condition over an undeclared fluent is a TheoryError
+    naming its line when the model loads.  A theory built without the
+    loader keeps it, and it is a ModelError at the operation's first
+    step, whether or not the step is possible."""
+    old = "successor: On() plus: false"
     path = tmp_path / "bad.sc"
-    path.write_text(TINY_MODEL.replace("successor: On() plus: false",
-                                       "successor: On() plus: Nope()@s"))
-    theory = load_model(path)
+    path.write_text(TINY_MODEL.replace(old, "successor: On() plus: Nope()@s"))
+    lineno = TINY_MODEL[:TINY_MODEL.index(old)].count("\n") + 1
+    with pytest.raises(TheoryError, match="^%s:%d: Nope\\(\\)@s is not a declared fluent "
+                       % (re.escape(str(path)), lineno)):
+        load_model(path)
+    theory = dataclasses.replace(tiny, successor=dict(tiny.successor, On=SuccessorAxiom(
+        "On", (), parse_formula("Nope()@s", tiny.objects), FALSE)))
     for state in (WorldState(frozenset()), WorldState(frozenset({("On", ())}))):
         with pytest.raises(ModelError):
             progress(theory, state, GroundOp("link", ("a", "b")))
         with pytest.raises(ModelError):
-            run_branch(theory, state, [Op(GroundOp("raise", ("a",)))], {})
+            run_branch(theory, state, [Op(GroundOp("raise", ("a",)))])
 
 
 def test_model_errors():
