@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .logic import (
-    Formula, P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, Rigid, TRUE,
+    Formula, PAnd, PEq, PFormula, PNot, POr, Rigid, TRUE,
     ground, peval,
 )
 from .record import Record
@@ -116,7 +116,7 @@ class CtModel:
             if enc is not None:
                 return enc
             if isinstance(node, Rigid):
-                enc = P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
+                enc = theory.rigid_value(node.name, args)
             elif (node.name, args) in unary_atoms:
                 enc = unary_atoms[(node.name, args)]
             else:
@@ -145,7 +145,7 @@ class CtModel:
                 constraints.append(CtConstraint(
                     "block unaccomplishable derivation %s" % shown, PNot(ant)))
         constraints.append(CtConstraint(
-            "grammar validity", POr(tuple(valid_ants)) if valid_ants else P_FALSE))
+            "grammar validity", POr(tuple(valid_ants)) if valid_ants else False))
         return constraints
 
 

@@ -5,8 +5,8 @@ hashed, deduplicated and compared syntactically.  `ground` unrolls a
 formula's quantifiers over a finite object domain into a propositional
 form whose atoms a callback chooses: truth values of a world, ground-atom
 variables of a partial assignment, or combinatorial-model parameters.
-`peval`, the one formula evaluator, decides that form in Kleene
-three-valued logic.
+Its constants are the bools True and False.  `peval`, the one formula
+evaluator, decides that form in Kleene three-valued logic.
 """
 
 from __future__ import annotations
@@ -223,6 +223,44 @@ def map_atoms(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     raise ModelError("unknown formula node: %r" % (phi,))
 
 
+def map_terms(phi: Formula, term: Callable[[Term, frozenset], Term],
+              sit: Optional[Callable[[SitTerm], SitTerm]] = None) -> Formula:
+    """phi rebuilt with each object term t replaced by term(t, bound),
+    where `bound` holds the variables that the quantifiers enclosing t
+    bind, and each situation constant or variable s by sit(s), or kept
+    without `sit`.  The operation arguments of a do term are object terms
+    too, and so is a `Hole` that stands for a whole formula.  The terms
+    are visited in text order."""
+    def sits(s: SitTerm, bound) -> SitTerm:
+        if isinstance(s, Do):
+            return Do(OpTerm(s.op.name, tuple([term(a, bound) for a in s.op.args])),
+                      sits(s.prev, bound))
+        return s if sit is None else sit(s)
+
+    def walk(f, bound):
+        if isinstance(f, Fluent):
+            return Fluent(f.name, tuple([term(a, bound) for a in f.args]), sits(f.sit, bound))
+        if isinstance(f, Rigid):
+            return Rigid(f.name, tuple([term(a, bound) for a in f.args]))
+        if isinstance(f, Eq):
+            return Eq(term(f.left, bound), term(f.right, bound))
+        if isinstance(f, Not):
+            return Not(walk(f.body, bound))
+        if isinstance(f, _BINARY):
+            return type(f)(walk(f.left, bound), walk(f.right, bound))
+        if isinstance(f, _QUANT):
+            return type(f)(f.var, walk(f.body, bound | {f.var}))
+        if isinstance(f, OpEq):
+            return OpEq(f.name, tuple([term(a, bound) for a in f.args]))
+        if isinstance(f, (TrueF, FalseF)):
+            return f
+        if isinstance(f, Hole):
+            return term(f, bound)
+        raise ModelError("unknown formula node: %r" % (f,))
+
+    return walk(phi, frozenset())
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
@@ -249,21 +287,16 @@ def substitute_all(phi: Formula, values: Mapping[str, Union[Term, SitTerm]]) -> 
             raise SubstitutionError("cannot substitute value of type %s"
                                     % type(value).__name__)
 
-    def term(t: Term, objs) -> Term:
-        if isinstance(t, Var) and t.name in objs:
-            value = objs[t.name]
+    def term(t: Term, bound) -> Term:
+        if isinstance(t, Var) and t.name in values and t.name not in bound:
+            value = values[t.name]
             if not isinstance(value, (Obj, Var)):
                 raise SubstitutionError("situation term %s substituted into "
                                         "object slot %s" % (value, t.name))
             return value
         return t
 
-    def terms(args: tuple[Term, ...], objs) -> tuple[Term, ...]:
-        return tuple(term(a, objs) for a in args)
-
-    def sit(s: SitTerm, objs) -> SitTerm:
-        if isinstance(s, Do):
-            return Do(OpTerm(s.op.name, terms(s.op.args, objs)), sit(s.prev, objs))
+    def sit(s: SitTerm) -> SitTerm:
         if s.name in values:
             value = values[s.name]
             if isinstance(value, (Obj, Var)):
@@ -272,30 +305,7 @@ def substitute_all(phi: Formula, values: Mapping[str, Union[Term, SitTerm]]) -> 
             return value
         return s
 
-    # `objs` is `values` less the names bound by the enclosing quantifiers;
-    # situation slots read `values` itself
-    def walk(f: Formula, objs) -> Formula:
-        if isinstance(f, Not):
-            return Not(walk(f.body, objs))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left, objs), walk(f.right, objs))
-        if isinstance(f, _QUANT):
-            if f.var in objs:
-                objs = {k: v for k, v in objs.items() if k != f.var}
-            return type(f)(f.var, walk(f.body, objs))
-        if isinstance(f, Rigid):
-            return Rigid(f.name, terms(f.args, objs))
-        if isinstance(f, Fluent):
-            return Fluent(f.name, terms(f.args, objs), sit(f.sit, objs))
-        if isinstance(f, Eq):
-            return Eq(term(f.left, objs), term(f.right, objs))
-        if isinstance(f, OpEq):
-            return OpEq(f.name, terms(f.args, objs))
-        if isinstance(f, (TrueF, FalseF)):
-            return f
-        raise ModelError("unknown formula node: %r" % (f,))
-
-    return walk(phi, values) if values else phi
+    return map_terms(phi, term, sit) if values else phi
 
 
 # ---------------------------------------------------------------------------
@@ -319,49 +329,12 @@ def fill_holes(phi: Formula, fn: Callable[[Hole], Union[Term, Formula]]) -> Form
     a whole formula.  Nothing is renamed, so a quantifier of phi binds a
     variable put in, as it would in the text with the variable written
     there.  The holes are visited in text order."""
-    def term(t):
-        return fn(t) if isinstance(t, Hole) else t
-
-    def sit(s: SitTerm) -> SitTerm:
-        if isinstance(s, Do):
-            return Do(OpTerm(s.op.name, tuple(map(term, s.op.args))), sit(s.prev))
-        return s
-
-    def walk(f):
-        if isinstance(f, Hole):
-            return fn(f)
-        if isinstance(f, Not):
-            return Not(walk(f.body))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left), walk(f.right))
-        if isinstance(f, _QUANT):
-            return type(f)(f.var, walk(f.body))
-        if isinstance(f, Rigid):
-            return Rigid(f.name, tuple(map(term, f.args)))
-        if isinstance(f, Fluent):
-            return Fluent(f.name, tuple(map(term, f.args)), sit(f.sit))
-        if isinstance(f, Eq):
-            return Eq(term(f.left), term(f.right))
-        if isinstance(f, OpEq):
-            return OpEq(f.name, tuple(map(term, f.args)))
-        if isinstance(f, (TrueF, FalseF)):
-            return f
-        raise ModelError("unknown formula node: %r" % (f,))
-
-    return walk(phi)
+    return map_terms(phi, lambda t, bound: fn(t) if isinstance(t, Hole) else t)
 
 
 # ---------------------------------------------------------------------------
 # Propositional form
 # ---------------------------------------------------------------------------
-
-class PTrue(Record):
-    pass
-
-
-class PFalse(Record):
-    pass
-
 
 class PEq(Record):
     """`param` has the value `value`: a combinatorial-model parameter and
@@ -382,18 +355,13 @@ class POr(Record):
     parts: tuple["PFormula", ...]
 
 
-PFormula = Union[PTrue, PFalse, PEq, PNot, PAnd, POr]
-
-P_TRUE = PTrue()
-P_FALSE = PFalse()
+PFormula = Union[bool, PEq, PNot, PAnd, POr]
 
 
 def peval(phi: PFormula, assignment: dict) -> Optional[bool]:
     """Kleene evaluation over a partial assignment; None = undetermined."""
-    if isinstance(phi, PTrue):
-        return True
-    if isinstance(phi, PFalse):
-        return False
+    if phi is True or phi is False:
+        return phi
     if isinstance(phi, PEq):
         v = assignment.get(phi.param)
         return None if v is None else (v == phi.value)
@@ -437,15 +405,15 @@ def ground(phi: Formula, objects,
     POr / PAnd over `objects` in their order, binding the variable in
     the environment over any outer binding; Implies and Iff become their
     PNot / PAnd / POr definitions; equalities and true / false become
-    constants; each rigid or fluent atom becomes atom(node, argument
-    names); and an operation equality alpha = f(args) becomes op_atom(f,
-    argument names), or is a ModelError without `op_atom`.  Constants
-    fold as each node is built: a negated constant flips, a neutral part
-    drops out of a PAnd or POr, and an absorbing one is the node, so
-    every assignment gives the form the Kleene value the unfolded form
-    has.  Every atom is visited, so an atom that `atom` rejects raises
-    even where the connectives would not need its value.  Situation
-    terms reach `atom` as written.
+    the constants True and False; each rigid or fluent atom becomes
+    atom(node, argument names); and an operation equality alpha = f(args)
+    becomes op_atom(f, argument names), or is a ModelError without
+    `op_atom`.  Constants fold as each node is built: a negated constant
+    flips, a neutral part drops out of a PAnd or POr, and an absorbing
+    one is the node, so every assignment gives the form the Kleene value
+    the unfolded form has.  Every atom is visited, so an atom that `atom`
+    rejects raises even where the connectives would not need its value.
+    Situation terms reach `atom` as written.
     """
     def names(args: tuple[Term, ...], env: dict[str, str]) -> tuple[str, ...]:
         out = []
@@ -477,11 +445,11 @@ def ground(phi: Formula, objects,
             return _pjoin(POr if isinstance(f, Exists) else PAnd, parts)
         if isinstance(f, Eq):
             l, r = names((f.left, f.right), env)
-            return P_TRUE if l == r else P_FALSE
+            return l == r
         if isinstance(f, TrueF):
-            return P_TRUE
+            return True
         if isinstance(f, FalseF):
-            return P_FALSE
+            return False
         if isinstance(f, OpEq):
             if op_atom is not None:
                 return op_atom(f.name, names(f.args, env))
@@ -494,10 +462,8 @@ def ground(phi: Formula, objects,
 
 def _pnot(p: PFormula) -> PFormula:
     """PNot(p), or the other constant when p is one."""
-    if isinstance(p, PTrue):
-        return P_FALSE
-    if isinstance(p, PFalse):
-        return P_TRUE
+    if p is True or p is False:
+        return not p
     return PNot(p)
 
 
@@ -506,16 +472,17 @@ def _pjoin(node: type, parts: tuple) -> PFormula:
     conjunction, false in a disjunction); its absorbing constant, a lone
     part, or no part left is the result itself.  Every assignment gives
     the result the Kleene value it gives node(parts)."""
-    absorbing, neutral = (PFalse, PTrue) if node is PAnd else (PTrue, PFalse)
+    neutral = node is PAnd
+    absorbing = not neutral
     kept = []
     for p in parts:
-        if isinstance(p, absorbing):
+        if p is absorbing:
             return p
-        if not isinstance(p, neutral):
+        if p is not neutral:
             kept.append(p)
     if len(kept) == 1:
         return kept[0]
-    return node(tuple(kept)) if kept else (P_TRUE if node is PAnd else P_FALSE)
+    return node(tuple(kept)) if kept else neutral
 
 
 def evaluate(world, phi: Formula) -> bool:
@@ -531,7 +498,7 @@ def evaluate(world, phi: Formula) -> bool:
             v = world.rigid_value(node.name, args)
         else:
             v = world.fluent_value(node.name, args, node.sit)
-        return P_TRUE if v else P_FALSE
+        return bool(v)
 
     return peval(ground(phi, world.objects, atom), {})
 
@@ -539,15 +506,8 @@ def evaluate(world, phi: Formula) -> bool:
 def anchor(phi: Formula, sit: SitTerm) -> Formula:
     """Replace the situation variable at the root of each fluent's
     situation term by `sit`."""
-    def root(s: SitTerm) -> SitTerm:
-        if isinstance(s, Do):
-            return Do(s.op, root(s.prev))
-        return sit if isinstance(s, SitVar) else s
-
-    def atom(a: Formula) -> Formula:
-        return Fluent(a.name, a.args, root(a.sit)) if isinstance(a, Fluent) else a
-
-    return map_atoms(phi, atom)
+    return map_terms(phi, lambda t, bound: t,
+                     lambda s: sit if isinstance(s, SitVar) else s)
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,12 @@ class _Interval:
 
 @dataclass(frozen=True)
 class Eventually(_Interval):
-    body: "StlFormula" = None
+    body: "StlFormula"
 
 
 @dataclass(frozen=True)
 class Always(_Interval):
-    body: "StlFormula" = None
+    body: "StlFormula"
 
 
 StlFormula = Union[STrue, Atom, SNot, SAnd, SOr, Eventually, Always]

@@ -14,9 +14,9 @@ from typing import Callable, Iterator, Optional
 
 from .logic import (
     FALSE, And, Eq, Exists, Fluent, Formula, ModelError, Obj, OpEq, OpTerm,
-    P_FALSE, P_TRUE, PAnd, PEq, PFormula, PNot, POr, ParseError, Rigid, S0,
-    SitTerm, SitVar, FormulaParser, Var, anchor, conj, disj, format_formula,
-    ground, map_atoms, peval, substitute_all,
+    PAnd, PEq, PFormula, PNot, POr, ParseError, Rigid, S0, SitTerm, SitVar,
+    FormulaParser, Var, conj, disj, format_formula, ground, map_atoms, peval,
+    substitute_all,
 )
 from .record import Record
 
@@ -152,10 +152,7 @@ class ActionTheory:
         step, table = entry
         key = state.true_atoms
         if key not in table:
-            try:
-                table[key] = apply_op(step, state, self.truth(state))
-            except PreconditionViolation:
-                table[key] = None
+            table[key] = apply_op(step, state, self.truth(state))
         return table[key]
 
     def test(self, phi: Formula) -> PFormula:
@@ -205,16 +202,9 @@ class ActionTheory:
 
     @cached_property
     def grounded_init(self) -> list[PFormula]:
-        """`initial_formulas`, grounded over the primitive atoms at s0.
-        Built on first read."""
-        return [ground_primitive(self, f, S0) for f in initial_formulas(self)]
-
-    @cached_property
-    def preconditions(self) -> dict[str, Formula]:
-        """Each operation's precondition anchored at s0, by name; `ground_op`
-        grounds it with the operation's arguments bound.  Built on first
-        read."""
-        return {name: anchor(d.precondition, S0) for name, d in self.operations.items()}
+        """`initial_formulas`, grounded by `ground_state_formula` over the
+        primitive atoms.  Built on first read."""
+        return [ground_state_formula(self, f) for f in initial_formulas(self)]
 
     @cached_property
     def effect_conditions(self) -> dict[GroundOp, list[tuple[GroundAtom, PFormula, PFormula,
@@ -223,16 +213,16 @@ class ActionTheory:
         atoms the two mention) of the primitive atoms it can change, in
         `all_primitive_atoms` order: those whose conditions mention it, and
         those whose conditions are not constant false when every operation
-        atom is false.  Each successor axiom's conditions are anchored once
-        and grounded once per atom, by `ground_effect_condition`, for every
+        atom is false.  Each successor axiom's conditions are grounded as
+        written, once per atom, by `ground_effect_condition`, for every
         operation.  Built on first read."""
         out: dict[GroundOp, list] = {op: [] for op in self.ground_ops()}
         for fname in self.primitive_fluents():
             sa = self.successor[fname]
-            gammas = [anchor(g, S0) for g in (sa.gamma_plus, sa.gamma_minus)]
             for atom in self.ground_atoms(fname):
                 env = dict(zip(sa.params, atom[1]))
-                plus, minus = (ground_effect_condition(self, g, env) for g in gammas)
+                plus, minus = (ground_effect_condition(self, g, env)
+                               for g in (sa.gamma_plus, sa.gamma_minus))
                 ops = frozenset(p for p in _mentioned_atoms(PAnd((plus, minus)))
                                 if isinstance(p, GroundOp))
                 no_op = dict.fromkeys(ops, False)
@@ -394,10 +384,10 @@ def instantiate_precondition(theory: ActionTheory, op: GroundOp) -> Formula:
 
 class GroundedOp(Record):
     """A ground operation with its precondition and the effect conditions
-    of the atoms it may change, grounded at s0 by `ground_primitive` with
-    derived atoms as their own keys.  `effects` maps each primitive atom
-    whose gamma+ or gamma- is not constant false for this operation to
-    (gamma+, gamma-), in `all_primitive_atoms` order; every other atom
+    of the atoms it may change, grounded by `ground_state_formula`.
+    `effects` maps each primitive atom whose gamma+ or gamma- is not
+    constant false for this operation to (gamma+, gamma-), in
+    `all_primitive_atoms` order; every other atom
     keeps its truth across the operation.  The conditions keep each
     alpha = g as the atom PEq(g, True), and `overlay` decides those atoms
     for this operation: g is true exactly when it is the operation, which
@@ -411,16 +401,15 @@ class GroundedOp(Record):
 
 
 def ground_op(theory: ActionTheory, op: GroundOp) -> GroundedOp:
-    """Ground `op`'s precondition, anchored once per declaration, with the
-    arguments bound in `ground`'s environment, and keep the effect
-    conditions of the atoms `theory.effect_conditions` lists for it (the
-    only ones it can change) that are not constant false under its
-    overlay.  An undeclared operation is a TheoryError; an atom the theory
-    does not declare, or a fluent at another situation, in any effect
-    condition is a ModelError here, whatever the state."""
+    """Ground `op`'s precondition as written, with the arguments bound in
+    `ground`'s environment, and keep the effect conditions of the atoms
+    `theory.effect_conditions` lists for it (the only ones it can change)
+    that are not constant false under its overlay.  An undeclared
+    operation is a TheoryError; an atom the theory does not declare, or a
+    fluent at a do(...) situation, in any effect condition is a
+    ModelError here, whatever the state."""
     decl = check_ground_op(theory, op)
-    pre = ground_primitive(theory, theory.preconditions[op.name], S0, derived=True,
-                           env=dict(zip(decl.params, op.args)))
+    pre = ground_state_formula(theory, decl.precondition, dict(zip(decl.params, op.args)))
     entries = theory.effect_conditions[op]
     overlay = {g: g == op for *_, ops in entries for g in ops}
     effects = {atom: (plus, minus) for atom, plus, minus, _ in entries
@@ -430,24 +419,54 @@ def ground_op(theory: ActionTheory, op: GroundOp) -> GroundedOp:
 
 def ground_effect_condition(theory: ActionTheory, gamma: Formula,
                             env: dict[str, str]) -> PFormula:
-    """An effect condition anchored at s0, grounded as
-    `ground_state_formula` grounds with its successor axiom's parameters
-    bound by `env`, and with each alpha = f(t...) kept as the atom
-    PEq(GroundOp(f, t...), True)."""
-    return ground_primitive(theory, gamma, S0, derived=True, env=env,
-                            op_atom=lambda name, args: PEq(GroundOp(name, args), True))
+    """An effect condition as written, grounded by `ground_state_formula`
+    with its successor axiom's parameters bound by `env`, and with each
+    alpha = f(t...) kept as the atom PEq(GroundOp(f, t...), True)."""
+    return ground_state_formula(theory, gamma, env,
+                                lambda name, args: PEq(GroundOp(name, args), True))
 
 
-def ground_state_formula(theory: ActionTheory, phi: Formula) -> PFormula:
-    """phi, over one situation, anchored at s0 and grounded with derived
-    atoms as keys of their own, so `peval` decides it over a state's
-    `state_truth`."""
-    return ground_primitive(theory, anchor(phi, S0), S0, derived=True)
+def ground_state_formula(theory: ActionTheory, phi: Formula,
+                         env: Optional[dict[str, str]] = None,
+                         op_atom: Optional[Callable[[str, tuple[str, ...]], PFormula]] = None
+                         ) -> PFormula:
+    """phi, over one situation, grounded over the theory's objects, with
+    the free object variables in `env` bound and operation equalities
+    grounded by `op_atom`, as `logic.ground` does.
+
+    Each fluent atom F(args) at a situation variable or at s0, primitive
+    or derived, becomes PEq((F, args), True) and each rigid atom its
+    truth value, so `peval` decides the result over a dict from ground
+    atoms to truth values, partial or total, such as a state's
+    `state_truth`.  An undeclared atom, a wrong arity or a fluent at a
+    do(...) situation is a ModelError naming the atom and its situation.
+    """
+    def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
+        _check_atom(node, args, theory.predicates)
+        if isinstance(node, Rigid):
+            return (node.name, args) in theory.rigid_truths
+        return PEq((node.name, args), True)
+
+    return ground(phi, theory.objects, atom, env, op_atom)
+
+
+def _check_atom(node: Formula, args: tuple[str, ...],
+                predicates: dict[str, PredicateDecl]) -> None:
+    """A ModelError unless `node`, with the object names `args`, names a
+    declared predicate with its arity: a rigid one without a situation, a
+    fluent at a situation variable or s0."""
+    decl = predicates.get(node.name)
+    rigid = isinstance(node, Rigid)
+    if decl is None or (decl.kind == "rigid") != rigid or decl.arity != len(args):
+        raise ModelError("%s is not a declared %s predicate with %d arguments"
+                         % (format_formula(node), "rigid" if rigid else "fluent", len(args)))
+    if not (rigid or isinstance(node.sit, SitVar) or node.sit == S0):
+        raise ModelError("%s is not at the situation variable or s0" % format_formula(node))
 
 
 def state_truth(theory: ActionTheory, state: WorldState) -> dict[GroundAtom, bool]:
     """The truth value in `state` of every ground primitive atom and every
-    ground derived atom, the keys of `ground_primitive`'s formulas."""
+    ground derived atom, the keys of `ground_state_formula`'s formulas."""
     truth = {atom: atom in state.true_atoms for atom in theory.all_primitive_atoms()}
     for name in theory.derived_fluents():
         truth.update(dict.fromkeys(theory.ground_atoms(name), False))
@@ -456,14 +475,14 @@ def state_truth(theory: ActionTheory, state: WorldState) -> dict[GroundAtom, boo
 
 
 def apply_op(step: GroundedOp, state: WorldState,
-             truth: dict[GroundAtom, bool]) -> WorldState:
+             truth: dict[GroundAtom, bool]) -> Optional[WorldState]:
     """The state after `step` from `state`, whose `state_truth` is
-    `truth`.  An atom of `step.effects` is true after it when gamma+
-    holds, or when it held and gamma- does not, over `truth` with the
-    step's overlay merged in; every other atom is carried over from
-    `state`."""
+    `truth`, or None when the step's precondition does not hold there.
+    An atom of `step.effects` is true after it when gamma+ holds, or when
+    it held and gamma- does not, over `truth` with the step's overlay
+    merged in; every other atom is carried over from `state`."""
     if not peval(step.pre, truth):
-        raise PreconditionViolation("%s is not possible here" % step.op)
+        return None
     effects = step.effects
     truth = {**truth, **step.overlay}
     return WorldState(frozenset(
@@ -493,42 +512,10 @@ def progress(theory: ActionTheory, state: WorldState, op: GroundOp) -> WorldStat
 # Initial world enumeration
 # ---------------------------------------------------------------------------
 
-def ground_primitive(theory: ActionTheory, phi: Formula, sit: SitTerm,
-                     derived: bool = False,
-                     env: Optional[dict[str, str]] = None,
-                     op_atom: Optional[Callable[[str, tuple[str, ...]], PFormula]] = None
-                     ) -> PFormula:
-    """phi, over rigid atoms and primitive fluents at `sit`, grounded over
-    the theory's objects, with the free object variables in `env` bound
-    and operation equalities grounded by `op_atom`, as `logic.ground`
-    does.
-
-    Each fluent atom F(args)@sit becomes PEq((F, args), True) and each
-    rigid atom its truth value, so `peval` decides the result over a dict
-    from ground atoms to truth values, partial or total.  With `derived`,
-    a derived-fluent atom is a key of its own too, as `state_truth` fills
-    them; without, it is a ModelError.
-    """
-    kinds = ("primitive", "derived") if derived else ("primitive",)
-
-    def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
-        if isinstance(node, Rigid):
-            return P_TRUE if theory.rigid_value(node.name, args) else P_FALSE
-        decl = theory.predicates.get(node.name)
-        if decl is None or decl.kind not in kinds or decl.arity != len(args):
-            raise ModelError("bad %s fluent atom %s%r"
-                             % ("/".join(kinds), node.name, args))
-        if node.sit != sit:
-            raise ModelError("fluent %s at %s, expected %s" % (node.name, node.sit, sit))
-        return PEq((node.name, args), True)
-
-    return ground(phi, theory.objects, atom, env, op_atom)
-
-
 def initial_formulas(theory: ActionTheory) -> list[Formula]:
-    """The initial axioms at s0, with derived fluents unfolded, so they
-    mention only rigid atoms and primitive fluents."""
-    return [unfold_derived(anchor(ax, S0), theory) for ax in theory.init_axioms]
+    """The initial axioms as written, with derived fluents unfolded, so
+    they mention only rigid atoms and primitive fluents."""
+    return [unfold_derived(ax, theory) for ax in theory.init_axioms]
 
 
 def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
@@ -737,20 +724,12 @@ def _check_formula(phi: Formula, predicates: dict[str, PredicateDecl],
     checks, so phi is grounded once, over the first object alone, which
     keeps the cost linear in its size."""
     def atom(node: Formula, args: tuple[str, ...]) -> PFormula:
-        decl = predicates.get(node.name)
-        rigid = isinstance(node, Rigid)
-        if decl is None or (decl.kind == "rigid") != rigid or decl.arity != len(args):
-            raise TheoryError("%s is not a declared %s predicate with %d arguments"
-                              % (format_formula(node), "rigid" if rigid else "fluent",
-                                 len(args)))
-        if not (rigid or isinstance(node.sit, SitVar) or node.sit == S0):
-            raise TheoryError("%s is not at the situation variable or s0"
-                              % format_formula(node))
-        return P_TRUE
+        _check_atom(node, args, predicates)
+        return True
 
     try:
         ground(phi, objects[:1], atom, dict.fromkeys(params, objects[0]),
-               lambda name, args: P_TRUE)
+               lambda name, args: True)
     except ModelError as exc:
         raise TheoryError(str(exc)) from exc
     return phi

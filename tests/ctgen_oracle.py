@@ -33,8 +33,8 @@ from typing import Iterator, Optional, Union
 from robovalid.ctgen import CtError, CtModel
 from robovalid.logic import TRUE, Formula, PAnd, PEq, PFormula, PNot, POr, peval
 from robovalid.tasks import Grammar, Task
-from robovalid.theory import ActionTheory, WorldState, ground_primitive
-from robovalid.wp import SIT, wp
+from robovalid.theory import ActionTheory, WorldState, ground_state_formula
+from robovalid.wp import wp
 from tasks_oracle import enumerate_derivations
 
 
@@ -51,7 +51,7 @@ def derivation_wps(theory: ActionTheory, grammar: Grammar, depth: int,
     assignments = [{a: w.holds(a) for a in atoms} for w in worlds]
     for steps, task in enumerate_derivations(grammar, depth, theory):
         wpf = wp(TRUE, task, theory).formula
-        grounded = ground_primitive(theory, wpf, SIT)
+        grounded = ground_state_formula(theory, wpf)
         yield steps, task, wpf, [w for w, a in zip(worlds, assignments)
                                  if peval(grounded, a)]
 

@@ -184,9 +184,8 @@ def branch_states(theory: ActionTheory, state: WorldState, branch: list[Task],
         if isinstance(atom, Op):
             if atom.op not in grounded:
                 grounded[atom.op] = ground_op(theory, atom.op)
-            try:
-                state = apply_op(grounded[atom.op], state, truth)
-            except PreconditionViolation:
+            state = apply_op(grounded[atom.op], state, truth)
+            if state is None:
                 return None
             states.append(state)
         else:

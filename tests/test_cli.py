@@ -68,6 +68,18 @@ def test_wp_output(capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+# sha256 of `wp`'s stdout for each task on kitchen4, as printed before
+# the formula kernel's term walks were folded into `logic.map_terms`
+WP_SHA256 = json.loads((ROOT / "tests" / "golden" / "kitchen4_wp_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("task", sorted(WP_SHA256))
+def test_wp_prints_the_golden_text(capsys, task):
+    assert main(["wp", "--model", KITCHEN, "--task", task]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == WP_SHA256[task]
+
+
 def test_generate_putfrag_one_way(tmp_path, capsys):
     out = tmp_path / "g"
     assert main(["generate", "--model", PUTFRAG, "--depth", "3",
@@ -433,6 +445,8 @@ def _bad_inputs(tmp):
           "--scenario", str(scenario)] + out,
          "%s: door open of object o_m [81, 400] is not an ordered range" % scenario),
         (["wp", "--model", KITCHEN, "--task", "open(o_m"], "unexpected end of input"),
+        (["wp", "--model", KITCHEN, "--task", "IsOpen(o_m)@do(open(o_m),s) ?"],
+         "test IsOpen(o_m)@do(open(o_m),s)"),
         (["enumerate", "--model", str(arity), "--depth", "2"],
          "%s:%d: HasDoor(o,o) is not a declared rigid predicate with 2 arguments"
          % (arity, lines.index(pre) + 1)),

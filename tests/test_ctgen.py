@@ -13,7 +13,7 @@ from robovalid.ctgen import (
     realize_configuration, verify_covering_array,
 )
 from robovalid.logic import (
-    P_FALSE, P_TRUE, TRUE, PAnd, PEq, PNot, POr, Rigid, ground, peval,
+    TRUE, PAnd, PEq, PNot, POr, Rigid, ground, peval,
 )
 from robovalid.tasks import EPSILON, Grammar, enumerate_derivations
 from robovalid.theory import (
@@ -385,7 +385,7 @@ def test_constraints_equal_an_unmemoized_regrounding(request, name, depth):
 
     def atom(node, args):
         if isinstance(node, Rigid):
-            return P_TRUE if (node.name, args) in theory.rigid_truths else P_FALSE
+            return (node.name, args) in theory.rigid_truths
         if (node.name, args) in unary:
             return PEq(unary[(node.name, args)], "true")
         return POr(tuple(PAnd(tuple(PEq(c, a) for c, a in zip(inst, args)))

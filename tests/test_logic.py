@@ -7,9 +7,9 @@ import logic_oracle
 from logic_oracle import TotalityError, World
 from robovalid.logic import (
     And, Do, Eq, Exists, FALSE, Fluent, Forall, Iff, Implies, Not, Obj,
-    OpTerm, Or, P_FALSE, P_TRUE, PEq, ParseError, Rigid, S0, SitVar,
-    SubstitutionError, TRUE, Var, evaluate, fold, format_formula, ground,
-    parse_formula, peval, substitute, substitute_all, tokenize,
+    OpTerm, Or, PEq, ParseError, Rigid, S0, SitVar, SubstitutionError, TRUE,
+    Var, anchor, evaluate, fold, format_formula, ground, parse_formula, peval,
+    substitute, substitute_all, tokenize,
 )
 
 OBJECTS = ("o_b", "o_p", "o_m", "o_t")
@@ -112,7 +112,7 @@ def grounded(phi, rigid=lambda name, args: False):
     F(args) to the variable (F, args) of an assignment."""
     def atom(node, args):
         if isinstance(node, Rigid):
-            return P_TRUE if rigid(node.name, args) else P_FALSE
+            return rigid(node.name, args)
         return PEq((node.name, args), True)
     return ground(phi, OBJECTS, atom)
 
@@ -284,6 +284,15 @@ def test_substitute_all_of_ground_values_is_sequential(phi, x, y, s):
     for var, value in (("x", x), ("y", y), ("s", s)):
         want = logic_oracle.substitute(want, var, value)
     assert substitute_all(phi, {"x": x, "y": y, "s": s}) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(sits=SIT_TERMS))
+def test_anchor_puts_s0_in_for_each_situation_variable(phi):
+    """Anchoring at s0 equals the oracle's substitution of s0 for s,
+    then for t, inside do terms too."""
+    want = logic_oracle.substitute(logic_oracle.substitute(phi, "s", S0), "t", S0)
+    assert anchor(phi, S0) == want
 
 
 def _tokens(lex, text):

@@ -51,6 +51,12 @@ def test_truncation_flag_and_error():
         robustness(Atom("y", ">", 0.0), tr)
 
 
+def test_a_window_needs_a_body():
+    for window in (Eventually, Always):
+        with pytest.raises(TypeError):
+            window(0.0, 1.0)
+
+
 def test_trace_csv_roundtrip():
     tr = Trace((0.0, 0.25, 0.5), {"a": (1.0, 2.0, 3.0), "b": (-1.5, 0.0, 2.25)})
     again = Trace.from_csv(tr.to_csv())

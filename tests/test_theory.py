@@ -16,7 +16,7 @@ from robovalid.tasks import Test as TaskTest
 from robovalid.theory import (
     GroundOp, GroundedOp, ModelError, PreconditionViolation, StateView,
     SuccessorAxiom, TheoryError, WorldState, apply_op, compute_derived,
-    enumerate_initial_worlds, ground_op, ground_primitive, load_model,
+    enumerate_initial_worlds, ground_op, ground_state_formula, load_model,
     parse_ground_atom, possible, progress, satisfies_init, state_truth,
 )
 
@@ -111,11 +111,23 @@ def test_every_atom_is_checked_against_the_theory(kitchen, kitchen_worlds):
             evaluate(view, parse_formula(text, kitchen.objects))
 
 
-def test_ground_primitive_rejects_other_atoms(kitchen):
-    """Only primitive fluents at the given situation have a variable."""
-    for text in ["IsOpen(o_b)@s1", "In(o_b,o_p)@s0", "Loc(o_b)@s0", "Nope(o_b)"]:
-        with pytest.raises(ModelError):
-            ground_primitive(kitchen, parse_formula(text, kitchen.objects), S0)
+def test_ground_state_formula_rejects_other_atoms(kitchen):
+    """An undeclared atom, a wrong arity or a fluent at a do(...)
+    situation is a ModelError naming the atom; a fluent at s0 or at any
+    situation variable, derived ones included, has a variable, and a
+    kitchen4 test grounds as written as it does anchored at s0."""
+    def grounded(text):
+        return ground_state_formula(kitchen, parse_formula(text, kitchen.objects))
+
+    for text in ["IsOpen(o_b)@do(open(o_m),s0)", "Loc(o_b)@s0", "Nope(o_b)", "Nope(o_b)@s"]:
+        with pytest.raises(ModelError, match=re.escape(text)):
+            grounded(text)
+    assert grounded("In(o_b,o_p)@s0") == PEq(("In", ("o_b", "o_p")), True)
+    assert grounded("IsOpen(o_b)@s1") == PEq(("IsOpen", ("o_b",)), True)
+    for text in _TESTS["kitchen"] + ["%sIsOpen(%s)@s" % (neg, o)
+                                     for neg in ("", "!") for o in kitchen.objects]:
+        phi = parse_formula(text, kitchen.objects)
+        assert ground_state_formula(kitchen, phi) == ground_state_formula(kitchen, anchor(phi, S0))
 
 
 def test_enumeration_matches_satisfies_init_on_one_atom_flips(kitchen, kitchen_worlds):
@@ -318,9 +330,8 @@ def test_grounded_steps_match_the_per_atom_oracle_on_every_state(request, name):
         truth = state_truth(theory, state)
         for step in steps:
             want = _outcome(tasks_oracle.progress, theory, state, step.op)
-            try:
-                got = apply_op(step, state, truth)
-            except PreconditionViolation:
+            got = apply_op(step, state, truth)
+            if got is None:
                 got = PreconditionViolation
             assert got == want, (state, step.op)
             ran += want is not PreconditionViolation

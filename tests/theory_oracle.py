@@ -15,10 +15,10 @@ anchor at s0 and ground, for every ground primitive atom.
 
 from typing import Iterator
 
-from robovalid.logic import Formula, Obj, PFormula, S0, peval, substitute_all
+from robovalid.logic import Formula, Obj, PFormula, S0, anchor, peval, substitute_all
 from robovalid.theory import (
-    ActionTheory, GroundAtom, GroundOp, WorldState, ground_primitive,
-    ground_state_formula, initial_formulas, instantiate_op_equalities,
+    ActionTheory, GroundAtom, GroundOp, WorldState, ground_state_formula,
+    initial_formulas, instantiate_op_equalities,
 )
 
 
@@ -37,14 +37,14 @@ def ground_effects(theory: ActionTheory, op: GroundOp
     for atom in theory.all_primitive_atoms():
         sa = theory.successor[atom[0]]
         out[atom] = tuple(
-            ground_state_formula(theory, instantiate_gamma(g, sa.params, atom[1], op))
+            ground_state_formula(theory, anchor(instantiate_gamma(g, sa.params, atom[1], op), S0))
             for g in (sa.gamma_plus, sa.gamma_minus))
     return out
 
 
 def enumerate_initial_worlds(theory: ActionTheory) -> Iterator[WorldState]:
     atoms = theory.all_primitive_atoms()
-    axioms = [ground_primitive(theory, f, S0) for f in initial_formulas(theory)]
+    axioms = [ground_state_formula(theory, f) for f in initial_formulas(theory)]
     assigned: dict[GroundAtom, bool] = {}
 
     def consistent() -> bool:
