@@ -112,12 +112,14 @@ def _knob_override(text: str) -> tuple[str, tuple[float, float]]:
 
 def _load_scenario(path, theory, overrides) -> sim.Scenario:
     """The scenario file with the `--knob` overrides applied; it must
-    describe the model's objects."""
+    describe the model's objects, and the simulator must have a
+    controller for each of the model's operations."""
     scn = _load(sim.load_scenario, path)
     if sorted(scn.objects) != sorted(theory.objects):
         raise sim.SimError("%s: scenario objects %s differ from the model's %s"
                            % (path, " ".join(sorted(scn.objects)),
                               " ".join(sorted(theory.objects))))
+    sim.check_operations(theory.operations)
     ranges = dict(scn.policy_ranges)
     ranges.update(overrides)
     return sim.Scenario(scn.objects, scn.workspace, ranges)

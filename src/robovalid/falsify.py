@@ -6,9 +6,9 @@ with an adaptive step (halved on failure, doubled on success) and
 restarts on stagnation.  Everything is driven by one seeded RNG, so runs
 are reproducible.
 
-A sample that cannot beat the incumbent costs no trace and no monitor
-pass: a lower bound on its robustness, from the state after each
-operation, already shows it (see `falsify`).
+A sample that cannot beat the incumbent costs no trace and no
+robustness pass: a lower bound on its robustness, from the state after
+each operation, already shows it (see `falsify`).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .sim import (
     checkpoint_rows, instantiate, run_policy,
 )
 from .stl import (
-    Monitor, PredicateMap, SpecSynthesisResult, StlError, Trace, checkpoint_bound,
-    robustness, synthesize,
+    PredicateMap, SpecSynthesisResult, StlError, Trace, checkpoint_bound, robustness,
+    synthesize,
 )
 from .tasks import format_task
 from .theory import ActionTheory, TheoryError
@@ -71,32 +71,33 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     unit box, with at most `budget` evaluations and an RNG seeded by `seed`.
 
     Stops early at the first strictly negative, non-truncated robustness.
-    A result the monitor reports truncated, because some window ends
-    past the horizon, is clamped at zero, so it never counts as
-    falsified; a run the horizon cuts short while the monitor sees every
-    sample it needs is a missed deadline, and counts.
+    A result `stl.robustness` reports truncated, because some window
+    ends past the horizon, is clamped at zero, so it never counts as
+    falsified; a run the horizon cuts short while every window lies
+    within the trace is a missed deadline, and counts.
 
-    What the configuration fixes is built once per call: the
-    instantiation plan of its initial world (`sim.InstantiationPlan`),
-    and the spec's monitor, from the first trace, since every trace has
-    the same sample times.  Every instantiation is checked against
-    `spec.initial`, chi of the initial world as a literal table.
+    The instantiation plan of the configuration's initial world
+    (`sim.InstantiationPlan`) is built once per call.  Every
+    instantiation is checked against `spec.initial`, chi of the initial
+    world as a literal table.
 
     Once there is an incumbent, a sample is first bounded from below:
     `sim.checkpoint_rows` runs each operation of the first branch to
     completion and `stl.checkpoint_bound` takes the least chi margin at
     those rows.  A sample whose bound is at least the incumbent's
     robustness returns the bound, counted as an evaluation, and its
-    trace is neither simulated nor monitored.  Its exact robustness, or
+    trace is neither simulated nor evaluated.  Its exact robustness, or
     the clamped value, is at least the bound, or NaN.  The incumbent's
     robustness is at least 0 while the search runs, so either value
     fails every comparison the search makes with it (`< best_rho`,
     `< before`, `< 0`), as the bound does: the points, the RNG draws,
     the counts and the result are those of evaluating every sample in
-    full.  So are the errors: the monitor's depend only on the spec and
-    the sample times, and surface at the first feasible evaluation, which
-    always runs in full, and `checkpoint_rows` raises only what
-    `run_policy` would raise on the same sample.
+    full.  So are the errors: those of `stl.robustness` depend only on
+    the spec and the sample times, which every trace shares, and surface
+    at the first feasible evaluation, which always runs in full, and
+    `checkpoint_rows` raises only what `run_policy` would raise on the
+    same sample.  The bound reads the sample times of the incumbent's
+    trace.
     """
     if budget < 1:
         raise FalsificationError("budget must be at least 1")
@@ -107,7 +108,6 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     plan = InstantiationPlan(config.initial_world, scn)
     d = plan.dimension
     rng = random.Random(seed)
-    monitor: Optional[Monitor] = None
 
     evaluations = 0
     infeasible = 0
@@ -118,7 +118,7 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
     def evaluate(point: tuple[float, ...]) -> float:
         """The point's robustness, a lower bound on it that cannot beat the
         incumbent, or infinity if the point cannot be instantiated."""
-        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
+        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace
         evaluations += 1
         try:
             sample = instantiate(plan, spec.initial, point)
@@ -127,13 +127,11 @@ def falsify(config: Configuration, spec: SpecSynthesisResult, scn: Scenario,
             return math.inf
         if best_sample is not None:
             rows = checkpoint_rows(scn, sample, ops, _SAMPLE_DT, horizon)
-            bound = None if rows is None else checkpoint_bound(spec, monitor.times, rows)
+            bound = None if rows is None else checkpoint_bound(spec, best_trace.times, rows)
             if bound is not None and bound >= best_rho:
                 return bound
         trace, _ = run_policy(scn, sample, ops, _SAMPLE_DT, horizon)
-        if monitor is None:
-            monitor = Monitor(spec.formula, trace.times)
-        r = robustness(monitor, trace)
+        r = robustness(spec.formula, trace)
         effective = max(r.value, 0.0) if r.truncated else r.value
         # the first feasible point is the incumbent even at +inf, the
         # robustness of a `true` spec

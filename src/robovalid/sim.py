@@ -200,6 +200,14 @@ def check_knob_range(knob: str, lo: float, hi: float) -> None:
                        "the legal [%g, %g]" % (knob, lo, hi, *legal))
 
 
+def check_operations(names) -> None:
+    """The simulator must have a controller for each operation a model
+    declares."""
+    for name in sorted(names):
+        if name not in _OP_DURATION:
+            raise SimError("no controller for operation %s" % name)
+
+
 # ---------------------------------------------------------------------------
 # Concrete state and signals
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ Window extrema are taken over the window start plus every sample time in
 (start, end]; the end counts only when it is a sample time.  Monitoring is
 therefore reproducible bit for bit.
 
-A `Monitor` compiles a formula for one set of sample times: the node
-DAG, each node's demanded times as an ordered list, and index plans
-that say where a node's operand values sit in its operands' lists.
-`robustness` then fills one list of values per node by position, with
-no lookup by time.
+`robustness` is one recursive pass that evaluates each node at the
+list of times its parent asks for, so a window's body is evaluated once
+at the points of all the window's times, not once per window.
 
 Synthesis runs each branch of a configuration's task forward
 (`tasks.run_branch`): that decides which branches the initial world can
@@ -29,8 +27,7 @@ import io
 import math
 import string
 from dataclasses import dataclass
-from itertools import repeat
-from operator import ge, gt, is_, le, lt
+from operator import ge, gt, le, lt
 from typing import Optional, Union
 
 from .ctgen import Configuration
@@ -219,12 +216,8 @@ def _window_times(times: tuple[float, ...], lo: float, hi: float) -> list[float]
     if lo > times[-1]:
         raise TruncationError(
             "window [%g, %g] starts past the trace end %g" % (lo, hi, times[-1]))
-    out = [lo]
     i = bisect.bisect_right(times, lo)
-    while i < len(times) and times[i] <= hi:
-        out.append(times[i])
-        i += 1
-    return out
+    return [lo, *times[i:bisect.bisect_right(times, hi, i)]]
 
 
 # ---------------------------------------------------------------------------
@@ -236,276 +229,108 @@ class RobustnessResult(Record):
     truncated: bool
 
 
-class Monitor:
-    """A formula compiled for traces sampled at `times` and evaluated at
-    `t`.  For each node of its DAG the monitor keeps the times the node
-    is needed at, as an ordered list, and an index plan into the lists
-    below it: for a not, and or or node, the positions of its times in
-    each operand's list, or None where the two lists are equal; for a
-    window, the positions of each of its times' window points in its
-    body's list; for an atom, the sample row of each of its times.
-    None of it depends on the signal values, so one monitor serves every
-    trace with these times, and evaluating a trace fills one list of
-    values per node by position alone.  A node over signals the trace
-    holds constant costs one value, not one per time (see `_evaluate`),
-    so an evaluation pays for the signals the trace moves.  `robustness`
-    takes a monitor in place of a formula, as `re.search` takes a
-    compiled pattern."""
-
-    def __init__(self, phi: StlFormula, times: tuple[float, ...], t: float = 0.0):
-        if t > times[-1]:
-            raise TruncationError("evaluation time %g past trace end %g"
-                                  % (t, times[-1]))
-        self.times, self.t = times, t
-        self.nodes = _compile(phi)
-        self.demand, self.plans, self.truncated, self.error = None, None, False, None
-        try:
-            self.demand, self.plans, self.truncated = _plan(self.nodes, times, t)
-        except StlError as exc:
-            # a window starts past the end; evaluating a trace raises this
-            # error or one the recursive semantics meets earlier
-            self.error = exc
-
-
-def robustness(phi: Union[StlFormula, Monitor], trace: Trace,
-               t: float = 0.0) -> RobustnessResult:
+def robustness(phi: StlFormula, trace: Trace, t: float = 0.0) -> RobustnessResult:
     """Quantitative semantics; `truncated` is set when any window had to be
-    clipped at the end of the trace.  In place of a formula, `phi` can be
-    a `Monitor` built for the trace's times and for `t`.
+    clipped at the end of the trace.
 
-    Each distinct subformula is evaluated once per time point at which an
-    enclosing operator asks for it, from the leaves up.  For windows of
-    bounded size the cost is linear in the formula and in the trace,
-    instead of growing with the product of the nested window sizes.
+    Each node is evaluated in one call, at the list of times its parent
+    asks for (`_values`): a window asks its body for the points of all
+    its windows, each point once.  For windows of bounded size the cost is
+    linear in the formula and in the trace, instead of growing with the
+    product of the nested window sizes.
     """
-    if not isinstance(phi, Monitor):
-        monitor = Monitor(phi, trace.times, t)
-    elif phi.times != trace.times or phi.t != t:
-        raise StlError("the monitor was built for other sample times or another "
-                       "evaluation time than %g" % t)
-    else:
-        monitor = phi
+    if t > trace.end:
+        raise TruncationError("evaluation time %g past trace end %g" % (t, trace.end))
+    truncated = [False]
     try:
-        if monitor.error is not None:
-            raise monitor.error.with_traceback(None)
-        values = _evaluate(monitor.nodes, monitor.demand, monitor.plans, trace)
+        value, = _values(phi, trace, [t], _rows(trace.times, [t]), truncated)
     except StlError:
-        _raise_first_error(monitor.nodes, trace, t)
+        _raise_first_error(phi, trace, t)
         raise
-    return RobustnessResult(values[-1][0], monitor.truncated)
+    return RobustnessResult(value, truncated[0])
 
 
-# Node kinds of the compiled formula.  A node is a tuple whose first entry
-# is its kind; its children are indices of earlier nodes.
-_TRUE, _ATOM, _NOT, _AND, _OR, _EV, _ALW = range(7)
+def _rows(times: tuple[float, ...], at: list[float]) -> list[int]:
+    """The sample row of each time of `at`; -1 before the first sample."""
+    return [bisect.bisect_right(times, u) - 1 for u in at]
 
 
-def _compile(phi: StlFormula) -> list[tuple]:
-    """Post-order DAG of `phi`, root last.  Structurally equal subformulas
-    share one node; nodes are keyed by their fields and child indices, so
-    no formula dataclass is hashed."""
-    nodes: list[tuple] = []
-    index: dict[tuple, int] = {}
+def _values(phi: StlFormula, trace: Trace, at: list[float], rows: list[int],
+            truncated: list[bool]) -> list[float]:
+    """The robustness of `phi` at each time of `at`, an increasing list
+    whose sample rows are `rows`.  `truncated[0]` is set when a window
+    ends past the trace.  `min` and `max` keep the earlier of equal
+    operands, as the recursive semantics does, so signed zeros come out
+    the same.  This raises exactly when the recursive semantics does,
+    but not always its error (see `_raise_first_error`).
 
-    def add(node: tuple) -> int:
-        i = index.get(node)
-        if i is None:
-            i = index[node] = len(nodes)
-            nodes.append(node)
-        return i
-
-    def visit(f) -> int:
-        if isinstance(f, Atom):
-            # 0.0 and -0.0 thresholds compare equal but give different margins
-            return add((_ATOM, f.signal, f.comparator, f.threshold,
-                        math.copysign(1.0, f.threshold)))
-        if isinstance(f, SNot):
-            return add((_NOT, (visit(f.body),)))
-        if isinstance(f, SAnd):
-            return add((_AND, tuple(visit(p) for p in f.parts)))
-        if isinstance(f, SOr):
-            return add((_OR, tuple(visit(p) for p in f.parts)))
-        if isinstance(f, Eventually):
-            return add((_EV, f.lo, f.hi, visit(f.body)))
-        if isinstance(f, Always):
-            return add((_ALW, f.lo, f.hi, visit(f.body)))
-        if isinstance(f, STrue):
-            return add((_TRUE,))
-        raise TypeError("unknown formula node %r" % (f,))
-
-    visit(phi)
-    return nodes
-
-
-def _plan(nodes: list[tuple], times: tuple[float, ...],
-          root_time: float) -> tuple[list[list[float]], list, bool]:
-    """Each node's demanded times and index plan (see `Monitor`), and
-    whether the result is truncated: exactly when some window ends past
-    the trace.
-
-    A top-down pass collects the times at which each node is needed, in
-    the order they are first asked for; a window operator maps each of
-    its times to the points `_window_times` gives it.  Every parent of a
-    node comes later in post-order, so a node's times are complete when
-    the pass reaches it.  Nodes asked for the same times, in the same
-    order, share one list and one map from time to position, so two
-    lists are equal exactly when they are the same object.  The plans
-    then look up positions in those maps.  An atom whose times include
-    one before the first sample has no rows (None); evaluating it raises.
-    """
-    demand: list[dict] = [{} for _ in nodes]
-    demand[-1][root_time] = None
-    end = times[-1]
-    truncated = False
-    for node, asked in zip(reversed(nodes), reversed(demand)):
-        kind = node[0]
-        if kind == _NOT or kind == _AND or kind == _OR:
-            for c in node[1]:
-                demand[c].update(asked)
-        elif kind == _EV or kind == _ALW:
-            _, lo, hi, body = node
-            inner = demand[body]
-            for t in asked:
-                pts = asked[t] = _window_times(times, t + lo, t + hi)
-                truncated = truncated or t + hi > end
-                inner.update(dict.fromkeys(pts))
-    # nodes demanded at the same times share one list and one position map
-    lists: list[list[float]] = []
-    position: list[dict[float, int]] = []
-    shared: dict[tuple, tuple[list[float], dict[float, int]]] = {}
-    for asked in demand:
-        key = tuple(asked)
-        entry = shared.get(key)
-        if entry is None:
-            entry = shared[key] = (list(key), {u: j for j, u in enumerate(key)})
-        lists.append(entry[0])
-        position.append(entry[1])
-    rows_at: dict[int, list[int]] = {}  # sample rows per shared list, by id
-    plans: list = []
-    for node, asked, own in zip(nodes, demand, lists):
-        kind = node[0]
-        plan = None
-        if kind == _ATOM:
-            plan = rows_at.get(id(own))
-            if plan is None:
-                plan = rows_at[id(own)] = [bisect.bisect_right(times, u) - 1 for u in own]
-            if min(plan) < 0:
-                plan = None
-        elif kind == _NOT or kind == _AND or kind == _OR:
-            plan = tuple(None if lists[c] is own else [position[c][u] for u in own]
-                         for c in node[1])
-        elif kind == _EV or kind == _ALW:
-            at = position[node[3]]
-            plan = [[at[u] for u in pts] for pts in asked.values()]
-        plans.append(plan)
-    return lists, plans, truncated
-
-
-def _evaluate(nodes: list[tuple], demand: list[list[float]], plans: list,
-              trace: Trace) -> list[list[float]]:
-    """Bottom-up pass: every node's robustness at each of its demanded
-    times, one list per node in the order of `demand`.  `min` and `max`
-    keep the earlier of equal operands, as the recursive semantics does,
-    so signed zeros come out the same.
-
-    A node whose list repeats one value is a constant run, and a parent
-    reads only its first entry.  An atom is one when its signal's column
-    holds one value from the first sample to the last (the same object,
-    where that value is a zero); a not or window node is one over a
-    constant operand, and an and or or node when all its operands are.
-    An and or or node that mixes the two folds its constant operands, in
-    order, into one operand that stands where the first of them stood.
-    A zero or NaN fold is not made: only then could moving an operand
-    change the result's bits.  So a trace costs time in
-    proportion to the signals it moves, plus one check per signal."""
-    inf = float("inf")
-    values: list[list[float]] = []
-    constant: list[bool] = []
-    for node, asked, plan in zip(nodes, demand, plans):
-        kind = node[0]
-        flat = True
-        if kind == _ATOM:
-            _, signal, comparator, threshold, _ = node
-            samples = trace.signals.get(signal)
-            if samples is None or plan is None:
-                raise StlError("atom on %r cannot be sampled" % signal)
-            s0 = samples[0]
-            if samples.count(s0) == len(samples) and (
-                    s0 != 0.0 or all(map(is_, samples, repeat(s0)))):
-                # Atom.margin, once for every row
-                vals = [s0 - threshold if comparator in (">", ">=")
-                        else threshold - s0] * len(plan)
+    An atom over a column that holds one nonzero value gives one margin
+    for every time: 0.0 and -0.0 compare equal but give margins of
+    different signs."""
+    if isinstance(phi, Atom):
+        samples = trace.signals.get(phi.signal)
+        if samples is None or rows[0] < 0:
+            raise StlError("atom on %r cannot be sampled" % phi.signal)
+        s0 = samples[0]
+        if s0 != 0.0 and samples.count(s0) == len(samples):
+            return [phi.margin(s0)] * len(at)
+        if phi.comparator in (">", ">="):
+            return [samples[i] - phi.threshold for i in rows]
+        return [phi.threshold - samples[i] for i in rows]
+    if isinstance(phi, SNot):
+        return [-v for v in _values(phi.body, trace, at, rows, truncated)]
+    if isinstance(phi, (SAnd, SOr)):
+        agg = min if isinstance(phi, SAnd) else max
+        if not phi.parts:
+            return [math.inf if agg is min else -math.inf] * len(at)
+        cols = [_values(p, trace, at, rows, truncated) for p in phi.parts]
+        return cols[0] if len(cols) == 1 else list(map(agg, *cols))
+    if isinstance(phi, (Eventually, Always)):
+        times = trace.times
+        windows = [_window_times(times, u + phi.lo, u + phi.hi) for u in at]
+        if at[-1] + phi.hi > times[-1]:
+            truncated[0] = True
+        inner = sorted(set().union(*windows))
+        body = _values(phi.body, trace, inner, _rows(times, inner), truncated)
+        agg = max if isinstance(phi, Eventually) else min
+        out = []
+        for pts in windows:
+            # `inner` and `pts` increase, so the window is a slice of
+            # `inner` when its last point sits where the slice would end
+            j = bisect.bisect_left(inner, pts[0])
+            k = j + len(pts)
+            if inner[k - 1] == pts[-1]:
+                out.append(agg(body[j:k]))
             else:
-                flat = False
-                if comparator in (">", ">="):
-                    vals = [samples[i] - threshold for i in plan]
-                else:
-                    vals = [threshold - samples[i] for i in plan]
-        elif kind == _NOT:
-            (c,), (idx,) = node[1], plan
-            body = values[c]
-            if constant[c]:
-                vals = [-body[0]] * len(asked)
-            else:
-                flat = False
-                vals = [-v for v in body] if idx is None else [-body[j] for j in idx]
-        elif kind == _AND or kind == _OR:
-            agg = min if kind == _AND else max
-            fixed = [values[c][0] for c in node[1] if constant[c]]
-            if len(fixed) == len(node[1]):
-                vals = [agg(fixed, default=inf if kind == _AND else -inf)] * len(asked)
-            else:
-                flat = False
-                folded = agg(fixed, default=0.0)
-                fold = folded == folded and folded != 0.0
-                parts, placed = [], False
-                for c, idx in zip(node[1], plan):
-                    col = values[c]
-                    if not constant[c]:
-                        parts.append(col if idx is None else [col[j] for j in idx])
-                    elif not fold:
-                        parts.append(repeat(col[0]))
-                    elif not placed:
-                        parts.append(repeat(folded))
-                        placed = True
-                vals = parts[0] if len(parts) == 1 else list(map(agg, *parts))
-        elif kind == _EV or kind == _ALW:
-            body = values[node[3]]
-            if constant[node[3]]:
-                vals = [body[0]] * len(plan)
-            else:
-                flat = False
-                agg = max if kind == _EV else min
-                vals = [agg([body[j] for j in idx]) for idx in plan]
-        else:  # _TRUE
-            vals = [inf] * len(asked)
-        values.append(vals)
-        constant.append(flat)
-    return values
+                out.append(agg([body[bisect.bisect_left(inner, u)] for u in pts]))
+        return out
+    if isinstance(phi, STrue):
+        return [math.inf] * len(at)
+    raise TypeError("unknown formula node %r" % (phi,))
 
 
-def _raise_first_error(nodes: list[tuple], trace: Trace, t: float) -> None:
+def _raise_first_error(phi: StlFormula, trace: Trace, t: float) -> None:
     """Raise the error that evaluating the formula recursively, operands in
     order and windows from their start, meets first.  The walk skips
     (node, time) pairs it has already cleared, so it stays linear."""
     cleared: set[tuple[int, float]] = set()
 
-    def visit(i: int, t: float) -> None:
-        if (i, t) in cleared:
+    def visit(f: StlFormula, t: float) -> None:
+        if (id(f), t) in cleared:
             return
-        node = nodes[i]
-        kind = node[0]
-        if kind == _ATOM:
-            trace.value(node[1], t)
-        elif kind == _NOT or kind == _AND or kind == _OR:
-            for c in node[1]:
-                visit(c, t)
-        elif kind == _EV or kind == _ALW:
-            for u in trace.window_times(t + node[1], t + node[2]):
-                visit(node[3], u)
-        cleared.add((i, t))
+        if isinstance(f, Atom):
+            trace.value(f.signal, t)
+        elif isinstance(f, SNot):
+            visit(f.body, t)
+        elif isinstance(f, (SAnd, SOr)):
+            for p in f.parts:
+                visit(p, t)
+        elif isinstance(f, (Eventually, Always)):
+            for u in trace.window_times(t + f.lo, t + f.hi):
+                visit(f.body, u)
+        cleared.add((id(f), t))
 
-    visit(len(nodes) - 1, t)
+    visit(phi, t)
 
 
 def bool_sat(phi: StlFormula, trace: Trace, t: float = 0.0) -> bool:

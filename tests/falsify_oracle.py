@@ -1,23 +1,21 @@
 """Reference falsification loop for differential tests.
 
 `falsify` is the loop that `robovalid.falsify.falsify` replaced: it
-evaluates every sample in full, running the policy and the monitor even
-when the sample cannot beat the incumbent.  It instantiates each point
+evaluates every sample in full, running the policy and evaluating the
+spec even when the sample cannot beat the incumbent.  It instantiates each point
 with `sim_oracle.instantiate`, which plans nothing ahead.  It clamps a result at zero
-only when the monitor reports it truncated, as `robovalid.falsify.falsify`
+only when `stl.robustness` reports it truncated, as `robovalid.falsify.falsify`
 does.
 """
 
 import math
 import random
-from typing import Optional
-
 from robovalid.falsify import (
     _INIT_BATCH, _INIT_STEP, _MIN_STEP, _SAMPLE_DT, _STAGNATION,
     FalsificationError, FalsificationResult, _latin_hypercube,
 )
 from robovalid.sim import InstantiationError, box_dimension, run_policy
-from robovalid.stl import Monitor, robustness
+from robovalid.stl import robustness
 from robovalid.tasks import format_task
 from sim_oracle import instantiate
 
@@ -29,7 +27,6 @@ def falsify(config, spec, scn, budget, seed):
     horizon = max(len(ops), 1) * spec.delta_t
     d = box_dimension(scn)
     rng = random.Random(seed)
-    monitor: Optional[Monitor] = None
 
     evaluations = 0
     infeasible = 0
@@ -38,7 +35,7 @@ def falsify(config, spec, scn, budget, seed):
     best_trace = None
 
     def evaluate(point):
-        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace, monitor
+        nonlocal evaluations, infeasible, best_rho, best_sample, best_trace
         evaluations += 1
         try:
             sample = instantiate(config.initial_world, scn, spec.initial.formula, point)
@@ -46,9 +43,7 @@ def falsify(config, spec, scn, budget, seed):
             infeasible += 1
             return math.inf
         trace, _ = run_policy(scn, sample, ops, _SAMPLE_DT, horizon)
-        if monitor is None:
-            monitor = Monitor(spec.formula, trace.times)
-        r = robustness(monitor, trace)
+        r = robustness(spec.formula, trace)
         effective = max(r.value, 0.0) if r.truncated else r.value
         if effective < best_rho or best_sample is None:
             best_rho = effective

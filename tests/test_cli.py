@@ -437,6 +437,10 @@ def _bad_inputs(tmp):
     pre = next(ln for ln in lines if ln.startswith("op: open(o) pre: HasDoor(o) &"))
     arity = tmp / "open_arity.sc"
     arity.write_text("".join(lines).replace(pre, pre.replace("HasDoor(o)", "HasDoor(o,o)")))
+    # an operation the simulator has no controller for
+    switch_on = tmp / "switch_on.sc"
+    switch_on.write_text("".join(lines).replace("turn_on", "switch_on"))
+    campaign = ["--pmap", PMAP, "--scenario", SCENARIO] + out
     return [
         (["enumerate", "--model", str(model), "--depth", "2"], "empty grammar"),
         (["enumerate", "--model", str(tmp / "missing.sc"), "--depth", "2"],
@@ -450,6 +454,10 @@ def _bad_inputs(tmp):
         (["enumerate", "--model", str(arity), "--depth", "2"],
          "%s:%d: HasDoor(o,o) is not a declared rigid predicate with 2 arguments"
          % (arity, lines.index(pre) + 1)),
+        (["validate", "--model", str(switch_on), "--depth", "4"] + campaign,
+         "no controller for operation switch_on\n"),
+        (["falsify", "--model", str(switch_on), "--configs", configs] + campaign,
+         "no controller for operation switch_on\n"),
     ]
 
 

@@ -134,8 +134,8 @@ def test_truncated_never_falsified(kitchen_configs, kitchen, fault_scenario, pma
 
 def test_missed_deadline_is_falsified(kitchen, kitchen_worlds, scenario, pmap):
     """At timingScale 2.0 a put takes 6 s against a 5 s window.  The
-    horizon cuts the run short, yet the monitor sees every sample its
-    window needs, so the result is not truncated: the deadline is
+    horizon cuts the run short, yet every sample its window needs lies
+    inside the trace, so the result is not truncated: the deadline is
     missed, and the robustness is reported as it is, not clamped at 0."""
     slow = sim.Scenario(scenario.objects, scenario.workspace,
                         dict(scenario.policy_ranges, timingScale=(2.0, 2.0)))
@@ -180,7 +180,7 @@ def _ranges(scn, **ranges):
 def test_falsify_matches_the_full_evaluation_oracle(frozen_configs, kitchen_configs,
                                                     kitchen, scenario, fault_scenario,
                                                     pmap, configs, scn, seed):
-    """Skipping the trace and the monitor for samples whose lower bound
+    """Skipping the trace and its robustness for samples whose lower bound
     cannot beat the incumbent changes no field of any result against
     the loop that evaluates every sample in full: on the 52 frozen
     depth-8 configurations, healthy, over a door-torque range (which
@@ -204,7 +204,7 @@ def test_falsify_matches_the_full_evaluation_oracle(frozen_configs, kitchen_conf
 def test_samples_that_cannot_beat_the_incumbent_are_not_simulated(
         frozen_configs, kitchen, scenario, pmap, monkeypatch):
     """On every fourth frozen configuration, healthy at seed 0, the policy
-    runs and the monitor evaluates only for the samples that improve the
+    runs and robustness is evaluated only for the samples that improve the
     incumbent: 13 of the 325 evaluations."""
     calls = collections.Counter()
 

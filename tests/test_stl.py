@@ -188,6 +188,7 @@ def test_robustness_matches_recursive_oracle(data):
                             st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
     got = _outcome(robustness, phi, tr, t)
     assert got == _outcome(stl_oracle.robustness, phi, tr, t)
+    assert got == _outcome(stl_oracle.keyed_robustness, phi, tr, t)
     if isinstance(got[0], str):
         value = robustness(phi, tr, t).value
         if value != 0:  # zero robustness is the boundary, either answer is fine
@@ -197,68 +198,23 @@ def test_robustness_matches_recursive_oracle(data):
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_monitor_matches_formula_and_oracle(data):
-    """One monitor, built once, evaluates every trace with its sample times
-    bit for bit as the formula does and as the recursive oracle does, or
-    raises the same error; a trace with other times, or another
-    evaluation time, is refused."""
+    """Traces that share their sample times each give the recursive
+    oracle's value bit for bit, or raise its error."""
     first = data.draw(timed_traces())
     traces = [first] + [data.draw(timed_traces(first.times)) for _ in range(3)]
     phi = data.draw(rich_formulas(first))
     t = data.draw(st.one_of(st.sampled_from(first.times),
                             st.floats(-0.5, first.end + 0.5, allow_nan=False)))
-    try:
-        monitor = stl.Monitor(phi, first.times, t)
-    except StlError as e:
-        for tr in traces:
-            assert _outcome(robustness, phi, tr, t) == (type(e), str(e))
-        return
-
-    def monitored(_, trace, t):
-        return robustness(monitor, trace, t)
-
     for tr in traces:
-        got = _outcome(monitored, phi, tr, t)
-        assert got == _outcome(robustness, phi, tr, t)
-        assert got == _outcome(stl_oracle.robustness, phi, tr, t)
-    longer = Trace(first.times + (first.end + 0.25,),
-                   {name: vals + vals[-1:] for name, vals in first.signals.items()})
-    shifted = Trace(tuple(u + 0.125 for u in first.times), first.signals)
-    for other in (longer, shifted):
-        with pytest.raises(StlError, match="monitor"):
-            robustness(monitor, other, t)
-    with pytest.raises(StlError, match="monitor"):
-        robustness(monitor, first, t + 0.25)
+        assert _outcome(robustness, phi, tr, t) == _outcome(stl_oracle.robustness, phi, tr, t)
 
 
-def _same_number(a: float, b: float) -> bool:
-    """Equal bit for bit: equal or both NaN, with the same sign of zero."""
-    return (a == b or a != a and b != b) and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-def _node_tables_agree(phi, trace, t):
-    """Build a monitor for `phi` and evaluate `trace` with it, then check
-    every node's positional list against the keyed oracle's dict: the
-    same demanded times and, at each, the same value bit for bit.  An
-    evaluation that raises must raise the same error in both.  Returns
-    the monitor, or None when it raised."""
-    want = _outcome(stl_oracle.keyed_robustness, phi, trace, t)
-    try:
-        monitor = stl.Monitor(phi, trace.times, t)
-        got = _outcome(robustness, monitor, trace, t)
-    except StlError as e:
-        got = type(e), str(e)
-    assert got == want
-    if not isinstance(want[0], str):
-        return None
-    nodes = stl._compile(phi)
-    demand, _ = stl_oracle._demand(nodes, trace.times, t)
-    keyed = stl_oracle._evaluate(nodes, demand,
-                                 stl_oracle._atom_rows(nodes, demand, trace.times), trace)
-    values = stl._evaluate(monitor.nodes, monitor.demand, monitor.plans, trace)
-    for own, asked, by_time, vals in zip(monitor.demand, demand, keyed, values):
-        assert own == list(asked) and len(vals) == len(own)
-        assert all(_same_number(v, by_time[u]) for u, v in zip(own, vals))
-    return monitor
+def _agrees_with_keyed_oracle(phi, trace, t):
+    """`robustness` gives the keyed oracle's value bit for bit, with its
+    truncation flag, or raises its error.  Returns the outcome."""
+    got = _outcome(robustness, phi, trace, t)
+    assert got == _outcome(stl_oracle.keyed_robustness, phi, trace, t)
+    return got
 
 
 def _shared(phi, lo, hi):
@@ -272,11 +228,11 @@ def _shared(phi, lo, hi):
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_monitor_matches_keyed_oracle(data):
-    """The positional monitor fills, for every node, the values the keyed
-    evaluator keeps by time, over every node kind, windows that start
-    after their evaluation time, empty conjunctions and disjunctions,
-    shared subformulas asked for at more times than one of their
-    parents, and evaluation times between or before the samples."""
+    """`robustness` gives the keyed evaluator's value, over every node
+    kind, windows that start after their evaluation time, empty
+    conjunctions and disjunctions, shared subformulas asked for at more
+    times than one of their parents, and evaluation times between or
+    before the samples."""
     tr = data.draw(timed_traces())
     phi = data.draw(rich_formulas(tr))
     if data.draw(st.booleans()):
@@ -284,41 +240,35 @@ def test_monitor_matches_keyed_oracle(data):
                       data.draw(st.sampled_from((0.5, 1.0, 2.0))))
     t = data.draw(st.one_of(st.sampled_from(tr.times),
                             st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
-    _node_tables_agree(phi, tr, t)
+    _agrees_with_keyed_oracle(phi, tr, t)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
 def test_shared_atom_gathers_the_parents_times(t):
-    """An atom under a disjunction and under a later window over it is
-    needed at the window's points first, then at the disjunction's time:
-    the disjunction and the negation read it through a gather that is
-    not a prefix, and the values agree with the keyed oracle."""
+    """An atom under a disjunction and under a later window over it, whose
+    window starts between the samples: the values agree with the
+    recursive oracle."""
     tr = Trace((0.0, 0.5, 1.0, 1.5, 2.0), {"x": (1.0, -0.0, 0.0, -2.0, 3.0)})
     a = Atom("x", ">", 0.0)
     phi = SAnd((SOr((a, SNot(a))), Eventually(0.25, 1.0, a), SAnd(()), SNot(SOr(()))))
-    monitor = _node_tables_agree(phi, tr, t)
-    atom = monitor.nodes.index((stl._ATOM, "x", ">", 0.0, 1.0))
-    last = [len(monitor.demand[atom]) - 1]
-    assert last != [0] and monitor.demand[atom][-1] == t
-    assert monitor.plans[atom + 1] == (last,)  # the negation
-    assert monitor.plans[atom + 2] == (last, None)  # the disjunction
+    got = _outcome(robustness, phi, tr, t)
+    assert isinstance(got[0], str)
+    assert got == _outcome(stl_oracle.robustness, phi, tr, t)
 
 
 @pytest.mark.parametrize("wrap", [lambda c: SNot(c), lambda c: SAnd((c, STrue()))],
                          ids=("not", "and"))
 def test_operand_times_in_another_order_are_gathered(wrap):
-    """A node asked for at times 1 then 0, over an operand a window asked
-    for at 0 then 1: the two lists hold the same times in another order,
-    so the node still gathers its operand's values."""
+    """A subformula asked for at time 0 by one window and at 1 by another,
+    over an atom that a third window asks for at 0 and 1: the values
+    agree with the recursive oracle."""
     tr = Trace((0.0, 1.0, 2.0), {"x": (1.0, 5.0, -0.0)})
     c = Atom("x", ">", 0.0)
     p = wrap(c)
     phi = SAnd((Eventually(0.0, 0.0, p), Eventually(1.0, 1.0, p), Eventually(0.0, 1.0, c)))
-    monitor = _node_tables_agree(phi, tr, 0.0)
-    atom = monitor.nodes.index((stl._ATOM, "x", ">", 0.0, 1.0))
-    node = next(i for i, n in enumerate(monitor.nodes) if n[0] in (stl._NOT, stl._AND))
-    assert monitor.demand[atom] == [0.0, 1.0] and monitor.demand[node] == [1.0, 0.0]
-    assert monitor.plans[node][0] == [1, 0]
+    got = _outcome(robustness, phi, tr, 0.0)
+    assert isinstance(got[0], str)
+    assert got == _outcome(stl_oracle.robustness, phi, tr, 0.0)
 
 
 @st.composite
@@ -370,9 +320,9 @@ def test_monitor_matches_keyed_oracle_on_synthesized_specs(frozen_specs, kitchen
     """The nested Eventually specs of the frozen depth-8 configurations,
     over traces sampled as `falsify` samples them: random piecewise-
     constant ones, or the simulator's from a random sample point, whose
-    checkpoints hold with small margins.  Every node's values equal the
-    keyed oracle's bit for bit.  The recursive oracle is exponential in
-    the nesting of these specs."""
+    checkpoints hold with small margins.  The value equals the keyed
+    oracle's bit for bit.  The recursive oracle is exponential in the
+    nesting of these specs."""
     cfg, spec = data.draw(st.sampled_from(frozen_specs))
     ops = list(spec.branches[0].ops)
     horizon = max(len(ops), 1) * spec.delta_t
@@ -390,7 +340,7 @@ def test_monitor_matches_keyed_oracle_on_synthesized_specs(frozen_specs, kitchen
     if tr is None:
         tr = data.draw(piecewise_traces(times, _signals(spec.formula, set())))
     assert tr.times == times
-    assert _node_tables_agree(spec.formula, tr, 0.0) is not None
+    assert isinstance(_agrees_with_keyed_oracle(spec.formula, tr, 0.0)[0], str)
 
 
 @settings(max_examples=200, deadline=None)
@@ -445,7 +395,7 @@ _RUN_VALUES = st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0, math.nan))
 @st.composite
 def columns(draw, n):
     """A column of `n` samples, most often wholly constant in one of the
-    ways the monitor must tell apart: one repeated object, one value in
+    ways `robustness` must tell apart: one repeated object, one value in
     distinct float objects, zeros of one sign or both, or NaN."""
     kind = draw(st.sampled_from(("object", "objects", "zero", "negzero", "zeros",
                                  "nans", "varying", "varying")))
@@ -503,19 +453,19 @@ def mixed_formulas(draw, trace):
 @settings(max_examples=800, deadline=None)
 @given(st.data())
 def test_constant_runs_match_keyed_oracle(data):
-    """Traces whose columns are mostly constant runs: every node's values
-    equal the keyed oracle's bit for bit, whether the monitor takes a
-    column as constant or not, and where and and or nodes fold constant
-    operands among varying ones."""
+    """Traces whose columns are mostly constant runs: the value equals the
+    keyed oracle's bit for bit, whether `robustness` takes a column as
+    constant or not, and where and and or nodes mix constant operands
+    with varying ones."""
     tr = data.draw(constant_traces())
     phi = data.draw(st.one_of(mixed_formulas(tr), rich_formulas(tr)))
     t = data.draw(st.one_of(st.sampled_from(tr.times),
                             st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
-    _node_tables_agree(phi, tr, t)
+    _agrees_with_keyed_oracle(phi, tr, t)
 
 
-# Operands whose constant ones, folded before the varying one, would
-# change the bits.  In the first conjunction a zero fold (-0.0, from 1.0
+# Operands whose constant ones, folded into one before the varying one,
+# would change the bits.  In the first conjunction a zero fold (-0.0, from 1.0
 # and -0.0) would win the tie with the varying 0.0 that comes first; in
 # the second, a NaN fold (from NaN and 0.5) would hide the 0.5 behind
 # the varying 1.0.  The disjunctions mirror them.
@@ -533,7 +483,10 @@ FOLD_FORMULAS = [
 
 @pytest.mark.parametrize("phi", FOLD_FORMULAS, ids=format_stl)
 def test_zero_and_nan_folds_are_not_made(phi):
-    assert _node_tables_agree(Always(0.0, 1.0, phi), FOLD_TRACE, 0.0) is not None
+    phi = Always(0.0, 1.0, phi)
+    got = _outcome(robustness, phi, FOLD_TRACE, 0.0)
+    assert isinstance(got[0], str)
+    assert got == _outcome(stl_oracle.robustness, phi, FOLD_TRACE, 0.0)
 
 
 class _CountedColumn(tuple):
@@ -553,31 +506,9 @@ def test_constant_column_is_read_once():
     moving = _CountedColumn(float(i) for i in range(len(times)))
     trace = Trace(times, {"x": flat, "y": moving})
     phi = Always(0.0, 10.0, SAnd((Atom("x", ">", 0.0), Atom("y", ">", -1.0))))
-    assert robustness(stl.Monitor(phi, times), trace).value == 0.5
+    assert robustness(phi, trace).value == 0.5
     assert flat.reads == 1
     assert moving.reads == 1 + len(times)
-
-
-def test_constant_operands_fold_into_one(monkeypatch):
-    """An and node over five constant atoms and a varying one takes its
-    minimum over two operands at each time, the folded constants and the
-    varying atom, and still gives the oracle's value."""
-    arities = []
-
-    def counted_min(*args, **kwargs):
-        arities.append(len(args))
-        return min(*args, **kwargs)
-
-    times = (0.0, 1.0, 2.0)
-    signals = {"s%d" % j: (float(j),) * 3 for j in range(5)}
-    signals["x"] = (3.0, 0.5, 2.0)
-    trace = Trace(times, signals)
-    phi = Always(0.0, 2.0, SAnd(tuple(Atom(name, ">", -1.0) for name in sorted(signals))))
-    monitor = stl.Monitor(phi, times)
-    monkeypatch.setattr(stl, "min", counted_min, raising=False)
-    got = robustness(monitor, trace)
-    assert got == stl_oracle.robustness(phi, trace) == RobustnessResult(1.0, False)
-    assert max(arities) == 2
 
 
 def test_nested_eventually_is_not_exponential():
@@ -660,7 +591,7 @@ def test_checkpoint_bound_never_exceeds_the_monitor(kitchen, kitchen_worlds, sce
     bound from `sim.checkpoint_rows` never exceeds the robustness of the
     whole spec, over 1- and 2-operation tasks, a put that carries an
     object and a task with a choice, whose spec is an `SOr`.  At 1.9 s
-    the monitor truncates and a 2 s close overruns its window, where
+    the robustness is truncated and a 2 s close overruns its window, where
     there is no bound; at 0.1 s, as in `test_truncated_never_falsified`,
     no operation ends within the horizon."""
     rng = random.Random(delta_t)
@@ -777,60 +708,6 @@ def test_checkpoint_bound_matches_the_literal_walk_oracle(frozen_configs, kitche
                 assert got == _hex_or_none(stl_oracle.checkpoint_bound(spec, times, case))
                 seen[got if got in (None, "0x0.0p+0", "-0x0.0p+0") else "bound"] += 1
     assert set(seen) >= {"bound", None, "0x0.0p+0", "-0x0.0p+0"}, seen
-
-
-def _plan_outcome(plan, phi, times, t):
-    """The demanded times, plans and truncation flag of `plan`, or the
-    error it raises."""
-    try:
-        return plan(stl._compile(phi), times, t)
-    except StlError as e:
-        return type(e), str(e)
-
-
-def _monitor_plan(nodes, times, t):
-    """The monitor's demanded times, plans and truncation flag; lists of
-    equal times must be one object."""
-    lists, plans, truncated = stl._plan(nodes, times, t)
-    assert len({id(own) for own in lists}) == len({tuple(own) for own in lists})
-    return lists, plans, truncated
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.data())
-def test_monitor_plans_match_the_per_node_oracle(data):
-    """Sharing one list and one position map among the nodes demanded at
-    the same times changes no demanded time, no plan and no truncation
-    flag, and raises the same error, over the random formulas and
-    traces of `test_monitor_matches_keyed_oracle`."""
-    tr = data.draw(timed_traces())
-    phi = data.draw(rich_formulas(tr))
-    if data.draw(st.booleans()):
-        phi = _shared(phi, data.draw(st.sampled_from((0.0, 0.25, 0.5))),
-                      data.draw(st.sampled_from((0.5, 1.0, 2.0))))
-    t = data.draw(st.one_of(st.sampled_from(tr.times),
-                            st.floats(-0.5, tr.end + 0.5, allow_nan=False)))
-    assert _plan_outcome(_monitor_plan, phi, tr.times, t) == \
-        _plan_outcome(stl_oracle.plan, phi, tr.times, t)
-
-
-@pytest.mark.parametrize("delta_t", [5.0, 1.9, 0.1])
-def test_monitor_plans_of_synthesized_specs_match_the_per_node_oracle(
-        frozen_configs, kitchen, pmap, delta_t):
-    """The same on the nested specs of the 52 frozen configurations, at the
-    sample times `falsify` monitors them at, with windows that end past
-    the trace at the shorter `deltat`s.  Nodes share far fewer lists
-    than there are nodes."""
-    wide = PredicateMap(pmap.templates, delta_t)
-    tables: dict = {}
-    for cfg in frozen_configs:
-        spec = synthesize(cfg, kitchen, wide, tables)
-        horizon = max(len(spec.branches[0].ops), 1) * delta_t
-        times = tuple(i * 0.25 for i in range(int(math.floor(horizon / 0.25 + 1e-9)) + 1))
-        monitor = stl.Monitor(spec.formula, times)
-        want = stl_oracle.plan(monitor.nodes, times, 0.0)
-        assert (monitor.demand, monitor.plans, monitor.truncated) == want
-        assert len({id(own) for own in monitor.demand}) <= len(monitor.nodes) // 4
 
 
 def test_synthesize_builds_chi_of_each_state_once_per_table_dict(frozen_configs, kitchen,
