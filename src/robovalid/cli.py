@@ -188,8 +188,8 @@ def cmd_generate(args) -> int:
     model, _, rows, configs = _generate(theory, args.depth, args.strength)
     path = _write_configs(args.out, configs)
     print("depth  syntax-valid  accomplishable  configurations  strength")
-    print("%5d  %12d  %14d  %14d  %8s" % (args.depth, len(model.derivations),
-                                          len(model.wp_worlds), len(rows), args.strength))
+    print("%5d  %12d  %14d  %14d  %8s" % (args.depth, model.syntax_valid,
+                                          len(model.accomplishable), len(rows), args.strength))
     print("wrote %s" % path)
     return 0
 

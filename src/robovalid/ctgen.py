@@ -7,10 +7,10 @@ rows are built, not searched for: each is the padded steps of an
 accomplishable derivation followed by the encoding of one enumerated
 initial world from which its task completes.  Forward execution,
 carried down the derivation tree as the derivations are enumerated
-(`tasks.enumerate_derivations`), decides that.
-`encode_world` is the one codec of a row's world part;
-`realize_configuration` looks a row's steps, its
-world and their pairing up in the model's tables.  The
+(`tasks.enumerate_derivations`), decides that, and the model keeps only
+the accomplishable derivations (`CtModel.accomplishable`) and a count of
+the rest.  `encode_world` is the one codec of a row's world part;
+`realize_configuration` looks a row up in the model's tables.  The
 constraints (initial axioms, symmetry breaking, grammar validity and
 per-derivation WPs) describe the same set independently;
 `check_assignment` and `verify_covering_array` check rows against them.
@@ -63,13 +63,13 @@ class CtModel:
     parameters: list[CtParameter]
     # decode metadata
     theory: ActionTheory = None
+    grammar: Grammar = None
     depth: int = 0
     # every initial world of the theory
     worlds: frozenset[WorldState] = frozenset()
-    derivations: dict[tuple[str, ...], Task] = field(default_factory=dict)
-    # the initial worlds each accomplishable derivation's task completes
-    # from, keyed like `derivations`; an unaccomplishable one has no key
-    wp_worlds: dict[tuple[str, ...], frozenset[WorldState]] = field(default_factory=dict)
+    # each accomplishable derivation, in order: padded steps -> (task, worlds it completes from)
+    accomplishable: dict[tuple[str, ...], tuple[Task, frozenset]] = field(default_factory=dict)
+    syntax_valid: int = 0  # the derivations the grammar yields, accomplishable or not
     unary_params: dict[str, GroundAtom] = field(default_factory=dict)
     tuple_params: dict[str, list[list[str]]] = field(default_factory=dict)  # family -> [instance][component]
 
@@ -80,18 +80,18 @@ class CtModel:
 
     @cached_property
     def wps(self) -> dict[tuple[str, ...], Formula]:
-        """The WP of each accomplishable derivation, in `derivations`
-        order, computed on first read."""
+        """The WP of each accomplishable derivation, in enumeration order,
+        computed on first read."""
         return {steps: compute_wp(TRUE, task, self.theory).formula
-                for steps, task in self.derivations.items() if steps in self.wp_worlds}
+                for steps, (task, _) in self.accomplishable.items()}
 
     @cached_property
     def constraints(self) -> list[CtConstraint]:
         """The constraints over the parameters, grounded on first read:
         each tuple instance all or none epsilon, symmetry breaking between
-        instances, the initial axioms, per derivation its WP or a block
-        when it is unaccomplishable, and grammar validity.  They describe
-        the valid rows independently of forward execution."""
+        instances, the initial axioms, per derivation (enumerated anew) its
+        WP or a block when it is unaccomplishable, and grammar validity.
+        They describe the valid rows independently of forward execution."""
         theory = self.theory
         constraints = []
         for fam, insts in self.tuple_params.items():
@@ -133,11 +133,12 @@ class CtModel:
                 "initial axiom %d" % (i + 1), ground(phi, theory.objects, param_atom)))
 
         valid_ants = []
-        for steps in self.derivations:
+        for steps, _ in enumerate_derivations(self.grammar, self.depth, theory):
+            steps = _pad(steps, self.depth)
             ant = PAnd(tuple(PEq("d%d" % (k + 1), v) for k, v in enumerate(steps)))
             valid_ants.append(ant)
             shown = ",".join(s for s in steps if s != EPSILON)
-            if steps in self.wp_worlds:
+            if steps in self.accomplishable:
                 constraints.append(CtConstraint(
                     "WP of derivation %s" % shown,
                     POr((PNot(ant), ground(self.wps[steps], theory.objects, param_atom)))))
@@ -162,10 +163,10 @@ class Configuration(Record):
 
 def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
                 strength: Union[int, str]) -> CtModel:
-    """Assemble the parameters of (initial world, task) pairs, and the
-    derivations with the worlds each one's task completes from, run
-    forward.  Weakest preconditions and constraints are left to the
-    first read of `wps` and `constraints`.
+    """Assemble the parameters of (initial world, task) pairs, count the
+    derivations, and keep the accomplishable ones with the worlds each
+    one's task completes from, run forward.  Weakest preconditions and
+    constraints are left to the first read of `wps` and `constraints`.
 
     The model does not depend on the coverage `strength`; a bad one is
     rejected here, before any work, as `generate_covering_array` rejects
@@ -176,7 +177,7 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
         raise CtError("derivation depth must be at least 1")
     worlds = list(enumerate_initial_worlds(theory))
 
-    model = CtModel(parameters=[], theory=theory, depth=depth, worlds=frozenset(worlds))
+    model = CtModel([], theory, grammar, depth, frozenset(worlds))
     rule_ids = sorted(r.id for r in grammar.rules)
 
     # (c) derivation-step parameters
@@ -203,10 +204,9 @@ def build_model(theory: ActionTheory, grammar: Grammar, depth: int,
                             for name in model.unary_params)
 
     for steps, task, sat in enumerate_derivations(grammar, depth, theory, worlds):
-        padded = _pad(steps, depth)
-        model.derivations[padded] = task
+        model.syntax_valid += 1
         if sat:
-            model.wp_worlds[padded] = frozenset(sat)
+            model.accomplishable[_pad(steps, depth)] = (task, frozenset(sat))
     return model
 
 
@@ -267,7 +267,7 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
     rank = [{v: i for i, v in enumerate(p.domain)} for p in model.parameters]
     encoded = {w: code for code, w in model.world_codes.items()}
     rows = [steps + encoded[w]
-            for steps, sat in model.wp_worlds.items() for w in sat]
+            for steps, (_, sat) in model.accomplishable.items() for w in sat]
     yield from sorted(rows, key=lambda row: tuple(r[v] for r, v in zip(rank, row)))
 
 
@@ -411,16 +411,16 @@ def encode_world(model: CtModel, world: WorldState) -> tuple[str, ...]:
 
 def realize_configuration(model: CtModel, row: tuple[str, ...]) -> Configuration:
     """The accomplishable configuration of a valid assignment, by lookup:
-    its steps must be a derivation's, its world part the encoding of an
-    initial world (`world_codes`), and that world one its derivation's
-    task completes from (`wp_worlds`)."""
+    its steps must be an accomplishable derivation's (`accomplishable`),
+    its world part the encoding of an initial world (`world_codes`), and
+    that world one the derivation's task completes from."""
     steps = row[:model.depth]
-    task = model.derivations.get(steps)
-    if task is None:
+    entry = model.accomplishable.get(steps)
+    if entry is None:
         raise CtError("assignment's derivation %r is not a valid one" % (steps,))
     w0 = model.world_codes.get(row[model.depth:])
     if w0 is None:
         raise CtError("decoded world violates the initial axioms (encoding bug)")
-    if w0 not in model.wp_worlds.get(steps, ()):
+    if w0 not in entry[1]:
         raise CtError("decoded configuration is not accomplishable (encoding bug)")
-    return Configuration(w0, task, row)
+    return Configuration(w0, entry[0], row)

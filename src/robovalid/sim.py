@@ -597,6 +597,8 @@ def _capture(scn: Scenario, state: ConcreteState, parents: dict[str, Optional[st
         gd = scn.objects[dest]
         gm = scn.objects[obj]
         if gd.fixed:
+            if obj not in gd.zones:
+                raise SimError("surface %s has no placement zone for %s" % (dest, obj))
             zx, zy = gd.zones[obj]
             sz = gd.position[2] + gd.support_dz
         else:

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -154,6 +155,17 @@ def pmap():
 @pytest.fixture(scope="session")
 def scenario():
     return sim.load_scenario(MODELS / "kitchen4_scenario.json")
+
+
+@pytest.fixture(scope="session")
+def zoneless_scenario_path(tmp_path_factory):
+    """kitchen4's scenario without the microwave's placement zone for the
+    plate, so a put of the plate into the microwave has nowhere to go."""
+    data = json.loads((MODELS / "kitchen4_scenario.json").read_text())
+    del data["objects"]["o_m"]["zones"]["o_p"]
+    path = tmp_path_factory.mktemp("zoneless") / "kitchen4_scenario_no_zone.json"
+    path.write_text(json.dumps(data))
+    return path
 
 
 @pytest.fixture(scope="session")

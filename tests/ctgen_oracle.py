@@ -3,7 +3,8 @@
 `enumerate_valid` is the backtracking constraint solver that `robovalid.
 ctgen.enumerate_valid` replaced: it searches the parameter space of a
 `CtModel` in parameter order and prunes with `peval` on partial rows,
-using only the model's constraints and its derivation table.  It keeps
+using only the model's constraints and the derivations of its grammar,
+enumerated by `tasks_oracle`'s text path.  It keeps
 its own copy of `pparams`, which the package no longer needs.
 
 `derivation_wps` is the grounded-WP test of accomplishability that the
@@ -32,7 +33,7 @@ from typing import Iterator, Optional, Union
 
 from robovalid.ctgen import CtError, CtModel
 from robovalid.logic import TRUE, Formula, PAnd, PEq, PFormula, PNot, POr, peval
-from robovalid.tasks import Grammar, Task
+from robovalid.tasks import EPSILON, Grammar, Task
 from robovalid.theory import ActionTheory, WorldState, ground_state_formula
 from robovalid.wp import wp
 from tasks_oracle import enumerate_derivations
@@ -88,9 +89,11 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
     depth = model.depth
     assert all(params[k].name == "d%d" % (k + 1) for k in range(depth))
 
+    # the grammar's own derivations, not the model's table: that holds
+    # only what forward execution found accomplishable
     prefixes: list[set[tuple[str, ...]]] = [set() for _ in range(depth + 1)]
-    for steps in model.derivations:
-        padded = steps
+    for steps, _ in enumerate_derivations(model.grammar, depth, model.theory):
+        padded = steps + (EPSILON,) * (depth - len(steps))
         for k in range(depth + 1):
             prefixes[k].add(padded[:k])
 
@@ -139,7 +142,7 @@ def enumerate_valid(model: CtModel) -> Iterator[tuple[str, ...]]:
                     yield from rec(i + 1, watch)
             del assignment[pname]
 
-    if not model.derivations:
+    if not prefixes[depth]:
         return
     yield from rec(0, d_watch)
 

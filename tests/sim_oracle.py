@@ -201,6 +201,8 @@ def run_policy(scn, sample, ops, dt, horizon):
             cap["moved"] = {m: state.positions[m] for m in moved}
             gd, gm = scn.objects[dest], scn.objects[obj]
             if gd.fixed:
+                if obj not in gd.zones:
+                    raise SimError("surface %s has no placement zone for %s" % (dest, obj))
                 zx, zy = gd.zones[obj]
                 sz = gd.position[2] + gd.support_dz
             else:

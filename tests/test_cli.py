@@ -360,6 +360,26 @@ def test_task_that_cannot_run_is_an_error_row(tmp_path, capsys, kitchen_worlds):
     assert row["error"] == "StlError: no branch of the task can run from the initial world"
 
 
+def test_put_without_a_placement_zone_is_an_error_row(tmp_path, capsys, kitchen_worlds,
+                                                      zoneless_scenario_path):
+    """A put onto a surface that has no placement zone for the object, in
+    a scenario that lacks it, is an error row with the SimError's text,
+    not a traceback, and falsify exits 1."""
+    world = next(w for w in kitchen_worlds
+                 if {("IsOpen", ("o_m",)), ("Loc", ("o_p", "o_t"))} <= w.true_atoms)
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps({
+        "fluents": sorted("%s(%s)" % (f, ",".join(args)) for f, args in world.true_atoms),
+        "task": "put(o_p,o_m)", "assignment": []}) + "\n")
+    out = tmp_path / "run"
+    assert main(["falsify", "--model", KITCHEN, "--configs", str(configs), "--pmap", PMAP,
+                 "--scenario", str(zoneless_scenario_path), "--out", str(out)]) == 1
+    assert "errors 1 of 1" in capsys.readouterr().out
+    row, = json.loads((out / "report.json").read_text())["configurations"]
+    assert (row["status"], row["error"]) == \
+        ("error", "SimError: surface o_m has no placement zone for o_p")
+
+
 @pytest.mark.parametrize("task", ["[alpha = open(o_m) ? ; open(o_m)]",
                                   "[IsOpen(x)@s ? ; open(o_m)]"])
 def test_task_with_a_test_that_cannot_run_is_rejected_on_load(tmp_path, capsys,

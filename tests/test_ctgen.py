@@ -230,15 +230,43 @@ def test_wp_computed_once_per_accomplishable_derivation(kitchen, monkeypatch):
                         lambda *a: grounded.append(a) or ground_(*a))
     model, _, _, _ = cli._generate(kitchen, 4, 2)
     assert tasks == grounded == []
-    accomplishable = [steps for steps in model.derivations if steps in model.wp_worlds]
-    assert list(model.wps) == accomplishable
-    assert tasks == [model.derivations[steps] for steps in accomplishable]
+    assert list(model.wps) == list(model.accomplishable)
+    assert tasks == [task for task, _ in model.accomplishable.values()]
     assert len(tasks) == 8
     constraints = model.constraints
     assert len(tasks) == 8 and grounded
     grounded.clear()
     assert model.constraints is constraints
     assert len(tasks) == 8 and grounded == []
+
+
+def test_model_keeps_only_the_accomplishable_derivations(kitchen, kitchen_grammar,
+                                                         kitchen_worlds):
+    """At depth 4 the grammar yields 28 derivations and the model keeps the
+    8 accomplishable ones, in enumeration order, each with the worlds its
+    task completes from.  The constraints enumerate the other 20 anew:
+    each is blocked, and grammar validity names all 28."""
+    model = build_model(kitchen, kitchen_grammar, 4, 2)
+    want = [(steps + (EPSILON,) * (4 - len(steps)), (task, frozenset(sat)))
+            for steps, task, sat
+            in enumerate_derivations(kitchen_grammar, 4, kitchen, kitchen_worlds) if sat]
+    assert list(model.accomplishable.items()) == want
+    assert (model.syntax_valid, len(model.accomplishable)) == (28, 8)
+    blocks = [c for c in model.constraints
+              if c.label.startswith("block unaccomplishable derivation ")]
+    (validity,) = [c for c in model.constraints if c.label == "grammar validity"]
+    assert len(blocks) == 20 and len(validity.formula.parts) == 28
+
+
+def test_constraints_enumerate_the_grammar_the_model_was_built_with(
+        kitchen, kitchen_choice_grammar):
+    """A grammar other than the theory's own, here one with a choice rule,
+    is the one the constraints enumerate."""
+    model = build_model(kitchen, kitchen_choice_grammar, 5, 2)
+    (validity,) = [c for c in model.constraints if c.label == "grammar validity"]
+    assert len(validity.formula.parts) == model.syntax_valid
+    assert model.syntax_valid > sum(1 for _ in enumerate_derivations(
+        Grammar(kitchen), 5, kitchen))
 
 
 def test_realize_accepts_exactly_the_worlds_its_grounded_wp_holds_in(

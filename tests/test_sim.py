@@ -194,6 +194,24 @@ def test_run_policy_matches_sample_driven_oracle(kitchen, kitchen_worlds, scenar
     assert s.signals == signal_values(wide, s.q0)
 
 
+def test_put_onto_a_surface_without_a_zone_is_a_sim_error(kitchen, kitchen_worlds, pmap,
+                                                         zoneless_scenario_path):
+    """A put onto a fixed surface that has no placement zone for the
+    object raises a plain SimError, worded as instantiation words the same
+    gap, in `run_policy`, in `checkpoint_rows` and in the oracle alike.
+    It is no InstantiationError, which `falsify` counts as infeasible."""
+    scn = sim.load_scenario(zoneless_scenario_path)
+    w = next(w for w in kitchen_worlds
+             if {("IsOpen", ("o_m",)), ("Loc", ("o_p", "o_t"))} <= w.true_atoms)
+    s = place(w, scn, chi(kitchen, w, pmap), midpoint(scn))
+    ops = [GroundOp("put", ("o_p", "o_m"))]
+    for run in (run_policy, checkpoint_rows, sim_oracle.run_policy):
+        with pytest.raises(sim.SimError) as e:
+            run(scn, s, ops, 0.25, 5.0)
+        assert type(e.value) is sim.SimError
+        assert str(e.value) == "surface o_m has no placement zone for o_p"
+
+
 def _finalized_rows(times, ops, ts):
     """Per operation, the index of the first sample at or after its
     stroke's end, with the schedule's float expressions; None when some

@@ -2,7 +2,7 @@
 type, never by `hasattr`; no module keeps `global` mutable state; every
 import sits at module level, where the import graph is visible; no module
 imports another's private (underscored) name; every name a module
-imports is used there; and every module-level function or
+imports is used there, in the tests too; and every module-level function or
 class, and every method that is not a dunder, is named somewhere in the
 package, the tests or the benchmark.  A name loaded inside a function
 that binds it itself, as a parameter or a local variable, is not a use."""
@@ -14,6 +14,7 @@ import pytest
 from conftest import ROOT
 
 SOURCES = sorted((ROOT / "src" / "robovalid").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
@@ -96,6 +97,22 @@ def definitions(tree: ast.Module):
                     yield item
 
 
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """The (line, name) of each name a module imports at module level and
+    never loads."""
+    used = loaded_names(tree)
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    out.append((node.lineno, name))
+    return out
+
+
 def violations(source: str, elsewhere: frozenset[str] = frozenset()) -> list[str]:
     """Rule breaches in `source`; `elsewhere` holds the identifiers that
     other modules name."""
@@ -111,18 +128,11 @@ def violations(source: str, elsewhere: frozenset[str] = frozenset()) -> list[str
             for inner in ast.walk(node):
                 if isinstance(inner, (ast.Import, ast.ImportFrom)):
                     out.append("line %d: import inside a function" % inner.lineno)
-    used = loaded_names(tree)
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, ast.ImportFrom) and node.level:
             out.extend("line %d: private import %s" % (node.lineno, alias.name)
                        for alias in node.names if alias.name.startswith("_"))
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                if name not in used:
-                    out.append("line %d: unused import %s" % (node.lineno, name))
+    out.extend("line %d: unused import %s" % u for u in unused_imports(tree))
     known = named(tree) | elsewhere
     for node in definitions(tree):
         if node.name not in known:
@@ -172,3 +182,12 @@ def names_by_file():
 def test_package_source_follows_rules(path, names_by_file):
     elsewhere = frozenset().union(*(n for p, n in names_by_file.items() if p != path))
     assert violations(path.read_text(), elsewhere) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_test_source_imports_only_what_it_uses(path):
+    """The package's rule, except for an import a test keeps for its side
+    effect and marks `# noqa: F401`."""
+    lines = path.read_text().splitlines()
+    assert [(n, name) for n, name in unused_imports(ast.parse("\n".join(lines)))
+            if "# noqa: F401" not in lines[n - 1]] == []

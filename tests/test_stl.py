@@ -12,8 +12,8 @@ from robovalid.stl import (
     STrue, StlError, Trace, TruncationError, bool_sat, checkpoint_bound, chi,
     format_stl, load_pmap, robustness, synthesize,
 )
-from robovalid.tasks import format_task, parse_task
-from robovalid.theory import WorldState, progress
+from robovalid.tasks import parse_task
+from robovalid.theory import progress
 
 
 def mono_trace(*vals, step=1.0):

@@ -237,7 +237,7 @@ def test_build_model_prints_and_parses_no_text(kitchen, monkeypatch):
     monkeypatch.setattr(logic, "tokenize", refuse)
     monkeypatch.setattr(tasks, "tokenize", refuse)
     model = build_model(kitchen, grammar, 6, 3)
-    assert (len(model.derivations), len(model.wp_worlds)) == (268, 24)
+    assert (model.syntax_valid, len(model.accomplishable)) == (268, 24)
 
 
 @pytest.mark.parametrize("rules,message", [

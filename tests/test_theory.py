@@ -9,7 +9,7 @@ import tasks_oracle
 import theory_oracle
 from conftest import TINY_MODEL
 from robovalid.logic import (
-    FALSE, Do, PAnd, PEq, PNot, POr, S0, anchor, evaluate, parse_formula, peval,
+    FALSE, PAnd, PEq, PNot, POr, S0, anchor, evaluate, parse_formula, peval,
 )
 from robovalid.tasks import Op, run_branch
 from robovalid.tasks import Test as TaskTest
